@@ -4,14 +4,14 @@
 // E21 — federated campus: per-room directories under gossip membership,
 //       cross-room query forwarding (scoped cache on/off) vs one flat
 //       directory, convergence after a chaos-injected inter-room partition,
-//       a relay-served room during a direct-link partition, and batched vs
-//       per-event notification fan-out.
+//       a relay-served room during a direct-link partition, and batched
+//       notification fan-out.
 //
 // E2 reproduces the Fig 7 interaction quantitatively. E15 measures the
 // AsdIndex rework: query throughput and tail latency at 1k/10k/50k
-// registrations with a concurrent writer churning the directory, the
-// indexed vs. linear-scan ablation (AsdOptions.use_index), cached vs.
-// uncached AsdClient lookups, and per-lease vs. batched renewal traffic.
+// registrations with a concurrent writer churning the index, timed against
+// the index's linear reference scan (AsdIndex(false)), cached vs. uncached
+// AsdClient lookups, and batched renewal traffic.
 //
 // `--smoke` runs a seconds-scale subset (used by ci.sh bench-smoke) and
 // still exports bench_asd.metrics.json.
@@ -137,38 +137,27 @@ struct QueryBenchResult {
   double p99_us = 0.0;
 };
 
-// Drives the directory core directly (execute(); transport cost is E13's
-// subject, not this experiment's): seeds `n` registrations, then hammers
-// class-constrained queries from `readers` threads while one writer churns
-// re-registrations and renewals. Class cardinality scales with n so bucket
+// Drives the directory's AsdIndex directly (the daemon's command path and
+// transport are other experiments' subjects): seeds `n` registrations,
+// then hammers class-constrained queries from `readers` threads while one
+// writer churns re-registrations and renewals. `use_index = false` is the
+// index's linear reference scan. Class cardinality scales with n so bucket
 // sizes stay realistic (many small classes, not 8 giant ones).
 QueryBenchResult run_query_config(int n, bool use_index, int readers,
-                                  std::chrono::milliseconds duration,
-                                  obs::MetricsSnapshot* snapshot_out = nullptr) {
-  daemon::Environment env(7);
-  daemon::DaemonHost host(env, "bench-dir");
-  daemon::DaemonConfig c;
-  c.name = "asd";
-  c.room = "machine-room";
-  c.register_with_asd = false;
-  c.register_with_room_db = false;
-  c.log_to_net_logger = false;
-  services::AsdOptions opts;
-  opts.use_index = use_index;
-  auto& asd = host.add_daemon<services::AsdDaemon>(c, opts);
-  const daemon::CallerInfo caller{"bench", {}};
-
+                                  std::chrono::milliseconds duration) {
+  services::AsdIndex index(use_index);
   const int classes = std::max(8, n / 64);
   const int rooms = std::max(4, n / 256);
-  auto register_one = [&](int i, std::int64_t port_salt) {
-    CmdLine reg("register");
-    reg.arg("name", Word{"svc" + std::to_string(i)});
-    reg.arg("host", "host" + std::to_string(i % 32));
-    reg.arg("port", std::int64_t{1 + (i + port_salt) % 60000});
-    reg.arg("room", Word{"room" + std::to_string(i % rooms)});
-    reg.arg("class", "Service/Synthetic/Kind" + std::to_string(i % classes));
-    reg.arg("lease", std::int64_t{60000});
-    (void)asd.execute(reg, caller);
+  auto register_one = [&](int i, int port_salt) {
+    services::AsdRegistration r;
+    r.name = "svc" + std::to_string(i);
+    r.host = "host" + std::to_string(i % 32);
+    r.port = static_cast<std::uint16_t>(1 + (i + port_salt) % 60000);
+    r.room = "room" + std::to_string(i % rooms);
+    r.service_class = "Service/Synthetic/Kind" + std::to_string(i % classes);
+    r.lease = 60000ms;
+    r.expires = services::AsdIndex::Clock::now() + r.lease;
+    index.upsert(std::move(r));
   };
   for (int i = 0; i < n; ++i) register_one(i, 0);
 
@@ -179,12 +168,10 @@ QueryBenchResult run_query_config(int n, bool use_index, int readers,
     util::Rng rng(99);
     while (!stop.load()) {
       const int i = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
-      register_one(i, static_cast<std::int64_t>(rng.next_below(50000)));
-      CmdLine renew("renew");
-      renew.arg("name",
-                Word{"svc" + std::to_string(rng.next_below(
-                         static_cast<std::uint64_t>(n)))});
-      (void)asd.execute(renew, caller);
+      register_one(i, static_cast<int>(rng.next_below(50000)));
+      (void)index.renew("svc" + std::to_string(rng.next_below(
+                                    static_cast<std::uint64_t>(n))),
+                        services::AsdIndex::Clock::now());
     }
   });
 
@@ -196,15 +183,12 @@ QueryBenchResult run_query_config(int n, bool use_index, int readers,
     threads.emplace_back([&, t] {
       util::Rng rng(1000 + static_cast<std::uint64_t>(t));
       while (bench::Clock::now() < deadline) {
-        CmdLine query("query");
-        query.arg("name", "*");
-        query.arg("class",
-                  "Service/Synthetic/Kind" +
-                      std::to_string(rng.next_below(
-                          static_cast<std::uint64_t>(classes))));
-        query.arg("room", "*");
+        const std::string service_class =
+            "Service/Synthetic/Kind" +
+            std::to_string(rng.next_below(static_cast<std::uint64_t>(classes)));
         auto start = bench::Clock::now();
-        (void)asd.execute(query, caller);
+        (void)index.query("*", service_class, "*",
+                          services::AsdIndex::Clock::now());
         latencies[static_cast<std::size_t>(t)].add(bench::us_since(start));
         counts[static_cast<std::size_t>(t)]++;
       }
@@ -226,7 +210,6 @@ QueryBenchResult run_query_config(int n, bool use_index, int readers,
                std::chrono::duration<double>(duration).count();
   result.p50_us = merged.percentile(50);
   result.p99_us = merged.percentile(99);
-  if (snapshot_out) *snapshot_out = env.metrics().snapshot();
   return result;
 }
 
@@ -251,7 +234,8 @@ void query_scaling(bool smoke) {
   std::printf(
       "  (speedup = indexed qps / linear qps at equal size and churn)\n");
   // The bench_asd.metrics.json artifact is exported by E21 (last in the
-  // binary); its campus registry also carries the index-hit proof.
+  // binary); its campus registry also carries the index-hit proof. These
+  // numbers time the index alone, without the daemon's command path.
 }
 
 // ------------------------------------------------------------------- E15b
@@ -301,42 +285,30 @@ void client_cache(bool smoke) {
 // ------------------------------------------------------------------- E15c
 
 void renewal_batching(bool smoke) {
-  bench::header("E15c",
-                "renewal traffic: per-lease RPCs vs one renewBatch per host");
+  bench::header("E15c", "renewal traffic: one renewBatch per host");
   const auto window = smoke ? 600ms : 2s;
   const int workers = 10;
-  std::printf("%12s %16s %18s\n", "scheme", "renew_rpcs/s",
-              "renewals/interval");
-  double rates[2] = {0, 0};
-  for (int scheme = 0; scheme < 2; ++scheme) {
-    const bool batched = scheme == 1;
-    testenv::AceTestEnv deployment(46);
-    if (!deployment.start().ok()) return;
-    daemon::DaemonHost host(deployment.env, "workstation");
-    for (int i = 0; i < workers; ++i) {
-      daemon::DaemonConfig c;
-      c.name = "w" + std::to_string(i);
-      c.room = "hawk";
-      c.lease = 1000ms;
-      c.lease_renew = 100ms;
-      c.batch_renew = batched;
-      host.add_daemon<services::HrmDaemon>(c);
-    }
-    if (!host.start_all().ok()) return;
-    auto& rpcs = deployment.env.metrics().counter("asd.renew_rpcs");
-    const auto before = rpcs.value();
-    std::this_thread::sleep_for(window);
-    const double per_s =
-        static_cast<double>(rpcs.value() - before) /
-        std::chrono::duration<double>(window).count();
-    rates[scheme] = per_s;
-    std::printf("%12s %16.1f %18.1f\n", batched ? "batched" : "per-lease",
-                per_s, per_s * 0.1);
-    host.stop_all();
+  testenv::AceTestEnv deployment(46);
+  if (!deployment.start().ok()) return;
+  daemon::DaemonHost host(deployment.env, "workstation");
+  for (int i = 0; i < workers; ++i) {
+    daemon::DaemonConfig c;
+    c.name = "w" + std::to_string(i);
+    c.room = "hawk";
+    c.lease = 1000ms;
+    c.lease_renew = 100ms;
+    host.add_daemon<services::HrmDaemon>(c);
   }
-  if (rates[1] > 0)
-    std::printf("  reduction: %.1fx fewer renewal RPCs for a %d-service host\n",
-                rates[0] / rates[1], workers);
+  if (!host.start_all().ok()) return;
+  auto& rpcs = deployment.env.metrics().counter("asd.renew_rpcs");
+  const auto before = rpcs.value();
+  std::this_thread::sleep_for(window);
+  const double per_s = static_cast<double>(rpcs.value() - before) /
+                       std::chrono::duration<double>(window).count();
+  std::printf("  %d-service host: %.1f renew RPCs/s, %.1f per 100ms "
+              "interval\n",
+              workers, per_s, per_s * 0.1);
+  host.stop_all();
 }
 
 // -------------------------------------------------------------------- E21
@@ -675,51 +647,37 @@ void federated_campus(bool smoke) {
               static_cast<unsigned long long>(frames.value() - frames_before),
               relay.room_count());
 
-  // ---- notification fan-out: coalesced batches vs per-event sends -------
+  // ---- notification fan-out: coalesced batches -------------------------
   daemon::DaemonHost floor(campus.env, "bench-floor");
-  auto sub_config = [](const char* name, bool batch) {
+  auto sub_config = [](const char* name) {
     daemon::DaemonConfig c;
     c.name = name;
     c.room = "r0";
     c.register_with_asd = false;
     c.register_with_room_db = false;
     c.log_to_net_logger = false;
-    c.batch_notify = batch;
     return c;
   };
-  auto& emitter = floor.add_daemon<NotifySink>(sub_config("emitter", true));
-  auto& ablated =
-      floor.add_daemon<NotifySink>(sub_config("emitter-ablate", false));
-  auto& sink = floor.add_daemon<NotifySink>(sub_config("sink", true));
+  auto& emitter = floor.add_daemon<NotifySink>(sub_config("emitter"));
+  auto& sink = floor.add_daemon<NotifySink>(sub_config("sink"));
   if (!floor.start_all().ok()) return;
-  for (daemon::ServiceDaemon* from :
-       {static_cast<daemon::ServiceDaemon*>(&emitter),
-        static_cast<daemon::ServiceDaemon*>(&ablated)}) {
-    CmdLine sub("addNotification");
-    sub.arg("command", Word{"poke"});
-    sub.arg("service", sink.address().to_string());
-    sub.arg("method", Word{"noted"});
-    (void)from->execute(sub, caller);
-  }
+  CmdLine sub("addNotification");
+  sub.arg("command", Word{"poke"});
+  sub.arg("service", sink.address().to_string());
+  sub.arg("method", Word{"noted"});
+  (void)emitter.execute(sub, caller);
   auto& batches = campus.env.metrics().counter("daemon.notify_batches");
   const int kEvents = smoke ? 300 : 3000;
   CmdLine poke("poke");
-  std::printf("  notification fan-out, %d-event burst:\n", kEvents);
-  int delivered_floor = 0;
-  for (int scheme = 0; scheme < 2; ++scheme) {
-    const bool batched = scheme == 0;
-    auto& source = batched ? emitter : ablated;
-    const auto batches_before = batches.value();
-    const auto start = bench::Clock::now();
-    for (int i = 0; i < kEvents; ++i) (void)source.execute(poke, caller);
-    delivered_floor += kEvents;
-    poll_ms(15000ms, [&] { return sink.received() >= delivered_floor; });
-    const double total_ms = bench::us_since(start) / 1000.0;
-    std::printf("  %-12s %8.1f ms to full delivery, %6llu wire batches\n",
-                batched ? "batched" : "per-event", total_ms,
-                static_cast<unsigned long long>(batches.value() -
-                                                batches_before));
-  }
+  const auto batches_before = batches.value();
+  const auto start = bench::Clock::now();
+  for (int i = 0; i < kEvents; ++i) (void)emitter.execute(poke, caller);
+  poll_ms(15000ms, [&] { return sink.received() >= kEvents; });
+  std::printf("  notification fan-out, %d-event burst: %.1f ms to full "
+              "delivery, %llu wire batches\n",
+              kEvents, bench::us_since(start) / 1000.0,
+              static_cast<unsigned long long>(batches.value() -
+                                              batches_before));
 
   // The bench-smoke artifact: one registry covering every room's directory,
   // gossip, forwarding, relay and notify counters. Must stay the last

@@ -12,7 +12,6 @@
 //     full decode + re-encode every hop used to pay,
 //   * E18b: frames/s per CPU core through the full conference graph
 //     (capture -> mixer -> echo canceller -> distribution -> N players),
-//     zero-copy plane vs the legacy copying plane (set_legacy_copy_mode),
 //     with the media.* counters proving zero payload copies on fan-out.
 //
 // `--smoke` runs a seconds-scale E18 subset (used by ci.sh bench-smoke)
@@ -186,8 +185,8 @@ void per_stage_cpu(bool smoke) {
   std::printf("%26s %12.3f\n", "full decode+re-encode", full);
   std::printf("%26s %12.3f\n", "mix from view", mix);
   std::printf("%26s %12.3f\n", "echo cancel (NLMS)", cancel);
-  std::printf("  (the legacy plane paid the full decode at every hop; observe "
-              "stages now pay the view parse)\n");
+  std::printf("  (the pre-router plane paid the full decode at every hop; "
+              "observe stages pay the view parse)\n");
 }
 
 // ------------------------------------------------------------------- E18b
@@ -215,10 +214,10 @@ struct DataPlaneResult {
 constexpr int kPlayers = 16;
 constexpr int kStreams = 4;
 
-DataPlaneResult run_data_plane(bool legacy, int frames,
+DataPlaneResult run_data_plane(int frames,
                                obs::MetricsSnapshot* snapshot_out) {
   DataPlaneResult result;
-  testenv::AceTestEnv deployment(legacy ? 181 : 180);
+  testenv::AceTestEnv deployment(180);
   if (!deployment.start().ok()) return result;
   daemon::DaemonHost host(deployment.env, "av");
   auto client = deployment.make_client("bench", "user/bench");
@@ -267,16 +266,7 @@ DataPlaneResult run_data_plane(bool legacy, int frames,
         return result;
     }
   }
-  dist.set_legacy_copy_mode(legacy);
-  for (int s = 0; s < kStreams; ++s) {
-    caps[s]->set_legacy_copy_mode(legacy);
-    mixers[s]->set_legacy_copy_mode(legacy);
-    ecs[s]->set_legacy_copy_mode(legacy);
-  }
-  for (AudioPlayDaemon* p : players) {
-    p->set_legacy_copy_mode(legacy);
-    p->set_window(8 * kFrameSamples);
-  }
+  for (AudioPlayDaemon* p : players) p->set_window(8 * kFrameSamples);
 
   auto socket = host.net_host().open_datagram();
   if (!socket.ok()) return result;
@@ -346,47 +336,35 @@ DataPlaneResult run_data_plane(bool legacy, int frames,
 }
 
 void zero_copy_data_plane(bool smoke) {
-  bench::header("E18b",
-                "conference graph throughput: zero-copy vs copying plane");
+  bench::header("E18b", "conference graph throughput: zero-copy plane");
   const int frames = smoke ? 128 : 2048;
   std::printf("  graph: %d concurrent streams of capture -> mixer -> echo "
               "canceller -> distribution -> %dx play (%d frames each)\n",
               kStreams, kPlayers, frames);
-  // Scheduler noise moves per-run CPU by ~20%, so each plane runs a few
+  // Scheduler noise moves per-run CPU by ~20%, so the plane runs a few
   // times and the best (least-interfered) run represents it — the standard
   // best-of-N discipline for throughput benches.
   const int reps = smoke ? 1 : 3;
   obs::MetricsSnapshot exported;
-  DataPlaneResult legacy, routed;
+  DataPlaneResult routed;
   for (int r = 0; r < reps; ++r) {
-    auto l = run_data_plane(true, frames, nullptr);
-    if (l.ok && (!legacy.ok || l.cpu_s < legacy.cpu_s)) legacy = l;
     obs::MetricsSnapshot snapshot;
-    auto z = run_data_plane(false, frames, &snapshot);
+    auto z = run_data_plane(frames, &snapshot);
     if (z.ok && (!routed.ok || z.cpu_s < routed.cpu_s)) {
       routed = z;
       exported = snapshot;
     }
   }
-  if (!legacy.ok || !routed.ok) {
+  if (!routed.ok) {
     std::printf("  E18b failed to run the pipeline\n");
     return;
   }
-  std::printf("%12s %10s %8s %8s %16s %14s %14s\n", "plane", "frames",
-              "wall_s", "cpu_s", "frames/s/core", "bytes_copied",
-              "fanned");
-  std::printf("%12s %10d %8.2f %8.2f %16.0f %14llu %14llu\n", "legacy",
-              frames, legacy.wall_s, legacy.cpu_s, legacy.frames_per_core_s,
-              static_cast<unsigned long long>(legacy.copied),
-              static_cast<unsigned long long>(legacy.fanned));
-  std::printf("%12s %10d %8.2f %8.2f %16.0f %14llu %14llu\n", "zero-copy",
-              frames, routed.wall_s, routed.cpu_s, routed.frames_per_core_s,
+  std::printf("%10s %8s %8s %16s %14s %14s\n", "frames", "wall_s", "cpu_s",
+              "frames/s/core", "bytes_copied", "fanned");
+  std::printf("%10d %8.2f %8.2f %16.0f %14llu %14llu\n", frames,
+              routed.wall_s, routed.cpu_s, routed.frames_per_core_s,
               static_cast<unsigned long long>(routed.copied),
               static_cast<unsigned long long>(routed.fanned));
-  std::printf("  speedup: %.1fx frames/s per core (target >= 2x); zero-copy "
-              "run copied %llu payload bytes\n",
-              routed.frames_per_core_s / std::max(1.0, legacy.frames_per_core_s),
-              static_cast<unsigned long long>(routed.copied));
   // The artifact carries the zero-copy run's proof: frames routed and
   // fanned out with media.bytes_copied still zero.
   bench::export_metrics_json("bench_audio", exported);

@@ -1,20 +1,21 @@
-// E13 — pipelined multiplexed command channel (wire protocol v2).
+// E13 — pipelined multiplexed command channel.
 //
 // Measures what multiplexing buys on a latency-bound link: 8 concurrent
 // callers sharing one AceClient against one daemon over a 5ms-latency hop,
-// with pipelining on (v2, default) vs off (the client offers protocol v1,
-// so every call serializes its full round trip). Also checks the cost side:
-// single-caller latency must not regress for the demux machinery.
+// pipelined (every caller in flight at once) vs serialized (a bench-local
+// model of a one-call-per-channel protocol: the callers share one mutex
+// held across each full round trip). Also reports single-caller latency,
+// the cost side of the demux machinery.
 //
 // Both modes run from this one binary; the results land in the deployment
 // metrics registry as `bench.rpc.*` gauges and are exported to
 // bench_rpc.metrics.json for the perf dashboard.
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "daemon/wire.hpp"
 
 using namespace ace;
 using namespace std::chrono_literals;
@@ -46,7 +47,7 @@ class EchoDaemon : public daemon::ServiceDaemon {
 
 struct Mode {
   const char* name;
-  std::uint8_t protocol_offer;  // 0 = environment default (v2)
+  bool serialized;  // callers take turns: one round trip in flight at a time
 };
 
 // One warmed-up client per mode so the handshake and channel cache are
@@ -55,11 +56,6 @@ std::unique_ptr<daemon::AceClient> make_mode_client(
     testenv::AceTestEnv& deployment, const net::Address& svc,
     const Mode& mode) {
   auto client = deployment.make_client("bench", "user/bench");
-  if (mode.protocol_offer != 0) {
-    auto policy = client->policy();
-    policy.protocol_offer = mode.protocol_offer;
-    client->set_policy(policy);
-  }
   CmdLine warm("echo");
   warm.arg("text", "warmup");
   if (!client->call(svc, warm, daemon::kCallOk).ok())
@@ -68,8 +64,9 @@ std::unique_ptr<daemon::AceClient> make_mode_client(
 }
 
 double concurrent_throughput(daemon::AceClient& client,
-                             const net::Address& svc) {
+                             const net::Address& svc, bool serialized) {
   std::atomic<int> failures{0};
+  std::mutex turn;
   const auto start = bench::Clock::now();
   {
     std::vector<std::jthread> callers;
@@ -77,8 +74,11 @@ double concurrent_throughput(daemon::AceClient& client,
       callers.emplace_back([&, t] {
         CmdLine cmd("echo");
         cmd.arg("text", "caller " + std::to_string(t));
-        for (int i = 0; i < kCallsPerCaller; ++i)
+        for (int i = 0; i < kCallsPerCaller; ++i) {
+          std::unique_lock lock(turn, std::defer_lock);
+          if (serialized) lock.lock();
           if (!client.call(svc, cmd, daemon::kCallOk).ok()) failures++;
+        }
       });
     }
   }
@@ -125,43 +125,35 @@ int main() {
                                     net::LinkPolicy{.latency = kLinkLatency});
 
   const Mode modes[] = {
-      {"pipelined", 0},
-      {"serialized", daemon::wire::kProtocolV1},
+      {"pipelined", false},
+      {"serialized", true},
   };
 
   bench::header("E13a", "8 concurrent callers, one destination, 10ms RTT");
-  std::printf("%12s %16s %18s %18s\n", "mode", "throughput_cps",
-              "solo_latency_p50", "solo_latency_mean");
+  std::printf("%12s %16s\n", "mode", "throughput_cps");
   double throughput[2] = {0, 0};
-  double solo_p50[2] = {0, 0};
   auto& metrics = deployment.env.metrics();
   for (int m = 0; m < 2; ++m) {
     auto client = make_mode_client(deployment, svc, modes[m]);
-    throughput[m] = concurrent_throughput(*client, svc);
-    bench::Series solo = single_caller_latency(*client, svc);
-    solo_p50[m] = solo.percentile(50);
-    std::printf("%12s %16.1f %18.1f %18.1f\n", modes[m].name, throughput[m],
-                solo_p50[m], solo.mean());
-    const std::string prefix = std::string("bench.rpc.") + modes[m].name;
-    metrics.gauge(prefix + ".throughput_cps")
+    throughput[m] = concurrent_throughput(*client, svc, modes[m].serialized);
+    std::printf("%12s %16.1f\n", modes[m].name, throughput[m]);
+    metrics.gauge(std::string("bench.rpc.") + modes[m].name + ".throughput_cps")
         .set(static_cast<std::int64_t>(throughput[m]));
-    metrics.gauge(prefix + ".solo_latency_us_p50")
-        .set(static_cast<std::int64_t>(solo_p50[m]));
-    metrics.gauge(prefix + ".solo_latency_us_mean")
-        .set(static_cast<std::int64_t>(solo.mean()));
   }
 
+  auto client = make_mode_client(deployment, svc, modes[0]);
+  bench::Series solo = single_caller_latency(*client, svc);
   const double speedup =
       throughput[1] > 0 ? throughput[0] / throughput[1] : 0.0;
-  const double latency_delta_pct =
-      solo_p50[1] > 0 ? (solo_p50[0] - solo_p50[1]) / solo_p50[1] * 100.0
-                      : 0.0;
-  std::printf("  pipelining speedup: %.2fx  solo latency delta: %+.2f%%\n",
-              speedup, latency_delta_pct);
+  std::printf("  pipelining speedup: %.2fx  solo latency p50 %.1f us, "
+              "mean %.1f us\n",
+              speedup, solo.percentile(50), solo.mean());
   metrics.gauge("bench.rpc.speedup_x100")
       .set(static_cast<std::int64_t>(speedup * 100));
-  metrics.gauge("bench.rpc.solo_latency_delta_bp")
-      .set(static_cast<std::int64_t>(latency_delta_pct * 100));
+  metrics.gauge("bench.rpc.solo_latency_us_p50")
+      .set(static_cast<std::int64_t>(solo.percentile(50)));
+  metrics.gauge("bench.rpc.solo_latency_us_mean")
+      .set(static_cast<std::int64_t>(solo.mean()));
 
   bench::export_metrics_json("bench_rpc", metrics.snapshot());
   return 0;

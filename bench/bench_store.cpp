@@ -6,18 +6,19 @@
 //   * E16a sharding: a >N cluster spreads the namespace, each key keeps
 //     exactly N copies on its ring preference list,
 //   * E16b Merkle anti-entropy: resync cost is ~flat in total store size
-//     for fixed divergence, vs the full-digest exchange growing linearly,
+//     for fixed divergence,
 //   * E16c quorum ablation: write latency vs W,
-//   * E16d group commit: concurrent replicated-write throughput, batched
-//     vs per-write fan-out (the E9e 9.4k writes/s baseline),
+//   * E16d group commit: concurrent replicated-write throughput against
+//     the E9e 9.4k writes/s baseline,
 //   * E16e chaos torture: acked-write durability under W=2 with replicas
 //     crashing and restarting mid-storm.
 //
 // Plus the read-path experiments (E20, see EXPERIMENTS.md):
 //   * E20a digest reads: read latency vs R with the parallel digest
-//     fan-out on/off, and read repair converging a stale replica,
-//   * E20b paginated scans: storeScan page streaming vs one-shot
-//     storeList at growing key counts, reply size bounded by the limit.
+//     fan-out, and read repair converging a stale replica,
+//   * E20b paginated scans: storeScan page streaming vs a full
+//     StoreClient::list() at growing key counts, reply size bounded by the
+//     limit.
 //
 // `--smoke` runs a seconds-scale subset (used by ci.sh bench-smoke) and
 // still exports `bench_store.metrics.json` for counter validation.
@@ -120,11 +121,9 @@ struct ResyncResult {
   std::uint64_t bucket_rpcs = 0;
 };
 
-ResyncResult run_resync(int total_objects, int divergent, bool merkle,
-                        obs::MetricsSnapshot* snapshot_out = nullptr) {
-  store::StoreOptions opts;
-  opts.merkle_sync = merkle;
-  Cluster c = make_cluster(3, 161, opts);
+ResyncResult run_resync(int total_objects, int divergent,
+                        obs::MetricsSnapshot* snapshot_out) {
+  Cluster c = make_cluster(3, 161);
   ResyncResult r;
   if (!c.client) return r;
   store::StoreClient store(*c.client, c.addresses);
@@ -154,26 +153,22 @@ ResyncResult run_resync(int total_objects, int divergent, bool merkle,
 }
 
 void merkle_resync(bool smoke, obs::MetricsSnapshot* exported) {
-  bench::header("E16b",
-                "anti-entropy: Merkle tree vs full digest, fixed divergence");
-  std::printf("%10s %8s %12s %10s %10s %10s\n", "objects", "mode",
-              "resync_ms", "fetched", "tree_rpcs", "bkt_rpcs");
+  bench::header("E16b", "anti-entropy: Merkle tree, fixed divergence");
+  std::printf("%10s %12s %10s %10s %10s\n", "objects", "resync_ms",
+              "fetched", "tree_rpcs", "bkt_rpcs");
   const std::vector<int> sizes =
       smoke ? std::vector<int>{400} : std::vector<int>{500, 2000, 8000};
   const int divergent = 64;
   for (int n : sizes) {
     obs::MetricsSnapshot snap;
-    ResyncResult m = run_resync(n, divergent, true, &snap);
-    *exported = snap;  // largest Merkle run's counters back the claims
-    std::printf("%10d %8s %12.1f %10lld %10llu %10llu\n", n, "merkle", m.ms,
-                m.fetched, static_cast<unsigned long long>(m.tree_rpcs),
+    ResyncResult m = run_resync(n, divergent, &snap);
+    *exported = snap;  // largest run's counters back the claims
+    std::printf("%10d %12.1f %10lld %10llu %10llu\n", n, m.ms, m.fetched,
+                static_cast<unsigned long long>(m.tree_rpcs),
                 static_cast<unsigned long long>(m.bucket_rpcs));
-    ResyncResult f = run_resync(n, divergent, false);
-    std::printf("%10d %8s %12.1f %10lld %10s %10s\n", n, "full", f.ms,
-                f.fetched, "-", "-");
   }
-  std::printf("  (shape: merkle resync ~flat in store size — O(log buckets "
-              "+ divergence); full digest grows linearly)\n");
+  std::printf("  (shape: resync ~flat in store size — O(log buckets "
+              "+ divergence))\n");
 }
 
 // ------------------------------------------------------------------- E16c
@@ -278,37 +273,32 @@ double run_wire_storm(Cluster& c, int writers,
 void group_commit_throughput(bool smoke) {
   bench::header("E16d",
                 "group commit: concurrent replicated-write throughput");
-  std::printf("%10s %14s %10s %14s %16s\n", "harness", "group_commit",
-              "writers", "writes/s", "records/flush");
+  std::printf("%10s %10s %14s %16s\n", "harness", "writers", "writes/s",
+              "records/flush");
   const auto duration = smoke ? 500ms : 1500ms;
   const int engine_writers = 28, wire_writers = 6;
-  double engine_on = 0, engine_off = 0;
-  for (bool batched : {true, false}) {
-    store::StoreOptions opts;
-    opts.group_commit = batched;
-    Cluster c = make_cluster(3, 163, opts);
+  double engine_rate = 0;
+  {
+    Cluster c = make_cluster(3, 163);
     if (!c.client) return;
-    double rate = run_engine_storm(c, engine_writers, duration);
-    (batched ? engine_on : engine_off) = rate;
+    engine_rate = run_engine_storm(c, engine_writers, duration);
     auto& m = c.deployment->env.metrics();
     const double flushes =
         static_cast<double>(m.counter("store.batch_flushes").value());
     const double records =
         static_cast<double>(m.counter("store.batch_records").value());
-    std::printf("%10s %14s %10d %14.0f %16.1f\n", "engine",
-                batched ? "on" : "off", engine_writers, rate,
-                flushes > 0 ? records / flushes : 0.0);
+    std::printf("%10s %10d %14.0f %16.1f\n", "engine", engine_writers,
+                engine_rate, flushes > 0 ? records / flushes : 0.0);
   }
   {
     Cluster c = make_cluster(3, 163);
     if (!c.client) return;
-    std::printf("%10s %14s %10d %14.0f %16s\n", "wire", "on", wire_writers,
+    std::printf("%10s %10d %14.0f %16s\n", "wire", wire_writers,
                 run_wire_storm(c, wire_writers, duration), "-");
   }
-  if (engine_off > 0)
-    std::printf("  group-commit speedup: %.1fx over per-write fan-out; "
-                "%.1fx over the E9e wire baseline (~9.4k writes/s)\n",
-                engine_on / engine_off, engine_on / 9400.0);
+  std::printf("  group commit: %.1fx the E9e wire baseline (~9.4k "
+              "writes/s)\n",
+              engine_rate / 9400.0);
 }
 
 // ------------------------------------------------------------------- E16e
@@ -630,57 +620,38 @@ void merge_counters(obs::MetricsSnapshot* into,
 // ------------------------------------------------------------------- E20a
 // The read path's latency is dominated by replica round trips once links
 // have real latency, so the cluster here runs with a 1 ms default link
-// delay: the serial path pays one RTT per extra replica consulted, the
-// digest path pays one RTT total (all fan-out RPCs in flight together) and
-// moves the full value only once.
-void read_path_ablation(bool smoke, obs::MetricsSnapshot* merged) {
-  bench::header("E20a",
-                "read latency vs R: parallel digest reads vs serial reads");
-  std::printf("%6s %8s %13s %13s %10s\n", "R", "digest", "read_us(p50)",
-              "read_us(p99)", "reads/s");
+// delay: the digest path pays one RTT total however many replicas it
+// consults (all fan-out RPCs in flight together) and moves the full value
+// only once.
+void digest_read_latency(bool smoke, obs::MetricsSnapshot* merged) {
+  bench::header("E20a", "read latency vs R: parallel digest reads");
+  std::printf("%6s %13s %13s %10s\n", "R", "read_us(p50)", "read_us(p99)",
+              "reads/s");
   const int reads = smoke ? 60 : 240;
   const int key_count = 32;
-  double digest_p50_r3 = 0, serial_p50_r3 = 0;
-  double digest_rate_r3 = 0, serial_rate_r3 = 0;
   for (int r : {1, 2, 3}) {
-    for (bool digest : {true, false}) {
-      store::StoreOptions opts;
-      opts.read_quorum = r;
-      opts.digest_reads = digest;
-      opts.probe_interval = 5s;  // keep the monitor out of the measurement
-      Cluster c = make_cluster(3, 200, opts);
-      if (!c.client) return;
-      c.deployment->env.network().set_default_latency(1ms);
-      store::StoreClient store(*c.client, c.addresses);
-      util::Bytes payload(1024, 0x3c);  // >=1 KB: full-value copies matter
-      for (int i = 0; i < key_count; ++i)
-        if (!store.put("r/" + std::to_string(i), payload).ok()) return;
-      (void)store.get("r/0");  // warm connections
-      bench::Series us;
-      const auto t0 = bench::Clock::now();
-      for (int i = 0; i < reads; ++i) {
-        auto t = bench::Clock::now();
-        if (!store.get("r/" + std::to_string(i % key_count)).ok()) return;
-        us.add(bench::us_since(t));
-      }
-      const double rate = reads / (bench::us_since(t0) / 1e6);
-      if (r == 3) {
-        (digest ? digest_p50_r3 : serial_p50_r3) = us.percentile(50);
-        (digest ? digest_rate_r3 : serial_rate_r3) = rate;
-      }
-      std::printf("%6d %8s %13.1f %13.1f %10.0f\n", r, digest ? "on" : "off",
-                  us.percentile(50), us.percentile(99), rate);
-      merge_counters(merged, c.deployment->env.metrics().snapshot());
+    store::StoreOptions opts;
+    opts.read_quorum = r;
+    opts.probe_interval = 5s;  // keep the monitor out of the measurement
+    Cluster c = make_cluster(3, 200, opts);
+    if (!c.client) return;
+    c.deployment->env.network().set_default_latency(1ms);
+    store::StoreClient store(*c.client, c.addresses);
+    util::Bytes payload(1024, 0x3c);  // >=1 KB: full-value copies matter
+    for (int i = 0; i < key_count; ++i)
+      if (!store.put("r/" + std::to_string(i), payload).ok()) return;
+    (void)store.get("r/0");  // warm connections
+    bench::Series us;
+    const auto t0 = bench::Clock::now();
+    for (int i = 0; i < reads; ++i) {
+      auto t = bench::Clock::now();
+      if (!store.get("r/" + std::to_string(i % key_count)).ok()) return;
+      us.add(bench::us_since(t));
     }
-  }
-  if (serial_p50_r3 > 0 && digest_p50_r3 > 0) {
-    const double speedup = serial_p50_r3 / digest_p50_r3;
-    std::printf("  R=3 digest-read speedup: %.2fx on p50 latency "
-                "(%.2fx on throughput)\n",
-                speedup, digest_rate_r3 / serial_rate_r3);
-    merged->gauges.push_back(
-        {"bench.e20a_digest_speedup_x100",
-         static_cast<std::int64_t>(speedup * 100)});
+    const double rate = reads / (bench::us_since(t0) / 1e6);
+    std::printf("%6d %13.1f %13.1f %10.0f\n", r, us.percentile(50),
+                us.percentile(99), rate);
+    merge_counters(merged, c.deployment->env.metrics().snapshot());
   }
 
   // Read repair: one replica misses an overwrite behind a partition; after
@@ -736,7 +707,7 @@ void read_path_ablation(bool smoke, obs::MetricsSnapshot* merged) {
 // ------------------------------------------------------------------- E20b
 void scan_pagination(bool smoke, obs::MetricsSnapshot* merged) {
   bench::header("E20b",
-                "paginated scans vs one-shot list (5 replicas, limit=256)");
+                "paginated scans vs full list() (5 replicas, limit=256)");
   std::printf("%10s %10s %10s %8s %10s %14s\n", "keys", "list_ms", "scan_ms",
               "pages", "max_page", "scan_keys/s");
   const std::vector<int> sizes = smoke ? std::vector<int>{1000}
@@ -755,23 +726,13 @@ void scan_pagination(bool smoke, obs::MetricsSnapshot* merged) {
       if (!store.put(keybuf, payload).ok()) return;
     }
 
-    // One-shot wire storeList, called directly with a generous deadline:
-    // the point of this column is the cost of materializing the whole
-    // namespace in a single reply. (StoreClient::list() itself drains the
-    // scan pager precisely so that callers never issue this RPC shape —
-    // with a production 800 ms call timeout it stops fitting somewhere
-    // past 10k keys.)
-    cmdlang::CmdLine list_cmd("storeList");
-    list_cmd.arg("prefix", std::string("scan/"));
+    // The whole namespace materialized client-side: list() drains the
+    // same pager, so this column is the cost of holding every key at once.
     auto t0 = bench::Clock::now();
-    auto one_shot = c.client->call(
-        c.addresses[0], list_cmd,
-        daemon::CallOptions{.timeout = 60000ms, .retries = 0});
+    auto listed = store.list("scan/");
     const double list_ms = bench::us_since(t0) / 1000.0;
-    if (!one_shot.ok() || !cmdlang::is_ok(one_shot.value())) return;
-    std::size_t listed_keys = 0;
-    if (auto vec = one_shot->get_vector("keys"))
-      listed_keys = vec->elements.size();
+    if (!listed.ok()) return;
+    const std::size_t listed_keys = listed->size();
 
     t0 = bench::Clock::now();
     store::StoreScanner scanner = store.scan("scan/", 256);
@@ -796,9 +757,9 @@ void scan_pagination(bool smoke, obs::MetricsSnapshot* merged) {
   merged->gauges.push_back(
       {"bench.e20b_scan_max_page_keys",
        static_cast<std::int64_t>(worst_page)});
-  std::printf("  (shape: list() materializes the whole namespace in one "
-              "reply; every scan reply is bounded by the page limit — "
-              "max_page <= 256 at every size)\n");
+  std::printf("  (shape: list() materializes the whole namespace; every "
+              "scan reply is bounded by the page limit — max_page <= 256 at "
+              "every size)\n");
 }
 
 }  // namespace
@@ -816,7 +777,7 @@ int main(int argc, char** argv) {
   if (!smoke) chaos_durability(smoke);
   restart_recovery(smoke, &exported);
   if (!smoke) chaos_disk_durability(smoke);
-  read_path_ablation(smoke, &exported);
+  digest_read_latency(smoke, &exported);
   scan_pagination(smoke, &exported);
   // The artifact carries the proof of the mechanisms at work: quorum
   // writes (store.writes, store.replica_acks), group commit

@@ -152,6 +152,24 @@ doc_lint() {
   "${build_dir}/tests/test_docs"
 }
 
+# Runs one gtest binary under a --gtest_filter, after checking that the
+# filter selects at least one test: gtest exits 0 when a filter matches
+# nothing, so a renamed test would silently turn its sweep into a no-op.
+# Extra arguments (e.g. --gtest_repeat) pass through; environment variables
+# set on the call (ACE_CHAOS_SEED=...) reach the binary.
+run_filtered() {
+  local binary="$1" filter="$2"
+  shift 2
+  local selected
+  selected="$("${binary}" --gtest_list_tests --gtest_filter="${filter}" |
+              grep -c '^  ' || true)"
+  if [[ "${selected}" -eq 0 ]]; then
+    echo "ci.sh: --gtest_filter='${filter}' selects no test in ${binary}" >&2
+    exit 1
+  fi
+  "${binary}" --gtest_filter="${filter}" "$@"
+}
+
 # The zero-copy data plane aliases one payload buffer across daemon threads
 # (capture, router fan-out, play/recorder rings). Replay the media suites a
 # few times under TSan so buffer-sharing bugs surface as reported races
@@ -159,10 +177,10 @@ doc_lint() {
 media_race_sweep() {
   local build_dir="$1"
   echo "=== media data-plane sweep under ThreadSanitizer ==="
-  "${build_dir}/tests/test_media" --gtest_repeat=3 \
-    --gtest_filter='FrameRouterTest.*:AudioPipelineTest.*'
-  "${build_dir}/tests/test_services" --gtest_repeat=3 \
-    --gtest_filter='ServicesTest.Converter*:ServicesTest.Distribution*'
+  run_filtered "${build_dir}/tests/test_media" \
+    'FrameRouterTest.*:AudioPipelineTest.*' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_services" \
+    'ServicesTest.Converter*:ServicesTest.Distribution*' --gtest_repeat=3
 }
 
 # Replays the chaos suites (schedule properties + live fault injection)
@@ -173,7 +191,7 @@ chaos_seed_sweep() {
   for seed in 1 7 42; do
     echo "=== chaos seed sweep: ACE_CHAOS_SEED=${seed} ==="
     ACE_CHAOS_SEED="${seed}" \
-      "${build_dir}/tests/test_failures" --gtest_filter='Chaos*'
+      run_filtered "${build_dir}/tests/test_failures" 'Chaos*'
   done
 }
 
@@ -184,12 +202,12 @@ chaos_seed_sweep() {
 read_path_race_sweep() {
   local build_dir="$1"
   echo "=== store read-path sweep under ThreadSanitizer ==="
-  "${build_dir}/tests/test_store" --gtest_repeat=3 --gtest_filter=\
+  run_filtered "${build_dir}/tests/test_store" \
 'QuorumStoreTest.DigestReadRepairConvergesStaleReplica:'\
 'QuorumStoreTest.ReadQuorumUnavailableIsSurfaced:'\
-'StoreDigestAblationTest.*:ShardedStoreTest.Scan*'
-  ACE_CHAOS_SEED=42 "${build_dir}/tests/test_store" \
-    --gtest_filter='QuorumStoreTest.ChaosQuorumTortureNeverLosesAckedWrites'
+'StoreDigestReadTest.*:ShardedStoreTest.Scan*' --gtest_repeat=3
+  ACE_CHAOS_SEED=42 run_filtered "${build_dir}/tests/test_store" \
+    'QuorumStoreTest.ChaosQuorumTortureNeverLosesAckedWrites'
 }
 
 # Replays the durable-store suite — power cycles, torn WAL tails, lying
@@ -202,7 +220,7 @@ disk_fault_sweep() {
   for seed in 3 11 1337; do
     echo "=== disk-fault chaos sweep: ACE_CHAOS_SEED=${seed} ==="
     ACE_CHAOS_SEED="${seed}" \
-      "${build_dir}/tests/test_store" --gtest_filter='DurableStoreTest.*'
+      run_filtered "${build_dir}/tests/test_store" 'DurableStoreTest.*'
   done
   "${build_dir}/tests/test_io"
 }

@@ -25,17 +25,12 @@ struct Hello {
   util::Bytes nonce;  // 16 bytes
   std::uint64_t ephemeral_public = 0;
   Certificate certificate;
-  std::uint8_t protocol = 1;
 
   util::Bytes serialize() const {
     util::ByteWriter w;
     w.blob(nonce);
     w.u64(ephemeral_public);
     w.blob(certificate.serialize());
-    // Version negotiation rides as a trailing byte: v1 peers parse only
-    // the three fields above and ignore the tail, so a v2 hello is still a
-    // valid v1 hello. A v1 hello simply omits the byte.
-    if (protocol > 1) w.u8(protocol);
     return w.take();
   }
 
@@ -51,7 +46,6 @@ struct Hello {
     h.nonce = std::move(*nonce);
     h.ephemeral_public = *eph;
     h.certificate = std::move(*cert);
-    if (r.remaining() >= 1) h.protocol = std::max<std::uint8_t>(1, *r.u8());
     return h;
   }
 };
@@ -111,7 +105,6 @@ struct HandshakeCore {
   util::Bytes ca_key;
 
   util::Bytes my_hello;
-  std::uint8_t my_protocol = 1;
   DhKeyPair ephemeral{};
   util::Bytes expected_peer_auth;
   std::shared_ptr<SecureChannel::State> state;
@@ -133,8 +126,6 @@ struct HandshakeCore {
     ephemeral = dh_generate(rng);
     mine.ephemeral_public = ephemeral.public_key;
     mine.certificate = self.certificate;
-    mine.protocol = std::max<std::uint8_t>(1, options.protocol);
-    my_protocol = mine.protocol;
     my_hello = mine.serialize();
   }
 
@@ -204,7 +195,6 @@ struct HandshakeCore {
     load_direction(68, server_to_client);
 
     state->peer = peer_hello->certificate.subject;
-    state->version = std::min(my_protocol, peer_hello->protocol);
     state->send_keys = is_client ? client_to_server : server_to_client;
     state->recv_keys = is_client ? server_to_client : client_to_server;
 
@@ -227,13 +217,10 @@ util::Result<SecureChannel> SecureChannel::handshake(
     net::Connection conn, const Identity& self, const util::Bytes& ca_key,
     net::Duration timeout, ChannelOptions options, bool is_client) {
   if (!options.encrypt) {
-    // Plaintext ablation mode: no handshake, raw frames pass through. No
-    // negotiation either — the configured protocol is taken on trust
-    // (see ChannelOptions::protocol).
+    // Plaintext ablation mode: no handshake, raw frames pass through.
     auto state = std::make_shared<State>();
     state->encrypt = false;
     state->conn = std::move(conn);
-    state->version = std::max<std::uint8_t>(1, options.protocol);
     SecureChannel ch;
     ch.state_ = std::move(state);
     return ch;
@@ -288,7 +275,6 @@ struct AsyncHandshake {
       // (documented: `done` may run on the calling thread).
       auto state = std::make_shared<SecureChannel::State>();
       state->encrypt = false;
-      state->version = std::max<std::uint8_t>(1, options.protocol);
       state->conn = std::move(conn);
       SecureChannel ch;
       ch.state_ = std::move(state);
@@ -502,10 +488,6 @@ bool SecureChannel::closed() const {
 const std::string& SecureChannel::peer_name() const {
   static const std::string kEmpty;
   return state_ ? state_->peer : kEmpty;
-}
-
-std::uint8_t SecureChannel::negotiated_version() const {
-  return state_ ? state_->version : 1;
 }
 
 }  // namespace ace::crypto

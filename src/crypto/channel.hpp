@@ -35,12 +35,6 @@ struct AsyncHandshake;
 struct ChannelOptions {
   bool encrypt = true;     // false = plaintext passthrough (ablation only)
   std::uint64_t seed = 0;  // 0 = derive from a process-wide counter
-  // Highest command-protocol version offered in the handshake hello; the
-  // channel's negotiated_version() is min(ours, peer's). A v1 peer's hello
-  // carries no version field and is taken as 1, so v1/v2 interoperate.
-  // Plaintext channels skip the handshake and cannot negotiate: both ends
-  // of a plaintext deployment must be configured with the same value.
-  std::uint8_t protocol = 2;
   // Handshake outcomes and latency land here under `crypto.*` names
   // (daemon::Environment wires its registry in automatically).
   obs::MetricsRegistry* metrics = nullptr;
@@ -105,11 +99,6 @@ class SecureChannel {
   // plaintext mode.
   const std::string& peer_name() const;
 
-  // Command-protocol version agreed at handshake (1 for legacy peers).
-  // Governs the framing layered on top of this channel, not the record
-  // format, which is version-independent.
-  std::uint8_t negotiated_version() const;
-
  private:
   struct DirectionKeys {
     ChaChaKey cipher_key{};
@@ -121,7 +110,6 @@ class SecureChannel {
   struct State {
     net::Connection conn;
     bool encrypt = true;
-    std::uint8_t version = 1;
     std::string peer;
     DirectionKeys send_keys;
     DirectionKeys recv_keys;

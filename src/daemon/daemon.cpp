@@ -17,32 +17,12 @@ using cmdlang::Word;
 
 namespace {
 
-constexpr auto kPollInterval = 50ms;
 constexpr int kMaxNotifyFailures = 3;
 
-// Removes the v1 transport-level _noreply marker before semantic
-// validation (v2 carries the marker as a frame flag instead).
-CmdLine strip_noreply(const CmdLine& cmd, bool* noreply) {
-  *noreply = false;
-  CmdLine out(cmd.name());
-  for (const auto& a : cmd.args()) {
-    if (a.name == wire::kNoReplyArg) {
-      *noreply = true;
-      continue;
-    }
-    out.arg(a.name, a.value);
-  }
-  return out;
-}
-
-// Replies in the channel's negotiated framing: v2 echoes the request's
-// call-id so the client demux can route it; v1 sends the bare text.
-void send_reply(crypto::SecureChannel& ch, bool v2, std::uint64_t call_id,
+// Echoes the request's call-id so the client demux can route the reply.
+void send_reply(crypto::SecureChannel& ch, std::uint64_t call_id,
                 const CmdLine& reply) {
-  if (v2)
-    (void)ch.send(wire::encode_frame(call_id, 0, reply.to_string()));
-  else
-    (void)ch.send(util::to_bytes(reply.to_string()));
+  (void)ch.send(wire::encode_frame(call_id, 0, reply.to_string()));
 }
 
 }  // namespace
@@ -105,15 +85,9 @@ net::Address ServiceDaemon::data_address() const {
   return net::Address{host_.name(), config_.port};
 }
 
-ServiceDaemon::Stats ServiceDaemon::stats() const {
-  std::scoped_lock lock(stats_mu_);
-  return stats_;
-}
-
 void ServiceDaemon::register_command(CommandSpec spec, Handler handler) {
-  // Every command implicitly tolerates the _noreply transport marker by
-  // being validated after the marker is stripped. The per-verb latency
-  // histogram is resolved once here so dispatch touches only atomics.
+  // The per-verb latency histogram is resolved once here so dispatch
+  // touches only atomics.
   handlers_[spec.name] = HandlerEntry{
       std::move(handler),
       &env_.metrics().histogram("daemon.cmd." + spec.name + ".latency_us")};
@@ -380,10 +354,6 @@ util::Status ServiceDaemon::start() {
         reactor,
         [this](std::optional<net::Datagram> dg) {
           if (!dg) return;
-          {
-            std::scoped_lock lock(stats_mu_);
-            stats_.datagrams_received++;
-          }
           obs_datagrams_->inc();
           on_datagram(*dg);
         },
@@ -399,13 +369,8 @@ util::Status ServiceDaemon::start() {
   }
 
   if (config_.register_with_asd && !env_.asd_address.host.empty() &&
-      env_.asd_address != address()) {
-    if (config_.batch_renew)
-      host_.leases().enroll(*this);
-    else
-      lease_thread_ =
-          std::jthread([this](std::stop_token st) { lease_loop(st); });
-  }
+      env_.asd_address != address())
+    host_.leases().enroll(*this);
   return util::Status::ok_status();
 }
 
@@ -416,7 +381,7 @@ void ServiceDaemon::stop() {
   // Leave the host's renewal batch before anything is torn down — after
   // withdraw() returns, no coordinator tick can call back into us, and a
   // stray renewal cannot resurrect the entry we deregister below.
-  if (config_.batch_renew) host_.leases_withdraw(config_.name);
+  host_.leases_withdraw(config_.name);
 
   on_stop();
 
@@ -438,7 +403,6 @@ void ServiceDaemon::stop() {
 // in-flight handshakes (no new actors), then kill the actors, and only
 // then close the daemon-wide queues nothing can push to anymore.
 void ServiceDaemon::teardown() {
-  lease_thread_ = {};
   if (listener_) listener_->close();
   accept_sub_.stop();
 
@@ -493,7 +457,7 @@ void ServiceDaemon::crash() {
   // No deregistration, no logging — the ASD must detect this via lease
   // expiry (paper §2.4). A crashed process is no longer resident, so the
   // host's coordinator stops renewing for it and the lease lapses.
-  if (config_.batch_renew) host_.leases_withdraw(config_.name);
+  host_.leases_withdraw(config_.name);
   teardown();
   // A real crash loses the process's volatile state. Anything re-derivable
   // (subscriptions, cached credentials, subclass soft state) must be
@@ -544,17 +508,12 @@ void ServiceDaemon::finish_accept(std::uint64_t pending_id,
   } else if (stopping_.load()) {
     ch.value().close();  // lost the race with stop(): refuse the channel
   } else {
-    {
-      std::scoped_lock lock(stats_mu_);
-      stats_.connections_accepted++;
-    }
     obs_conn_accepted_->inc();
     auto channel =
         std::make_shared<crypto::SecureChannel>(std::move(ch.value()));
     auto actor = std::make_shared<ChannelActor>();
     actor->channel = channel;
     actor->caller.principal = channel->peer_name();
-    actor->v2 = channel->negotiated_version() >= wire::kProtocolV2;
     {
       std::scoped_lock lock(actors_mu_);
       actor->id = next_actor_id_++;
@@ -593,41 +552,27 @@ void ServiceDaemon::handle_frame(const std::shared_ptr<ChannelActor>& actor,
     actors_.erase(actor->id);
     return;
   }
-  std::uint64_t call_id = 0;
-  bool flag_noreply = false;
-  std::string_view body;
-  if (actor->v2) {
-    auto decoded = wire::decode_frame(*frame);
-    if (!decoded) {  // truncated demux header: no id to reply to
-      std::scoped_lock lock(stats_mu_);
-      stats_.commands_rejected++;
-      return;
-    }
-    call_id = decoded->call_id;
-    flag_noreply = (decoded->flags & wire::kFlagNoReply) != 0;
-    body = decoded->body;
-  } else {
-    body = util::to_string_view(*frame);
+  auto decoded = wire::decode_frame(*frame);
+  if (!decoded) {  // truncated demux header: no id to reply to
+    obs_cmd_rejected_->inc();
+    return;
   }
-  auto parsed = cmdlang::Parser::parse(body);
+  const bool noreply = (decoded->flags & wire::kFlagNoReply) != 0;
+  auto parsed = cmdlang::Parser::parse(decoded->body);
   if (!parsed.ok()) {
-    {
-      std::scoped_lock lock(stats_mu_);
-      stats_.commands_rejected++;
-    }
-    if (!flag_noreply)
-      send_reply(*actor->channel, actor->v2, call_id,
+    obs_cmd_rejected_->inc();
+    if (!noreply)
+      send_reply(*actor->channel, decoded->call_id,
                  cmdlang::make_error(parsed.error().code,
                                      parsed.error().message));
     return;
   }
   WorkItem item;
-  item.cmd = strip_noreply(parsed.value(), &item.noreply);
-  item.noreply = item.noreply || flag_noreply;
+  item.cmd = std::move(parsed.value());
+  item.noreply = noreply;
   item.caller = actor->caller;
   item.channel = actor->channel;
-  item.call_id = call_id;
-  item.v2 = actor->v2;
+  item.call_id = decoded->call_id;
 
   // Concurrent commands (thread-safe handlers) run on this connection's
   // own strand, so they cannot convoy behind a busy control queue —
@@ -646,7 +591,7 @@ void ServiceDaemon::handle_frame(const std::shared_ptr<ChannelActor>& actor,
 void ServiceDaemon::run_work_item(const WorkItem& item, bool serialize) {
   CmdLine reply = dispatch(item.cmd, item.caller, serialize);
   if (item.channel && !item.noreply)
-    send_reply(*item.channel, item.v2, item.call_id, reply);
+    send_reply(*item.channel, item.call_id, reply);
 }
 
 CmdLine ServiceDaemon::execute(const CmdLine& cmd, const CallerInfo& caller) {
@@ -664,17 +609,11 @@ CmdLine ServiceDaemon::dispatch(const CmdLine& cmd, const CallerInfo& caller,
   if (auto s = semantics_.validate(cmd); !s.ok()) {
     span.fail();
     obs_cmd_rejected_->inc();
-    std::scoped_lock lock(stats_mu_);
-    stats_.commands_rejected++;
     return cmdlang::make_error(s.error().code, s.error().message);
   }
   if (auto s = authorize(cmd, caller); !s.ok()) {
     span.fail();
     obs_auth_denied_->inc();
-    {
-      std::scoped_lock lock(stats_mu_);
-      stats_.authorizations_denied++;
-    }
     // §4.14's intrusion example: failed authorization attempts are
     // reported to the Network Logger so repeated offenders raise alerts.
     net_log("security", "authorization denied for principal '" +
@@ -694,10 +633,6 @@ CmdLine ServiceDaemon::dispatch(const CmdLine& cmd, const CallerInfo& caller,
   handler.latency->observe(std::chrono::steady_clock::now() - started);
   obs_cmd_executed_->inc();
   span.set_ok(cmdlang::is_ok(reply));
-  {
-    std::scoped_lock lock(stats_mu_);
-    stats_.commands_executed++;
-  }
   if (cmdlang::is_ok(reply)) fire_notifications(cmd);
   return reply;
 }
@@ -812,9 +747,8 @@ void ServiceDaemon::record_notify_failure(const net::Address& dest,
 // Runs on the ops pool (send_only may block on connection establishment).
 // Its own pump — not the control pump — so notification fan-out between
 // two daemons that notify each other cannot deadlock. Drains the whole
-// backlog for one destination: a single event goes out in the original
-// per-event shape; a pile-up is coalesced into one notifyBatch frame
-// (unless batch_notify is off — the E21d ablation).
+// backlog for one destination: a single event goes out as a plain frame;
+// a pile-up is coalesced into one notifyBatch frame.
 void ServiceDaemon::run_notify_dest(const net::Address& dest) {
   std::vector<NotifyJob> jobs;
   {
@@ -828,20 +762,15 @@ void ServiceDaemon::run_notify_dest(const net::Address& dest) {
   obs_notify_depth_->set(static_cast<std::int64_t>(notify_queue_.size()));
   if (jobs.empty()) return;
 
-  if (jobs.size() == 1 || !config_.batch_notify) {
-    for (const NotifyJob& job : jobs) {
-      CmdLine notify(job.method);
-      notify.arg("source", config_.name);
-      notify.arg("command", Word{job.command});
-      notify.arg("detail", job.detail);
-      auto s = notify_client_->send_only(dest, notify);
-      obs_notify_sent_->inc();
-      {
-        std::scoped_lock lock(stats_mu_);
-        stats_.notifications_sent++;
-      }
-      if (!s.ok()) record_notify_failure(dest, job.command);
-    }
+  if (jobs.size() == 1) {
+    const NotifyJob& job = jobs.front();
+    CmdLine notify(job.method);
+    notify.arg("source", config_.name);
+    notify.arg("command", Word{job.command});
+    notify.arg("detail", job.detail);
+    auto s = notify_client_->send_only(dest, notify);
+    obs_notify_sent_->inc();
+    if (!s.ok()) record_notify_failure(dest, job.command);
     return;
   }
 
@@ -861,10 +790,6 @@ void ServiceDaemon::run_notify_dest(const net::Address& dest) {
   obs_notify_batches_->inc();
   obs_notify_batched_events_->inc(jobs.size());
   obs_notify_sent_->inc(jobs.size());
-  {
-    std::scoped_lock lock(stats_mu_);
-    stats_.notifications_sent += jobs.size();
-  }
   if (!s.ok()) {
     // The frame carried every command; charge each distinct one once.
     std::vector<std::string> seen;
@@ -877,42 +802,11 @@ void ServiceDaemon::run_notify_dest(const net::Address& dest) {
   }
 }
 
-void ServiceDaemon::lease_loop(std::stop_token st) {
-  while (!st.stop_requested()) {
-    // Sleep in poll-sized slices so shutdown stays prompt.
-    auto remaining = config_.lease_renew;
-    while (remaining.count() > 0 && !st.stop_requested()) {
-      auto slice = std::min<std::chrono::milliseconds>(
-          remaining, std::chrono::duration_cast<std::chrono::milliseconds>(
-                         kPollInterval));
-      std::this_thread::sleep_for(slice);
-      remaining -= slice;
-    }
-    if (st.stop_requested()) return;
-    CmdLine renew("renew");
-    renew.arg("name", config_.name);
-    auto r = infra_client_->call(
-        env_.asd_address, renew,
-        CallOptions{.timeout = 500ms, .require_ok = true});
-    if (r.ok()) continue;
-    util::log_warn(config_.name)
-        << "lease renewal failed: " << r.error().to_string();
-    // `not_found` means the ASD has no lease for us — it crashed and came
-    // back with an empty registry. Renewing harder cannot fix that; only a
-    // fresh registration (Fig 9 step 3) heals the directory entry.
-    if (r.error().code == util::Errc::not_found) {
-      if (register_with_asd().ok()) {
-        env_.metrics().counter("daemon.lease.reregistered").inc();
-        net_log("info", "service '" + config_.name +
-                            "' re-registered after ASD state loss");
-      }
-    }
-  }
-}
-
 void ServiceDaemon::handle_lease_lost() {
   // Called from the host's LeaseCoordinator when a batched renewal came
-  // back `not_found` — same healing as the per-daemon loop above.
+  // back `not_found`: the ASD crashed and came back with an empty
+  // registry. Renewing harder cannot fix that; only a fresh registration
+  // (Fig 9 step 3) heals the directory entry.
   if (!running_.load() || stopping_.load()) return;
   if (register_with_asd().ok()) {
     env_.metrics().counter("daemon.lease.reregistered").inc();

@@ -34,7 +34,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cmdlang/semantics.hpp"
@@ -70,18 +69,6 @@ struct DaemonConfig {
   bool register_with_room_db = true;
   bool log_to_net_logger = true;
 
-  // true: this daemon's lease rides the host's LeaseCoordinator — one
-  // `renewBatch` RPC per host per interval. false: the original scheme, a
-  // dedicated lease thread and one `renew` RPC per service per interval
-  // (kept for the E15c renewal-traffic ablation).
-  bool batch_renew = true;
-
-  // true: notification fan-out coalesces every event queued for the same
-  // destination into one `notifyBatch` RPC (the renewBatch trick applied
-  // to the notify pump — one wire frame per subscriber host per drain, not
-  // per event). false restores per-event sends (the E21d ablation).
-  bool batch_notify = true;
-
   // When true, every command is checked through KeyNote (Fig 10) before
   // execution, with credentials fetched from the Authorization Database.
   bool enforce_authorization = false;
@@ -102,15 +89,6 @@ class ServiceDaemon {
  public:
   using Handler = std::function<cmdlang::CmdLine(const cmdlang::CmdLine&,
                                                  const CallerInfo&)>;
-
-  struct Stats {
-    std::uint64_t connections_accepted = 0;
-    std::uint64_t commands_executed = 0;
-    std::uint64_t commands_rejected = 0;   // parse/semantic failures
-    std::uint64_t authorizations_denied = 0;
-    std::uint64_t notifications_sent = 0;
-    std::uint64_t datagrams_received = 0;
-  };
 
   ServiceDaemon(Environment& env, DaemonHost& host, DaemonConfig config);
   virtual ~ServiceDaemon();
@@ -136,7 +114,6 @@ class ServiceDaemon {
   const DaemonConfig& config() const { return config_; }
   net::Address address() const;
   net::Address data_address() const;
-  Stats stats() const;
   const cmdlang::SemanticRegistry& semantics() const { return semantics_; }
 
   // Executes a command locally (same validation/authorization path as a
@@ -216,8 +193,7 @@ class ServiceDaemon {
     CallerInfo caller;
     std::shared_ptr<crypto::SecureChannel> channel;  // null for local execute
     bool noreply = false;
-    std::uint64_t call_id = 0;  // echoed on the reply frame (protocol v2)
-    bool v2 = false;            // frame the reply with the demux header
+    std::uint64_t call_id = 0;  // echoed on the reply frame
   };
 
   // One accepted connection as a reactor actor. Inbound frames are decoded
@@ -229,7 +205,6 @@ class ServiceDaemon {
     std::uint64_t id = 0;
     std::shared_ptr<crypto::SecureChannel> channel;
     CallerInfo caller;
-    bool v2 = false;
     util::MessageQueue<WorkItem> work;
     net::Subscription frame_sub;
     net::Subscription work_sub;
@@ -244,7 +219,6 @@ class ServiceDaemon {
   void run_notify_dest(const net::Address& dest);
   void record_notify_failure(const net::Address& dest,
                              const std::string& command);
-  void lease_loop(std::stop_token st);
   void teardown();
 
   cmdlang::CmdLine dispatch(const cmdlang::CmdLine& cmd,
@@ -279,8 +253,7 @@ class ServiceDaemon {
   // themselves accumulate per destination in notify_pending_. A token is
   // pushed only on a destination's empty→non-empty transition, so however
   // many events pile up between drains, each destination is visited once
-  // and its whole backlog rides one notifyBatch frame (config_.batch_notify
-  // permitting).
+  // and its whole backlog rides one notifyBatch frame.
   util::MessageQueue<net::Address> notify_queue_;
   std::mutex notify_pending_mu_;
   std::map<net::Address, std::vector<NotifyJob>> notify_pending_;
@@ -310,9 +283,6 @@ class ServiceDaemon {
   };
   std::map<std::string, CachedCredentials> credential_cache_;
 
-  mutable std::mutex stats_mu_;
-  Stats stats_;
-
   // Cached obs cells (deployment registry, `daemon.*` names).
   obs::Counter* obs_cmd_executed_;
   obs::Counter* obs_cmd_rejected_;
@@ -335,10 +305,6 @@ class ServiceDaemon {
   net::Subscription control_sub_;
   net::Subscription notify_sub_;
   net::Subscription data_sub_;
-  // Dedicated lease thread, kept only for the E15c per-service renewal
-  // ablation (batch_renew = false); the default path rides the host's
-  // LeaseCoordinator on reactor timers.
-  std::jthread lease_thread_;
 };
 
 }  // namespace ace::daemon

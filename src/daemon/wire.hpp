@@ -1,18 +1,12 @@
-// Command-channel framing (protocol v2).
+// Command-channel framing.
 //
-// v1 frames are the bare serialized command string; one request must wait
-// for its reply before the next can be sent, and fire-and-forget sends mark
-// themselves with a `_noreply` argument inside the command.
-//
-// v2 prefixes every frame with a demultiplexing header so many calls can be
-// in flight on one channel at once and replies can arrive in any order:
+// Every frame carries a demultiplexing header so many calls can be in
+// flight on one channel at once and replies can arrive in any order:
 //
 //   varint call_id | u8 flags | command text (rest of frame)
 //
 // The call-id is chosen by the requester and echoed verbatim on the reply;
-// flags bit 0 (kFlagNoReply) suppresses the reply frame, replacing the v1
-// `_noreply` argument. The version in use on a channel is negotiated at the
-// secure-channel handshake (SecureChannel::negotiated_version()).
+// flags bit 0 (kFlagNoReply) suppresses the reply frame (fire-and-forget).
 #pragma once
 
 #include <cstdint>
@@ -25,20 +19,13 @@
 
 namespace ace::daemon::wire {
 
-inline constexpr std::uint8_t kProtocolV1 = 1;
-inline constexpr std::uint8_t kProtocolV2 = 2;
-
 inline constexpr std::uint8_t kFlagNoReply = 0x01;
 
-// v1 transport marker: argument understood by every ServiceDaemon that
-// suppresses the reply frame (superseded by kFlagNoReply under v2).
-inline constexpr const char* kNoReplyArg = "_noreply";
-
-// Builds a v2 frame around the serialized command text.
+// Builds a frame around the serialized command text.
 util::Bytes encode_frame(std::uint64_t call_id, std::uint8_t flags,
                          std::string_view body);
 
-// A decoded v2 frame. `body` is a view into the buffer handed to
+// A decoded frame. `body` is a view into the buffer handed to
 // decode_frame — valid only while that buffer lives, by design: the parser
 // consumes it in place without another copy.
 struct Frame {
@@ -52,7 +39,7 @@ std::optional<Frame> decode_frame(const util::Bytes& frame);
 // Batch payload packing: concatenates opaque records into one string-arg
 // payload using netstring framing (`<decimal length>:<bytes>,`), so a
 // group-committed replication round trip carries many records in a single
-// v2 frame without per-record quoting/escaping overhead. Records may
+// frame without per-record quoting/escaping overhead. Records may
 // contain any bytes; nesting is fine (a record can itself be a packed
 // batch of fields).
 std::string pack_batch(const std::vector<std::string>& records);

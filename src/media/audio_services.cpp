@@ -75,16 +75,6 @@ void AudioElementDaemon::emit_frame(std::string_view stream,
   emit(serialize_frame(stream, sequence, samples));
 }
 
-util::SharedBytes AudioElementDaemon::legacy_ingest(
-    const util::SharedBytes& payload) {
-  // Before the router, every element fully decoded the frame on arrival and
-  // re-serialized it to forward: two payload-sized copies per hop.
-  auto frame = AudioFrame::parse(payload.view());
-  if (!frame) return payload;
-  bytes_copied_counter().inc(2 * payload.size());
-  return util::SharedBytes(frame->serialize());
-}
-
 // ---------------------------------------------------------------- capture
 
 AudioCaptureDaemon::AudioCaptureDaemon(daemon::Environment& env,

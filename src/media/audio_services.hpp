@@ -59,10 +59,6 @@ class AudioElementDaemon : public RoutedMediaDaemon {
   // Serializes once and routes the frame by its tag (plus catch-all sinks).
   void emit_frame(std::string_view stream, std::uint32_t sequence,
                   std::span<const std::int16_t> samples);
-
-  // Pre-router ingest for the E18 ablation: full AudioFrame decode plus
-  // re-encode per hop, exactly what every element used to pay.
-  util::SharedBytes legacy_ingest(const util::SharedBytes& payload) override;
 };
 
 // Digitizes a (synthetic) microphone signal into the pipeline (§4.15 item 7).

@@ -120,9 +120,11 @@ RoutedMediaDaemon::RoutedMediaDaemon(daemon::Environment& env,
     : ServiceDaemon(env, host, with_data_channel(std::move(config))),
       frames_routed_(env.metrics().counter("media.frames_routed")),
       frames_dropped_(env.metrics().counter("media.frames_dropped")),
-      bytes_copied_(env.metrics().counter("media.bytes_copied")),
       datagrams_fanned_(env.metrics().counter("media.datagrams_fanned")),
       route_installs_(env.metrics().counter("media.route_installs")) {
+  // Registered (at zero) so the data plane's zero-copy claim is visible in
+  // every snapshot: a stage that ever copies a payload must count it here.
+  env.metrics().counter("media.bytes_copied");
   // Route installation is a control-plane command: it flows through the
   // daemon's authorized dispatch (KeyNote, when enforcement is on), which
   // is precisely what lets the per-frame path skip authorization entirely.
@@ -209,13 +211,6 @@ RoutedMediaDaemon::RoutedMediaDaemon(daemon::Environment& env,
       });
 }
 
-util::SharedBytes RoutedMediaDaemon::legacy_ingest(
-    const util::SharedBytes& payload) {
-  // Pre-router daemons took ownership of the wire bytes on arrival.
-  bytes_copied_.inc(payload.size());
-  return util::SharedBytes(payload.to_bytes());
-}
-
 void RoutedMediaDaemon::on_datagram(const net::Datagram& datagram) {
   auto tag = peek_tag(datagram.payload.view());
   if (!tag) {
@@ -233,8 +228,6 @@ void RoutedMediaDaemon::on_datagram(const net::Datagram& datagram) {
   local_bytes_.fetch_add(datagram.payload.size(), std::memory_order_relaxed);
 
   util::SharedBytes current = datagram.payload;
-  if (legacy_copy_mode_.load(std::memory_order_relaxed))
-    current = legacy_ingest(current);
 
   // A tag-specific stage list overrides the catch-all's; a tag route that
   // installs only sinks inherits the daemon's catch-all ingest stages.
@@ -281,15 +274,6 @@ void RoutedMediaDaemon::send_to_sinks(
   if (dests.empty()) return;
   datagrams_fanned_.inc(dests.size());
   local_fanout_.fetch_add(dests.size(), std::memory_order_relaxed);
-  if (legacy_copy_mode_.load(std::memory_order_relaxed)) {
-    // Pre-router fan-out: one payload copy and one network transaction per
-    // sink (the E18 baseline).
-    for (const net::Address& sink : dests) {
-      bytes_copied_.inc(payload.size());
-      (void)send_datagram(sink, util::SharedBytes(payload.to_bytes()));
-    }
-    return;
-  }
   // One shared buffer, N views, one network transaction.
   (void)send_datagrams(dests, payload);
 }

@@ -96,7 +96,7 @@ class FrameRouter {
 //   media.frames_routed    frames matched to a route
 //   media.frames_dropped   frames with no tag or no route
 //   media.bytes_copied     payload bytes copied on the data path (zero on
-//                          pure fan-out; legacy mode shows the old cost)
+//                          pure fan-out)
 //   media.datagrams_fanned sink sends (each a view, not a copy)
 //   media.route_installs   routeAdd/routeRemove-style table mutations
 class RoutedMediaDaemon : public daemon::ServiceDaemon {
@@ -106,12 +106,6 @@ class RoutedMediaDaemon : public daemon::ServiceDaemon {
 
   FrameRouter& router() { return router_; }
   const FrameRouter& router() const { return router_; }
-
-  // E18 ablation: reproduce the pre-router per-hop costs (own the wire
-  // bytes on ingest, full AudioFrame decode + re-encode in audio elements,
-  // one payload copy and one network transaction per sink).
-  void set_legacy_copy_mode(bool on) { legacy_copy_mode_.store(on); }
-  bool legacy_copy_mode() const { return legacy_copy_mode_.load(); }
 
   struct RouteStats {
     std::uint64_t frames = 0;  // frames that matched a route
@@ -127,23 +121,15 @@ class RoutedMediaDaemon : public daemon::ServiceDaemon {
   // tag route's sinks plus the catch-all sinks, without running stages.
   void emit(const util::SharedBytes& payload);
 
-  // Legacy-mode ingest cost model; overridden by AudioElementDaemon to add
-  // the historical full decode + re-encode. Must count media.bytes_copied.
-  virtual util::SharedBytes legacy_ingest(const util::SharedBytes& payload);
-
-  obs::Counter& bytes_copied_counter() { return bytes_copied_; }
-
  private:
   void send_to_sinks(const FrameRouter::CompiledRoute* primary,
                      const FrameRouter::CompiledRoute* catch_all,
                      const util::SharedBytes& payload);
 
   FrameRouter router_;
-  std::atomic<bool> legacy_copy_mode_{false};
 
   obs::Counter& frames_routed_;
   obs::Counter& frames_dropped_;
-  obs::Counter& bytes_copied_;
   obs::Counter& datagrams_fanned_;
   obs::Counter& route_installs_;
 

@@ -56,7 +56,7 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
       obs_forward_cache_misses_(
           &env.metrics().counter("asd.forward_cache_misses")),
       obs_live_count_(&env.metrics().gauge("asd.live_count")),
-      index_(options.use_index,
+      index_(/*use_index=*/true,
              AsdIndexObs{obs_index_hits_, obs_scans_, obs_live_count_}) {
   if (options_.federation.enabled) {
     gossip_ = std::make_unique<GossipAgent>(env, ServiceDaemon::config().room,

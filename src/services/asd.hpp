@@ -45,10 +45,6 @@ struct AsdOptions {
   std::chrono::milliseconds min_lease{200};
   std::chrono::milliseconds max_lease{60000};
   std::chrono::milliseconds reap_interval{50};
-  // Ablation flag (E15): false restores the original full-registry glob
-  // scan for every query. Results are identical either way; only the
-  // candidate-selection cost differs.
-  bool use_index = true;
   // Multi-room federation (docs/federation.md): gossip membership with
   // peer-room directories, cross-room query fan-out with a scoped cache,
   // and an optional relay for rooms behind bad links. Off by default —

@@ -69,6 +69,9 @@ class AsdIndex {
  public:
   using Clock = std::chrono::steady_clock;
 
+  // use_index = false answers every query with a full-registry glob scan:
+  // the linear reference the indexed path is tested and benchmarked
+  // against. The directory daemon always indexes.
   explicit AsdIndex(bool use_index = true, AsdIndexObs obs = {})
       : use_index_(use_index), obs_(obs) {}
 

@@ -4,7 +4,7 @@
 // can investigate them for security holes or system bugs".
 //
 // Command set:
-//   log source= level= message=;                    (usually _noreply)
+//   log source= level= message=;                    (usually fire-and-forget)
 //   queryLog source=<glob>? level=? limit=?;        -> ok entries={...}
 //   logCount level=?;                               -> ok count=
 //   clearLog;

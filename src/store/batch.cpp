@@ -84,14 +84,8 @@ void ReplicationBatcher::flusher_loop(std::stop_token st, Lane* lane,
       std::unique_lock lock(lane->mu);
       lane->cv.wait(lock, st, [&] { return !lane->queue.empty(); });
       if (st.stop_requested()) return;  // shutdown() fails the leftovers
-    }
-    if (options_.flush_interval.count() > 0)
-      std::this_thread::sleep_for(options_.flush_interval);
-    {
-      std::scoped_lock lock(lane->mu);
       batch.swap(lane->queue);
     }
-    if (batch.empty()) continue;
 
     std::vector<std::string> records;
     records.reserve(batch.size());

@@ -1,15 +1,13 @@
 // Group commit for store replication: a per-peer batcher that coalesces
 // concurrent replicated writes into one framed `storeReplicateBatch` RPC
-// per peer per flush, riding the v2 pipelined channel.
+// per peer per flush, riding the pipelined channel.
 //
 // Each destination replica gets a *lane*: a queue plus a flusher thread.
 // Writers enqueue an opaque record and receive a Pending handle to await
 // the replica's acknowledgement. The flusher sends immediately when idle;
 // while a batch RPC is in flight, new records pile up behind it and the
 // next flush ships them all in one frame — classic group commit, where the
-// in-flight round trip is the natural coalescing window. An optional
-// `flush_interval` adds a fixed wait before each flush to trade write
-// latency for bigger batches (docs/store.md discusses tuning).
+// in-flight round trip is the natural coalescing window.
 //
 // A batch either lands whole (the peer applies every record; LWW apply
 // cannot fail per-record) or fails whole (transport error / timeout), so
@@ -31,9 +29,6 @@
 namespace ace::store {
 
 struct BatcherOptions {
-  // Extra coalescing wait once a flush has at least one record. 0 = flush
-  // as soon as the lane is idle (in-flight RPCs still batch naturally).
-  std::chrono::milliseconds flush_interval{0};
   std::chrono::milliseconds call_timeout{300};
 };
 

@@ -1,5 +1,5 @@
 // Incremental Merkle digest tree for store anti-entropy (Dynamo-style,
-// PAPERS.md; replaces the O(n) full `storeDigest` entry exchange).
+// PAPERS.md): replicas exchange O(log n) node hashes, not every entry.
 //
 // The keyspace is bucketed by the top `depth` bits of the key's ring
 // position (Ring::hash_key), giving 2^depth leaves. A leaf's digest is the

@@ -67,22 +67,6 @@ util::Status validate_store_options(const StoreOptions& o) {
     return bad("read_quorum (R=" + std::to_string(o.read_quorum) +
                ") must be in [1, replication=" +
                std::to_string(o.replication) + "]");
-  if (o.vnodes < 1)
-    return bad("vnodes must be positive (got " + std::to_string(o.vnodes) +
-               ")");
-  if (o.merkle_depth < 1 || o.merkle_depth > 20)
-    return bad("merkle_depth must be in [1, 20] (got " +
-               std::to_string(o.merkle_depth) + ")");
-  if (o.scan_limit_max < 1)
-    return bad("scan_limit_max must be >= 1 (got " +
-               std::to_string(o.scan_limit_max) + ")");
-  if (o.scan_limit < 1 || o.scan_limit > o.scan_limit_max)
-    return bad("scan_limit (" + std::to_string(o.scan_limit) +
-               ") must be in [1, scan_limit_max=" +
-               std::to_string(o.scan_limit_max) + "]");
-  if (o.list_max_keys < 1)
-    return bad("list_max_keys must be >= 1 (got " +
-               std::to_string(o.list_max_keys) + ")");
   return util::Status::ok_status();
 }
 
@@ -101,9 +85,7 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
       replica_id_(replica_id),
       options_(options),
       options_status_(validate_store_options(options)),
-      // Clamped so a rejected config cannot blow up member construction;
-      // on_start() surfaces the validation error before any use.
-      tree_(std::clamp(options.merkle_depth, 1, 20)),
+      tree_(kMerkleDepth),
       bucket_keys_(tree_.leaf_count()),
       obs_writes_(&env.metrics().counter("store.writes")),
       obs_replica_acks_(&env.metrics().counter("store.replica_acks")),
@@ -221,8 +203,7 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
         const std::string prefix = cmd.get_text("prefix");
         const std::string cursor = cmd.get_text("cursor");
         const auto limit = static_cast<std::size_t>(std::clamp<std::int64_t>(
-            cmd.get_integer("limit", options_.scan_limit), 1,
-            options_.scan_limit_max));
+            cmd.get_integer("limit", kScanLimit), 1, kScanLimitMax));
         if (cmd.get_text("scope") == "local") {
           ScanPage page = scan_local(prefix, cursor, limit);
           CmdLine reply = cmdlang::make_ok();
@@ -241,54 +222,6 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
         return reply;
       });
 
-  // Compatibility shim over storeScan: pages through the whole prefix and
-  // concatenates, capped at StoreOptions.list_max_keys (truncated=yes when
-  // the cap bites). New callers should page with storeScan instead.
-  register_command(
-      CommandSpec("storeList", "list keys under a namespace prefix").concurrent_ok()
-          .arg(string_arg("prefix").optional_arg())
-          .arg(word_arg("scope").optional_arg().choices({"cluster", "local"})),
-      [this](const CmdLine& cmd, const CallerInfo&) {
-        const std::string prefix = cmd.get_text("prefix");
-        const bool local = cmd.get_text("scope") == "local";
-        const auto page_limit = static_cast<std::size_t>(
-            std::clamp(options_.scan_limit, 1, options_.scan_limit_max));
-        const auto cap =
-            static_cast<std::size_t>(std::max(1, options_.list_max_keys));
-        std::vector<std::string> keys;
-        std::string cursor;
-        bool truncated = false;
-        while (true) {
-          std::vector<std::string> page_keys;
-          bool done = false;
-          if (local) {
-            ScanPage p = scan_local(prefix, cursor, page_limit);
-            page_keys = std::move(p.keys);
-            done = p.done;
-            cursor = p.next;
-          } else {
-            auto p = scan_cluster(prefix, cursor, page_limit);
-            if (!p.ok())
-              return cmdlang::make_error(p.error().code, p.error().message);
-            page_keys = std::move(p->keys);
-            done = p->done;
-            cursor = p->next;
-          }
-          for (std::string& key : page_keys) {
-            if (keys.size() >= cap) {
-              truncated = true;
-              break;
-            }
-            keys.push_back(std::move(key));
-          }
-          if (truncated || done) break;
-        }
-        CmdLine reply = cmdlang::make_ok();
-        reply.arg("keys", cmdlang::string_vector(std::move(keys)));
-        if (truncated) reply.arg("truncated", Word{"yes"});
-        return reply;
-      });
-
   register_command(CommandSpec("storeCount", "count live objects (this replica)").concurrent_ok(),
                    [this](const CmdLine&, const CallerInfo&) {
                      CmdLine reply = cmdlang::make_ok();
@@ -296,21 +229,6 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
                                static_cast<std::int64_t>(object_count()));
                      return reply;
                    });
-
-  register_command(
-      CommandSpec("storeDigest", "full key/version digest (anti-entropy ablation)").concurrent_ok(),
-      [this](const CmdLine&, const CallerInfo&) {
-        std::vector<std::string> entries;
-        {
-          std::scoped_lock lock(mu_);
-          for (const auto& [key, record] : objects_)
-            entries.push_back(key + "|" + std::to_string(record.version) +
-                              "|" + (record.deleted ? "d" : "l"));
-        }
-        CmdLine reply = cmdlang::make_ok();
-        reply.arg("entries", cmdlang::string_vector(std::move(entries)));
-        return reply;
-      });
 
   register_command(
       CommandSpec("storeDigestTree", "Merkle digest-tree hashes for anti-entropy").concurrent_ok()
@@ -490,8 +408,7 @@ void PersistentStoreDaemon::rebuild_ring() {
   std::scoped_lock lock(mu_);
   std::vector<net::Address> nodes = peers_;
   nodes.push_back(address());
-  // max() guards a rejected config (on_start refuses it before any use).
-  ring_ = Ring(std::move(nodes), std::max(1, options_.vnodes));
+  ring_ = Ring(std::move(nodes), kDefaultVnodes);
 }
 
 util::Status PersistentStoreDaemon::on_start() {
@@ -532,8 +449,7 @@ util::Status PersistentStoreDaemon::on_start() {
     std::scoped_lock lock(mu_);
     batcher_ = std::make_shared<ReplicationBatcher>(
         env().metrics(), control_client(),
-        BatcherOptions{.flush_interval = options_.flush_interval,
-                       .call_timeout = options_.replicate_timeout});
+        BatcherOptions{.call_timeout = options_.replicate_timeout});
     // Fresh guard per start: the previous one stays revoked so any task
     // still queued from the last life remains a no-op.
     read_tasks_ = net::TaskGuard();
@@ -881,7 +797,11 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
 
   const auto deadline = steady_clock::now() + options_.replicate_timeout;
   std::vector<net::Address> failed;
-  if (batcher && options_.group_commit) {
+  if (!batcher) {
+    // A write served during start(), before on_start built the batcher:
+    // every target counts as a miss and rides the hinted handoff below.
+    failed = targets;
+  } else {
     std::vector<std::pair<net::Address,
                           std::shared_ptr<ReplicationBatcher::Pending>>>
         inflight;
@@ -895,21 +815,6 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
       // downed replica converge on heal. The per-peer circuit breaker
       // keeps waits on a dead peer cheap after the first few timeouts.
       if (pending->wait_until(deadline)) {
-        ++acks;
-        ++peer_acks;
-      } else {
-        failed.push_back(t);
-      }
-    }
-  } else {
-    // Ablation path: the seed's sequential per-write fan-out.
-    CmdLine rep = make_replicate_cmd(key, record, "");
-    for (const net::Address& t : targets) {
-      auto reply = control_client().call(
-          t, rep,
-          daemon::CallOptions{.timeout = options_.replicate_timeout,
-                              .retries = 0});
-      if (reply.ok() && cmdlang::is_ok(reply.value())) {
         ++acks;
         ++peer_acks;
       } else {
@@ -965,11 +870,6 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
   return out;
 }
 
-CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
-  return options_.digest_reads ? coordinate_read_digest(key)
-                               : coordinate_read_serial(key);
-}
-
 // Parallel digest read: one full value (from this replica when it owns
 // the key, else from the first listed owner) plus version digests from
 // every other preference-list replica, all RPCs issued concurrently on
@@ -977,7 +877,7 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
 // the whole fan-out; if a digest outvotes the full copy, the newest value
 // is fetched from one of its holders before replying, and any replica
 // observed stale or absent is repaired off the reply path.
-CmdLine PersistentStoreDaemon::coordinate_read_digest(const std::string& key) {
+CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
   std::vector<net::Address> prefs;
   net::TaskGuard guard;
   {
@@ -1003,7 +903,7 @@ CmdLine PersistentStoreDaemon::coordinate_read_digest(const std::string& key) {
   }
 
   // Fast path: an owning coordinator's own copy satisfies R=1 without any
-  // fan-out — identical to the legacy loop's first iteration.
+  // fan-out.
   if (r_eff == 1 && self_owner) {
     std::scoped_lock lock(mu_);
     auto it = objects_.find(key);
@@ -1155,103 +1055,30 @@ CmdLine PersistentStoreDaemon::coordinate_read_digest(const std::string& key) {
     }
   }
 
-  if (options_.read_repair) {
-    std::vector<net::Address> stale;
-    bool self_stale = false;
-    for (std::size_t i = 0; i < votes.size(); ++i) {
-      if (!votes[i].replied) continue;  // unreachable: hints/anti-entropy
-      if (votes[i].has && votes[i].record.version >= winner.version) continue;
-      if (prefs[i] == self)
-        self_stale = true;
-      else
-        stale.push_back(prefs[i]);
-    }
-    if (self_stale) {
-      // Inline and lazily synced: LWW makes a crash-replayed repair a
-      // no-op, so the reply need not wait on the fsync.
-      (void)apply(key, winner);
-    }
-    if (!stale.empty()) schedule_read_repair(key, winner, std::move(stale));
+  // Read repair: every replica observed stale or absent converges on the
+  // winner without waiting for Merkle anti-entropy.
+  std::vector<net::Address> stale;
+  bool self_stale = false;
+  for (std::size_t i = 0; i < votes.size(); ++i) {
+    if (!votes[i].replied) continue;  // unreachable: hints/anti-entropy
+    if (votes[i].has && votes[i].record.version >= winner.version) continue;
+    if (prefs[i] == self)
+      self_stale = true;
+    else
+      stale.push_back(prefs[i]);
   }
+  if (self_stale) {
+    // Inline and lazily synced: LWW makes a crash-replayed repair a no-op,
+    // so the reply need not wait on the fsync.
+    (void)apply(key, winner);
+  }
+  if (!stale.empty()) schedule_read_repair(key, winner, std::move(stale));
 
   if (winner.deleted)
     return cmdlang::make_error(util::Errc::not_found, "no such object");
   CmdLine reply = cmdlang::make_ok();
   reply.arg("data", hex_of(winner.data));
   reply.arg("version", static_cast<std::int64_t>(winner.version));
-  return reply;
-}
-
-// Legacy serial quorum read — the digest_reads=false ablation baseline.
-// Kept bit-identical in reply shape to the digest path.
-CmdLine PersistentStoreDaemon::coordinate_read_serial(const std::string& key) {
-  std::vector<net::Address> prefs;
-  {
-    std::scoped_lock lock(mu_);
-    prefs = ring_.preference_list(
-        key, static_cast<std::size_t>(std::max(1, options_.replication)));
-  }
-  const net::Address self = address();
-  const int r_eff = std::max(
-      1, std::min(options_.read_quorum, static_cast<int>(prefs.size())));
-  const bool self_owner =
-      std::find(prefs.begin(), prefs.end(), self) != prefs.end();
-
-  int replies = 0;
-  std::optional<ObjectRecord> best;
-  auto offer = [&best](ObjectRecord candidate) {
-    if (!best || candidate.version > best->version)
-      best = std::move(candidate);
-  };
-
-  if (self_owner) {
-    // One lock scope for the whole local vote (an owner's authoritative
-    // answer, even "absent").
-    std::scoped_lock lock(mu_);
-    ++replies;
-    auto it = objects_.find(key);
-    if (it != objects_.end()) offer(it->second);
-  }
-
-  if (replies < r_eff) {
-    CmdLine sub("storeGet");
-    sub.arg("key", key);
-    sub.arg("scope", Word{"local"});
-    for (const net::Address& node : prefs) {
-      if (node == self) continue;
-      if (replies >= r_eff) break;
-      auto reply = control_client().call(
-          node, sub,
-          daemon::CallOptions{.timeout = options_.replicate_timeout,
-                              .retries = 0});
-      if (!reply.ok()) continue;
-      if (cmdlang::is_ok(reply.value())) {
-        ObjectRecord candidate;
-        candidate.version =
-            static_cast<std::uint64_t>(reply->get_integer("version"));
-        candidate.deleted = reply->get_text("deleted") == "yes";
-        candidate.data = bytes_of_hex(reply->get_text("data"));
-        ++replies;
-        offer(std::move(candidate));
-      } else if (cmdlang::reply_error(reply.value()).code ==
-                 util::Errc::not_found) {
-        ++replies;  // authoritative absence
-      }
-    }
-  }
-
-  if (replies < r_eff) {
-    obs_read_unavailable_->inc();
-    return cmdlang::make_error(
-        util::Errc::unavailable,
-        "read quorum not met (replies=" + std::to_string(replies) +
-            " R=" + std::to_string(r_eff) + ")");
-  }
-  if (!best || best->deleted)
-    return cmdlang::make_error(util::Errc::not_found, "no such object");
-  CmdLine reply = cmdlang::make_ok();
-  reply.arg("data", hex_of(best->data));
-  reply.arg("version", static_cast<std::int64_t>(best->version));
   return reply;
 }
 
@@ -1339,8 +1166,7 @@ PersistentStoreDaemon::parse_scan_cursor(const std::string& blob) {
 // been scanned to (the "barrier"), so no key can later arrive behind the
 // emission front. The cursor blob records, per peer, where to resume —
 // which makes the cursor resumable through any coordinator. Unreachable
-// peers are dropped from the remainder of the scan, best effort, matching
-// the storeList contract.
+// peers are dropped from the remainder of the scan, best effort.
 util::Result<PersistentStoreDaemon::ClusterPage>
 PersistentStoreDaemon::scan_cluster(const std::string& prefix,
                                     const std::string& cursor_blob,
@@ -1542,25 +1368,7 @@ std::int64_t PersistentStoreDaemon::ingest_digest_entry(
   return 1;
 }
 
-std::int64_t PersistentStoreDaemon::sync_with_peer_full(
-    const net::Address& peer) {
-  std::int64_t fetched = 0;
-  auto digest = control_client().call(
-      peer, CmdLine("storeDigest"),
-      daemon::CallOptions{.timeout = std::chrono::milliseconds(500),
-                          .retries = 0});
-  if (!digest.ok() || !cmdlang::is_ok(digest.value())) return 0;
-  auto entries = digest->get_vector("entries");
-  if (!entries) return 0;
-  for (const auto& elem : entries->elements) {
-    if (!elem.is_string() && !elem.is_word()) continue;
-    fetched += ingest_digest_entry(peer, elem.as_text());
-  }
-  return fetched;
-}
-
-std::int64_t PersistentStoreDaemon::sync_with_peer_merkle(
-    const net::Address& peer) {
+std::int64_t PersistentStoreDaemon::sync_with_peer(const net::Address& peer) {
   std::int64_t fetched = 0;
   std::vector<std::size_t> frontier{1};
   std::vector<std::size_t> divergent_buckets;
@@ -1583,8 +1391,6 @@ std::int64_t PersistentStoreDaemon::sync_with_peer_merkle(
                               .retries = 0});
       obs_tree_rpcs_->inc();
       if (!reply.ok() || !cmdlang::is_ok(reply.value())) return fetched;
-      if (static_cast<int>(reply->get_integer("depth")) != tree_.depth())
-        return fetched + sync_with_peer_full(peer);  // incompatible layout
       auto hashes = reply->get_vector("hashes");
       if (!hashes) return fetched;
       std::scoped_lock lock(mu_);
@@ -1635,9 +1441,7 @@ util::Result<std::int64_t> PersistentStoreDaemon::sync_from_peers() {
     peers = peers_;
   }
   std::int64_t fetched = 0;
-  for (const net::Address& peer : peers)
-    fetched += options_.merkle_sync ? sync_with_peer_merkle(peer)
-                                    : sync_with_peer_full(peer);
+  for (const net::Address& peer : peers) fetched += sync_with_peer(peer);
   // Anti-entropy applies are logged but lazily synced per entry; one flush
   // at the end of the round makes the whole catch-up durable. A crash
   // before it just means the next round re-fetches the tail.

@@ -27,12 +27,10 @@
 //     survives sharding.
 //   * Group commit — replica fan-out rides a per-peer batcher
 //     (store/batch.hpp) that coalesces concurrent writes into one framed
-//     `storeReplicateBatch` per peer per flush, on the v2 pipelined
-//     channel.
+//     `storeReplicateBatch` per peer per flush, on the pipelined channel.
 //   * Merkle anti-entropy — a rejoining replica compares O(log n) digest
 //     tree hashes (`storeDigestTree`) against each peer and fetches only
-//     divergent buckets, replacing the O(n) full `storeDigest` exchange
-//     (kept as an ablation/back-compat path).
+//     divergent buckets.
 //   * Local durability — with `StoreOptions.disk` attached, every applied
 //     record (and hinted-handoff obligation) is logged to a CRC-framed WAL
 //     on a fault-injectable simulated disk (io::SimDisk) and group-commit
@@ -48,9 +46,7 @@
 //   storeDelete key=;                  -> ok version= acks=
 //   storeScan prefix=? cursor=? limit=? scope=?;
 //                                      -> ok keys={...} next= done=
-//   storeList prefix=? scope=?;        -> ok keys={...} (shim over storeScan)
 //   storeCount;                        -> ok count=        (this replica)
-//   storeDigest;                       -> ok entries={key|version|flag ...}
 //   storeDigestTree nodes=;            -> ok depth= leaves= hashes={id|hash}
 //   storeDigestBucket bucket=;         -> ok entries={key|version|flag ...}
 //   storeSync;                         -> ok fetched=
@@ -73,6 +69,14 @@
 
 namespace ace::store {
 
+// storeScan page size when the caller omits limit=, and the hard per-page
+// cap any request is clamped to.
+inline constexpr int kScanLimit = 256;
+inline constexpr int kScanLimitMax = 4096;
+// Merkle digest tree depth: 2^depth anti-entropy buckets. Every replica
+// builds the same tree, so peers' node ids always line up.
+inline constexpr int kMerkleDepth = 12;
+
 struct StoreOptions {
   // Peer liveness probe cadence. Each replica pings its peers; a peer
   // transitioning unreachable -> reachable (either side of a partition
@@ -93,39 +97,9 @@ struct StoreOptions {
   // R: copies consulted per cluster-scope read; the newest version wins.
   // 1 serves straight from local state when this replica owns the key.
   int read_quorum = 1;
-  // Virtual nodes per replica on the consistent-hash ring.
-  int vnodes = kDefaultVnodes;
-  // Merkle digest tree depth: 2^depth anti-entropy buckets.
-  int merkle_depth = 12;
-
-  // Group-commit replication (false: seed-style sequential per-write
-  // storeReplicate RPCs — kept as the E16 ablation baseline).
-  bool group_commit = true;
-  // Extra batcher coalescing wait before each flush (0 = flush when idle;
-  // the in-flight RPC is the natural batching window).
-  std::chrono::milliseconds flush_interval{0};
-  // Per-peer replication deadline (batched and direct).
+  // Per-peer deadline for replication, digest reads, read repair and
+  // scan pages.
   std::chrono::milliseconds replicate_timeout{300};
-
-  // Merkle-tree anti-entropy (false: full storeDigest scan — ablation).
-  bool merkle_sync = true;
-
-  // Digest reads: a cluster-scope storeGet fetches one full value plus
-  // version digests (storeGetDigest) from the other preference-list
-  // replicas, all in parallel on the pipelined channel. false restores the
-  // legacy serial full-value quorum loop (the E20 ablation baseline).
-  bool digest_reads = true;
-  // Read repair: a replica observed stale or absent during a read gets an
-  // async storeReplicate of the winning record on the ops pool, so hot
-  // keys converge without waiting for Merkle anti-entropy.
-  bool read_repair = true;
-  // storeScan page size: the default when the caller omits limit=, and the
-  // hard per-page cap any request is clamped to.
-  int scan_limit = 256;
-  int scan_limit_max = 4096;
-  // storeList compatibility shim: keys per reply cap (the shim pages
-  // through storeScan and stops here, flagging the reply truncated=yes).
-  int list_max_keys = 100000;
 
   // Local durability. When a disk is attached every applied record is
   // WAL-logged (CRC-framed, group-commit fsynced before the write acks),
@@ -138,9 +112,9 @@ struct StoreOptions {
   std::size_t compact_wal_bytes = 1u << 20;
 };
 
-// Rejects contradictory configurations (W or R above N, non-positive
-// vnodes, out-of-range merkle_depth) with a clear message. Checked at
-// daemon construction; a failed validation makes start() fail.
+// Rejects contradictory configurations (N below 1, W or R above N) with a
+// clear message. Checked at daemon construction; a failed validation makes
+// start() fail.
 util::Status validate_store_options(const StoreOptions& options);
 
 class PersistentStoreDaemon : public daemon::ServiceDaemon {
@@ -165,8 +139,7 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
 
   // Runs one anti-entropy round against all reachable peers; returns the
   // number of objects fetched. (Also exposed as the storeSync command, and
-  // triggered automatically on boot and on peer-rejoin detection.) Uses the
-  // Merkle digest tree unless StoreOptions.merkle_sync is off.
+  // triggered automatically on boot and on peer-rejoin detection.)
   util::Result<std::int64_t> sync_from_peers();
 
   // Introspection for tests and benches.
@@ -231,10 +204,7 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   WriteOutcome coordinate_write(const std::string& key,
                                 const ObjectRecord& record);
   // Cluster-scope read gathering up to R copies; newest version wins.
-  // Dispatches to the parallel digest path or the legacy serial loop.
   cmdlang::CmdLine coordinate_read(const std::string& key);
-  cmdlang::CmdLine coordinate_read_digest(const std::string& key);
-  cmdlang::CmdLine coordinate_read_serial(const std::string& key);
   // Pushes the winning record to replicas observed stale/absent during a
   // read — async on the ops pool, off the reply path.
   void schedule_read_repair(const std::string& key, const ObjectRecord& winner,
@@ -257,8 +227,7 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
                         std::uint64_t version);
   void drain_hints(const net::Address& peer);
 
-  std::int64_t sync_with_peer_full(const net::Address& peer);
-  std::int64_t sync_with_peer_merkle(const net::Address& peer);
+  std::int64_t sync_with_peer(const net::Address& peer);
   // Applies one "key|version|flag" digest entry, fetching the payload from
   // `peer` when it is newer than local state. Returns 1 if applied.
   std::int64_t ingest_digest_entry(const net::Address& peer,

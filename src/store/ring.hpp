@@ -23,8 +23,8 @@
 
 namespace ace::store {
 
-// Shared by StoreOptions and StoreClient: both sides must agree on the
-// vnode count to derive the same layout.
+// Virtual nodes per replica. Every store replica and every StoreClient
+// builds its ring with this count, so all of them derive the same layout.
 inline constexpr int kDefaultVnodes = 16;
 
 class Ring {

@@ -237,7 +237,7 @@ TEST_F(AsdScaleTest, HostCoordinatorKeepsServicesAliveWithOneRpcStream) {
     c.name = "worker-" + std::to_string(i);
     c.room = "hawk";
     c.lease = 300ms;
-    c.lease_renew = 100ms;  // batch_renew defaults to true
+    c.lease_renew = 100ms;
     daemons.push_back(&host.add_daemon<services::HrmDaemon>(c));
   }
   ASSERT_TRUE(host.start_all().ok());

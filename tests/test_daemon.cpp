@@ -144,6 +144,8 @@ TEST_F(DaemonTest, CallerPrincipalFromCertificate) {
 TEST_F(DaemonTest, UnknownCommandAndBadSyntaxRejected) {
   auto& echo = host_->add_daemon<EchoDaemon>(config("echo4"));
   ASSERT_TRUE(echo.start().ok());
+  auto& rejected = deployment_->env.metrics().counter("daemon.cmd.rejected");
+  const auto rejected_before = rejected.value();
 
   auto bad = client_->call(echo.address(), CmdLine("teleport"));
   ASSERT_TRUE(bad.ok());
@@ -155,7 +157,7 @@ TEST_F(DaemonTest, UnknownCommandAndBadSyntaxRejected) {
   auto miss = client_->call(echo.address(), missing);
   ASSERT_TRUE(miss.ok());
   EXPECT_TRUE(cmdlang::is_error(miss.value()));
-  EXPECT_GE(echo.stats().commands_rejected, 2u);
+  EXPECT_GE(rejected.value(), rejected_before + 2);
 }
 
 TEST_F(DaemonTest, NotificationsFireOnCommandExecution) {
@@ -266,7 +268,8 @@ TEST_F(DaemonTest, AuthorizationDeniesUnauthorizedPrincipal) {
   ASSERT_TRUE(denied.ok());
   EXPECT_TRUE(cmdlang::is_error(denied.value()));
   EXPECT_EQ(cmdlang::reply_error(denied.value()).code, util::Errc::auth_error);
-  EXPECT_GE(echo.stats().authorizations_denied, 1u);
+  EXPECT_GE(deployment_->env.metrics().counter("daemon.auth.denied").value(),
+            1u);
 }
 
 TEST_F(DaemonTest, AuthorizationViaAuthDbCredential) {
@@ -302,13 +305,19 @@ TEST_F(DaemonTest, AuthorizationViaAuthDbCredential) {
 }
 
 TEST_F(DaemonTest, StatsCountConnectionsAndCommands) {
-  auto& echo = host_->add_daemon<EchoDaemon>(config("counted"));
+  // A deployment of its own (no directory, logger or lease traffic), so
+  // its registry counts only this daemon and this client.
+  daemon::Environment env(11);
+  daemon::DaemonHost host(env, "solo");
+  auto& echo = host.add_daemon<EchoDaemon>(config("counted"));
   ASSERT_TRUE(echo.start().ok());
+  daemon::AceClient client(env, env.network().add_host("solo-laptop"),
+                           env.issue_identity("user/tester"));
   for (int i = 0; i < 5; ++i)
-    ASSERT_TRUE(client_->call(echo.address(), CmdLine("ping"), daemon::kCallOk).ok());
-  auto stats = echo.stats();
-  EXPECT_EQ(stats.connections_accepted, 1u);  // cached channel reused
-  EXPECT_EQ(stats.commands_executed, 5u);
+    ASSERT_TRUE(client.call(echo.address(), CmdLine("ping"), daemon::kCallOk).ok());
+  EXPECT_EQ(env.metrics().counter("daemon.conn.accepted").value(),
+            1u);  // cached channel reused
+  EXPECT_EQ(env.metrics().counter("daemon.cmd.executed").value(), 5u);
 }
 
 // --------------------------------------------------------- device hierarchy

@@ -447,7 +447,7 @@ TEST(NotifyBatchTest, BuiltinDispatchesEachEventAndReportsCounts) {
   EXPECT_EQ(sink.received(), 2);
 }
 
-TEST(NotifyBatchTest, BurstCoalescesIntoBatchesAndAblationDoesNot) {
+TEST(NotifyBatchTest, BurstCoalescesIntoBatches) {
   testenv::AceTestEnv deployment(78);
   ASSERT_TRUE(deployment.start().ok());
   daemon::DaemonHost host(deployment.env, "workstation");
@@ -456,11 +456,10 @@ TEST(NotifyBatchTest, BurstCoalescesIntoBatchesAndAblationDoesNot) {
   ec.name = "emitter";
   ec.room = "hawk";
   auto& emitter = host.add_daemon<SinkDaemon>(ec);
-  daemon::DaemonConfig ac;
-  ac.name = "emitter-ablate";
-  ac.room = "hawk";
-  ac.batch_notify = false;  // the per-event ablation
-  auto& ablated = host.add_daemon<SinkDaemon>(ac);
+  daemon::DaemonConfig lc;
+  lc.name = "lone-emitter";
+  lc.room = "hawk";
+  auto& lone = host.add_daemon<SinkDaemon>(lc);
   daemon::DaemonConfig sc;
   sc.name = "sink";
   sc.room = "hawk";
@@ -475,7 +474,7 @@ TEST(NotifyBatchTest, BurstCoalescesIntoBatchesAndAblationDoesNot) {
     ASSERT_TRUE(cmdlang::is_ok(from.execute(sub, kCaller)));
   };
   subscribe(emitter);
-  subscribe(ablated);
+  subscribe(lone);
 
   auto& batches = deployment.env.metrics().counter("daemon.notify_batches");
   auto& batched_events =
@@ -483,20 +482,19 @@ TEST(NotifyBatchTest, BurstCoalescesIntoBatchesAndAblationDoesNot) {
   constexpr int kEvents = 300;
   CmdLine poke("poke");
 
-  // Batched emitter: a tight burst piles events behind the notify pump's
-  // first (connection-establishing) send, so coalescing must kick in.
+  // A lone event, with nothing else queued for its destination, goes out
+  // as a plain frame.
   const auto batches_before = batches.value();
+  (void)lone.execute(poke, kCaller);
+  ASSERT_TRUE(eventually(5000ms, [&] { return sink.received() >= 1; }));
+  EXPECT_EQ(batches.value(), batches_before);
+
+  // A tight burst piles events behind the notify pump's first
+  // (connection-establishing) send, so coalescing must kick in.
   for (int i = 0; i < kEvents; ++i) (void)emitter.execute(poke, kCaller);
-  ASSERT_TRUE(eventually(5000ms, [&] { return sink.received() >= kEvents; }));
-  EXPECT_EQ(sink.received(), kEvents);
+  ASSERT_TRUE(
+      eventually(5000ms, [&] { return sink.received() >= kEvents + 1; }));
+  EXPECT_EQ(sink.received(), kEvents + 1);
   EXPECT_GT(batches.value(), batches_before);
   EXPECT_GT(batched_events.value(), 0u);
-
-  // Ablated emitter: same burst, zero batches, every event still lands.
-  const auto batches_mid = batches.value();
-  for (int i = 0; i < kEvents; ++i) (void)ablated.execute(poke, kCaller);
-  ASSERT_TRUE(
-      eventually(5000ms, [&] { return sink.received() >= 2 * kEvents; }));
-  EXPECT_EQ(sink.received(), 2 * kEvents);
-  EXPECT_EQ(batches.value(), batches_mid);
 }

@@ -215,7 +215,11 @@ TEST_F(ScenarioTest, Scenario3WorkspaceAppearsAtAccessPoint) {
   EXPECT_TRUE(wait_until([&] {
     return server->framebuffer_hash() == viewer->framebuffer_hash();
   }));
-  EXPECT_EQ(wss_->workspace("john/default")->shown_at, "podium");
+  // wssShow records the location only once the viewer's attach returns,
+  // which can be after the framebuffers have already converged.
+  EXPECT_TRUE(wait_until([&] {
+    return wss_->workspace("john/default")->shown_at == "podium";
+  }));
 }
 
 TEST_F(ScenarioTest, Scenario4MultipleWorkspacesSelectable) {
