@@ -210,6 +210,19 @@ read_path_race_sweep() {
     'QuorumStoreTest.ChaosQuorumTortureNeverLosesAckedWrites'
 }
 
+# Every authorized command on every strand reads the daemon's verdict
+# cache, and a credential refetch replaces the cache entry a concurrent
+# check may be about to store its verdict into. Replay the authorization
+# suites — including the four-strand refetch race — under TSan.
+authz_race_sweep() {
+  local build_dir="$1"
+  echo "=== authorization verdict-cache sweep under ThreadSanitizer ==="
+  run_filtered "${build_dir}/tests/test_daemon" 'DaemonTest.Authorization*' \
+    --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_failures" \
+    'FailureTest.*Auth*:FailureTest.CredentialCache*' --gtest_repeat=3
+}
+
 # Replays the durable-store suite — power cycles, torn WAL tails, lying
 # fsyncs, crash-mid-compaction — under fixed seeds with ASan watching the
 # recovery paths (daemon restart swaps the batcher, monitor, and durable
@@ -238,6 +251,7 @@ case "${want}" in
     chaos_seed_sweep build-tsan
     media_race_sweep build-tsan
     read_path_race_sweep build-tsan
+    authz_race_sweep build-tsan
     ;;&
   asan|all)
     run_config "asan" build-asan -DACE_SANITIZE=address

@@ -133,7 +133,9 @@ struct HandshakeCore {
                         std::vector<util::Bytes>& out) {
     if (frames_seen++ == 0) return on_peer_hello(frame, out);
 
-    if (frame != expected_peer_auth)
+    if (frame.size() != expected_peer_auth.size() ||
+        !constant_time_equal(frame.data(), expected_peer_auth.data(),
+                             frame.size()))
       return util::Error{util::Errc::auth_error,
                          "handshake: peer authentication failed"};
     done = true;
@@ -162,12 +164,12 @@ struct HandshakeCore {
         dh_shared(self.static_private, peer_hello->certificate.static_public);
 
     // Mutual authentication: prove possession of the static private key.
-    util::Bytes static_shared_bytes = u64_bytes(static_shared);
+    const HmacKey static_key(u64_bytes(static_shared));
     auto authenticator = [&](const char* label) {
       util::Bytes msg = transcript_bytes;
       msg.insert(msg.end(), label,
                  label + std::char_traits<char>::length(label));
-      Digest d = hmac_sha256(static_shared_bytes, msg);
+      Digest d = static_key.mac(msg);
       return util::Bytes(d.begin(), d.end());
     };
     util::Bytes my_auth = authenticator(is_client ? "client" : "server");
@@ -187,8 +189,7 @@ struct HandshakeCore {
                        static_cast<std::uint32_t>(keys[offset + 33]) << 8 |
                        static_cast<std::uint32_t>(keys[offset + 34]) << 16 |
                        static_cast<std::uint32_t>(keys[offset + 35]) << 24;
-      dir.mac_key.assign(keys.begin() + offset + 36,
-                         keys.begin() + offset + 68);
+      dir.mac_key = HmacKey(keys.data() + offset + 36, 32);
     };
     SecureChannel::DirectionKeys client_to_server, server_to_client;
     load_direction(0, client_to_server);
@@ -407,7 +408,7 @@ util::Status SecureChannel::send(net::Frame frame) {
   util::ByteWriter record;
   record.u64(seq);
   record.raw(frame);
-  Digest mac = hmac_sha256(keys.mac_key, record.bytes());
+  Digest mac = keys.mac_key.mac(record.bytes());
   record.raw(mac.data(), kMacTagLen);
   return state_->conn.send(record.take());
 }
@@ -431,9 +432,9 @@ std::optional<net::Frame> SecureChannel::decrypt_record(State& state,
   // the payload is decrypted where it lies, so the only data movement is
   // one memmove dropping the 8-byte header (no body/payload copies).
   std::size_t body_len = record.size() - kMacTagLen;
-  Digest mac = hmac_sha256(keys.mac_key, record.data(), body_len);
-  for (std::size_t i = 0; i < kMacTagLen; ++i)
-    if (record[body_len + i] != mac[i]) return std::nullopt;  // forged
+  Digest mac = keys.mac_key.mac(record.data(), body_len);
+  if (!constant_time_equal(record.data() + body_len, mac.data(), kMacTagLen))
+    return std::nullopt;  // forged
 
   util::ByteReader r(record.data(), 8);
   auto seq = r.u64();

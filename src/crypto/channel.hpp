@@ -20,6 +20,7 @@
 
 #include "crypto/certificate.hpp"
 #include "crypto/chacha20.hpp"
+#include "crypto/sha256.hpp"
 #include "net/network.hpp"
 #include "net/reactor.hpp"
 #include "obs/metrics.hpp"
@@ -103,7 +104,7 @@ class SecureChannel {
   struct DirectionKeys {
     ChaChaKey cipher_key{};
     std::uint32_t nonce_salt = 0;
-    util::Bytes mac_key;
+    HmacKey mac_key;  // keyed once at handshake
     std::uint64_t sequence = 0;
   };
 

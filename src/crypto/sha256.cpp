@@ -75,16 +75,17 @@ void Sha256::update(const std::uint8_t* data, std::size_t n) {
 }
 
 Digest Sha256::finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_bytes[8];
+  const std::uint64_t bit_len = total_len_ * 8;
+  // buffer_len_ < 64 here: update() compresses every full block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {  // no room for the length field in this block
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  // Bypass total_len_ accounting for the length field itself.
-  std::memcpy(buffer_.data() + 56, len_bytes, 8);
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
   process_block(buffer_.data());
   Digest out;
   for (int i = 0; i < 8; ++i) {
@@ -108,37 +109,53 @@ Digest sha256(std::string_view data) {
   return h.finish();
 }
 
-Digest hmac_sha256(const util::Bytes& key, const util::Bytes& message) {
-  return hmac_sha256(key, message.data(), message.size());
+HmacKey::HmacKey(const std::uint8_t* key, std::size_t n) {
+  std::array<std::uint8_t, 64> block{};
+  if (n > block.size()) {
+    Sha256 h;
+    h.update(key, n);
+    Digest d = h.finish();
+    std::memcpy(block.data(), d.data(), d.size());
+  } else if (n > 0) {
+    std::memcpy(block.data(), key, n);
+  }
+  std::array<std::uint8_t, 64> pad;
+  for (std::size_t i = 0; i < pad.size(); ++i) pad[i] = block[i] ^ 0x36;
+  inner_.update(pad.data(), pad.size());
+  for (std::size_t i = 0; i < pad.size(); ++i) pad[i] = block[i] ^ 0x5c;
+  outer_.update(pad.data(), pad.size());
 }
 
-Digest hmac_sha256(const util::Bytes& key, const std::uint8_t* message,
-                   std::size_t n) {
-  util::Bytes k = key;
-  if (k.size() > 64) {
-    Digest d = sha256(k);
-    k.assign(d.begin(), d.end());
-  }
-  k.resize(64, 0);
-  util::Bytes ipad(64), opad(64);
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
-  }
-  Sha256 inner;
-  inner.update(ipad);
+Digest HmacKey::mac(const std::uint8_t* message, std::size_t n) const {
+  Sha256 inner = inner_;
   inner.update(message, n);
-  Digest inner_digest = inner.finish();
-  Sha256 outer;
-  outer.update(opad);
+  const Digest inner_digest = inner.finish();
+  Sha256 outer = outer_;
   outer.update(inner_digest.data(), inner_digest.size());
   return outer.finish();
 }
 
+Digest hmac_sha256(const util::Bytes& key, const util::Bytes& message) {
+  return HmacKey(key).mac(message);
+}
+
+Digest hmac_sha256(const util::Bytes& key, const std::uint8_t* message,
+                   std::size_t n) {
+  return HmacKey(key).mac(message, n);
+}
+
+bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t n) {
+  std::uint8_t diff = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    diff |= static_cast<std::uint8_t>(a[i] ^ b[i]);
+  return diff == 0;
+}
+
 util::Bytes hkdf(const util::Bytes& salt, const util::Bytes& ikm,
                  std::string_view info, std::size_t length) {
-  Digest prk = hmac_sha256(salt, ikm);
-  util::Bytes prk_bytes(prk.begin(), prk.end());
+  const Digest prk = hmac_sha256(salt, ikm);
+  const HmacKey prk_key(prk.data(), prk.size());
   util::Bytes out;
   util::Bytes previous;
   std::uint8_t counter = 1;
@@ -146,7 +163,7 @@ util::Bytes hkdf(const util::Bytes& salt, const util::Bytes& ikm,
     util::Bytes block = previous;
     block.insert(block.end(), info.begin(), info.end());
     block.push_back(counter++);
-    Digest t = hmac_sha256(prk_bytes, block);
+    Digest t = prk_key.mac(block);
     previous.assign(t.begin(), t.end());
     out.insert(out.end(), t.begin(), t.end());
   }

@@ -63,6 +63,8 @@ ServiceDaemon::ServiceDaemon(Environment& env, DaemonHost& host,
       obs_cmd_executed_(&env.metrics().counter("daemon.cmd.executed")),
       obs_cmd_rejected_(&env.metrics().counter("daemon.cmd.rejected")),
       obs_auth_denied_(&env.metrics().counter("daemon.auth.denied")),
+      obs_auth_verdict_hits_(
+          &env.metrics().counter("daemon.auth.verdict_hits")),
       obs_notify_sent_(&env.metrics().counter("daemon.notify.sent")),
       obs_notify_batches_(&env.metrics().counter("daemon.notify_batches")),
       obs_notify_batched_events_(
@@ -641,24 +643,44 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
                                       const CallerInfo& caller) {
   if (!config_.enforce_authorization) return util::Status::ok_status();
 
-  std::string principal =
-      caller.principal.empty() ? "anonymous" : caller.principal;
+  static const std::string kAnonymous = "anonymous";
+  const std::string& principal =
+      caller.principal.empty() ? kAnonymous : caller.principal;
+  auto denied = [&] {
+    return util::Error{util::Errc::auth_error,
+                       "principal '" + principal +
+                           "' is not authorized for command '" + cmd.name() +
+                           "' on service '" + config_.name + "'"};
+  };
+
+  // Read before the policies and keys the check consults: a change that
+  // lands during the check leaves its verdict under the older epoch.
+  const std::uint64_t epoch = env_.trust_epoch();
 
   // Fig 10 step 2-4: fetch the caller's credentials from the
-  // Authorization Database (with a short-lived cache).
+  // Authorization Database (with a short-lived cache). A pair already
+  // checked on the cached credentials answers from its verdict.
   std::vector<keynote::Assertion> credentials;
-  bool cached = false;
+  std::uint64_t generation = 0;  // cache entry the verdict belongs to
   {
     std::scoped_lock lock(cred_mu_);
     auto it = credential_cache_.find(principal);
     if (it != credential_cache_.end() &&
         std::chrono::steady_clock::now() - it->second.fetched <
             config_.credential_cache_ttl) {
-      credentials = it->second.credentials;
-      cached = true;
+      const CachedCredentials& entry = it->second;
+      auto verdict = entry.verdicts.find(cmd.name());
+      if (verdict != entry.verdicts.end() &&
+          verdict->second.trust_epoch == epoch) {
+        obs_auth_verdict_hits_->inc();
+        if (verdict->second.allowed) return util::Status::ok_status();
+        return denied();
+      }
+      credentials = entry.credentials;
+      generation = entry.generation;
     }
   }
-  if (!cached && !env_.auth_db_address.host.empty() &&
+  if (generation == 0 && !env_.auth_db_address.host.empty() &&
       env_.auth_db_address != address()) {
     CmdLine fetch("getCredentials");
     fetch.arg("principal", principal);
@@ -672,8 +694,9 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
         }
       }
       std::scoped_lock lock(cred_mu_);
-      credential_cache_[principal] = {credentials,
-                                      std::chrono::steady_clock::now()};
+      generation = ++credential_generation_;
+      credential_cache_[principal] = {
+          credentials, std::chrono::steady_clock::now(), generation, {}};
     }
   }
 
@@ -692,12 +715,15 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
   query.credentials = std::move(credentials);
   auto result = keynote::ComplianceChecker::check(query, &env_.keys());
   if (!result.ok()) return result.error();
-  if (!result->authorized) {
-    return util::Error{util::Errc::auth_error,
-                       "principal '" + principal +
-                           "' is not authorized for command '" + cmd.name() +
-                           "' on service '" + config_.name + "'"};
+  if (generation != 0) {
+    // Only into the fetch it was computed from: a refetch (TTL expiry,
+    // crash()) that replaced the entry meanwhile starts with no verdicts.
+    std::scoped_lock lock(cred_mu_);
+    auto it = credential_cache_.find(principal);
+    if (it != credential_cache_.end() && it->second.generation == generation)
+      it->second.verdicts[cmd.name()] = {result->authorized, epoch};
   }
+  if (!result->authorized) return denied();
   return util::Status::ok_status();
 }
 

@@ -22,7 +22,9 @@
 //  * startup (§2.6, Fig 9): Room Database -> ASD registration (with lease)
 //    -> Network Logger, then periodic lease renewal.
 //  * security (§3): per-connection secure-channel handshake; optional
-//    per-command KeyNote authorization against the Authorization Database.
+//    per-command KeyNote authorization against the Authorization Database,
+//    with each (principal, command) verdict cached alongside the
+//    principal's credentials.
 #pragma once
 
 #include <atomic>
@@ -276,17 +278,32 @@ class ServiceDaemon {
   mutable std::mutex notify_mu_;
   std::vector<NotificationEntry> notifications_;
 
-  mutable std::mutex cred_mu_;
+  // Per principal: the credentials last fetched from the Authorization
+  // Database, and the KeyNote verdicts reached on them, keyed by command
+  // (the rest of the action comes from config_, so (principal, command)
+  // decides the answer). The whole entry lives for credential_cache_ttl; a
+  // verdict is used only under the Environment trust epoch it was computed
+  // in. `generation` is unique per fetch, so a verdict computed from one
+  // fetch is never stored into a later one.
+  struct Verdict {
+    bool allowed = false;
+    std::uint64_t trust_epoch = 0;
+  };
   struct CachedCredentials {
     std::vector<keynote::Assertion> credentials;
     std::chrono::steady_clock::time_point fetched;
+    std::uint64_t generation = 0;
+    std::map<std::string, Verdict> verdicts;
   };
+  mutable std::mutex cred_mu_;
   std::map<std::string, CachedCredentials> credential_cache_;
+  std::uint64_t credential_generation_ = 0;
 
   // Cached obs cells (deployment registry, `daemon.*` names).
   obs::Counter* obs_cmd_executed_;
   obs::Counter* obs_cmd_rejected_;
   obs::Counter* obs_auth_denied_;
+  obs::Counter* obs_auth_verdict_hits_;  // answered without KeyNote
   obs::Counter* obs_notify_sent_;
   obs::Counter* obs_notify_batches_;         // daemon.notify_batches
   obs::Counter* obs_notify_batched_events_;  // daemon.notify_batched_events

@@ -7,8 +7,13 @@
 //
 // Configuration is completed before daemons start; afterwards the
 // environment is treated as immutable shared state (thread-safe to read).
+// The one exception is the trust configuration: add_policy() and
+// register_principal() may also run on a live deployment while no command
+// is being authorized, and each bumps trust_epoch() so that no daemon
+// reuses an authorization verdict reached before the change.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -61,6 +66,10 @@ class Environment {
   // Returns the secret so tests can sign credentials with it.
   util::Bytes register_principal(const std::string& key_id);
 
+  // Counts add_policy() and register_principal() calls. A daemon's cached
+  // KeyNote verdict is only used under the epoch it was computed in.
+  std::uint64_t trust_epoch() const { return trust_epoch_.load(); }
+
   crypto::ChannelOptions& channel_options() { return channel_options_; }
   const crypto::ChannelOptions& channel_options() const {
     return channel_options_;
@@ -90,6 +99,7 @@ class Environment {
   crypto::CertificateAuthority ca_;
   keynote::KeyStore keys_;
   std::vector<keynote::Assertion> policies_;
+  std::atomic<std::uint64_t> trust_epoch_{0};
   crypto::ChannelOptions channel_options_;
   util::Rng seed_rng_;
 };

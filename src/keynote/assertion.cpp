@@ -316,11 +316,9 @@ bool KeyStore::verify(const Assertion& assertion) const {
   if (it == secrets_.end()) return false;
   crypto::Digest tag =
       crypto::hmac_sha256(it->second, util::to_bytes(assertion.body_text()));
-  if (assertion.signature.size() != tag.size()) return false;
-  std::uint8_t diff = 0;
-  for (std::size_t i = 0; i < tag.size(); ++i)
-    diff |= static_cast<std::uint8_t>(assertion.signature[i] ^ tag[i]);
-  return diff == 0;
+  return assertion.signature.size() == tag.size() &&
+         crypto::constant_time_equal(assertion.signature.data(), tag.data(),
+                                     tag.size());
 }
 
 }  // namespace ace::keynote

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <thread>
+
 #include "crypto/certificate.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/channel.hpp"
@@ -55,12 +60,54 @@ TEST(Hmac, Rfc4231Vector) {
 }
 
 TEST(Hmac, LongKeyIsHashedFirst) {
-  util::Bytes key(100, 0xaa);
-  util::Bytes msg = util::to_bytes("data");
-  // Sanity: deterministic and differs from short-key result.
-  EXPECT_EQ(hex(hmac_sha256(key, msg)), hex(hmac_sha256(key, msg)));
-  EXPECT_NE(hex(hmac_sha256(key, msg)),
-            hex(hmac_sha256(util::Bytes(10, 0xaa), msg)));
+  // RFC 4231 test cases 6 and 7: a 131-byte key, longer than the 64-byte
+  // block, so HMAC must hash it first; case 7's message spans 3 blocks.
+  util::Bytes key(131, 0xaa);
+  EXPECT_EQ(hex(hmac_sha256(
+                key, util::to_bytes(
+                         "Test Using Larger Than Block-Size Key - Hash Key First"))),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(
+      hex(hmac_sha256(
+          key, util::to_bytes("This is a test using a larger than block-size "
+                              "key and a larger than block-size data. The key "
+                              "needs to be hashed before being used by the "
+                              "HMAC algorithm."))),
+      "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+}
+
+// Message lengths around the padding boundaries: 55 bytes leave exactly
+// room for the 0x80 byte and the length field; from 56 up to 63 the
+// padding spills into a second block; 64, 119 and 120 repeat the cases one
+// block later.
+constexpr std::size_t kPaddingLengths[] = {55, 56, 57, 63, 64, 119, 120};
+
+TEST(Sha256, PaddingBoundaries) {
+  // Digests of 'a' * n from Python's hashlib.
+  const std::map<std::size_t, std::string> expected = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {57, "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (std::size_t n : kPaddingLengths)
+    EXPECT_EQ(hex(sha256(std::string(n, 'a'))), expected.at(n)) << "n=" << n;
+}
+
+TEST(Hmac, KeyedStateMatchesOneShot) {
+  // One HmacKey reused across messages, as a channel direction reuses its
+  // key for every record: mac() must leave the keyed midstates untouched.
+  util::Bytes key(32);
+  for (std::size_t i = 0; i < key.size(); ++i)
+    key[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  const HmacKey keyed(key);
+  for (std::size_t n : kPaddingLengths) {
+    const util::Bytes msg(n, 'a');
+    EXPECT_EQ(hex(keyed.mac(msg)), hex(hmac_sha256(key, msg))) << "n=" << n;
+  }
 }
 
 TEST(Hkdf, ProducesRequestedLengthDeterministically) {
@@ -201,6 +248,65 @@ class ChannelTest : public ::testing::Test {
                 std::move(server_side.value())};
   }
 
+  // A channel pair with a man in the middle: the client dials "relay", and
+  // the relay dials the server on `port`. The relay thread carries the four
+  // handshake frames across untouched; after that the test moves client
+  // records to the server by hand, so it can corrupt, replay or reorder
+  // them on the way.
+  struct Relayed {
+    SecureChannel client;
+    SecureChannel server;
+    net::Connection from_client;  // the relay's end facing the client
+    net::Connection to_server;    // the relay's end facing the server
+  };
+
+  util::Result<Relayed> make_relayed_pair(std::uint16_t port) {
+    auto server_listener = network_.add_host("server").listen(port);
+    if (!server_listener.ok()) return server_listener.error();
+    net::Host& relay = network_.add_host("relay");
+    auto relay_listener = relay.listen(port);
+    if (!relay_listener.ok()) return relay_listener.error();
+    auto client_conn = network_.add_host("client").connect({"relay", port}, 1s);
+    if (!client_conn.ok()) return client_conn.error();
+    auto from_client = (*relay_listener)->accept(1s);
+    auto to_server = relay.connect({"server", port}, 1s);
+    if (!from_client || !to_server.ok())
+      return util::Error{util::Errc::timeout, "relay not connected"};
+    auto server_conn = (*server_listener)->accept(1s);
+    if (!server_conn) return util::Error{util::Errc::timeout, "no accept"};
+
+    auto forward = [](net::Connection& from, net::Connection& to, int frames) {
+      for (int i = 0; i < frames; ++i) {
+        auto f = from.recv(1s);
+        if (!f || !to.send(std::move(*f)).ok()) return;
+      }
+    };
+    std::thread relay_thread([&] {
+      // Client hello; server hello and authenticator; client authenticator.
+      forward(*from_client, to_server.value(), 1);
+      forward(to_server.value(), *from_client, 2);
+      forward(*from_client, to_server.value(), 1);
+    });
+    // Issued up front: the CA is not thread-safe.
+    const Identity client_id = ca_.issue("user/client");
+    const Identity server_id = ca_.issue("svc/server");
+    util::Result<SecureChannel> server_side{util::Errc::invalid};
+    std::thread server_thread([&] {
+      server_side = SecureChannel::accept(std::move(*server_conn), server_id,
+                                          ca_.verification_key(), 1s);
+    });
+    auto client_side = SecureChannel::connect(std::move(client_conn.value()),
+                                              client_id,
+                                              ca_.verification_key(), 1s);
+    server_thread.join();
+    relay_thread.join();
+    if (!client_side.ok()) return client_side.error();
+    if (!server_side.ok()) return server_side.error();
+    return Relayed{std::move(client_side.value()),
+                   std::move(server_side.value()), std::move(*from_client),
+                   std::move(to_server.value())};
+  }
+
   net::Network network_;
   CertificateAuthority ca_{77};
 };
@@ -291,4 +397,120 @@ TEST_F(ChannelTest, ForgedCertificateRejected) {
   EXPECT_FALSE(server_side.ok());
   EXPECT_EQ(server_side.error().code, util::Errc::auth_error);
   (void)client_side;
+}
+
+// --------------------------------------------------- record-layer tampering
+
+namespace {
+
+// How the man in the middle attacks a stream of three records carrying
+// "record 0", "record 1" and "record 2". A record is
+// seq(8) | ciphertext | tag(16).
+enum class Tamper { sequence_bit, ciphertext_bit, tag_bit, replay, reorder };
+
+const char* tamper_name(Tamper t) {
+  switch (t) {
+    case Tamper::sequence_bit: return "sequence_bit";
+    case Tamper::ciphertext_bit: return "ciphertext_bit";
+    case Tamper::tag_bit: return "tag_bit";
+    case Tamper::replay: return "replay";
+    case Tamper::reorder: return "reorder";
+  }
+  return "?";
+}
+
+constexpr Tamper kTampers[] = {Tamper::sequence_bit, Tamper::ciphertext_bit,
+                               Tamper::tag_bit, Tamper::replay,
+                               Tamper::reorder};
+
+// The bad frame that reaches the server right after record 0: record 1
+// with one bit flipped, record 0 again (replay), or record 2 ahead of
+// record 1 (reorder).
+util::Bytes bad_frame(Tamper t, const std::vector<util::Bytes>& records) {
+  util::Bytes bad = records[1];
+  switch (t) {
+    case Tamper::sequence_bit: bad[7] ^= 0x01; break;
+    case Tamper::ciphertext_bit: bad[8 + 3] ^= 0x10; break;
+    case Tamper::tag_bit: bad[bad.size() - 1] ^= 0x80; break;
+    case Tamper::replay: bad = records[0]; break;
+    case Tamper::reorder: bad = records[2]; break;
+  }
+  return bad;
+}
+
+}  // namespace
+
+TEST_F(ChannelTest, RecvDropsTamperedReplayedAndReorderedRecords) {
+  std::uint16_t port = 300;
+  for (Tamper t : kTampers) {
+    SCOPED_TRACE(tamper_name(t));
+    auto pair = make_relayed_pair(port++);
+    ASSERT_TRUE(pair.ok()) << pair.error().to_string();
+    std::vector<util::Bytes> records;
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          pair->client.send(util::to_bytes("record " + std::to_string(i))).ok());
+      auto record = pair->from_client.recv(1s);
+      ASSERT_TRUE(record.has_value());
+      records.push_back(std::move(*record));
+    }
+
+    // record 0, the bad frame, then records 1 and 2 intact and in order.
+    for (const util::Bytes& frame :
+         {records[0], bad_frame(t, records), records[1], records[2]})
+      ASSERT_TRUE(pair->to_server.send(frame).ok());
+    auto first = pair->server.recv(1s);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(util::to_string(*first), "record 0");
+    EXPECT_FALSE(pair->server.recv(1s).has_value());  // the bad frame
+    // Dropping it left the expected sequence where it was.
+    for (int i = 1; i < 3; ++i) {
+      auto got = pair->server.recv(1s);
+      ASSERT_TRUE(got.has_value()) << "record " << i;
+      EXPECT_EQ(util::to_string(*got), "record " + std::to_string(i));
+    }
+  }
+}
+
+TEST_F(ChannelTest, OnFrameClosesChannelOnTamperedRecord) {
+  std::uint16_t port = 400;
+  for (Tamper t : kTampers) {
+    SCOPED_TRACE(tamper_name(t));
+    auto pair = make_relayed_pair(port++);
+    ASSERT_TRUE(pair.ok()) << pair.error().to_string();
+    std::vector<util::Bytes> records;
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          pair->client.send(util::to_bytes("record " + std::to_string(i))).ok());
+      auto record = pair->from_client.recv(1s);
+      ASSERT_TRUE(record.has_value());
+      records.push_back(std::move(*record));
+    }
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::string> delivered;
+    bool closed = false;
+    net::Reactor reactor;
+    net::Subscription sub = pair->server.on_frame(
+        reactor, [&](std::optional<net::Frame> frame) {
+          std::scoped_lock lock(mu);
+          if (frame)
+            delivered.push_back(util::to_string(*frame));
+          else
+            closed = true;
+          cv.notify_all();
+        });
+    // Nothing follows the bad frame: records already queued behind it
+    // would still drain to the handler after the close.
+    ASSERT_TRUE(pair->to_server.send(records[0]).ok());
+    ASSERT_TRUE(pair->to_server.send(bad_frame(t, records)).ok());
+    {
+      std::unique_lock lock(mu);
+      ASSERT_TRUE(cv.wait_for(lock, 2s, [&] { return closed; }));
+      EXPECT_EQ(delivered, std::vector<std::string>{"record 0"});
+    }
+    sub.stop();
+    EXPECT_TRUE(pair->server.closed());
+  }
 }

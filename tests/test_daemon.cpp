@@ -3,6 +3,9 @@
 // device hierarchy (§2.3 Fig 6) and failure behaviour.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "ace_test_env.hpp"
 #include "daemon/devices.hpp"
 #include "services/auth_db.hpp"
@@ -29,7 +32,8 @@ class EchoDaemon : public daemon::ServiceDaemon {
           return reply;
         });
     register_command(
-        cmdlang::CommandSpec("whoami", "report caller principal"),
+        cmdlang::CommandSpec("whoami", "report caller principal")
+            .concurrent_ok(),
         [](const CmdLine&, const daemon::CallerInfo& caller) {
           CmdLine reply = cmdlang::make_ok();
           reply.arg("principal", caller.principal);
@@ -263,13 +267,28 @@ TEST_F(DaemonTest, AuthorizationDeniesUnauthorizedPrincipal) {
   auto allowed = alice->call(echo.address(), cmd, daemon::kCallOk);
   EXPECT_TRUE(allowed.ok()) << (allowed.ok() ? "" : allowed.error().to_string());
 
+  // Denied twice: the second answer comes from the cached verdict.
   auto mallory = deployment_->make_client("mallory-pc", "user/mallory");
-  auto denied = mallory->call(echo.address(), cmd);
-  ASSERT_TRUE(denied.ok());
-  EXPECT_TRUE(cmdlang::is_error(denied.value()));
-  EXPECT_EQ(cmdlang::reply_error(denied.value()).code, util::Errc::auth_error);
-  EXPECT_GE(deployment_->env.metrics().counter("daemon.auth.denied").value(),
-            1u);
+  for (int i = 0; i < 2; ++i) {
+    auto denied = mallory->call(echo.address(), cmd);
+    ASSERT_TRUE(denied.ok());
+    EXPECT_TRUE(cmdlang::is_error(denied.value()));
+    EXPECT_EQ(cmdlang::reply_error(denied.value()).code,
+              util::Errc::auth_error);
+  }
+  auto& metrics = deployment_->env.metrics();
+  EXPECT_EQ(metrics.counter("daemon.auth.denied").value(), 2u);
+  EXPECT_EQ(metrics.counter("daemon.auth.verdict_hits").value(), 1u);
+
+  // A new policy moves the trust epoch on, so the cached denial is not
+  // reused: mallory's next call is checked afresh and allowed.
+  keynote::Assertion mallory_policy = policy;
+  mallory_policy.licensees = keynote::licensee_key("user/mallory");
+  deployment_->env.add_policy(mallory_policy);
+  auto now_allowed = mallory->call(echo.address(), cmd, daemon::kCallOk);
+  EXPECT_TRUE(now_allowed.ok())
+      << (now_allowed.ok() ? "" : now_allowed.error().to_string());
+  EXPECT_EQ(metrics.counter("daemon.auth.verdict_hits").value(), 1u);
 }
 
 TEST_F(DaemonTest, AuthorizationViaAuthDbCredential) {
@@ -295,13 +314,115 @@ TEST_F(DaemonTest, AuthorizationViaAuthDbCredential) {
   auto bob = deployment_->make_client("bob-pc", "user/bob");
   CmdLine cmd("echo");
   cmd.arg("text", "hi");
-  auto allowed = bob->call(echo.address(), cmd, daemon::kCallOk);
-  EXPECT_TRUE(allowed.ok()) << (allowed.ok() ? "" : allowed.error().to_string());
+  // Twice each, so the second calls answer from cached verdicts: one
+  // command's verdict must not leak to the other.
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    auto allowed = bob->call(echo.address(), cmd, daemon::kCallOk);
+    EXPECT_TRUE(allowed.ok())
+        << (allowed.ok() ? "" : allowed.error().to_string());
 
-  // The credential is command-scoped: ping is not covered.
-  auto denied = bob->call(echo.address(), CmdLine("ping"));
-  ASSERT_TRUE(denied.ok());
+    // The credential is command-scoped: ping is not covered.
+    auto denied = bob->call(echo.address(), CmdLine("ping"));
+    ASSERT_TRUE(denied.ok());
+    EXPECT_TRUE(cmdlang::is_error(denied.value()));
+    EXPECT_EQ(cmdlang::reply_error(denied.value()).code,
+              util::Errc::auth_error);
+  }
+  EXPECT_EQ(
+      deployment_->env.metrics().counter("daemon.auth.verdict_hits").value(),
+      2u);
+}
+
+TEST_F(DaemonTest, AuthorizationRevokedThenCrashIsDeniedAtOnce) {
+  deployment_->env.register_principal("admin");
+  keynote::Assertion policy;
+  policy.authorizer = keynote::kPolicyAuthorizer;
+  policy.licensees = keynote::licensee_key("admin");
+  deployment_->env.add_policy(policy);
+  ASSERT_TRUE(services::grant_credential(
+                  *client_, deployment_->env.auth_db_address,
+                  deployment_->env, "admin", "user/bob", "")
+                  .ok());
+
+  // Far longer than the test: only crash() can drop the cached grant.
+  daemon::DaemonConfig c = config("guarded3");
+  c.enforce_authorization = true;
+  c.credential_cache_ttl = 10min;
+  auto& echo = host_->add_daemon<EchoDaemon>(c);
+  ASSERT_TRUE(echo.start().ok());
+
+  auto bob = deployment_->make_client("bob-pc", "user/bob");
+  ASSERT_TRUE(bob->call(echo.address(), CmdLine("whoami"), daemon::kCallOk).ok());
+
+  CmdLine revoke("credRemove");
+  revoke.arg("principal", "user/bob");
+  ASSERT_TRUE(
+      client_->call(deployment_->env.auth_db_address, revoke, daemon::kCallOk)
+          .ok());
+  echo.crash();
+  ASSERT_TRUE(echo.start().ok());
+
+  auto denied = bob->call(echo.address(), CmdLine("whoami"));
+  ASSERT_TRUE(denied.ok()) << denied.error().to_string();
   EXPECT_TRUE(cmdlang::is_error(denied.value()));
+  EXPECT_EQ(cmdlang::reply_error(denied.value()).code, util::Errc::auth_error);
+  EXPECT_EQ(
+      deployment_->env.metrics().counter("daemon.auth.verdict_hits").value(),
+      0u);
+}
+
+TEST_F(DaemonTest, AuthorizationVerdictCacheUnderConcurrentRefetch) {
+  // Two principals, two channels each, calling a concurrent_ok command, so
+  // four strands authorize in parallel. The 5 ms credential TTL makes
+  // refetches replace cache entries while other strands look verdicts up
+  // and store them; the TSan leg of ci.sh replays this.
+  deployment_->env.register_principal("admin");
+  keynote::Assertion policy;
+  policy.authorizer = keynote::kPolicyAuthorizer;
+  policy.licensees = keynote::licensee_key("admin");
+  deployment_->env.add_policy(policy);
+  const std::vector<std::string> principals = {"user/ann", "user/ben"};
+  for (const std::string& p : principals)
+    ASSERT_TRUE(services::grant_credential(
+                    *client_, deployment_->env.auth_db_address,
+                    deployment_->env, "admin", p, "command == \"whoami\"")
+                    .ok());
+
+  daemon::DaemonConfig c = config("guarded4");
+  c.enforce_authorization = true;
+  c.credential_cache_ttl = 5ms;
+  auto& echo = host_->add_daemon<EchoDaemon>(c);
+  ASSERT_TRUE(echo.start().ok());
+
+  std::vector<std::unique_ptr<daemon::AceClient>> clients;
+  std::vector<std::string> client_principal;
+  for (const std::string& p : principals)
+    for (int k = 0; k < 2; ++k) {
+      clients.push_back(deployment_->make_client(
+          p.substr(5) + "-pc" + std::to_string(k), p));
+      client_principal.push_back(p);
+    }
+
+  std::atomic<int> calls{0}, bad{0};
+  const auto deadline = std::chrono::steady_clock::now() + 300ms;
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < clients.size(); ++i)
+    threads.emplace_back([&, i] {
+      while (std::chrono::steady_clock::now() < deadline) {
+        auto r = clients[i]->call(echo.address(), CmdLine("whoami"));
+        ++calls;
+        if (!r.ok() || !cmdlang::is_ok(*r) ||
+            r->get_text("principal") != client_principal[i])
+          ++bad;
+      }
+    });
+  for (auto& t : threads) t.join();
+
+  EXPECT_GT(calls.load(), 0);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(deployment_->env.metrics().counter("daemon.auth.denied").value(),
+            0u);
 }
 
 TEST_F(DaemonTest, StatsCountConnectionsAndCommands) {

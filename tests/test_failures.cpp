@@ -330,12 +330,20 @@ TEST_F(FailureTest, RepeatedAuthDenialsRaiseSecurityAlert) {
   auto& svc = host.add_daemon<services::HrmDaemon>(c);
   ASSERT_TRUE(svc.start().ok());
 
+  // The second and third denials answer from the cached verdict, but
+  // each one is still counted (and reported to the Network Logger).
+  auto& metrics = deployment_->env.metrics();
+  const auto denied_before = metrics.counter("daemon.auth.denied").value();
+  const auto hits_before = metrics.counter("daemon.auth.verdict_hits").value();
   auto mallory = deployment_->make_client("mallory-pc", "user/mallory");
   for (int i = 0; i < 3; ++i) {
     auto r = mallory->call(svc.address(), CmdLine("hrmStatus"));
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(cmdlang::is_error(r.value()));
   }
+  EXPECT_EQ(metrics.counter("daemon.auth.denied").value(), denied_before + 3);
+  EXPECT_EQ(metrics.counter("daemon.auth.verdict_hits").value(),
+            hits_before + 2);
 
   // The denials reach the Network Logger as security events, which raises
   // an alert after the configured threshold (paper §4.14).
