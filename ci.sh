@@ -3,7 +3,7 @@
 #   1. Release         — the build users get (catches optimizer-visible bugs)
 #   2. ThreadSanitizer — shakes out data races in the reactor actor
 #      structure (frame pumps, async handshakes, channel actors, client
-#      demux, timer chains; see docs/net.md),
+#      demux, periodic duties, replication flushes; see docs/net.md),
 #      plus a chaos seed sweep: the fault-injection tests replayed under
 #      several ACE_CHAOS_SEED values so each CI run exercises distinct
 #      crash/partition interleavings under the race detector
@@ -223,10 +223,42 @@ authz_race_sweep() {
     'FailureTest.*Auth*:FailureTest.CredentialCache*' --gtest_repeat=3
 }
 
+# Every periodic duty (lease renewal, gossip rounds, the idle sweeper, the
+# store monitor, RM watchdog, ASD reaper and HRM sampler) is a
+# net::PeriodicTask, and replication flushes are ops-pool tasks racing
+# submit() and shutdown(). Replay the primitive's contract tests and the
+# suites that start, stop, crash and restart those duties under TSan.
+timer_chain_sweep() {
+  local build_dir="$1"
+  echo "=== periodic-duty and batcher sweep under ThreadSanitizer ==="
+  run_filtered "${build_dir}/tests/test_reactor" \
+    'PeriodicTask.*:ReactorSoak.IdleDemux*' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_asd_scale" \
+    'AsdScaleTest.HostCoordinator*:AsdScaleTest.*Promptly*' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_federation" \
+    'FederationTest.SilentRoom*:FederationTest.HealedPartition*' \
+    --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_store" \
+'StoreTest.PeerRejoin*:QuorumStoreTest.HintedHandoff*:RobustnessTest.*:'\
+'QuorumStoreTest.Batcher*' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_services2" 'Services2Test.Hrm*' \
+    --gtest_repeat=3
+}
+
+# Stopping a store coordinator while writers keep submitting races the
+# batcher's shutdown against submit() and the flushes in flight; ASan
+# catches a write into a freed lane.
+batcher_stop_sweep() {
+  local build_dir="$1"
+  echo "=== batcher stop race under AddressSanitizer ==="
+  run_filtered "${build_dir}/tests/test_store" \
+    'QuorumStoreTest.BatcherStopRace*' --gtest_repeat=5
+}
+
 # Replays the durable-store suite — power cycles, torn WAL tails, lying
 # fsyncs, crash-mid-compaction — under fixed seeds with ASan watching the
-# recovery paths (daemon restart swaps the batcher, monitor, and durable
-# log; lifetime bugs live exactly there). Fixed seeds keep failures
+# recovery paths (daemon restart swaps the batcher, monitor duty, and
+# durable log; lifetime bugs live exactly there). Fixed seeds keep failures
 # replayable: ACE_CHAOS_SEED=<seed> reruns the same schedule.
 disk_fault_sweep() {
   local build_dir="$1"
@@ -252,10 +284,12 @@ case "${want}" in
     media_race_sweep build-tsan
     read_path_race_sweep build-tsan
     authz_race_sweep build-tsan
+    timer_chain_sweep build-tsan
     ;;&
   asan|all)
     run_config "asan" build-asan -DACE_SANITIZE=address
     disk_fault_sweep build-asan
+    batcher_stop_sweep build-asan
     ;;&
   release|tsan|asan|all) ;;
   *)

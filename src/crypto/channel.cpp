@@ -453,13 +453,16 @@ net::Subscription SecureChannel::on_frame(
     net::AttachOptions options) {
   if (!state_) return {};
   auto st = state_;
+  // The pump serializes invocations, so `poisoned` needs no lock.
   return st->conn.on_frame(
       reactor,
-      [st, handler = std::move(handler)](std::optional<net::Frame> record) {
+      [st, handler = std::move(handler),
+       poisoned = false](std::optional<net::Frame> record) mutable {
         if (!record) {
           handler(std::nullopt);
           return;
         }
+        if (poisoned) return;  // records queued behind the bad one
         if (!st->encrypt) {
           handler(std::move(record));
           return;
@@ -468,8 +471,10 @@ net::Subscription SecureChannel::on_frame(
         if (!plain) {
           // A record that fails MAC/sequence/framing checks poisons the
           // stream for a callback consumer (no per-call deadline to notice
-          // silence): kill the channel. The pump's final handler(nullopt)
-          // fires via the closed connection.
+          // silence): like a TLS fatal alert, kill the channel and deliver
+          // nothing more. The final handler(nullopt) fires via the closed
+          // connection.
+          poisoned = true;
           st->conn.close();
           return;
         }

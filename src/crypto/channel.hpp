@@ -85,9 +85,11 @@ class SecureChannel {
   // Async surface: decrypted plaintext frames delivered in order on a
   // reactor worker; handler(std::nullopt) once when the channel dies.
   // Stricter than the blocking shim on tampering: a record that fails MAC,
-  // sequence or framing checks closes the channel (the blocking recv just
-  // drops it), because a callback consumer has no per-call deadline with
-  // which to notice a poisoned stream.
+  // sequence or framing checks closes the channel and nothing after it is
+  // delivered, not even authentic records already queued behind it — only
+  // the final std::nullopt (the blocking recv just drops the bad record),
+  // because a callback consumer has no per-call deadline with which to
+  // notice a poisoned stream.
   net::Subscription on_frame(
       net::Reactor& reactor,
       std::function<void(std::optional<net::Frame>)> handler,

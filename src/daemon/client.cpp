@@ -46,35 +46,20 @@ AceClient::AceClient(Environment& env, net::Host& from_host,
       breaker_rejected_(&env.metrics().counter("client.breaker_rejected")),
       breaker_closes_(&env.metrics().counter("client.breaker_closes")),
       inflight_(&env.metrics().gauge("client.inflight")),
-      breaker_open_(&env.metrics().gauge("client.breaker_open")) {}
+      breaker_open_(&env.metrics().gauge("client.breaker_open")),
+      sweeper_(env.reactor(), [this] { sweep_idle_channels(); }) {}
 
 AceClient::~AceClient() {
-  // Unarm the idle sweeper first: its tasks capture `this` raw, so revoke
-  // waits out any sweep already running before members start dying.
-  net::Reactor::TimerId timer;
-  {
-    std::scoped_lock lock(policy_mu_);
-    timer = std::exchange(sweep_timer_, 0);
-  }
-  if (timer) env_.reactor().cancel(timer);
-  sweep_guard_.revoke();
+  sweeper_.stop();  // its ticks capture `this` raw
   close_all();
 }
 
 void AceClient::set_policy(ClientPolicy policy) {
   std::scoped_lock lock(policy_mu_);
-  const bool was_armed = policy_.idle_channel_ttl.count() > 0;
-  policy_ = policy;
-  const bool arm = policy.idle_channel_ttl.count() > 0;
-  if (arm && sweep_timer_ == 0) {
-    sweep_timer_ = env_.reactor().post_after(
-        policy.idle_channel_ttl,
-        sweep_guard_.wrap([this] { sweep_idle_channels(); }),
-        /*blocking=*/true);
-  } else if (!arm && was_armed) {
-    auto timer = std::exchange(sweep_timer_, 0);
-    if (timer) env_.reactor().cancel(timer);
-  }
+  const auto old_ttl = std::exchange(policy_, policy).idle_channel_ttl;
+  if (policy.idle_channel_ttl.count() > 0 &&
+      policy.idle_channel_ttl != old_ttl)
+    sweeper_.start(policy.idle_channel_ttl);
 }
 
 ClientPolicy AceClient::policy() const {
@@ -83,8 +68,13 @@ ClientPolicy AceClient::policy() const {
 }
 
 void AceClient::sweep_idle_channels() {
-  const auto ttl = policy().idle_channel_ttl;
-  if (ttl.count() <= 0) return;  // policy changed under the timer
+  std::unique_lock policy_lock(policy_mu_);
+  const auto ttl = policy_.idle_channel_ttl;
+  if (ttl.count() <= 0) {
+    sweeper_.stop();  // set_policy() disarmed the sweeper
+    return;
+  }
+  policy_lock.unlock();
   const auto now = std::chrono::steady_clock::now();
   std::vector<std::pair<net::Address, std::shared_ptr<ChannelEntry>>> stale;
   {
@@ -107,16 +97,6 @@ void AceClient::sweep_idle_channels() {
   for (auto& [addr, entry] : stale) shutdown_entry(entry);
   if (!stale.empty())
     env_.metrics().counter("client.idle_closed").inc(stale.size());
-  // Re-arm (repeating chain). Checked against a concurrent set_policy
-  // disarm: only re-arm while a timer id is expected to be live.
-  std::scoped_lock lock(policy_mu_);
-  if (policy_.idle_channel_ttl.count() > 0)
-    sweep_timer_ = env_.reactor().post_after(
-        policy_.idle_channel_ttl,
-        sweep_guard_.wrap([this] { sweep_idle_channels(); }),
-        /*blocking=*/true);
-  else
-    sweep_timer_ = 0;
 }
 
 std::shared_ptr<AceClient::ChannelEntry> AceClient::entry_for(

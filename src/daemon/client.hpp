@@ -177,9 +177,8 @@ class AceClient {
   void handle_reply(const std::shared_ptr<ChannelEntry>& entry,
                     const std::shared_ptr<crypto::SecureChannel>& channel,
                     std::optional<net::Frame> frame);
-  // Idle-channel sweeper (policy().idle_channel_ttl > 0): a repeating
-  // reactor timer that shuts down destinations with no traffic and no
-  // calls in flight.
+  // Idle-channel sweeper tick (policy().idle_channel_ttl > 0): shuts
+  // down destinations with no traffic and no calls in flight.
   void sweep_idle_channels();
   // Breaker hooks around one call attempt. admit fails fast with
   // Errc::unavailable while the destination's breaker is open (setting
@@ -205,11 +204,6 @@ class AceClient {
   crypto::Identity identity_;
   mutable std::mutex policy_mu_;
   ClientPolicy policy_;
-  // Idle-sweeper timer chain state (guarded by policy_mu_). The TaskGuard
-  // revokes in-flight sweep tasks at destruction, since they capture
-  // `this` raw.
-  net::TaskGuard sweep_guard_;
-  net::Reactor::TimerId sweep_timer_ = 0;
   std::mutex mu_;
   std::map<net::Address, std::shared_ptr<ChannelEntry>> channels_;
   std::mutex jitter_mu_;
@@ -226,6 +220,9 @@ class AceClient {
   obs::Counter* breaker_closes_;
   obs::Gauge* inflight_;
   obs::Gauge* breaker_open_;  // destinations currently open
+  // Started by set_policy() and stopped by the sweep itself, both under
+  // policy_mu_, so the chain and the policy cannot disagree.
+  net::PeriodicTask sweeper_;
 };
 
 }  // namespace ace::daemon

@@ -384,6 +384,7 @@ void ServiceDaemon::stop() {
   // withdraw() returns, no coordinator tick can call back into us, and a
   // stray renewal cannot resurrect the entry we deregister below.
   host_.leases_withdraw(config_.name);
+  end_duties();
 
   on_stop();
 
@@ -460,6 +461,7 @@ void ServiceDaemon::crash() {
   // expiry (paper §2.4). A crashed process is no longer resident, so the
   // host's coordinator stops renewing for it and the lease lapses.
   host_.leases_withdraw(config_.name);
+  end_duties();
   teardown();
   // A real crash loses the process's volatile state. Anything re-derivable
   // (subscriptions, cached credentials, subclass soft state) must be
@@ -474,6 +476,18 @@ void ServiceDaemon::crash() {
     credential_cache_.clear();
   }
   on_crash();
+}
+
+void ServiceDaemon::start_duty(std::chrono::milliseconds period,
+                               std::function<void()> tick, bool at_once) {
+  std::scoped_lock lock(duties_mu_);
+  duties_.emplace_back(env_.reactor(), std::move(tick)).start(period, at_once);
+}
+
+void ServiceDaemon::end_duties() {
+  std::list<net::PeriodicTask> duties;  // stopped as it dies, after unlock
+  std::scoped_lock lock(duties_mu_);
+  duties.swap(duties_);
 }
 
 // -------------------------------------------------------------------- actors

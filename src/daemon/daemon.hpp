@@ -31,6 +31,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -98,10 +99,10 @@ class ServiceDaemon {
   ServiceDaemon(const ServiceDaemon&) = delete;
   ServiceDaemon& operator=(const ServiceDaemon&) = delete;
 
-  // Runs the Fig 9 startup sequence and spawns the daemon threads.
+  // Runs the Fig 9 startup sequence and arms the daemon's actors and duties.
   util::Status start();
 
-  // Graceful shutdown: deregisters from the ASD, logs, joins all threads.
+  // Graceful shutdown: deregisters from the ASD, logs, ends every activity.
   void stop();
 
   // Simulated failure: tears everything down abruptly *without*
@@ -142,6 +143,13 @@ class ServiceDaemon {
   // whatever in-memory state a real process death would lose. The base
   // class has already cleared subscriptions and credential caches.
   virtual void on_crash() {}
+
+  // Arms a periodic duty (a net::PeriodicTask) for this life of the
+  // daemon; call from on_start(). stop() and crash() end every duty,
+  // waiting out a running tick, before on_stop()/on_crash(): periodic work
+  // dies with the process. A tick may poll running() to quit early.
+  void start_duty(std::chrono::milliseconds period, std::function<void()> tick,
+                  bool at_once = false);
 
   // Data-thread hook: called for each datagram received on the data
   // channel (requires config.open_data_channel).
@@ -229,6 +237,7 @@ class ServiceDaemon {
                          const CallerInfo& caller);
   void fire_notifications(const cmdlang::CmdLine& cmd);
   void register_builtin_commands();
+  void end_duties();
   util::Status run_startup_sequence();
   util::Status register_with_asd();
 
@@ -322,6 +331,10 @@ class ServiceDaemon {
   net::Subscription control_sub_;
   net::Subscription notify_sub_;
   net::Subscription data_sub_;
+
+  // This life's periodic duties (start_duty).
+  std::mutex duties_mu_;
+  std::list<net::PeriodicTask> duties_;
 };
 
 }  // namespace ace::daemon

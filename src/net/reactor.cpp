@@ -1,5 +1,6 @@
 #include "net/reactor.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace ace::net {
@@ -341,27 +342,112 @@ void Subscription::stop() {
 
 std::function<void()> TaskGuard::wrap(std::function<void()> fn) const {
   return [core = core_, fn = std::move(fn)] {
+    const auto self = std::this_thread::get_id();
     {
       std::scoped_lock lock(core->mu);
       if (core->revoked) return;
-      ++core->running;
-      core->tid = std::this_thread::get_id();
+      core->running.push_back(self);
     }
     fn();
     {
       std::scoped_lock lock(core->mu);
-      --core->running;
+      core->running.erase(
+          std::find(core->running.begin(), core->running.end(), self));
     }
     core->cv.notify_all();
   };
 }
 
 void TaskGuard::revoke() {
+  const auto self = std::this_thread::get_id();
   std::unique_lock lock(core_->mu);
   core_->revoked = true;
   core_->cv.wait(lock, [&] {
-    return core_->running == 0 || core_->tid == std::this_thread::get_id();
+    return std::all_of(core_->running.begin(), core_->running.end(),
+                       [&](std::thread::id id) { return id == self; });
   });
+}
+
+// -------------------------------------------------------------- PeriodicTask
+
+// Shared with the chain's timer tasks: one that fires after start() re-armed
+// the chain, or after stop(), finds a stale `gen` or `armed` unset and
+// touches nothing else.
+struct PeriodicTask::Core : std::enable_shared_from_this<Core> {
+  Core(Reactor& r, std::function<void()> t) : reactor(&r), tick(std::move(t)) {}
+
+  Reactor* reactor;
+  std::function<void()> tick;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;
+  std::uint64_t gen = 0;  // bumped by every arm
+  Reactor::TimerId timer = 0;
+  Reactor::Clock::duration period{};
+  bool running = false;
+  std::thread::id tick_thread{};
+  // start() during a tick: the next tick's due time, armed once the tick
+  // returns so that ticks never overlap.
+  std::optional<Reactor::Clock::time_point> rearm_at;
+  int outside_stoppers = 0;  // stop() calls waiting out the running tick
+
+  void arm_locked(Reactor::Clock::time_point at) {
+    const std::uint64_t g = ++gen;
+    timer = reactor->post_at(
+        at, [self = shared_from_this(), g] { self->fire(g); },
+        /*blocking=*/true);
+    armed = timer != 0;  // a stopping reactor refuses the timer
+  }
+
+  void fire(std::uint64_t g) {
+    {
+      std::scoped_lock lock(mu);
+      if (g != gen || !armed) return;
+      timer = 0;
+      running = true;
+      tick_thread = std::this_thread::get_id();
+    }
+    tick();
+    std::scoped_lock lock(mu);
+    running = false;
+    if (armed && outside_stoppers == 0)
+      arm_locked(rearm_at.value_or(Reactor::Clock::now() + period));
+    else
+      armed = false;
+    rearm_at.reset();
+    cv.notify_all();
+  }
+};
+
+PeriodicTask::PeriodicTask(Reactor& reactor, std::function<void()> tick)
+    : core_(std::make_shared<Core>(reactor, std::move(tick))) {}
+
+PeriodicTask::~PeriodicTask() { stop(); }
+
+void PeriodicTask::start(std::chrono::steady_clock::duration period,
+                         bool at_once) {
+  std::scoped_lock lock(core_->mu);
+  const auto at = Reactor::Clock::now() + (at_once ? period.zero() : period);
+  core_->period = period;
+  core_->armed = true;
+  if (core_->running) {
+    core_->rearm_at = at;
+    return;
+  }
+  core_->reactor->cancel(std::exchange(core_->timer, 0));
+  core_->arm_locked(at);
+}
+
+void PeriodicTask::stop() {
+  std::unique_lock lock(core_->mu);
+  core_->armed = false;
+  core_->rearm_at.reset();
+  core_->reactor->cancel(std::exchange(core_->timer, 0));
+  if (!core_->running || core_->tick_thread == std::this_thread::get_id())
+    return;
+  ++core_->outside_stoppers;
+  core_->cv.wait(lock, [&] { return !core_->running; });
+  --core_->outside_stoppers;
 }
 
 }  // namespace ace::net

@@ -22,11 +22,12 @@
 //  * ops workers — an elastic pool (grown on demand, idled away) for
 //    service work that may block: command handlers doing nested RPCs
 //    (store quorum fan-out, credential fetches), notification fan-out,
-//    lease ticks. Blocking here can never starve transport.
+//    periodic duties. Blocking here can never starve transport.
 //
 // Timers: post_after/post_at run a task later; cancel() unarms it. The
 // pumps use timers to model link latency (a frame is not readable before
-// its deliver_at), replacing the blocking path's sleep_until.
+// its deliver_at), replacing the blocking path's sleep_until. PeriodicTask
+// turns a timer into a repeating duty.
 #pragma once
 
 #include <atomic>
@@ -76,10 +77,10 @@ class Subscription {
   std::shared_ptr<detail::SubCore> core_;
 };
 
-// Cancellation guard for free-standing reactor tasks (timer chains that
-// capture a raw owner pointer). wrap() makes a task a no-op after revoke();
-// revoke() additionally waits for any wrapped task mid-run — except when
-// called from inside one — so the owner may be destroyed right after.
+// Cancellation guard for free-standing one-shot reactor tasks that capture
+// a raw owner pointer. wrap() makes a task a no-op after revoke(); revoke()
+// additionally waits for every wrapped task mid-run — except one it is
+// called from inside of — so the owner may be destroyed right after.
 class TaskGuard {
  public:
   TaskGuard() : core_(std::make_shared<Core>()) {}
@@ -92,9 +93,36 @@ class TaskGuard {
     std::mutex mu;
     std::condition_variable cv;
     bool revoked = false;
-    int running = 0;
-    std::thread::id tid{};
+    std::vector<std::thread::id> running;  // one entry per task mid-run
   };
+  std::shared_ptr<Core> core_;
+};
+
+// A repeating task on the ops pool; every periodic duty runs on one. Ticks
+// never overlap: the next is armed `period` after the previous returns.
+// start() arms the chain (first tick at once or after one period) and
+// re-arms an armed one from now, also from inside a tick. stop() unarms it
+// and waits out a running tick, except from inside that tick, and beats a
+// start() that tick makes meanwhile. A stopped chain can start again; on
+// a stopping reactor it stays disarmed. The reactor must outlive the task.
+// docs/net.md §1 has the contract.
+//
+// The one rule for callers: never call stop() while holding a lock the
+// tick takes — stop() waits for the tick, and the tick for the lock.
+// start() never waits, so it may run under such a lock.
+class PeriodicTask {
+ public:
+  PeriodicTask(Reactor& reactor, std::function<void()> tick);
+  ~PeriodicTask();  // stop()
+
+  PeriodicTask(const PeriodicTask&) = delete;
+  PeriodicTask& operator=(const PeriodicTask&) = delete;
+
+  void start(std::chrono::steady_clock::duration period, bool at_once = false);
+  void stop();
+
+ private:
+  struct Core;
   std::shared_ptr<Core> core_;
 };
 

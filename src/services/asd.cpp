@@ -1,6 +1,7 @@
 #include "services/asd.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <iterator>
 
 #include "daemon/host.hpp"
@@ -431,7 +432,7 @@ std::vector<std::string> AsdDaemon::forward_query(
 }
 
 util::Status AsdDaemon::on_start() {
-  reaper_ = std::jthread([this](std::stop_token st) { reaper_loop(st); });
+  start_duty(options_.reap_interval, [this] { reap_expired(); });
   if (gossip_) {
     auto client = std::make_shared<daemon::AceClient>(
         env(), host().net_host(), identity());
@@ -453,43 +454,26 @@ void AsdDaemon::on_stop() {
     forward_cache_.clear();
   }
   if (client) client->close_all();
-  reaper_ = {};
 }
 
 void AsdDaemon::on_crash() {
-  if (gossip_) gossip_->stop();
-  std::shared_ptr<daemon::AceClient> client;
-  {
-    std::scoped_lock lock(forward_mu_);
-    client = std::move(fed_client_);
-    forward_cache_.clear();
-  }
-  if (client) client->close_all();
-  reaper_ = {};
+  AsdDaemon::on_stop();
   index_.clear();
 }
 
-void AsdDaemon::reaper_loop(std::stop_token st) {
-  std::unique_lock lock(reaper_mu_);
-  while (!st.stop_requested()) {
-    // Interruptible wait: the jthread's stop request wakes this
-    // immediately, so shutdown never stalls for a whole reap interval.
-    reaper_cv_.wait_for(lock, st, options_.reap_interval,
-                        [] { return false; });
-    if (st.stop_requested()) return;
-    // O(k log n): pops only the due entries off the expiry heap instead of
-    // sweeping the registry.
-    auto expired = index_.collect_expired(std::chrono::steady_clock::now());
-    for (const Registration& r : expired) {
-      CmdLine event("serviceExpired");
-      event.arg("name", Word{r.name});
-      event.arg("class", r.service_class);
-      event.arg("host", r.host + ":" + std::to_string(r.port));
-      // Runs the registered handler (removes the entry if still expired)
-      // and fires any `serviceExpired` notifications.
-      (void)execute(event, CallerInfo{"svc/" + config().name, address()});
-      net_log("warn", "lease expired for service '" + r.name + "'");
-    }
+void AsdDaemon::reap_expired() {
+  // O(k log n): pops only the due entries off the expiry heap instead of
+  // sweeping the registry.
+  auto expired = index_.collect_expired(std::chrono::steady_clock::now());
+  for (const Registration& r : expired) {
+    CmdLine event("serviceExpired");
+    event.arg("name", Word{r.name});
+    event.arg("class", r.service_class);
+    event.arg("host", r.host + ":" + std::to_string(r.port));
+    // Runs the registered handler (removes the entry if still expired)
+    // and fires any `serviceExpired` notifications.
+    (void)execute(event, CallerInfo{"svc/" + config().name, address()});
+    net_log("warn", "lease expired for service '" + r.name + "'");
   }
 }
 

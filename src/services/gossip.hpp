@@ -103,8 +103,7 @@ struct FederationOptions {
 };
 
 // The per-room membership agent. Owned by an AsdDaemon; rounds run as a
-// repeating reactor timer chain on the ops pool (they do bounded RPCs), the
-// same generation-counted shape as daemon::LeaseCoordinator.
+// net::PeriodicTask on the ops pool (they do bounded RPCs).
 class GossipAgent {
  public:
   GossipAgent(daemon::Environment& env, std::string self_room,
@@ -164,8 +163,6 @@ class GossipAgent {
     std::uint64_t last_advance_round = 0;  // local round of last heartbeat advance
   };
 
-  void arm_locked();
-  void run_round(std::uint64_t gen);
   void round();
   void register_with_relay(daemon::AceClient& client);
   std::vector<std::string> encode_view_locked() const;
@@ -192,11 +189,9 @@ class GossipAgent {
   std::unordered_map<std::string, Member> members_;
   std::uint64_t incarnation_ = 0;  // survives restarts of this object
   std::uint64_t round_ = 0;        // local round number, resets per epoch
-  util::Rng rng_;  // touched only on the round chain (serialized)
+  util::Rng rng_;  // touched only by rounds, which never overlap
 
-  std::uint64_t tick_gen_ = 0;
-  net::Reactor::TimerId timer_ = 0;
-  net::TaskGuard guard_;
+  net::PeriodicTask rounds_;
 };
 
 // Sends `cmd` to a room's ASD: directly, or tunneled through `relayForward`

@@ -51,24 +51,16 @@ cmdlang::CmdLine HrmDaemon::status_reply() {
 }
 
 util::Status HrmDaemon::on_start() {
-  if (options_.sample_period.count() > 0)
-    sampler_ = std::jthread([this](std::stop_token st) { sampler_loop(st); });
-  return util::Status::ok_status();
-}
-
-void HrmDaemon::on_stop() { sampler_ = {}; }
-
-void HrmDaemon::sampler_loop(std::stop_token st) {
-  while (!st.stop_requested()) {
-    std::this_thread::sleep_for(options_.sample_period);
-    if (st.stop_requested()) return;
+  if (options_.sample_period.count() <= 0) return util::Status::ok_status();
+  start_duty(options_.sample_period, [this] {
     const daemon::ResourceSnapshot snap = host().resources();
     CmdLine event("hrmSample");
     event.arg("host", host().name());
     event.arg("cpu_load", snap.cpu_load);
     event.arg("mem_free", static_cast<std::int64_t>(snap.mem_free_kb));
     emit_notification(event);
-  }
+  });
+  return util::Status::ok_status();
 }
 
 // -------------------------------------------------------------------- SRM

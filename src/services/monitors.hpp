@@ -32,14 +32,11 @@ class HrmDaemon : public daemon::ServiceDaemon {
 
  protected:
   util::Status on_start() override;
-  void on_stop() override;
 
  private:
-  void sampler_loop(std::stop_token st);
   cmdlang::CmdLine status_reply();
 
   HrmOptions options_;
-  std::jthread sampler_;
 };
 
 struct SrmOptions {

@@ -1,5 +1,7 @@
 #include "store/batch.hpp"
 
+#include <utility>
+
 #include "cmdlang/value.hpp"
 #include "daemon/wire.hpp"
 
@@ -35,56 +37,51 @@ ReplicationBatcher::~ReplicationBatcher() { shutdown(); }
 std::shared_ptr<ReplicationBatcher::Pending> ReplicationBatcher::submit(
     const net::Address& peer, std::string record) {
   auto pending = std::make_shared<Pending>();
-  Lane* lane = nullptr;
   {
-    std::scoped_lock lock(lanes_mu_);
+    std::scoped_lock lock(mu_);
     if (stopped_) {
       pending->settle(false);
       return pending;
     }
-    auto it = lanes_.find(peer);
-    if (it == lanes_.end()) {
-      auto fresh = std::make_unique<Lane>();
-      fresh->flusher = std::jthread(
-          [this, raw = fresh.get(), peer](std::stop_token st) {
-            flusher_loop(st, raw, peer);
-          });
-      it = lanes_.emplace(peer, std::move(fresh)).first;
-    }
-    lane = it->second.get();
+    Lane& lane = lanes_[peer];
+    lane.queue.push_back(Item{std::move(record), pending});
+    // A flush already owns the lane: it ships this record behind its RPC.
+    if (std::exchange(lane.flushing, true)) return pending;
   }
-  {
-    std::scoped_lock lock(lane->mu);
-    lane->queue.push_back(Item{std::move(record), pending});
-  }
-  lane->cv.notify_one();
+  // Posted outside the lock: a shutdown() in between revokes the task, and
+  // fails the record with the rest of the queue.
+  client_.env().reactor().post_blocking(
+      flushes_.wrap([this, peer] { flush(peer); }));
   return pending;
 }
 
 void ReplicationBatcher::shutdown() {
-  std::map<net::Address, std::unique_ptr<Lane>> lanes;
   {
-    std::scoped_lock lock(lanes_mu_);
+    std::scoped_lock lock(mu_);
     stopped_ = true;
+  }
+  flushes_.revoke();  // queued flushes become no-ops; running ones finish
+  std::map<net::Address, Lane> lanes;
+  {
+    std::scoped_lock lock(mu_);
     lanes.swap(lanes_);
   }
-  for (auto& [peer, lane] : lanes) {
-    lane->flusher.request_stop();
-    lane->cv.notify_all();
-    lane->flusher = {};  // join
-    for (auto& item : lane->queue) item.pending->settle(false);
-  }
+  for (auto& [peer, lane] : lanes)
+    for (auto& item : lane.queue) item.pending->settle(false);
 }
 
-void ReplicationBatcher::flusher_loop(std::stop_token st, Lane* lane,
-                                      net::Address peer) {
-  while (true) {
+void ReplicationBatcher::flush(const net::Address& peer) {
+  for (;;) {
     std::vector<Item> batch;
     {
-      std::unique_lock lock(lane->mu);
-      lane->cv.wait(lock, st, [&] { return !lane->queue.empty(); });
-      if (st.stop_requested()) return;  // shutdown() fails the leftovers
-      batch.swap(lane->queue);
+      std::scoped_lock lock(mu_);
+      if (stopped_) return;  // shutdown() fails the leftovers
+      Lane& lane = lanes_[peer];
+      if (lane.queue.empty()) {
+        lane.flushing = false;
+        return;
+      }
+      batch.swap(lane.queue);
     }
 
     std::vector<std::string> records;

@@ -2,12 +2,13 @@
 // concurrent replicated writes into one framed `storeReplicateBatch` RPC
 // per peer per flush, riding the pipelined channel.
 //
-// Each destination replica gets a *lane*: a queue plus a flusher thread.
-// Writers enqueue an opaque record and receive a Pending handle to await
-// the replica's acknowledgement. The flusher sends immediately when idle;
-// while a batch RPC is in flight, new records pile up behind it and the
-// next flush ships them all in one frame — classic group commit, where the
-// in-flight round trip is the natural coalescing window.
+// Each destination replica gets a *lane*: a queue plus a flush-in-flight
+// flag. Writers enqueue an opaque record and receive a Pending handle to
+// await the replica's acknowledgement. A record that finds its lane idle
+// posts one flush task to the reactor ops pool, which ships the queue and
+// every record that piled up behind its RPC until the lane is empty —
+// classic group commit, the in-flight round trip being the coalescing
+// window.
 //
 // A batch either lands whole (the peer applies every record; LWW apply
 // cannot fail per-record) or fails whole (transport error / timeout), so
@@ -20,10 +21,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "daemon/client.hpp"
+#include "net/reactor.hpp"
 #include "obs/metrics.hpp"
 
 namespace ace::store {
@@ -51,6 +52,7 @@ class ReplicationBatcher {
     bool ok_ = false;
   };
 
+  // Flushes run on the ops pool of `client`'s reactor.
   ReplicationBatcher(obs::MetricsRegistry& metrics, daemon::AceClient& client,
                      BatcherOptions options);
   ~ReplicationBatcher();
@@ -63,10 +65,10 @@ class ReplicationBatcher {
   std::shared_ptr<Pending> submit(const net::Address& peer,
                                   std::string record);
 
-  // Stops every lane (joins flushers) and fails all queued records.
-  // Idempotent; submit() afterwards fast-fails. Called from the store
-  // daemon's on_stop/on_crash, where command handlers may still be racing
-  // in — the object stays valid, merely inert.
+  // Revokes the flush tasks (waiting out those in flight) and fails every
+  // queued record. Idempotent; submit() afterwards fast-fails. Called from
+  // the store daemon's on_stop/on_crash, where command handlers may still
+  // be racing in — the object stays valid, merely inert.
   void shutdown();
 
  private:
@@ -75,20 +77,21 @@ class ReplicationBatcher {
     std::shared_ptr<Pending> pending;
   };
   struct Lane {
-    std::mutex mu;
-    std::condition_variable_any cv;
     std::vector<Item> queue;
-    std::jthread flusher;  // joined by shutdown()
+    bool flushing = false;  // a flush task owns the lane
   };
 
-  void flusher_loop(std::stop_token st, Lane* lane, net::Address peer);
+  // The lane's flush task: ships its queue, batch after batch, until it
+  // finds the queue empty (or the batcher stopped).
+  void flush(const net::Address& peer);
 
   daemon::AceClient& client_;
   BatcherOptions options_;
+  net::TaskGuard flushes_;
 
-  std::mutex lanes_mu_;
+  std::mutex mu_;
   bool stopped_ = false;
-  std::map<net::Address, std::unique_ptr<Lane>> lanes_;
+  std::map<net::Address, Lane> lanes_;
 
   obs::Counter* obs_flushes_;
   obs::Counter* obs_records_;

@@ -454,12 +454,17 @@ util::Status PersistentStoreDaemon::on_start() {
     // still queued from the last life remains a no-op.
     read_tasks_ = net::TaskGuard();
   }
-  monitor_ = std::jthread([this](std::stop_token st) { monitor_loop(st); });
+  // The monitor's first round, at once, is the boot catch-up sync.
+  start_duty(
+      options_.probe_interval,
+      [this, peer_up = std::map<net::Address, bool>{}, first = true]() mutable {
+        monitor_round(peer_up, first);
+      },
+      /*at_once=*/true);
   return util::Status::ok_status();
 }
 
 void PersistentStoreDaemon::shutdown_runtime(bool flush) {
-  monitor_ = {};
   std::shared_ptr<ReplicationBatcher> batcher;
   std::shared_ptr<DurableLog> dlog;
   net::TaskGuard read_tasks;
@@ -499,59 +504,44 @@ void PersistentStoreDaemon::on_crash() {
 // Peer liveness monitor: detects rejoins (peer restart or partition heal,
 // from either side), runs anti-entropy so the cluster converges without a
 // manual storeSync, and pushes hinted-handoff writes back to their owners.
-// The first iteration doubles as the boot catch-up sync a rejoining
-// replica needs.
-void PersistentStoreDaemon::monitor_loop(std::stop_token st) {
-  const auto slice = std::chrono::milliseconds(25);
-  std::map<net::Address, bool> peer_up;
-  bool first = true;
-  while (!st.stop_requested()) {
-    if (!first) {
-      auto remaining = options_.probe_interval;
-      while (remaining.count() > 0 && !st.stop_requested()) {
-        std::this_thread::sleep_for(std::min(remaining, slice));
-        remaining -= slice;
-      }
-      if (st.stop_requested()) return;
-    }
-
-    std::vector<net::Address> peers;
-    {
-      std::scoped_lock lock(mu_);
-      peers = peers_;
-    }
-    bool rejoined = false;
-    std::vector<net::Address> reachable;
-    for (const net::Address& peer : peers) {
-      auto pong = control_client().call(
-          peer, CmdLine("ping"),
-          daemon::CallOptions{.timeout = options_.probe_timeout,
-                              .require_ok = true,
-                              .retries = 0,
-                              .backoff = std::chrono::milliseconds(0)});
-      const bool up = pong.ok();
-      if (up) reachable.push_back(peer);
-      auto it = peer_up.find(peer);
-      if (it == peer_up.end()) {
-        peer_up[peer] = up;
-      } else {
-        if (!it->second && up) rejoined = true;
-        it->second = up;
-      }
-    }
-    if (st.stop_requested()) return;
-    for (const net::Address& peer : reachable) drain_hints(peer);
-    maybe_compact();  // durable mode: snapshot once the WAL outgrows it
-    if (first || rejoined) {
-      auto fetched = sync_from_peers();
-      if (!first && fetched.ok()) {
-        obs_rejoin_syncs_->inc();
-        net_log("info", "peer rejoin detected; anti-entropy fetched " +
-                            std::to_string(fetched.value()) + " objects");
-      }
-    }
-    first = false;
+// The first round doubles as the boot catch-up sync a rejoining replica
+// needs.
+void PersistentStoreDaemon::monitor_round(std::map<net::Address, bool>& peer_up,
+                                          bool& first) {
+  std::vector<net::Address> peers;
+  {
+    std::scoped_lock lock(mu_);
+    peers = peers_;
   }
+  bool rejoined = false;
+  std::vector<net::Address> reachable;
+  for (const net::Address& peer : peers) {
+    auto pong = control_client().call(
+        peer, CmdLine("ping"),
+        daemon::CallOptions{.timeout = options_.probe_timeout,
+                            .require_ok = true,
+                            .retries = 0,
+                            .backoff = std::chrono::milliseconds(0)});
+    const bool up = pong.ok();
+    if (up) reachable.push_back(peer);
+    auto [it, fresh] = peer_up.try_emplace(peer, up);
+    if (!fresh) {
+      if (!it->second && up) rejoined = true;
+      it->second = up;
+    }
+  }
+  if (!running()) return;  // stop()/crash() began: quit between RPCs
+  for (const net::Address& peer : reachable) drain_hints(peer);
+  maybe_compact();  // durable mode: snapshot once the WAL outgrows it
+  if (first || rejoined) {
+    auto fetched = sync_from_peers();
+    if (!first && fetched.ok()) {
+      obs_rejoin_syncs_->inc();
+      net_log("info", "peer rejoin detected; anti-entropy fetched " +
+                          std::to_string(fetched.value()) + " objects");
+    }
+  }
+  first = false;
 }
 
 std::uint64_t PersistentStoreDaemon::next_version() {

@@ -233,7 +233,9 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   std::int64_t ingest_digest_entry(const net::Address& peer,
                                    const std::string& entry);
 
-  void monitor_loop(std::stop_token st);
+  // One round of the peer monitor duty. `peer_up` and `first` belong to
+  // the duty, so each life of the replica starts them fresh.
+  void monitor_round(std::map<net::Address, bool>& peer_up, bool& first);
 
   int replica_id_;
   StoreOptions options_;
@@ -261,7 +263,6 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   std::uint64_t torn_tails_ = 0;
   std::uint64_t snapshot_fallbacks_ = 0;
   DurableLog::RecoveryStats recovery_stats_;
-  std::jthread monitor_;
 
   // Cached obs cells (deployment registry, `store.*` names).
   obs::Counter* obs_writes_;

@@ -133,15 +133,11 @@ util::Status RobustnessManagerDaemon::on_start() {
   // by the deployer. Try once here, best effort — the watchdog keeps
   // retrying until the subscription sticks.
   (void)watch_asd();
-  watchdog_ =
-      std::jthread([this](std::stop_token st) { watchdog_loop(st); });
+  start_duty(options_.watch_interval, [this] { watchdog_tick(); });
   return util::Status::ok_status();
 }
 
-void RobustnessManagerDaemon::on_stop() { watchdog_ = {}; }
-
 void RobustnessManagerDaemon::on_crash() {
-  watchdog_ = {};
   // The managed-service table is this process's volatile state; a relaunch
   // starts unconfigured until operators rmRegister again.
   std::scoped_lock lock(mu_);
@@ -249,67 +245,58 @@ bool RobustnessManagerDaemon::try_relaunch(const std::string& name) {
   return true;
 }
 
-void RobustnessManagerDaemon::watchdog_loop(std::stop_token st) {
-  const auto slice = std::chrono::milliseconds(25);
-  while (!st.stop_requested()) {
-    auto remaining = options_.watch_interval;
-    while (remaining.count() > 0 && !st.stop_requested()) {
-      std::this_thread::sleep_for(std::min(remaining, slice));
-      remaining -= slice;
-    }
-    if (st.stop_requested()) return;
-    if (env().asd_address.host.empty()) continue;  // nothing to watch
+void RobustnessManagerDaemon::watchdog_tick() {
+  if (env().asd_address.host.empty()) return;  // nothing to watch
 
-    // 1. Self-heal the watching: an ASD that crashed and came back has an
-    // empty notification table, so our serviceExpired subscription — the
-    // entire restart mechanism — is gone. Detect and re-subscribe.
-    if (!subscription_alive() && watch_asd().ok()) {
-      obs_resubscribes_->inc();
-      net_log("info", "re-subscribed serviceExpired after ASD restart");
-    }
+  // 1. Self-heal the watching: an ASD that crashed and came back has an
+  // empty notification table, so our serviceExpired subscription — the
+  // entire restart mechanism — is gone. Detect and re-subscribe.
+  if (!subscription_alive() && watch_asd().ok()) {
+    obs_resubscribes_->inc();
+    net_log("info", "re-subscribed serviceExpired after ASD restart");
+  }
 
-    // 2. Sweep for silent deaths: when the ASD dies *before* a managed
-    // service's lease ran out, the expiry notification is never fired, so
-    // directory absence is the only remaining death signal.
-    std::vector<std::string> names;
-    {
-      std::scoped_lock lock(mu_);
-      const auto now = std::chrono::steady_clock::now();
-      for (const auto& [name, m] : managed_) {
-        if (pending_.contains(name)) continue;  // already being handled
-        auto ls = last_success_.find(name);
-        if (ls != last_success_.end() &&
-            now - ls->second < options_.relaunch_grace)
-          continue;  // just (re)launched; give it time to re-register
-        names.push_back(name);
-      }
+  // 2. Sweep for silent deaths: when the ASD dies *before* a managed
+  // service's lease ran out, the expiry notification is never fired, so
+  // directory absence is the only remaining death signal.
+  std::vector<std::string> names;
+  {
+    std::scoped_lock lock(mu_);
+    const auto now = std::chrono::steady_clock::now();
+    for (const auto& [name, m] : managed_) {
+      if (pending_.contains(name)) continue;  // already being handled
+      auto ls = last_success_.find(name);
+      if (ls != last_success_.end() &&
+          now - ls->second < options_.relaunch_grace)
+        continue;  // just (re)launched; give it time to re-register
+      names.push_back(name);
     }
-    auto dir = directory();
-    if (!dir) continue;
-    for (const auto& name : names) {
-      // Cached lookups: a hit is lease-bounded, so a dead service is never
-      // reported live past the instant the directory itself would have
-      // dropped it — the sweep loses no detection latency to the cache.
-      auto loc = dir->asd.lookup(name);
-      if (!loc.ok() && loc.error().code == util::Errc::not_found) {
-        net_log("warn", "managed service '" + name +
-                            "' missing from directory; relaunching");
-        schedule_relaunch(name);
-      }
+  }
+  auto dir = directory();
+  if (!dir) return;
+  for (const auto& name : names) {
+    // Cached lookups: a hit is lease-bounded, so a dead service is never
+    // reported live past the instant the directory itself would have
+    // dropped it — the sweep loses no detection latency to the cache.
+    auto loc = dir->asd.lookup(name);
+    if (!loc.ok() && loc.error().code == util::Errc::not_found) {
+      net_log("warn", "managed service '" + name +
+                          "' missing from directory; relaunching");
+      schedule_relaunch(name);
     }
+  }
 
-    // 3. Drain due relaunch attempts (with their capped backoff).
-    std::vector<std::string> due;
-    {
-      std::scoped_lock lock(mu_);
-      const auto now = std::chrono::steady_clock::now();
-      for (const auto& [name, p] : pending_)
-        if (p.next_attempt <= now) due.push_back(name);
-    }
-    for (const auto& name : due) {
-      if (st.stop_requested()) return;
-      (void)try_relaunch(name);
-    }
+  // 3. Drain due relaunch attempts (with their capped backoff).
+  std::vector<std::string> due;
+  {
+    std::scoped_lock lock(mu_);
+    const auto now = std::chrono::steady_clock::now();
+    for (const auto& [name, p] : pending_)
+      if (p.next_attempt <= now) due.push_back(name);
+  }
+  for (const auto& name : due) {
+    if (!running()) return;  // stop()/crash() began: quit between RPCs
+    (void)try_relaunch(name);
   }
 }
 

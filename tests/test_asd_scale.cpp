@@ -1,8 +1,8 @@
 // Directory-at-scale tests for the AsdIndex rework: concurrent
 // register/renew/expire/query torture with index<->registry consistency
 // checks, indexed-vs-linear ablation equivalence, batched lease renewal,
-// and the AsdClient lookup cache (lease bound, negative entries,
-// invalidation).
+// the AsdClient lookup cache (lease bound, negative entries,
+// invalidation), and how promptly every periodic daemon duty stops.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include "daemon/lease.hpp"
 #include "services/asd_index.hpp"
 #include "services/monitors.hpp"
+#include "store/persistent_store.hpp"
 #include "store/robustness.hpp"
 
 using namespace ace;
@@ -369,23 +370,59 @@ TEST_F(AsdScaleTest, ExpiryNotificationEvictsRobustnessManagerCache) {
   rm.stop();
 }
 
-// ------------------------------------------------------------ reaper latency
+// --------------------------------------------------------- duty latency
 
-TEST_F(AsdScaleTest, AsdStopsPromptlyDespiteLongReapInterval) {
+// Every periodic daemon duty, each with a long period. stop() must not wait
+// the period out, and start(), crash() and start() again must each be just
+// as prompt: a crash ends the duty with the process, so the relaunch finds
+// nothing left running.
+TEST_F(AsdScaleTest, DaemonDutiesStopPromptlyDespiteLongPeriods) {
   daemon::DaemonHost host(deployment_->env, "aux");
-  daemon::DaemonConfig c;
-  c.name = "slow-reap-asd";
-  c.room = "machine-room";
-  c.register_with_asd = false;
-  c.register_with_room_db = false;
-  services::AsdOptions opts;
-  opts.reap_interval = 5s;  // the cv wait must be cut short by stop()
-  auto& asd = host.add_daemon<services::AsdDaemon>(c, opts);
-  ASSERT_TRUE(asd.start().ok());
-  std::this_thread::sleep_for(50ms);  // reaper parked in its long wait
-
-  const auto t0 = std::chrono::steady_clock::now();
-  asd.stop();
-  const auto took = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(took, 1s) << "stop() blocked on the reap interval";
+  auto config = [](const std::string& name) {
+    daemon::DaemonConfig c;
+    c.name = name;
+    c.room = "machine-room";
+    c.register_with_asd = false;
+    c.register_with_room_db = false;
+    return c;
+  };
+  struct Row {
+    const char* duty;
+    daemon::ServiceDaemon* daemon;
+  };
+  store::StoreOptions slow_store;
+  slow_store.probe_interval = 60s;
+  const Row rows[] = {
+      {"ASD reaper",
+       &host.add_daemon<services::AsdDaemon>(
+           config("slow-reap-asd"), services::AsdOptions{.reap_interval = 5s})},
+      {"HRM sampler",
+       &host.add_daemon<services::HrmDaemon>(
+           config("slow-hrm"), services::HrmOptions{.sample_period = 5s})},
+      {"store monitor",
+       &host.add_daemon<store::PersistentStoreDaemon>(
+           config("slow-store"), 1, slow_store)},
+      {"RM watchdog",
+       &host.add_daemon<store::RobustnessManagerDaemon>(
+           config("slow-rm"),
+           store::RobustnessOptions{.watch_interval = 5s})},
+  };
+  auto took = [](auto&& step) {
+    const auto t0 = std::chrono::steady_clock::now();
+    step();
+    return std::chrono::steady_clock::now() - t0;
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.duty);
+    ASSERT_TRUE(row.daemon->start().ok());
+    std::this_thread::sleep_for(50ms);  // the duty waits out its period
+    EXPECT_LT(took([&] { row.daemon->stop(); }), 1s) << "stop()";
+    EXPECT_LT(took([&] { EXPECT_TRUE(row.daemon->start().ok()); }), 1s)
+        << "start()";
+    std::this_thread::sleep_for(50ms);
+    EXPECT_LT(took([&] { row.daemon->crash(); }), 1s) << "crash()";
+    EXPECT_LT(took([&] { EXPECT_TRUE(row.daemon->start().ok()); }), 1s)
+        << "start() after crash()";
+    row.daemon->stop();
+  }
 }

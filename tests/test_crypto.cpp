@@ -487,6 +487,13 @@ TEST_F(ChannelTest, OnFrameClosesChannelOnTamperedRecord) {
       records.push_back(std::move(*record));
     }
 
+    // record 0, the bad frame, then the authentic records 1 and 2, all
+    // queued before the pump starts. Like a TLS fatal alert, the bad frame
+    // ends delivery at once: the records behind it never reach the handler.
+    for (const util::Bytes& frame :
+         {records[0], bad_frame(t, records), records[1], records[2]})
+      ASSERT_TRUE(pair->to_server.send(frame).ok());
+
     std::mutex mu;
     std::condition_variable cv;
     std::vector<std::string> delivered;
@@ -501,10 +508,6 @@ TEST_F(ChannelTest, OnFrameClosesChannelOnTamperedRecord) {
             closed = true;
           cv.notify_all();
         });
-    // Nothing follows the bad frame: records already queued behind it
-    // would still drain to the handler after the close.
-    ASSERT_TRUE(pair->to_server.send(records[0]).ok());
-    ASSERT_TRUE(pair->to_server.send(bad_frame(t, records)).ok());
     {
       std::unique_lock lock(mu);
       ASSERT_TRUE(cv.wait_for(lock, 2s, [&] { return closed; }));

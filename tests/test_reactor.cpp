@@ -1,20 +1,27 @@
 // Tests for net::Reactor — the event loop the fabric multiplexes onto —
-// and for the async surfaces built on it: queue pumps (attach_queue),
-// endpoint callbacks (on_frame/on_accept), the client's per-destination
-// reply demux, and the idle-channel sweeper. Includes a connect/close
-// churn soak meant to run under ThreadSanitizer (ci.sh tsan).
+// and for the async surfaces built on it: queue pumps (attach_queue), the
+// PeriodicTask contract, endpoint callbacks (on_frame/on_accept), the
+// client's per-destination reply demux, and the idle-channel sweeper.
+// Includes a connect/close churn soak meant to run under ThreadSanitizer
+// (ci.sh tsan), and a census showing a whole deployment runs no thread
+// outside the reactor.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ace_test_env.hpp"
 #include "daemon/wire.hpp"
+#include "io/sim_disk.hpp"
 #include "net/network.hpp"
 #include "net/reactor.hpp"
+#include "services/monitors.hpp"
+#include "store/persistent_store.hpp"
+#include "store/robustness.hpp"
 #include "util/queue.hpp"
 
 using namespace ace;
@@ -47,6 +54,15 @@ std::int64_t gauge_value(const obs::MetricsRegistry& metrics,
   for (const auto& g : metrics.snapshot().gauges)
     if (g.name == name) return g.value;
   return 0;
+}
+
+// The process's thread count, from /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
 }
 
 // ---------------------------------------------------------------- Reactor
@@ -195,6 +211,164 @@ TEST(Reactor, TaskGuardRevokeMakesPendingTasksNoOps) {
   guard.revoke();
   std::this_thread::sleep_for(60ms);
   EXPECT_EQ(ran.load(), 0);
+}
+
+// revoke() waits for a wrapped task running on another thread even when
+// the revoking thread ran (and finished) a wrapped task of its own after
+// that one started.
+TEST(Reactor, TaskGuardRevokeWaitsForTasksOnOtherThreads) {
+  net::TaskGuard guard;
+  std::atomic<bool> started{false}, finished{false};
+  auto slow = guard.wrap([&] {
+    started = true;
+    std::this_thread::sleep_for(100ms);
+    finished = true;
+  });
+  std::jthread other(slow);
+  ASSERT_TRUE(eventually([&] { return started.load(); }));
+  guard.wrap([] {})();  // a task of this thread's own, already done
+  guard.revoke();
+  EXPECT_TRUE(finished.load());
+}
+
+// ------------------------------------------------------------ PeriodicTask
+
+// One test per point of the PeriodicTask contract (see reactor.hpp).
+
+TEST(PeriodicTask, TicksRunOnOpsPoolAndNeverOverlap) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0}, inside{0}, overlaps{0};
+  std::atomic<bool> tick_blocked_core{false};
+  std::atomic<int> core_ran{0};
+  net::PeriodicTask task(reactor, [&] {
+    if (inside.fetch_add(1) != 0) overlaps++;
+    // A core task still runs while this tick blocks: the tick is on the
+    // ops pool, not on a core worker.
+    const int before = core_ran.load();
+    reactor.post([&] { core_ran++; });
+    if (!eventually([&] { return core_ran.load() > before; }, 1000))
+      tick_blocked_core = true;
+    std::this_thread::sleep_for(30ms);  // longer than the period
+    inside--;
+    ticks++;
+  });
+  task.start(5ms);
+  EXPECT_TRUE(eventually([&] { return ticks.load() >= 4; }));
+  task.stop();
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_FALSE(tick_blocked_core.load());
+  EXPECT_GE(reactor.stats().blocking_tasks_run,
+            static_cast<std::uint64_t>(ticks.load()));
+}
+
+TEST(PeriodicTask, FirstTickAtOnceOrAfterOnePeriod) {
+  net::Reactor reactor;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::atomic<std::int64_t> at_once_ms{-1}, delayed_ms{-1};
+  auto since_t0 = [&] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  net::PeriodicTask at_once(reactor, [&] {
+    std::int64_t unset = -1;
+    at_once_ms.compare_exchange_strong(unset, since_t0());
+  });
+  net::PeriodicTask delayed(reactor, [&] {
+    std::int64_t unset = -1;
+    delayed_ms.compare_exchange_strong(unset, since_t0());
+  });
+  at_once.start(400ms, /*at_once=*/true);
+  delayed.start(400ms);
+  EXPECT_TRUE(eventually([&] { return delayed_ms.load() >= 0; }));
+  EXPECT_GE(at_once_ms.load(), 0);
+  EXPECT_LT(at_once_ms.load(), 300);
+  EXPECT_GE(delayed_ms.load(), 400);
+}
+
+TEST(PeriodicTask, StartOnArmedChainReArmsWithNewPeriod) {
+  net::Reactor reactor;
+  // From outside: a 10 s chain re-armed at 20 ms ticks soon.
+  std::atomic<int> outer{0};
+  net::PeriodicTask slow(reactor, [&] { outer++; });
+  slow.start(10s);
+  slow.start(20ms);
+  EXPECT_TRUE(eventually([&] { return outer.load() >= 2; }, 2000));
+  slow.stop();
+
+  // From inside a tick: the first tick stretches the period to 10 s, so no
+  // second tick follows.
+  std::atomic<int> inner{0};
+  net::PeriodicTask* self = nullptr;
+  net::PeriodicTask fast(reactor, [&] {
+    if (inner.fetch_add(1) == 0) self->start(10s);
+  });
+  self = &fast;
+  fast.start(20ms);
+  EXPECT_TRUE(eventually([&] { return inner.load() >= 1; }));
+  std::this_thread::sleep_for(200ms);
+  EXPECT_EQ(inner.load(), 1);
+  fast.stop();
+}
+
+TEST(PeriodicTask, StopWaitsOutRunningTick) {
+  net::Reactor reactor;
+  std::atomic<bool> in_tick{false};
+  std::atomic<int> finished{0};
+  net::PeriodicTask task(reactor, [&] {
+    in_tick = true;
+    std::this_thread::sleep_for(150ms);
+    finished++;
+  });
+  task.start(1ms, /*at_once=*/true);
+  ASSERT_TRUE(eventually([&] { return in_tick.load(); }));
+  task.stop();
+  EXPECT_EQ(finished.load(), 1);  // the running tick finished first
+  std::this_thread::sleep_for(60ms);
+  EXPECT_EQ(finished.load(), 1);  // and none followed
+}
+
+TEST(PeriodicTask, StopFromInsideTickReturnsAtOnce) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0};
+  std::atomic<bool> stop_returned{false};
+  net::PeriodicTask* self = nullptr;
+  net::PeriodicTask task(reactor, [&] {
+    ticks++;
+    self->stop();  // must not wait on itself
+    stop_returned = true;
+  });
+  self = &task;
+  task.start(5ms);
+  EXPECT_TRUE(eventually([&] { return stop_returned.load(); }));
+  std::this_thread::sleep_for(60ms);
+  EXPECT_EQ(ticks.load(), 1);
+}
+
+TEST(PeriodicTask, RestartsAfterStop) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0};
+  net::PeriodicTask task(reactor, [&] { ticks++; });
+  task.start(5ms);
+  ASSERT_TRUE(eventually([&] { return ticks.load() >= 2; }));
+  task.stop();
+  const int stopped_at = ticks.load();
+  std::this_thread::sleep_for(40ms);
+  EXPECT_EQ(ticks.load(), stopped_at);
+  task.start(5ms);
+  EXPECT_TRUE(eventually([&] { return ticks.load() >= stopped_at + 2; }));
+  task.stop();
+}
+
+TEST(PeriodicTask, StaysDisarmedOnStoppingReactor) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0};
+  net::PeriodicTask task(reactor, [&] { ticks++; });
+  reactor.stop();
+  task.start(1ms, /*at_once=*/true);
+  std::this_thread::sleep_for(40ms);
+  EXPECT_EQ(ticks.load(), 0);
+  task.stop();  // still returns
 }
 
 // ------------------------------------------------- async endpoint surfaces
@@ -404,6 +578,81 @@ TEST(ReactorSoak, IdleDemuxTearDownAndRecreate) {
   EXPECT_EQ(counter_value(metrics, "client.idle_closed"), closed_now);
   reply = client->call(addr, cmd, daemon::kCallOk);
   ASSERT_TRUE(reply.ok());
+}
+
+// Every periodic duty and every replication flush rides the reactor: a
+// deployment with a replicated durable store, a Robustness Manager, a
+// sampling HRM and an idle-sweeping client runs no thread outside the
+// reactor's pools — core workers, live ops workers and the timer thread,
+// which is what the reactor.threads gauge counts.
+TEST(ReactorSoak, DeploymentRunsNoThreadOutsideReactor) {
+  // Threads that predate the deployment: the test's own, plus a
+  // sanitizer's helper thread where one runs.
+  const int baseline = process_threads();
+  testenv::AceTestEnv env(93);
+  ASSERT_TRUE(env.start().ok());
+
+  std::vector<std::unique_ptr<daemon::DaemonHost>> hosts;
+  std::vector<store::PersistentStoreDaemon*> replicas;
+  for (int i = 0; i < 3; ++i) {
+    hosts.push_back(std::make_unique<daemon::DaemonHost>(
+        env.env, "store" + std::to_string(i + 1)));
+    store::StoreOptions opts;
+    opts.disk = std::make_shared<io::SimDisk>(700 + i);
+    daemon::DaemonConfig c;
+    c.name = "store" + std::to_string(i + 1);
+    c.room = "machine-room";
+    c.port = 6000;
+    replicas.push_back(
+        &hosts.back()->add_daemon<store::PersistentStoreDaemon>(c, i + 1, opts));
+  }
+  for (int i = 0; i < 3; ++i) {
+    std::vector<net::Address> peers;
+    for (int j = 0; j < 3; ++j)
+      if (j != i) peers.push_back(replicas[j]->address());
+    replicas[i]->set_peers(peers);
+    ASSERT_TRUE(replicas[i]->start().ok());
+  }
+  // A few puts through every coordinator, so every batcher lane exists.
+  for (auto* r : replicas) {
+    for (int k = 0; k < 3; ++k) {
+      CmdLine put("storePut");
+      put.arg("key", "threads/" + std::to_string(k))
+          .arg("data", store::hex_of(util::to_bytes("v")));
+      ASSERT_TRUE(cmdlang::is_ok(r->execute(put, daemon::CallerInfo{})));
+    }
+  }
+
+  hosts.push_back(std::make_unique<daemon::DaemonHost>(env.env, "mgmt"));
+  daemon::DaemonConfig rm_config;
+  rm_config.name = "rm";
+  rm_config.room = "machine-room";
+  auto& rm = hosts.back()->add_daemon<store::RobustnessManagerDaemon>(rm_config);
+  ASSERT_TRUE(rm.start().ok());
+  ASSERT_TRUE(rm.watch_asd().ok());
+  daemon::DaemonConfig hrm_config;
+  hrm_config.name = "hrm";
+  hrm_config.room = "machine-room";
+  auto& hrm = hosts.back()->add_daemon<services::HrmDaemon>(
+      hrm_config, services::HrmOptions{.sample_period = 50ms});
+  ASSERT_TRUE(hrm.start().ok());
+
+  auto client = env.make_client("ap", "user/threads");
+  client->set_policy({.idle_channel_ttl = 100ms});
+  ASSERT_TRUE(
+      client->call(replicas[0]->address(), CmdLine("ping"), daemon::kCallOk)
+          .ok());
+
+  // Ops workers come and go with load, so compare the two counts until
+  // they are read at a quiet moment.
+  int threads = 0;
+  std::int64_t reactor_threads = 0;
+  EXPECT_TRUE(eventually([&] {
+    reactor_threads = gauge_value(env.env.metrics(), "reactor.threads");
+    threads = process_threads();
+    return threads == baseline + reactor_threads;
+  })) << "process threads " << threads << ", before the deployment "
+      << baseline << ", reactor.threads " << reactor_threads;
 }
 
 // Thread count is a function of the reactor pools, not of how many

@@ -156,6 +156,14 @@ TEST_F(Services2Test, HrmSamplerPushesPeriodicSamples) {
   ASSERT_TRUE(detail.ok());
   EXPECT_EQ(detail->name(), "hrmSample");
   EXPECT_DOUBLE_EQ(detail->get_real("cpu_load"), 0.42);
+
+  // The sampler dies with the process and comes back with the relaunch:
+  // a subscriber of the new process receives samples again.
+  hrm.crash();
+  ASSERT_TRUE(hrm.start().ok());
+  auto& fresh = make_sink("load-watcher-2");
+  subscribe(hrm.address(), "hrmSample", fresh);
+  EXPECT_TRUE(fresh.wait_count("hrmSample", 3));
 }
 
 // --------------------------------------------------------- NetLogger alerts

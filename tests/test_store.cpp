@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <thread>
 
 #include "ace_test_env.hpp"
 #include "chaos/chaos.hpp"
@@ -582,6 +584,106 @@ TEST_F(QuorumStoreTest, HintedHandoffDrainsOnHeal) {
   ASSERT_TRUE(drained);
   EXPECT_EQ(util::to_string(replicas_[2]->object("hinted/k")->data), "v");
   EXPECT_GE(metrics.counter("store.hints_drained").value(), 1u);
+}
+
+// Group commit, checked: E16d's shape (writers driving storePut through
+// execute() on every coordinator at once) must coalesce replicated
+// records into fewer flushes than records, and every write must collect
+// all three acks. The long replicate_timeout is headroom for sanitizers.
+TEST_F(QuorumStoreTest, BatcherCoalescesConcurrentWrites) {
+  store::StoreOptions opts;
+  opts.write_quorum = 3;
+  opts.replicate_timeout = 2s;
+  start_cluster(opts);
+  auto& metrics = deployment_->env.metrics();
+  const std::string hex = store::hex_of(util::Bytes(256, 0x7e));
+
+  constexpr int kWriters = 16;
+  std::atomic<bool> stop{false};
+  std::atomic<int> writes{0}, unacked{0};
+  {
+    std::vector<std::jthread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&, t] {
+        auto* coordinator = replicas_[static_cast<std::size_t>(t) % 3];
+        for (int i = 0; !stop.load(); ++i) {
+          CmdLine put("storePut");
+          put.arg("key", "gc/" + std::to_string(t) + "/" +
+                             std::to_string(i % 100))
+              .arg("data", hex);
+          CmdLine reply = coordinator->execute(put, daemon::CallerInfo{});
+          writes++;
+          if (!cmdlang::is_ok(reply) || reply.get_integer("acks") != 3)
+            unacked++;
+        }
+      });
+    }
+    std::this_thread::sleep_for(300ms);
+    stop = true;
+  }
+  EXPECT_GT(writes.load(), 0);
+  EXPECT_EQ(unacked.load(), 0);
+  const auto records = metrics.counter("store.batch_records").value();
+  const auto flushes = metrics.counter("store.batch_flushes").value();
+  EXPECT_GT(records, flushes) << "no two records ever shared a flush";
+}
+
+// Stopping a coordinator while writers keep hitting it: the batcher's
+// shutdown races submit() and the flushes in flight. Every put must come
+// back, ok or error, within replicate_timeout plus slack — none may hang
+// on a record nobody settles — and the replica must take writes again
+// after a restart. Run under ASan in ci.sh.
+TEST_F(QuorumStoreTest, BatcherStopRaceSettlesEveryPut) {
+  store::StoreOptions opts;
+  opts.replicate_timeout = 300ms;
+  start_cluster(opts);
+  auto* coordinator = replicas_[0];
+  const std::string hex = store::hex_of(util::to_bytes("racing"));
+
+  constexpr int kWriters = 8;
+  std::atomic<bool> stop{false};
+  std::atomic<int> puts{0};
+  std::atomic<std::int64_t> slowest_ms{0};
+  {
+    std::vector<std::jthread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&, t] {
+        for (int i = 0; !stop.load(); ++i) {
+          CmdLine put("storePut");
+          put.arg("key", "race/" + std::to_string(t) + "/" +
+                             std::to_string(i % 50))
+              .arg("data", hex);
+          const auto t0 = std::chrono::steady_clock::now();
+          (void)coordinator->execute(put, daemon::CallerInfo{});
+          const std::int64_t took =
+              std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+          std::int64_t seen = slowest_ms.load();
+          while (took > seen && !slowest_ms.compare_exchange_weak(seen, took)) {
+          }
+          puts++;
+        }
+      });
+    }
+    std::this_thread::sleep_for(50ms);  // flushes in flight on both lanes
+    coordinator->stop();
+    std::this_thread::sleep_for(50ms);  // writers keep hitting the stopped replica
+    stop = true;
+  }
+  EXPECT_GT(puts.load(), 0);
+  EXPECT_LT(slowest_ms.load(), (opts.replicate_timeout + 1s).count());
+
+  ASSERT_TRUE(coordinator->start().ok());
+  bool acked = false;
+  for (int i = 0; i < 100 && !acked; ++i) {
+    CmdLine put("storePut");
+    put.arg("key", "race/after-restart").arg("data", hex);
+    CmdLine reply = coordinator->execute(put, daemon::CallerInfo{});
+    acked = cmdlang::is_ok(reply) && reply.get_integer("acks") == 3;
+    if (!acked) std::this_thread::sleep_for(20ms);
+  }
+  EXPECT_TRUE(acked) << "the restarted replica no longer replicates writes";
 }
 
 // The E16 durability claim as a test: replicas crash and restart mid
