@@ -3,7 +3,8 @@
 #   1. Release         — the build users get (catches optimizer-visible bugs)
 #   2. ThreadSanitizer — shakes out data races in the reactor actor
 #      structure (frame pumps, async handshakes, channel actors, client
-#      demux, periodic duties, replication flushes; see docs/net.md),
+#      demux, periodic duties, replication flushes, inline nonblocking
+#      commands; see docs/net.md),
 #      plus a chaos seed sweep: the fault-injection tests replayed under
 #      several ACE_CHAOS_SEED values so each CI run exercises distinct
 #      crash/partition interleavings under the race detector
@@ -245,6 +246,41 @@ timer_chain_sweep() {
     --gtest_repeat=3
 }
 
+# Nonblocking commands run on the core worker that decoded them when their
+# lane is idle, racing the control pump and the strands for exec_mu_ and
+# the lane counts, and the verdict cache against refetches. Replay the RPC
+# and daemon suites, the inline-path tests, the replica digest reads and
+# the ASD's lease renewals (both inline on the hot path) under TSan with
+# the never-block check compiled in.
+inline_dispatch_sweep() {
+  local build_dir="$1"
+  echo "=== inline dispatch sweep under ThreadSanitizer ==="
+  run_filtered "${build_dir}/tests/test_rpc" 'Rpc.*:RpcDeathTest.*' \
+    --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_daemon" \
+    'DaemonTest.*:InlineDispatchTest.*' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_store" 'StoreDigestReadTest.*' \
+    --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_asd_scale" \
+    'AsdScaleTest.HostCoordinator*' --gtest_repeat=3
+}
+
+# The sanitizer legs build with the never-block check compiled in
+# (ACE_SANITIZE defines ACE_CHECK_NEVER_BLOCK, src/net/CMakeLists.txt), so
+# their whole ctest run aborts any core task that would block. The death
+# test skips itself when the check is compiled out; a skip here means the
+# check fell out of the build.
+require_never_block_check() {
+  local build_dir="$1" out
+  echo "=== never-block check compiled in: ${build_dir} ==="
+  out="$(run_filtered "${build_dir}/tests/test_rpc" 'RpcDeathTest.*')"
+  echo "${out}"
+  if grep -q '\[  SKIPPED \]' <<<"${out}"; then
+    echo "ci.sh: the never-block check is compiled out of ${build_dir}" >&2
+    exit 1
+  fi
+}
+
 # Stopping a store coordinator while writers keep submitting races the
 # batcher's shutdown against submit() and the flushes in flight; ASan
 # catches a write into a freed lane.
@@ -285,11 +321,14 @@ case "${want}" in
     read_path_race_sweep build-tsan
     authz_race_sweep build-tsan
     timer_chain_sweep build-tsan
+    require_never_block_check build-tsan
+    inline_dispatch_sweep build-tsan
     ;;&
   asan|all)
     run_config "asan" build-asan -DACE_SANITIZE=address
     disk_fault_sweep build-asan
     batcher_stop_sweep build-asan
+    require_never_block_check build-asan
     ;;&
   release|tsan|asan|all) ;;
   *)

@@ -65,11 +65,17 @@ struct CommandSpec {
   std::vector<ArgSpec> args;
   bool allow_extra_args = false;
   // Concurrent commands have thread-safe handlers and may execute directly
-  // on the receiving connection's command thread instead of being
-  // serialized through the daemon's control thread. Required for commands
-  // on peer-to-peer hot paths (e.g. persistent-store replication) where
-  // control-thread serialization would convoy the whole cluster.
+  // on the receiving connection's strand instead of being serialized
+  // through the daemon's control queue. Required for commands on
+  // peer-to-peer hot paths (e.g. persistent-store replication) where
+  // control-queue serialization would convoy the whole cluster.
   bool concurrent = false;
+  // Nonblocking commands have handlers that never wait on another
+  // thread's progress: no nested RPC, no group-commit or condition-variable
+  // wait, no sleep, and only short data-structure locks never held across
+  // one of those. The daemon may run them on the core worker that decoded
+  // them when their lane is idle (docs/net.md §3).
+  bool never_blocks = false;
   std::string help;
 
   CommandSpec() = default;
@@ -86,6 +92,10 @@ struct CommandSpec {
   }
   CommandSpec& concurrent_ok() {
     concurrent = true;
+    return *this;
+  }
+  CommandSpec& nonblocking() {
+    never_blocks = true;
     return *this;
   }
 };

@@ -57,6 +57,7 @@ util::Result<SecureChannel> SecureChannel::connect(net::Connection conn,
                                                    const util::Bytes& ca_key,
                                                    net::Duration timeout,
                                                    ChannelOptions options) {
+  net::expect_may_block("SecureChannel::connect");
   if (!options.metrics)
     return handshake(std::move(conn), self, ca_key, timeout, options,
                      /*is_client=*/true);
@@ -75,6 +76,7 @@ util::Result<SecureChannel> SecureChannel::accept(net::Connection conn,
                                                   const util::Bytes& ca_key,
                                                   net::Duration timeout,
                                                   ChannelOptions options) {
+  net::expect_may_block("SecureChannel::accept");
   if (!options.metrics)
     return handshake(std::move(conn), self, ca_key, timeout, options,
                      /*is_client=*/false);
@@ -414,6 +416,7 @@ util::Status SecureChannel::send(net::Frame frame) {
 }
 
 std::optional<net::Frame> SecureChannel::recv(net::Duration timeout) {
+  net::expect_may_block("SecureChannel::recv");
   if (!state_) return std::nullopt;
   if (!state_->encrypt) return state_->conn.recv(timeout);
 

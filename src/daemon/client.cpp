@@ -189,6 +189,9 @@ void AceClient::fail_pending_locked(ChannelEntry& entry,
 util::Result<cmdlang::CmdLine> AceClient::call(const net::Address& to,
                                                const cmdlang::CmdLine& cmd,
                                                const CallOptions& options) {
+  // A call may connect and handshake, waits for its reply, and sleeps
+  // out its retry backoff.
+  net::expect_may_block("AceClient::call");
   obs::Span span(env_.metrics(), "client", "call");
   calls_->inc();
   const auto timeout = options.timeout.value_or(env_.default_timeout);
@@ -372,6 +375,7 @@ util::Result<cmdlang::CmdLine> AceClient::exchange(
 
 util::Status AceClient::send_only(const net::Address& to,
                                   const cmdlang::CmdLine& cmd) {
+  net::expect_may_block("AceClient::send_only");  // may connect first
   auto entry = entry_for(to);
   std::shared_ptr<crypto::SecureChannel> channel;
   {

@@ -25,6 +25,11 @@ void send_reply(crypto::SecureChannel& ch, std::uint64_t call_id,
   (void)ch.send(wire::encode_frame(call_id, 0, reply.to_string()));
 }
 
+const std::string& principal_of(const CallerInfo& caller) {
+  static const std::string kAnonymous = "anonymous";
+  return caller.principal.empty() ? kAnonymous : caller.principal;
+}
+
 }  // namespace
 
 cmdlang::CmdLine encode_metrics_reply(const obs::MetricsSnapshot& snapshot) {
@@ -103,11 +108,11 @@ void ServiceDaemon::register_builtin_commands() {
   using cmdlang::word_arg;
 
   register_command(
-      CommandSpec("ping", "liveness probe"),
+      CommandSpec("ping", "liveness probe").nonblocking(),
       [](const CmdLine&, const CallerInfo&) { return cmdlang::make_ok(); });
 
   register_command(
-      CommandSpec("info", "describe this service daemon"),
+      CommandSpec("info", "describe this service daemon").nonblocking(),
       [this](const CmdLine&, const CallerInfo&) {
         CmdLine reply = cmdlang::make_ok();
         reply.arg("name", config_.name);
@@ -122,7 +127,8 @@ void ServiceDaemon::register_builtin_commands() {
 
   register_command(
       CommandSpec("help", "describe one command")
-          .arg(word_arg("command")),
+          .arg(word_arg("command"))
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         const cmdlang::CommandSpec* spec =
             semantics_.find(cmd.get_text("command"));
@@ -195,7 +201,8 @@ void ServiceDaemon::register_builtin_commands() {
       });
 
   register_command(
-      CommandSpec("listNotifications", "list notification subscriptions"),
+      CommandSpec("listNotifications", "list notification subscriptions")
+          .nonblocking(),
       [this](const CmdLine&, const CallerInfo&) {
         CmdLine reply = cmdlang::make_ok();
         std::vector<std::string> entries;
@@ -298,8 +305,11 @@ util::Status ServiceDaemon::start() {
   if (running_.load()) return util::Status::ok_status();
   stopping_.store(false);
   // A prior stop()/crash() on this object closed the work queues; a
-  // relaunch needs them accepting again (stale leftovers are dropped).
+  // relaunch needs them accepting again (stale leftovers are dropped, and
+  // with them their share of the control lane's count, which would
+  // otherwise keep the inline path off for this whole life).
   control_queue_.reopen();
+  control_load_.store(0);
   notify_queue_.reopen();
   {
     std::scoped_lock lock(notify_pending_mu_);
@@ -328,7 +338,8 @@ util::Status ServiceDaemon::start() {
   // ASD may call us back (and the ASD itself must serve while registering
   // nothing). Command execution may block (nested RPCs), so both the
   // control pump and the per-channel strands run on the ops pool; frame
-  // decode and accept/handshake stay on the core pool.
+  // decode, accept/handshake and inline nonblocking commands stay on the
+  // core pool.
   running_.store(true);
   net::Reactor& reactor = env_.reactor();
   accept_sub_ = listener_->on_accept(
@@ -342,7 +353,7 @@ util::Status ServiceDaemon::start() {
         if (!item) return;
         obs_control_depth_->set(
             static_cast<std::int64_t>(control_queue_.size()));
-        run_work_item(*item, /*serialize=*/true);
+        run_work_item(*item, /*serialize=*/true, control_load_);
       },
       {.blocking = true});
   notify_sub_ = net::attach_queue<net::Address>(
@@ -542,7 +553,7 @@ void ServiceDaemon::finish_accept(std::uint64_t pending_id,
     actor->work_sub = net::attach_queue<WorkItem>(
         env_.reactor(), actor->work,
         [this, actor](std::optional<WorkItem> item) {
-          if (item) run_work_item(*item, /*serialize=*/false);
+          if (item) run_work_item(*item, /*serialize=*/false, actor->load);
         },
         {.blocking = true});
     actor->frame_sub = channel->on_frame(
@@ -557,7 +568,8 @@ void ServiceDaemon::finish_accept(std::uint64_t pending_id,
   if (pending_handshakes_.empty()) pending_cv_.notify_all();
 }
 
-// Runs on the core pool: decode and route only, never execute.
+// Runs on the core pool: decodes each frame and routes its command to its
+// lane, or runs it right here when run_inline() allows.
 void ServiceDaemon::handle_frame(const std::shared_ptr<ChannelActor>& actor,
                                  std::optional<net::Frame> frame) {
   if (!frame) {
@@ -593,19 +605,61 @@ void ServiceDaemon::handle_frame(const std::shared_ptr<ChannelActor>& actor,
   // Concurrent commands (thread-safe handlers) run on this connection's
   // own strand, so they cannot convoy behind a busy control queue —
   // essential for peer-to-peer hot paths like store replication. Order
-  // within one connection is still the arrival order.
+  // within one connection is still the arrival order. Each lane counts
+  // what was pushed to it and has not finished.
   const cmdlang::CommandSpec* spec = semantics_.find(item.cmd.name());
-  if (spec && spec->concurrent) {
-    actor->work.push(std::move(item));
+  const bool concurrent = spec && spec->concurrent;
+  if (spec && spec->never_blocks && run_inline(*actor, item, concurrent))
+    return;
+  if (concurrent) {
+    actor->load.fetch_add(1);
+    if (!actor->work.push(std::move(item))) actor->load.fetch_sub(1);
     return;
   }
-  if (!control_queue_.push(std::move(item))) return;  // shutting down
+  control_load_.fetch_add(1);
+  if (!control_queue_.push(std::move(item))) {  // shutting down
+    control_load_.fetch_sub(1);
+    return;
+  }
   obs_control_depth_->set(static_cast<std::int64_t>(control_queue_.size()));
 }
 
-// Runs on the ops pool (command handlers may block on nested RPCs).
-void ServiceDaemon::run_work_item(const WorkItem& item, bool serialize) {
+// Runs a nonblocking command to completion on this core worker, sparing
+// it the hop to the ops pool, when its lane is idle and authorization
+// answers from a cached allow verdict. A serialized command's lane is the
+// control queue plus exec_mu_; a concurrent one's is this connection's
+// strand. This connection cannot fill either lane meanwhile: its frames
+// arrive here one at a time, and only they feed its strand. Anything else
+// — a busy lane, an unknown verdict (which fetches credentials), a denial
+// (which writes to the Net Logger) — returns false and takes the queue.
+bool ServiceDaemon::run_inline(ChannelActor& actor, const WorkItem& item,
+                               bool concurrent) {
+  if ((concurrent ? actor.load : control_load_).load() != 0) return false;
+  const bool enforced = config_.enforce_authorization;
+  if (enforced && !cached_verdict(principal_of(item.caller), item.cmd.name(),
+                                  env_.trust_epoch())
+                       .value_or(false))
+    return false;
+  std::unique_lock<std::mutex> exec;
+  if (!concurrent) {
+    exec = std::unique_lock(exec_mu_, std::try_to_lock);
+    if (!exec.owns_lock()) return false;
+  }
+  // exec_mu_, when needed, is held here, so dispatch must not take it.
+  CmdLine reply = dispatch(item.cmd, item.caller, /*serialize=*/false,
+                           /*cached_allow=*/enforced);
+  if (exec) exec.unlock();
+  if (!item.noreply) send_reply(*item.channel, item.call_id, reply);
+  return true;
+}
+
+// Runs on the ops pool (command handlers may block on nested RPCs). The
+// item leaves its lane's count once executed, before the reply goes out,
+// so the command a caller sends on reading the reply finds the lane idle.
+void ServiceDaemon::run_work_item(const WorkItem& item, bool serialize,
+                                  std::atomic<int>& lane) {
   CmdLine reply = dispatch(item.cmd, item.caller, serialize);
+  lane.fetch_sub(1);
   if (item.channel && !item.noreply)
     send_reply(*item.channel, item.call_id, reply);
 }
@@ -619,7 +673,7 @@ CmdLine ServiceDaemon::execute(const CmdLine& cmd, const CallerInfo& caller) {
 }
 
 CmdLine ServiceDaemon::dispatch(const CmdLine& cmd, const CallerInfo& caller,
-                                bool serialize) {
+                                bool serialize, bool cached_allow) {
   obs::Span span(env_.metrics(), "daemon", "cmd");
   const auto started = std::chrono::steady_clock::now();
   if (auto s = semantics_.validate(cmd); !s.ok()) {
@@ -627,15 +681,16 @@ CmdLine ServiceDaemon::dispatch(const CmdLine& cmd, const CallerInfo& caller,
     obs_cmd_rejected_->inc();
     return cmdlang::make_error(s.error().code, s.error().message);
   }
-  if (auto s = authorize(cmd, caller); !s.ok()) {
+  if (cached_allow) {
+    obs_auth_verdict_hits_->inc();  // run_inline's lookup was authorize()'s
+  } else if (auto s = authorize(cmd, caller); !s.ok()) {
     span.fail();
     obs_auth_denied_->inc();
     // §4.14's intrusion example: failed authorization attempts are
     // reported to the Network Logger so repeated offenders raise alerts.
     net_log("security", "authorization denied for principal '" +
-                            (caller.principal.empty() ? "anonymous"
-                                                      : caller.principal) +
-                            "' on command '" + cmd.name() + "'");
+                            principal_of(caller) + "' on command '" +
+                            cmd.name() + "'");
     return cmdlang::make_error(s.error().code, s.error().message);
   }
   HandlerEntry& handler = handlers_.at(cmd.name());
@@ -653,13 +708,30 @@ CmdLine ServiceDaemon::dispatch(const CmdLine& cmd, const CallerInfo& caller,
   return reply;
 }
 
+std::optional<bool> ServiceDaemon::cached_verdict(
+    const std::string& principal, const std::string& command,
+    std::uint64_t epoch, std::vector<keynote::Assertion>* credentials,
+    std::uint64_t* generation) const {
+  std::scoped_lock lock(cred_mu_);
+  auto it = credential_cache_.find(principal);
+  if (it == credential_cache_.end() ||
+      std::chrono::steady_clock::now() - it->second.fetched >=
+          config_.credential_cache_ttl)
+    return std::nullopt;
+  const CachedCredentials& entry = it->second;
+  auto verdict = entry.verdicts.find(command);
+  if (verdict != entry.verdicts.end() && verdict->second.trust_epoch == epoch)
+    return verdict->second.allowed;
+  if (credentials) *credentials = entry.credentials;
+  if (generation) *generation = entry.generation;
+  return std::nullopt;
+}
+
 util::Status ServiceDaemon::authorize(const CmdLine& cmd,
                                       const CallerInfo& caller) {
   if (!config_.enforce_authorization) return util::Status::ok_status();
 
-  static const std::string kAnonymous = "anonymous";
-  const std::string& principal =
-      caller.principal.empty() ? kAnonymous : caller.principal;
+  const std::string& principal = principal_of(caller);
   auto denied = [&] {
     return util::Error{util::Errc::auth_error,
                        "principal '" + principal +
@@ -676,23 +748,11 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
   // checked on the cached credentials answers from its verdict.
   std::vector<keynote::Assertion> credentials;
   std::uint64_t generation = 0;  // cache entry the verdict belongs to
-  {
-    std::scoped_lock lock(cred_mu_);
-    auto it = credential_cache_.find(principal);
-    if (it != credential_cache_.end() &&
-        std::chrono::steady_clock::now() - it->second.fetched <
-            config_.credential_cache_ttl) {
-      const CachedCredentials& entry = it->second;
-      auto verdict = entry.verdicts.find(cmd.name());
-      if (verdict != entry.verdicts.end() &&
-          verdict->second.trust_epoch == epoch) {
-        obs_auth_verdict_hits_->inc();
-        if (verdict->second.allowed) return util::Status::ok_status();
-        return denied();
-      }
-      credentials = entry.credentials;
-      generation = entry.generation;
-    }
+  if (auto verdict = cached_verdict(principal, cmd.name(), epoch,
+                                    &credentials, &generation)) {
+    obs_auth_verdict_hits_->inc();
+    if (*verdict) return util::Status::ok_status();
+    return denied();
   }
   if (generation == 0 && !env_.auth_db_address.host.empty() &&
       env_.auth_db_address != address()) {

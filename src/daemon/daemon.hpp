@@ -9,10 +9,13 @@
 //    core pool, command execution on per-channel strands of the elastic
 //    ops pool), the control "thread" is a serialized queue pump, and
 //    notification fan-out gets its own pump so two daemons notifying each
-//    other cannot deadlock. Semantics are unchanged — per-connection
-//    command order, one serialized control stream, concurrent_ok commands
-//    running in parallel — but thread count is O(reactor pool), not
-//    O(connections). See docs/net.md.
+//    other cannot deadlock. A command declared nonblocking runs on the core
+//    worker that decoded it instead, when its lane (control queue or
+//    strand) is idle and its KeyNote verdict is cached as an allow: one
+//    thread hand-off fewer, every check still made. Semantics are
+//    unchanged — per-connection command order, one serialized control
+//    stream, concurrent_ok commands running in parallel — but thread count
+//    is O(reactor pool), not O(connections). See docs/net.md.
 //  * command language integration (§2.2): incoming strings are parsed and
 //    validated against this daemon's SemanticRegistry before execution.
 //  * service hierarchy (§2.3): subclasses inherit the base "Service"
@@ -216,6 +219,7 @@ class ServiceDaemon {
     std::shared_ptr<crypto::SecureChannel> channel;
     CallerInfo caller;
     util::MessageQueue<WorkItem> work;
+    std::atomic<int> load{0};  // items pushed to `work`, not yet executed
     net::Subscription frame_sub;
     net::Subscription work_sub;
   };
@@ -225,16 +229,33 @@ class ServiceDaemon {
                      util::Result<crypto::SecureChannel> ch);
   void handle_frame(const std::shared_ptr<ChannelActor>& actor,
                     std::optional<net::Frame> frame);
-  void run_work_item(const WorkItem& item, bool serialize);
+  bool run_inline(ChannelActor& actor, const WorkItem& item, bool concurrent);
+  void run_work_item(const WorkItem& item, bool serialize,
+                     std::atomic<int>& lane);
   void run_notify_dest(const net::Address& dest);
   void record_notify_failure(const net::Address& dest,
                              const std::string& command);
   void teardown();
 
+  // The one dispatch body of every path: validation, authorization, the
+  // handler (under exec_mu_ when `serialize`), its histogram and span,
+  // notifications. `cached_allow` means run_inline already read an allow
+  // verdict for this command from the cache; it stands in for authorize().
   cmdlang::CmdLine dispatch(const cmdlang::CmdLine& cmd,
-                            const CallerInfo& caller, bool serialize = true);
+                            const CallerInfo& caller, bool serialize,
+                            bool cached_allow = false);
   util::Status authorize(const cmdlang::CmdLine& cmd,
                          const CallerInfo& caller);
+  // The verdict cache alone, never a fetch or a KeyNote run: the verdict
+  // reached for (principal, command) under trust epoch `epoch` on
+  // credentials still inside their TTL, if any. On a miss it hands out
+  // those live credentials and their generation when asked, so that
+  // authorize() reads the cache once.
+  std::optional<bool> cached_verdict(
+      const std::string& principal, const std::string& command,
+      std::uint64_t epoch,
+      std::vector<keynote::Assertion>* credentials = nullptr,
+      std::uint64_t* generation = nullptr) const;
   void fire_notifications(const cmdlang::CmdLine& cmd);
   void register_builtin_commands();
   void end_duties();
@@ -269,7 +290,12 @@ class ServiceDaemon {
   std::mutex notify_pending_mu_;
   std::map<net::Address, std::vector<NotifyJob>> notify_pending_;
   util::MessageQueue<WorkItem> control_queue_;
-  std::mutex exec_mu_;  // serializes dispatch (control pump + local execute)
+  // Items pushed to control_queue_ and not yet executed; start() resets it
+  // with the queue, whose leftovers a stop() or crash() strands.
+  std::atomic<int> control_load_{0};
+  // Serializes dispatch (control pump, inline serialized commands, local
+  // execute).
+  std::mutex exec_mu_;
 
   // Raw accepted connections whose async handshake is in flight, keyed by
   // a ticket id. stop() closes them all and waits for the registry to

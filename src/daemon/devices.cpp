@@ -31,7 +31,7 @@ DeviceDaemon::DeviceDaemon(Environment& env, DaemonHost& host,
                            DaemonConfig config)
     : ServiceDaemon(env, host, device_defaults(std::move(config))) {
   register_command(
-      CommandSpec("deviceOn", "power the device on"),
+      CommandSpec("deviceOn", "power the device on").nonblocking(),
       [this](const CmdLine&, const CallerInfo&) {
         {
           std::scoped_lock lock(device_mu_);
@@ -41,7 +41,7 @@ DeviceDaemon::DeviceDaemon(Environment& env, DaemonHost& host,
         return cmdlang::make_ok();
       });
   register_command(
-      CommandSpec("deviceOff", "power the device off"),
+      CommandSpec("deviceOff", "power the device off").nonblocking(),
       [this](const CmdLine&, const CallerInfo&) {
         {
           std::scoped_lock lock(device_mu_);
@@ -51,7 +51,7 @@ DeviceDaemon::DeviceDaemon(Environment& env, DaemonHost& host,
         return cmdlang::make_ok();
       });
   register_command(
-      CommandSpec("deviceStatus", "report power state"),
+      CommandSpec("deviceStatus", "report power state").nonblocking(),
       [this](const CmdLine&, const CallerInfo&) {
         CmdLine reply = cmdlang::make_ok();
         std::scoped_lock lock(device_mu_);
@@ -81,7 +81,8 @@ PtzCameraDaemon::PtzCameraDaemon(Environment& env, DaemonHost& host,
           .arg(real_arg("tilt").range_real(spec_.tilt_min, spec_.tilt_max))
           .arg(real_arg("zoom")
                    .range_real(spec_.zoom_min, spec_.zoom_max)
-                   .optional_arg()),
+                   .optional_arg())
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::scoped_lock lock(device_mu_);
         if (!powered_)
@@ -92,7 +93,7 @@ PtzCameraDaemon::PtzCameraDaemon(Environment& env, DaemonHost& host,
       });
 
   register_command(
-      CommandSpec("ptzGet", "report current pan/tilt/zoom"),
+      CommandSpec("ptzGet", "report current pan/tilt/zoom").nonblocking(),
       [this](const CmdLine&, const CallerInfo&) {
         CmdLine reply = cmdlang::make_ok();
         std::scoped_lock lock(device_mu_);
@@ -112,7 +113,8 @@ PtzCameraDaemon::PtzCameraDaemon(Environment& env, DaemonHost& host,
   register_command(
       CommandSpec("ptzSetCapture", "set capture resolution and frame rate")
           .arg(integer_arg("frame_rate").optional_arg())
-          .arg(string_arg("resolution").optional_arg()),
+          .arg(string_arg("resolution").optional_arg())
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::scoped_lock lock(device_mu_);
         if (cmd.has("frame_rate")) {
@@ -140,7 +142,8 @@ PtzCameraDaemon::PtzCameraDaemon(Environment& env, DaemonHost& host,
       CommandSpec("ptzPointAt", "point at a named room location")
           .arg(real_arg("x"))
           .arg(real_arg("y"))
-          .arg(real_arg("z").optional_arg()),
+          .arg(real_arg("z").optional_arg())
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::scoped_lock lock(device_mu_);
         if (!powered_)
@@ -219,7 +222,8 @@ ProjectorDaemon::ProjectorDaemon(Environment& env, DaemonHost& host,
 
   register_command(
       CommandSpec("projSetInput", "select the input source")
-          .arg(word_arg("input").choices(spec_.inputs)),
+          .arg(word_arg("input").choices(spec_.inputs))
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::scoped_lock lock(device_mu_);
         if (!powered_)
@@ -230,7 +234,8 @@ ProjectorDaemon::ProjectorDaemon(Environment& env, DaemonHost& host,
 
   register_command(
       CommandSpec("projSetBrightness", "set lamp brightness")
-          .arg(integer_arg("brightness").range(0, spec_.max_brightness)),
+          .arg(integer_arg("brightness").range(0, spec_.max_brightness))
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::scoped_lock lock(device_mu_);
         state_.brightness = static_cast<int>(cmd.get_integer("brightness"));
@@ -242,7 +247,8 @@ ProjectorDaemon::ProjectorDaemon(Environment& env, DaemonHost& host,
   // the projector as a picture in picture output."
   register_command(
       CommandSpec("projDisplay", "display a service's output")
-          .arg(string_arg("source")),
+          .arg(string_arg("source"))
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::scoped_lock lock(device_mu_);
         if (!powered_)
@@ -254,7 +260,8 @@ ProjectorDaemon::ProjectorDaemon(Environment& env, DaemonHost& host,
   register_command(
       CommandSpec("projPictureInPicture", "overlay a second source")
           .arg(string_arg("source"))
-          .arg(word_arg("enable").choices({"on", "off"})),
+          .arg(word_arg("enable").choices({"on", "off"}))
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::scoped_lock lock(device_mu_);
         if (!powered_)
@@ -266,7 +273,7 @@ ProjectorDaemon::ProjectorDaemon(Environment& env, DaemonHost& host,
       });
 
   register_command(
-      CommandSpec("projGet", "report projector state"),
+      CommandSpec("projGet", "report projector state").nonblocking(),
       [this](const CmdLine&, const CallerInfo&) {
         CmdLine reply = cmdlang::make_ok();
         std::scoped_lock lock(device_mu_);

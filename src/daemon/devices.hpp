@@ -19,6 +19,8 @@
 namespace ace::daemon {
 
 // Adds deviceOn / deviceOff / deviceStatus to the base Service commands.
+// Every command of this hierarchy is nonblocking: its handler only takes
+// device_mu_.
 class DeviceDaemon : public ServiceDaemon {
  public:
   DeviceDaemon(Environment& env, DaemonHost& host, DaemonConfig config);
@@ -26,7 +28,9 @@ class DeviceDaemon : public ServiceDaemon {
   bool powered() const;
 
  protected:
-  // Subclass hook invoked on power transitions.
+  // Subclass hook invoked on power transitions. deviceOn and deviceOff are
+  // nonblocking, so it may run on a reactor core worker: it must never
+  // wait on another thread (CommandSpec::nonblocking).
   virtual void on_power(bool on) { (void)on; }
 
   // Guards all simulated device state in this hierarchy.

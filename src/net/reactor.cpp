@@ -1,9 +1,23 @@
 #include "net/reactor.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace ace::net {
+
+#ifdef ACE_CHECK_NEVER_BLOCK
+namespace {
+thread_local bool t_core_worker = false;  // set by Reactor::core_loop
+}  // namespace
+
+void expect_may_block(const char* site) {
+  if (!t_core_worker) return;
+  std::fprintf(stderr, "ace: core task would block at %s\n", site);
+  std::abort();
+}
+#endif
 
 // ------------------------------------------------------------------- Reactor
 
@@ -123,6 +137,9 @@ Reactor::Stats Reactor::stats() const {
 }
 
 void Reactor::core_loop() {
+#ifdef ACE_CHECK_NEVER_BLOCK
+  t_core_worker = true;
+#endif
   while (auto task = core_queue_.pop()) {
     (*task)();
     tasks_run_.fetch_add(1, std::memory_order_relaxed);
@@ -359,6 +376,7 @@ std::function<void()> TaskGuard::wrap(std::function<void()> fn) const {
 }
 
 void TaskGuard::revoke() {
+  expect_may_block("TaskGuard::revoke");
   const auto self = std::this_thread::get_id();
   std::unique_lock lock(core_->mu);
   core_->revoked = true;
@@ -439,6 +457,7 @@ void PeriodicTask::start(std::chrono::steady_clock::duration period,
 }
 
 void PeriodicTask::stop() {
+  expect_may_block("PeriodicTask::stop");
   std::unique_lock lock(core_->mu);
   core_->armed = false;
   core_->rearm_at.reset();

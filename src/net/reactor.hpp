@@ -17,8 +17,10 @@
 //
 // Two worker tiers:
 //  * core workers — a small fixed pool for transport work (frame pumps,
-//    handshake steps, reply demux). Core tasks must never block; this is
-//    what guarantees the fabric keeps moving no matter what services do.
+//    handshake steps, reply demux, and a daemon's nonblocking commands
+//    when their lane is idle). Core tasks must never block; this is what
+//    guarantees the fabric keeps moving no matter what services do.
+//    expect_may_block() below turns the rule into a machine check.
 //  * ops workers — an elastic pool (grown on demand, idled away) for
 //    service work that may block: command handlers doing nested RPCs
 //    (store quorum fan-out, credential fetches), notification fan-out,
@@ -53,6 +55,19 @@ class Reactor;
 namespace detail {
 struct SubCore;
 }  // namespace detail
+
+// "Core tasks never block", machine-checked. Reactor::core_loop marks its
+// thread, and expect_may_block(site) aborts naming `site` when called on a
+// marked thread. Every wait on another thread's progress in src/ calls it
+// first. Compiled in only when ACE_CHECK_NEVER_BLOCK is defined (Debug
+// and sanitizer builds, src/net/CMakeLists.txt); elsewhere it costs nothing.
+#ifdef ACE_CHECK_NEVER_BLOCK
+inline constexpr bool kNeverBlockChecked = true;
+void expect_may_block(const char* site);
+#else
+inline constexpr bool kNeverBlockChecked = false;
+inline void expect_may_block(const char*) {}
+#endif
 
 // Handle to one queue pump created by attach_queue(). Dropping the handle
 // does NOT stop the pump (the queue keeps it alive); call stop() to detach

@@ -68,7 +68,9 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
   }
   // Every directory command runs concurrently against the synchronized
   // index: readers share the index lock instead of convoying behind the
-  // daemon's control thread (see asd_index.hpp).
+  // daemon's control thread (see asd_index.hpp). All but `query`, which
+  // forwards to peer rooms, and the gossip commands are nonblocking: their
+  // handlers only take the index and gossip locks, never across a wait.
   register_command(
       CommandSpec("register", "register a service with a liveness lease")
           .arg(word_arg("name"))
@@ -77,7 +79,8 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
           .arg(word_arg("room").optional_arg())
           .arg(string_arg("class").optional_arg())
           .arg(integer_arg("lease").optional_arg())
-          .concurrent_ok(),
+          .concurrent_ok()
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         Registration r;
         r.name = cmd.get_text("name");
@@ -101,7 +104,8 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
   register_command(
       CommandSpec("renew", "renew a service lease")
           .arg(word_arg("name"))
-          .concurrent_ok(),
+          .concurrent_ok()
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         obs_renew_rpcs_->inc();
         auto lease = index_.renew(cmd.get_text("name"),
@@ -122,7 +126,8 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
   register_command(
       CommandSpec("renewBatch", "renew many service leases in one RPC")
           .arg(vector_arg("names", ArgType::vector_string))
-          .concurrent_ok(),
+          .concurrent_ok()
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         obs_renew_rpcs_->inc();
         obs_renew_batches_->inc();
@@ -150,7 +155,8 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
   register_command(
       CommandSpec("deregister", "remove a service from the directory")
           .arg(word_arg("name"))
-          .concurrent_ok(),
+          .concurrent_ok()
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         index_.erase(cmd.get_text("name"));
         obs_deregistrations_->inc();
@@ -161,7 +167,8 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
   register_command(
       CommandSpec("lookup", "find one service by exact name")
           .arg(word_arg("name"))
-          .concurrent_ok(),
+          .concurrent_ok()
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         obs_lookups_->inc();
         auto now = std::chrono::steady_clock::now();
@@ -216,7 +223,9 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
       });
 
   register_command(
-      CommandSpec("count", "number of live registrations").concurrent_ok(),
+      CommandSpec("count", "number of live registrations")
+          .concurrent_ok()
+          .nonblocking(),
       [this](const CmdLine&, const CallerInfo&) {
         CmdLine reply = cmdlang::make_ok();
         reply.arg("count", static_cast<std::int64_t>(index_.size()));
@@ -231,7 +240,8 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
           .arg(word_arg("name"))
           .arg(string_arg("class").optional_arg())
           .arg(string_arg("host").optional_arg())
-          .concurrent_ok(),
+          .concurrent_ok()
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         if (index_.erase_expired(cmd.get_text("name"),
                                  std::chrono::steady_clock::now())) {

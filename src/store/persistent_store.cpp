@@ -153,10 +153,14 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
 
   // Read-path internal: version/tombstone digest only — no value bytes.
   // This is what lets a quorum read ship one full copy plus R-1 digests.
+  // It and the three other replica-local reads below (storeCount and the
+  // two Merkle digests) are nonblocking: mu_ is never held across a WAL
+  // sync or an RPC.
   register_command(
       CommandSpec("storeGetDigest",
                   "version digest of one object (this replica)").concurrent_ok()
-          .arg(string_arg("key")),
+          .arg(string_arg("key"))
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::scoped_lock lock(mu_);
         auto it = objects_.find(cmd.get_text("key"));
@@ -222,7 +226,7 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
         return reply;
       });
 
-  register_command(CommandSpec("storeCount", "count live objects (this replica)").concurrent_ok(),
+  register_command(CommandSpec("storeCount", "count live objects (this replica)").concurrent_ok().nonblocking(),
                    [this](const CmdLine&, const CallerInfo&) {
                      CmdLine reply = cmdlang::make_ok();
                      reply.arg("count",
@@ -232,7 +236,8 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
 
   register_command(
       CommandSpec("storeDigestTree", "Merkle digest-tree hashes for anti-entropy").concurrent_ok()
-          .arg(string_arg("nodes")),
+          .arg(string_arg("nodes"))
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::vector<std::string> hashes;
         std::size_t served = 0;
@@ -255,7 +260,8 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
 
   register_command(
       CommandSpec("storeDigestBucket", "key/version digest of one Merkle bucket").concurrent_ok()
-          .arg(integer_arg("bucket")),
+          .arg(integer_arg("bucket"))
+          .nonblocking(),
       [this](const CmdLine& cmd, const CallerInfo&) {
         const auto bucket = static_cast<std::size_t>(
             std::max<std::int64_t>(0, cmd.get_integer("bucket")));

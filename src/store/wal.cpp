@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "net/reactor.hpp"
+
 namespace ace::store {
 
 namespace {
@@ -341,6 +343,7 @@ WalTicket DurableLog::append(const WalRecord& r) {
 }
 
 bool DurableLog::sync(const WalTicket& t) {
+  net::expect_may_block("DurableLog::sync");  // a group-commit wait
   if (!t.wal) return true;
   return t.wal->sync(t.lsn);
 }

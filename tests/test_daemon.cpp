@@ -1,6 +1,7 @@
 // Tests for the ACE service daemon core: builtin commands, notifications
 // (§2.5), startup sequence (§2.6), leases (§2.4), authorization (§3.2),
-// device hierarchy (§2.3 Fig 6) and failure behaviour.
+// device hierarchy (§2.3 Fig 6), failure behaviour, and the inline path of
+// nonblocking commands.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +9,7 @@
 
 #include "ace_test_env.hpp"
 #include "daemon/devices.hpp"
+#include "daemon/wire.hpp"
 #include "services/auth_db.hpp"
 
 using namespace ace;
@@ -81,6 +83,34 @@ class SinkDaemon : public daemon::ServiceDaemon {
   mutable std::mutex mu_;
   std::vector<std::string> received_;
 };
+
+// Its serialized `nap` holds the control lane for 200 ms, long enough to
+// queue commands behind it.
+class NapDaemon : public daemon::ServiceDaemon {
+ public:
+  NapDaemon(daemon::Environment& env, daemon::DaemonHost& host,
+            daemon::DaemonConfig config)
+      : ServiceDaemon(env, host, std::move(config)) {
+    register_command(cmdlang::CommandSpec("nap", "hold the control lane"),
+                     [this](const CmdLine&, const daemon::CallerInfo&) {
+                       ++naps_;
+                       std::this_thread::sleep_for(200ms);
+                       return cmdlang::make_ok();
+                     });
+  }
+
+  int naps() const { return naps_.load(); }
+
+ private:
+  std::atomic<int> naps_{0};
+};
+
+// reactor.blocking_tasks once the ops tasks behind earlier replies have
+// returned: a task sends its reply before it ends.
+std::uint64_t settled_blocking_tasks(daemon::Environment& env) {
+  std::this_thread::sleep_for(50ms);
+  return env.metrics().counter("reactor.blocking_tasks").value();
+}
 
 }  // namespace
 
@@ -425,6 +455,89 @@ TEST_F(DaemonTest, AuthorizationVerdictCacheUnderConcurrentRefetch) {
             0u);
 }
 
+TEST_F(DaemonTest, AuthorizationCachedAllowIsRecheckedAfterTrustChange) {
+  deployment_->env.register_principal("admin");
+  keynote::Assertion policy;
+  policy.authorizer = keynote::kPolicyAuthorizer;
+  policy.licensees = keynote::licensee_key("admin");
+  deployment_->env.add_policy(policy);
+  ASSERT_TRUE(services::grant_credential(
+                  *client_, deployment_->env.auth_db_address,
+                  deployment_->env, "admin", "user/bob", "")
+                  .ok());
+
+  daemon::DaemonConfig c = config("guarded5");
+  c.enforce_authorization = true;
+  c.credential_cache_ttl = 10min;
+  auto& echo = host_->add_daemon<EchoDaemon>(c);
+  ASSERT_TRUE(echo.start().ok());
+
+  // The second ping, nonblocking with a warm verdict, answers inline.
+  auto bob = deployment_->make_client("bob-pc", "user/bob");
+  for (int i = 0; i < 2; ++i)
+    ASSERT_TRUE(bob->call(echo.address(), CmdLine("ping"), daemon::kCallOk).ok());
+  auto& metrics = deployment_->env.metrics();
+  const auto hits = metrics.counter("daemon.auth.verdict_hits").value();
+  EXPECT_EQ(hits, 1u);
+  const auto denied = metrics.counter("daemon.auth.denied").value();
+
+  // Revoke the grant: the Authorization Database drops it, and its issuer
+  // gets a new key, which bumps the trust epoch and voids the signature on
+  // bob's cached copy.
+  CmdLine revoke("credRemove");
+  revoke.arg("principal", "user/bob");
+  ASSERT_TRUE(
+      client_->call(deployment_->env.auth_db_address, revoke, daemon::kCallOk)
+          .ok());
+  deployment_->env.register_principal("admin");
+
+  auto reply = bob->call(echo.address(), CmdLine("ping"));
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_TRUE(cmdlang::is_error(reply.value()));
+  EXPECT_EQ(cmdlang::reply_error(reply.value()).code, util::Errc::auth_error);
+  // Checked afresh, not answered from the verdict cached before the change.
+  EXPECT_EQ(metrics.counter("daemon.auth.verdict_hits").value(), hits);
+  EXPECT_EQ(metrics.counter("daemon.auth.denied").value(), denied + 1);
+}
+
+TEST_F(DaemonTest, AuthorizationDeniedNonblockingCommandIsLogged) {
+  keynote::Assertion policy;
+  policy.authorizer = keynote::kPolicyAuthorizer;
+  policy.licensees = keynote::licensee_key("user/alice");
+  policy.conditions = "app_domain == \"ace\"";
+  deployment_->env.add_policy(policy);
+
+  daemon::DaemonConfig c = config("guarded6");
+  c.enforce_authorization = true;
+  auto& echo = host_->add_daemon<EchoDaemon>(c);
+  ASSERT_TRUE(echo.start().ok());
+
+  // Two denied pings; the second is answered from the cached denial,
+  // which still takes the ops pool and its report to the Network Logger.
+  auto mallory = deployment_->make_client("mallory-pc", "user/mallory");
+  for (int i = 0; i < 2; ++i) {
+    auto reply = mallory->call(echo.address(), CmdLine("ping"));
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    EXPECT_EQ(cmdlang::reply_error(reply.value()).code,
+              util::Errc::auth_error);
+  }
+  EXPECT_EQ(
+      deployment_->env.metrics().counter("daemon.auth.verdict_hits").value(),
+      1u);
+  auto security_entries = [&] {
+    int n = 0;
+    for (const auto& e : deployment_->net_logger->entries_from("guarded6"))
+      if (e.level == "security" &&
+          e.message.find("'ping'") != std::string::npos)
+        ++n;
+    return n;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (security_entries() < 2 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(5ms);
+  EXPECT_EQ(security_entries(), 2);
+}
+
 TEST_F(DaemonTest, StatsCountConnectionsAndCommands) {
   // A deployment of its own (no directory, logger or lease traffic), so
   // its registry counts only this daemon and this client.
@@ -525,4 +638,115 @@ TEST_F(DaemonTest, StoppedDaemonRefusesConnections) {
   auto reply =
       client_->call(addr, CmdLine("ping"), daemon::CallOptions{.timeout = 200ms});
   EXPECT_FALSE(reply.ok());
+}
+
+// ------------------------------------------------------------ inline path
+//
+// Deployments of their own with no directory, logger or lease traffic, so
+// reactor.blocking_tasks moves only for the daemons under test.
+
+// stop() and crash() strand commands queued on the control lane, and
+// start() drops them with the queue; the lane's count must go with them,
+// or the inline path stays off for the daemon's next life.
+TEST(InlineDispatchTest, LaneCountResetsWithItsQueue) {
+  daemon::Environment env(21);
+  daemon::DaemonHost host(env, "solo");
+  daemon::DaemonConfig cfg;
+  cfg.name = "napper";
+  cfg.room = "hawk";
+  auto& svc = host.add_daemon<NapDaemon>(cfg);
+  ASSERT_TRUE(svc.start().ok());
+  daemon::AceClient client(env, env.network().add_host("solo-laptop"),
+                           env.issue_identity("user/tester"));
+  auto& pipeliner = env.network().add_host("pipeliner");
+
+  for (const bool crash : {true, false}) {
+    SCOPED_TRACE(crash ? "crash" : "stop");
+    // Park the control lane: a nap runs while three pings queue behind it.
+    auto conn = pipeliner.connect(svc.address(), 2s);
+    ASSERT_TRUE(conn.ok());
+    auto ch = crypto::SecureChannel::connect(
+        std::move(conn.value()), env.issue_identity("user/pipeliner"),
+        env.ca_key(), 2s, env.channel_options());
+    ASSERT_TRUE(ch.ok()) << ch.error().to_string();
+    const int naps = svc.naps();
+    for (const char* text : {"nap;", "ping;", "ping;", "ping;"})
+      ASSERT_TRUE(
+          ch->send(daemon::wire::encode_frame(0, daemon::wire::kFlagNoReply,
+                                              text))
+              .ok());
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (svc.naps() == naps && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(1ms);
+    ASSERT_GT(svc.naps(), naps);
+    std::this_thread::sleep_for(20ms);  // the pings are decoded and queued
+    if (crash)
+      svc.crash();
+    else
+      svc.stop();
+    ASSERT_TRUE(svc.start().ok());
+
+    // The first call reconnects; the next 100 all run inline.
+    ASSERT_TRUE(client.call(svc.address(), CmdLine("ping"), daemon::kCallOk).ok());
+    const auto before = settled_blocking_tasks(env);
+    for (int i = 0; i < 100; ++i)
+      ASSERT_TRUE(
+          client.call(svc.address(), CmdLine("ping"), daemon::kCallOk).ok());
+    EXPECT_EQ(settled_blocking_tasks(env) - before, 0u);
+  }
+}
+
+// An expired credential cache sends exactly one call through the ops pool
+// to refetch; the verdict it stores lets later calls run inline again.
+TEST(InlineDispatchTest, ExpiredCredentialsRefetchOnceOnOpsPool) {
+  daemon::Environment env(23);
+  env.auth_db_address = {"infra", daemon::kAuthDbPort};
+  daemon::DaemonHost infra(env, "infra");
+  daemon::DaemonConfig auth_cfg;
+  auth_cfg.name = "auth-db";
+  auth_cfg.port = daemon::kAuthDbPort;
+  auth_cfg.room = "machine-room";
+  infra.add_daemon<services::AuthDbDaemon>(auth_cfg);
+  ASSERT_TRUE(infra.start_all().ok());
+
+  env.register_principal("admin");
+  keynote::Assertion policy;
+  policy.authorizer = keynote::kPolicyAuthorizer;
+  policy.licensees = keynote::licensee_key("admin");
+  env.add_policy(policy);
+  daemon::AceClient admin(env, env.network().add_host("admin-pc"),
+                          env.issue_identity("user/admin"));
+  ASSERT_TRUE(services::grant_credential(admin, env.auth_db_address, env,
+                                         "admin", "user/bob", "")
+                  .ok());
+
+  daemon::DaemonHost work(env, "work");
+  daemon::DaemonConfig cfg;
+  cfg.name = "guarded";
+  cfg.room = "hawk";
+  cfg.enforce_authorization = true;
+  cfg.credential_cache_ttl = 500ms;
+  auto& svc = work.add_daemon<EchoDaemon>(cfg);
+  ASSERT_TRUE(svc.start().ok());
+
+  daemon::AceClient bob(env, env.network().add_host("bob-pc"),
+                        env.issue_identity("user/bob"));
+  auto& fetches =
+      env.metrics().histogram("daemon.cmd.getCredentials.latency_us");
+  auto ping = [&] {
+    return bob.call(svc.address(), CmdLine("ping"), daemon::kCallOk).ok();
+  };
+  ASSERT_TRUE(ping());
+  ASSERT_TRUE(ping());
+  EXPECT_EQ(fetches.snapshot().count, 1u);
+
+  std::this_thread::sleep_for(600ms);  // past the credential TTL
+  const auto before = settled_blocking_tasks(env);
+  ASSERT_TRUE(ping());
+  const auto refetched = settled_blocking_tasks(env);
+  EXPECT_EQ(fetches.snapshot().count, 2u);
+  EXPECT_GT(refetched - before, 0u);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(ping());
+  EXPECT_EQ(settled_blocking_tasks(env) - refetched, 0u);
+  EXPECT_EQ(fetches.snapshot().count, 2u);
 }

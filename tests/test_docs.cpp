@@ -4,7 +4,9 @@
 //    `## `ClassName`` section (plus the sections of its bases) against
 //    semantics().command_names(). A command added, removed or renamed in
 //    code without a matching doc edit fails here — and so does a
-//    documented command no daemon registers.
+//    documented command no daemon registers. Likewise, the entries marked
+//    *Nonblocking.* must be exactly the commands declared
+//    CommandSpec::nonblocking().
 //  * cross-links — every docs/*.md must be reachable from README.md by
 //    following relative markdown links, and every relative link (file and
 //    #anchor) in the reachable set must resolve.
@@ -62,27 +64,36 @@ std::string backticked(const std::string& line) {
   return line.substr(open + 1, close - open - 1);
 }
 
-// Section name -> set of `### `-documented command names.
-std::map<std::string, std::set<std::string>> parse_reference(
-    const std::string& path) {
+// The `### `-documented commands of one `## ` section, and those of them
+// whose entry carries the *Nonblocking.* mark.
+struct DocSection {
+  std::set<std::string> commands;
+  std::set<std::string> nonblocking;
+};
+
+std::map<std::string, DocSection> parse_reference(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::map<std::string, std::set<std::string>> sections;
-  std::string line, section;
+  std::map<std::string, DocSection> sections;
+  std::string line, section, cmd;
   while (std::getline(in, line)) {
     if (line.rfind("## ", 0) == 0 && line.rfind("### ", 0) != 0) {
       section = backticked(line);
+      cmd.clear();
       EXPECT_FALSE(section.empty()) << "unbackticked section: " << line;
       EXPECT_FALSE(sections.count(section))
           << "duplicate section: " << section;
       sections[section];
     } else if (line.rfind("### ", 0) == 0) {
-      std::string cmd = backticked(line);
+      cmd = backticked(line);
       EXPECT_FALSE(cmd.empty()) << "unbackticked command: " << line;
       EXPECT_FALSE(section.empty()) << "command before any section: " << cmd;
       if (section.empty()) continue;
-      EXPECT_TRUE(sections[section].insert(cmd).second)
+      EXPECT_TRUE(sections[section].commands.insert(cmd).second)
           << "duplicate command " << cmd << " in section " << section;
+    } else if (!cmd.empty() && !section.empty() &&
+               line.find("*Nonblocking.*") != std::string::npos) {
+      sections[section].nonblocking.insert(cmd);
     }
   }
   return sections;
@@ -107,18 +118,28 @@ class CommandReferenceTest : public ::testing::Test {
   }
 
   // Diffs one daemon's registered commands against the union of the
-  // named doc sections (the class's own section plus inherited bases).
+  // named doc sections (the class's own section plus inherited bases), and
+  // its nonblocking commands against the entries marked so.
   void check(const ace::daemon::ServiceDaemon& d,
              const std::vector<std::string>& section_names) {
-    std::set<std::string> documented;
+    std::set<std::string> documented, documented_nonblocking;
     for (const auto& s : section_names) {
       ASSERT_TRUE(docs_.count(s)) << "docs/commands.md has no section `" << s
                                   << "` (needed by a registered daemon)";
       used_sections_.insert(s);
-      documented.insert(docs_[s].begin(), docs_[s].end());
+      documented.insert(docs_[s].commands.begin(), docs_[s].commands.end());
+      documented_nonblocking.insert(docs_[s].nonblocking.begin(),
+                                    docs_[s].nonblocking.end());
     }
-    std::set<std::string> registered;
-    for (const auto& n : d.semantics().command_names()) registered.insert(n);
+    std::set<std::string> registered, nonblocking;
+    for (const auto& n : d.semantics().command_names()) {
+      registered.insert(n);
+      if (d.semantics().find(n)->never_blocks) nonblocking.insert(n);
+    }
+    EXPECT_EQ(join(nonblocking), join(documented_nonblocking))
+        << section_names.front() << ": the commands declared nonblocking "
+        << "(left) differ from those marked *Nonblocking.* in "
+        << "docs/commands.md (right)";
 
     std::set<std::string> undocumented, stale;
     std::set_difference(registered.begin(), registered.end(),
@@ -138,7 +159,7 @@ class CommandReferenceTest : public ::testing::Test {
   ace::daemon::Environment env_;
   ace::daemon::DaemonHost host_;
   int next_port_ = 7000;
-  std::map<std::string, std::set<std::string>> docs_ =
+  std::map<std::string, DocSection> docs_ =
       parse_reference(ACE_DOCS_COMMANDS_MD);
   std::set<std::string> used_sections_;
 };

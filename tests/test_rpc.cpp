@@ -1,11 +1,14 @@
 // Tests for the pipelined multiplexed command channel: concurrent in-flight
 // calls per destination, out-of-order reply routing, retry across channel
-// death, malformed frames, and the daemon-side handshake pool keeping slow
-// connectors off the accept path.
+// death, malformed frames, the daemon-side handshake pool keeping slow
+// connectors off the accept path, and per-connection order on the inline
+// path of nonblocking commands.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +23,9 @@ using cmdlang::CmdLine;
 namespace {
 
 // Echo service with a deliberately slow serialized command and a fast
-// concurrent one, for exercising reply interleaving on one channel.
+// concurrent one, for exercising reply interleaving on one channel; a slow
+// and a nonblocking command on each lane, which log the order they execute
+// in; and a nonblocking command that breaks its promise.
 class RpcTestDaemon : public daemon::ServiceDaemon {
  public:
   RpcTestDaemon(daemon::Environment& env, daemon::DaemonHost& host,
@@ -37,8 +42,9 @@ class RpcTestDaemon : public daemon::ServiceDaemon {
     register_command(
         cmdlang::CommandSpec("slow", "sleep, then echo")
             .arg(cmdlang::string_arg("text")),
-        [](const CmdLine& cmd, const daemon::CallerInfo&) {
+        [this](const CmdLine& cmd, const daemon::CallerInfo&) {
           std::this_thread::sleep_for(150ms);
+          log_executed("slow");
           CmdLine reply = cmdlang::make_ok();
           reply.arg("text", cmd.get_text("text"));
           return reply;
@@ -48,7 +54,53 @@ class RpcTestDaemon : public daemon::ServiceDaemon {
         [](const CmdLine&, const daemon::CallerInfo&) {
           return cmdlang::make_ok();
         });
+    register_command(
+        cmdlang::CommandSpec("probe", "log and return").nonblocking(),
+        [this](const CmdLine&, const daemon::CallerInfo&) {
+          log_executed("probe");
+          return cmdlang::make_ok();
+        });
+    register_command(
+        cmdlang::CommandSpec("slowStrand", "sleep, then log").concurrent_ok(),
+        [this](const CmdLine&, const daemon::CallerInfo&) {
+          std::this_thread::sleep_for(150ms);
+          log_executed("slowStrand");
+          return cmdlang::make_ok();
+        });
+    register_command(
+        cmdlang::CommandSpec("probeStrand", "log and return")
+            .concurrent_ok()
+            .nonblocking(),
+        [this](const CmdLine&, const daemon::CallerInfo&) {
+          log_executed("probeStrand");
+          return cmdlang::make_ok();
+        });
+    // Declared nonblocking but makes a nested RPC. concurrent_ok keeps its
+    // lane (a fresh connection's strand) idle, so it always runs inline.
+    register_command(
+        cmdlang::CommandSpec("nestedCall", "call ourselves")
+            .concurrent_ok()
+            .nonblocking(),
+        [this](const CmdLine&, const daemon::CallerInfo&) {
+          auto r = control_client().call(address(), CmdLine("ping"));
+          return r.ok() ? *r : cmdlang::make_error(r.error().code, "failed");
+        });
   }
+
+  // Names of the logging commands in the order their handlers ran.
+  std::vector<std::string> executed() const {
+    std::scoped_lock lock(mu_);
+    return executed_;
+  }
+
+ private:
+  void log_executed(const std::string& name) {
+    std::scoped_lock lock(mu_);
+    executed_.push_back(name);
+  }
+
+  mutable std::mutex mu_;
+  std::vector<std::string> executed_;
 };
 
 struct RpcFixture {
@@ -75,11 +127,40 @@ struct RpcFixture {
     return 0;
   }
 
+  // A channel of its own to the service, on which the test frames requests
+  // by hand, so that several ride it back to back.
+  util::Result<crypto::SecureChannel> raw_channel(const std::string& host) {
+    auto conn = env.env.network().add_host(host).connect(svc->address(), 2s);
+    if (!conn.ok()) return conn.error();
+    return crypto::SecureChannel::connect(
+        std::move(conn.value()), env.env.issue_identity("user/" + host),
+        env.env.ca_key(), 2s, env.env.channel_options());
+  }
+
   testenv::AceTestEnv env;
   std::unique_ptr<daemon::DaemonHost> svc_host;
   RpcTestDaemon* svc = nullptr;
   std::unique_ptr<daemon::AceClient> client;
 };
+
+// Reads replies off a raw channel until every id in `ids` has one, or 2 s
+// pass.
+std::map<std::uint64_t, CmdLine> read_replies(crypto::SecureChannel& ch,
+                                              std::set<std::uint64_t> ids) {
+  std::map<std::uint64_t, CmdLine> replies;
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (!ids.empty() && std::chrono::steady_clock::now() < deadline) {
+    auto frame = ch.recv(200ms);
+    if (!frame) continue;
+    auto decoded = daemon::wire::decode_frame(*frame);
+    if (!decoded) continue;
+    auto reply = cmdlang::Parser::parse(decoded->body);
+    if (!reply.ok()) continue;
+    ids.erase(decoded->call_id);
+    replies.emplace(decoded->call_id, std::move(reply.value()));
+  }
+  return replies;
+}
 
 // N threads share one AceClient and one destination: every reply must come
 // back to the thread that asked for it, even though all calls share a
@@ -235,12 +316,7 @@ TEST(Rpc, SendOnlyUsesNoReplyFlag) {
 // the channel keeps serving the frames after them.
 TEST(Rpc, MalformedFramesAreCountedAndChannelSurvives) {
   RpcFixture f;
-  auto& raw_host = f.env.env.network().add_host("raw");
-  auto conn = raw_host.connect(f.svc->address(), 2s);
-  ASSERT_TRUE(conn.ok());
-  auto ch = crypto::SecureChannel::connect(
-      std::move(conn.value()), f.env.env.issue_identity("user/raw"),
-      f.env.env.ca_key(), 2s, f.env.env.channel_options());
+  auto ch = f.raw_channel("raw");
   ASSERT_TRUE(ch.ok()) << ch.error().to_string();
 
   auto& rejected = f.env.env.metrics().counter("daemon.cmd.rejected");
@@ -272,6 +348,55 @@ TEST(Rpc, MalformedFramesAreCountedAndChannelSurvives) {
   EXPECT_EQ(replies.size(), 2u);  // nothing answered the truncated header
   EXPECT_EQ(rejected.value(), before + 2);
   ch->close();
+}
+
+// A nonblocking serialized command pipelined behind a slow serialized one
+// on the same channel finds the control lane busy, so it queues and runs
+// after it instead of overtaking it on the core worker.
+TEST(Rpc, NonblockingCommandQueuesBehindBusyControlLane) {
+  RpcFixture f;
+  auto ch = f.raw_channel("pipeliner");
+  ASSERT_TRUE(ch.ok()) << ch.error().to_string();
+  ASSERT_TRUE(ch->send(daemon::wire::encode_frame(1, 0, "slow text=first;")).ok());
+  ASSERT_TRUE(ch->send(daemon::wire::encode_frame(2, 0, "probe;")).ok());
+  auto replies = read_replies(*ch, {1, 2});
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(cmdlang::is_ok(replies.at(1)));
+  EXPECT_TRUE(cmdlang::is_ok(replies.at(2)));
+  EXPECT_EQ(f.svc->executed(), (std::vector<std::string>{"slow", "probe"}));
+  ch->close();
+}
+
+// The same on a connection's strand: a nonblocking concurrent_ok command
+// behind a slow one on the strand waits its turn.
+TEST(Rpc, NonblockingCommandQueuesBehindBusyStrand) {
+  RpcFixture f;
+  auto ch = f.raw_channel("pipeliner");
+  ASSERT_TRUE(ch.ok()) << ch.error().to_string();
+  ASSERT_TRUE(ch->send(daemon::wire::encode_frame(1, 0, "slowStrand;")).ok());
+  ASSERT_TRUE(ch->send(daemon::wire::encode_frame(2, 0, "probeStrand;")).ok());
+  auto replies = read_replies(*ch, {1, 2});
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(cmdlang::is_ok(replies.at(1)));
+  EXPECT_TRUE(cmdlang::is_ok(replies.at(2)));
+  EXPECT_EQ(f.svc->executed(),
+            (std::vector<std::string>{"slowStrand", "probeStrand"}));
+  ch->close();
+}
+
+// A handler declared nonblocking that makes a nested RPC runs on a core
+// worker, where the never-block check aborts the process at the call.
+TEST(RpcDeathTest, NestedCallFromNonblockingCommandAborts) {
+  if (!net::kNeverBlockChecked)
+    GTEST_SKIP() << "the never-block check is compiled out of this build";
+  // The deployment's threads make fork-only death tests unsafe.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        RpcFixture f;
+        (void)f.client->call(f.svc->address(), CmdLine("nestedCall"));
+      },
+      "core task would block at AceClient::call");
 }
 
 }  // namespace
