@@ -309,7 +309,7 @@ void endpoint_scale(bool smoke) {
     net::Host* origin = network.find_host("origin" + std::to_string(i / 20000));
     if (!origin)
       origin = &network.add_host("origin" + std::to_string(i / 20000));
-    auto conn = origin->connect({"hub", 100}, std::chrono::seconds(5));
+    auto conn = origin->connect({"hub", 100});
     if (!conn.ok()) {
       std::printf("  connect %d failed: %s\n", i,
                   conn.error().to_string().c_str());

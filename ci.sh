@@ -265,6 +265,24 @@ inline_dispatch_sweep() {
     'AsdScaleTest.HostCoordinator*' --gtest_repeat=3
 }
 
+# Every handshake runs on the reactor, and AceClient parks on a completion
+# slot its callback shares, bounded by the handshake timeout: a slot that
+# outlives a timed-out waiter, or a reconnect racing a drop, is what TSan
+# and ASan should see. Replay the channel, network and Jini suites and the
+# client's handshake, retry and drop tests in both sanitizer legs.
+handshake_sweep() {
+  local build_dir="$1"
+  echo "=== handshake hand-off sweep: ${build_dir} ==="
+  run_filtered "${build_dir}/tests/test_crypto" 'ChannelTest.*' \
+    --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_net" 'Network.*' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_baselines" 'Jini.*' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_rpc" \
+'Rpc.SlowHandshaker*:Rpc.RetriesReconnect*:Rpc.DropConnection*:'\
+'Rpc.HandshakeInFlight*' \
+    --gtest_repeat=3
+}
+
 # The sanitizer legs build with the never-block check compiled in
 # (ACE_SANITIZE defines ACE_CHECK_NEVER_BLOCK, src/net/CMakeLists.txt), so
 # their whole ctest run aborts any core task that would block. The death
@@ -323,12 +341,14 @@ case "${want}" in
     timer_chain_sweep build-tsan
     require_never_block_check build-tsan
     inline_dispatch_sweep build-tsan
+    handshake_sweep build-tsan
     ;;&
   asan|all)
     run_config "asan" build-asan -DACE_SANITIZE=address
     disk_fault_sweep build-asan
     batcher_stop_sweep build-asan
     require_never_block_check build-asan
+    handshake_sweep build-asan
     ;;&
   release|tsan|asan|all) ;;
   *)

@@ -1,5 +1,9 @@
 #include "baselines/jini.hpp"
 
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+
 #include "util/strings.hpp"
 
 namespace ace::baselines {
@@ -80,35 +84,49 @@ util::Result<JiniDiscoveryResult> jini_discover(
     daemon::Environment& env, net::Host& from,
     const std::vector<std::string>& segment_hosts,
     std::chrono::milliseconds timeout) {
+  net::expect_may_block("jini_discover");  // waits for an announcement
   auto socket = from.open_datagram();
   if (!socket.ok()) return socket.error();
-  auto start = std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
 
-  JiniDiscoveryResult result;
+  // The first announcement wins. The handler captures these by reference;
+  // stopping the pump before returning keeps that safe.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<JiniDiscoveryResult> found;
+  net::Subscription announcements = (*socket)->on_datagram(
+      env.reactor(), [&](std::optional<net::Datagram> dg) {
+        if (!dg) return;
+        std::string text = util::to_string(dg->payload);
+        if (!util::starts_with(text, "jini-announce ")) return;
+        auto addr = net::Address::parse(text.substr(14));
+        if (!addr) return;
+        std::scoped_lock lock(mu);
+        if (found) return;
+        found.emplace();
+        found->lookup_service = *addr;
+        found->responses_received = 1;
+        found->elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start);
+        cv.notify_all();
+      });
+
   // Multicast emulation: the probe lands on every host on the segment.
+  int probes_sent = 0;
   for (const std::string& host : segment_hosts) {
     (void)(*socket)->send_to(net::Address{host, kJiniDiscoveryPort},
                              util::to_bytes("jini-discovery request"));
-    result.probes_sent++;
+    probes_sent++;
   }
-
-  auto deadline = start + timeout;
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto dg = (*socket)->recv(std::chrono::duration_cast<net::Duration>(
-        deadline - std::chrono::steady_clock::now()));
-    if (!dg) break;
-    std::string text = util::to_string(dg->payload);
-    if (!util::starts_with(text, "jini-announce ")) continue;
-    auto addr = net::Address::parse(text.substr(14));
-    if (!addr) continue;
-    result.responses_received++;
-    result.lookup_service = *addr;
-    result.elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - start);
-    (void)env;
-    return result;
+  {
+    std::unique_lock lock(mu);
+    cv.wait_until(lock, start + timeout, [&] { return found.has_value(); });
   }
-  return util::Error{util::Errc::timeout, "no lookup service responded"};
+  announcements.stop();
+  if (!found)
+    return util::Error{util::Errc::timeout, "no lookup service responded"};
+  found->probes_sent = probes_sent;
+  return *found;
 }
 
 }  // namespace ace::baselines

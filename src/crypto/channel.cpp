@@ -52,55 +52,14 @@ struct Hello {
 
 }  // namespace
 
-util::Result<SecureChannel> SecureChannel::connect(net::Connection conn,
-                                                   const Identity& self,
-                                                   const util::Bytes& ca_key,
-                                                   net::Duration timeout,
-                                                   ChannelOptions options) {
-  net::expect_may_block("SecureChannel::connect");
-  if (!options.metrics)
-    return handshake(std::move(conn), self, ca_key, timeout, options,
-                     /*is_client=*/true);
-  obs::Span span(*options.metrics, "crypto", "handshake");
-  auto r = handshake(std::move(conn), self, ca_key, timeout, options,
-                     /*is_client=*/true);
-  span.set_ok(r.ok());
-  options.metrics
-      ->counter(r.ok() ? "crypto.handshakes" : "crypto.handshake_failures")
-      .inc();
-  return r;
-}
-
-util::Result<SecureChannel> SecureChannel::accept(net::Connection conn,
-                                                  const Identity& self,
-                                                  const util::Bytes& ca_key,
-                                                  net::Duration timeout,
-                                                  ChannelOptions options) {
-  net::expect_may_block("SecureChannel::accept");
-  if (!options.metrics)
-    return handshake(std::move(conn), self, ca_key, timeout, options,
-                     /*is_client=*/false);
-  obs::Span span(*options.metrics, "crypto", "handshake");
-  auto r = handshake(std::move(conn), self, ca_key, timeout, options,
-                     /*is_client=*/false);
-  span.set_ok(r.ok());
-  options.metrics
-      ->counter(r.ok() ? "crypto.handshakes" : "crypto.handshake_failures")
-      .inc();
-  return r;
-}
-
 namespace detail {
 
 // The transport-independent half of the handshake: crypto, transcript and
 // message sequencing. init() produces the local hello; each peer frame is
 // fed to on_frame(), which appends any frames that must be sent in reply;
-// once done, finish() wraps the connection. The blocking handshake() loops
-// recv/feed over this; the async path feeds it from a reactor pump. Both
-// speak the identical wire exchange:
+// once done, finish() wraps the connection. AsyncHandshake below feeds it
+// from a reactor pump and knows nothing of the format. The wire exchange:
 //   client -> hello; server -> [hello, auth]; client -> auth.
-// (The legacy lock-step code sent the server hello before the server auth
-// too, so the bytes on the wire are unchanged.)
 struct HandshakeCore {
   bool is_client = false;
   Identity self;
@@ -113,15 +72,14 @@ struct HandshakeCore {
   int frames_seen = 0;
   bool done = false;
 
-  void init(bool client, const Identity& identity, const util::Bytes& ca,
-            const ChannelOptions& options) {
+  void init(bool client, const Identity& identity, const util::Bytes& ca) {
     is_client = client;
     self = identity;
     ca_key = ca;
     state = std::make_shared<SecureChannel::State>();
     state->encrypt = true;
 
-    util::Rng rng(options.seed ? options.seed : next_channel_seed());
+    util::Rng rng(next_channel_seed());
     Hello mine;
     mine.nonce.resize(16);
     for (auto& b : mine.nonce) b = static_cast<std::uint8_t>(rng.next());
@@ -214,44 +172,6 @@ struct HandshakeCore {
   }
 };
 
-}  // namespace detail
-
-util::Result<SecureChannel> SecureChannel::handshake(
-    net::Connection conn, const Identity& self, const util::Bytes& ca_key,
-    net::Duration timeout, ChannelOptions options, bool is_client) {
-  if (!options.encrypt) {
-    // Plaintext ablation mode: no handshake, raw frames pass through.
-    auto state = std::make_shared<State>();
-    state->encrypt = false;
-    state->conn = std::move(conn);
-    SecureChannel ch;
-    ch.state_ = std::move(state);
-    return ch;
-  }
-
-  detail::HandshakeCore core;
-  core.init(is_client, self, ca_key, options);
-  if (is_client) {
-    if (auto s = conn.send(core.my_hello); !s.ok()) return s.error();
-  }
-  while (!core.done) {
-    auto f = conn.recv(timeout);
-    if (!f) {
-      const char* what = core.frames_seen > 0 ? "handshake: no authenticator"
-                         : is_client          ? "handshake: no server hello"
-                                              : "handshake: no client hello";
-      return util::Error{util::Errc::timeout, what};
-    }
-    std::vector<util::Bytes> out;
-    if (auto s = core.on_frame(*f, out); !s.ok()) return s.error();
-    for (auto& frame : out)
-      if (auto s = conn.send(std::move(frame)); !s.ok()) return s.error();
-  }
-  return core.finish(std::move(conn));
-}
-
-namespace detail {
-
 // One in-flight async handshake. Owns the connection until completion; the
 // reactor pump and the timeout timer both hold a shared_ptr to the op, and
 // whichever finishes first wins under mu/finished. complete() stops the
@@ -288,7 +208,7 @@ struct AsyncHandshake {
     auto op = std::make_shared<AsyncHandshake>();
     op->reactor = &reactor;
     op->conn = std::move(conn);
-    op->core.init(is_client, self, ca_key, options);
+    op->core.init(is_client, self, ca_key);
     op->done = std::move(done);
     op->metrics = options.metrics;
     if (options.metrics)
@@ -415,16 +335,6 @@ util::Status SecureChannel::send(net::Frame frame) {
   return state_->conn.send(record.take());
 }
 
-std::optional<net::Frame> SecureChannel::recv(net::Duration timeout) {
-  net::expect_may_block("SecureChannel::recv");
-  if (!state_) return std::nullopt;
-  if (!state_->encrypt) return state_->conn.recv(timeout);
-
-  auto record = state_->conn.recv(timeout);
-  if (!record) return std::nullopt;
-  return decrypt_record(*state_, std::move(*record));
-}
-
 std::optional<net::Frame> SecureChannel::decrypt_record(State& state,
                                                         net::Frame record) {
   std::scoped_lock lock(state.recv_mu);
@@ -472,11 +382,10 @@ net::Subscription SecureChannel::on_frame(
         }
         auto plain = decrypt_record(*st, std::move(*record));
         if (!plain) {
-          // A record that fails MAC/sequence/framing checks poisons the
-          // stream for a callback consumer (no per-call deadline to notice
-          // silence): like a TLS fatal alert, kill the channel and deliver
-          // nothing more. The final handler(nullopt) fires via the closed
-          // connection.
+          // A record that fails MAC/sequence/framing checks ends the
+          // channel, like a TLS record that fails deprotection: close it
+          // and deliver nothing more. The final handler(nullopt) fires via
+          // the closed connection.
           poisoned = true;
           st->conn.close();
           return;

@@ -34,8 +34,7 @@ struct AsyncHandshake;
 }  // namespace detail
 
 struct ChannelOptions {
-  bool encrypt = true;     // false = plaintext passthrough (ablation only)
-  std::uint64_t seed = 0;  // 0 = derive from a process-wide counter
+  bool encrypt = true;  // false = plaintext passthrough (ablation only)
   // Handshake outcomes and latency land here under `crypto.*` names
   // (daemon::Environment wires its registry in automatically).
   obs::MetricsRegistry* metrics = nullptr;
@@ -45,28 +44,14 @@ class SecureChannel {
  public:
   SecureChannel() = default;
 
-  // Client side of the handshake. Consumes the connection. Blocks the
-  // calling thread across the round trips.
-  static util::Result<SecureChannel> connect(net::Connection conn,
-                                             const Identity& self,
-                                             const util::Bytes& ca_key,
-                                             net::Duration timeout,
-                                             ChannelOptions options = {});
-
-  // Server side of the handshake.
-  static util::Result<SecureChannel> accept(net::Connection conn,
-                                            const Identity& self,
-                                            const util::Bytes& ca_key,
-                                            net::Duration timeout,
-                                            ChannelOptions options = {});
-
-  // Non-blocking handshakes: the same DH/certificate exchange driven as a
-  // reactor state machine — each peer frame advances it on a core worker;
-  // `timeout` arms a reactor timer that aborts (and closes the connection)
-  // if the peer stalls. `done` is invoked exactly once, on a reactor
-  // worker or (on an immediate failure / plaintext channel) on the calling
-  // thread. This is what lets a daemon run thousands of concurrent
-  // handshakes on O(pool) threads.
+  // The handshake, client and server side: the DH/certificate exchange
+  // driven as a reactor state machine. Each consumes the connection; each
+  // peer frame advances the exchange on a core worker, and `timeout` arms
+  // a reactor timer that aborts (and closes the connection) if the peer
+  // stalls. `done` is invoked exactly once, on a reactor worker or (on an
+  // immediate failure / plaintext channel) on the calling thread. This is
+  // what lets a daemon run thousands of concurrent handshakes on O(pool)
+  // threads.
   using HandshakeCallback = std::function<void(util::Result<SecureChannel>)>;
   static void async_connect(net::Reactor& reactor, net::Connection conn,
                             const Identity& self, const util::Bytes& ca_key,
@@ -80,16 +65,13 @@ class SecureChannel {
   bool valid() const { return state_ != nullptr; }
 
   util::Status send(net::Frame frame);
-  std::optional<net::Frame> recv(net::Duration timeout);
 
-  // Async surface: decrypted plaintext frames delivered in order on a
-  // reactor worker; handler(std::nullopt) once when the channel dies.
-  // Stricter than the blocking shim on tampering: a record that fails MAC,
-  // sequence or framing checks closes the channel and nothing after it is
-  // delivered, not even authentic records already queued behind it — only
-  // the final std::nullopt (the blocking recv just drops the bad record),
-  // because a callback consumer has no per-call deadline with which to
-  // notice a poisoned stream.
+  // Decrypted plaintext frames delivered in order on a reactor worker;
+  // handler(std::nullopt) once when the channel dies. A record that fails
+  // MAC, sequence or framing checks closes the channel, as a record that
+  // fails deprotection ends a TLS connection (RFC 8446 §5.2): nothing after
+  // it is delivered, not even authentic records already queued behind it —
+  // only the final std::nullopt.
   net::Subscription on_frame(
       net::Reactor& reactor,
       std::function<void(std::optional<net::Frame>)> handler,
@@ -120,21 +102,13 @@ class SecureChannel {
     std::mutex recv_mu;
   };
 
-  // Shared handshake logic (crypto + transcript) lives in
-  // detail::HandshakeCore; the blocking path loops recv/feed over it and
-  // the async path feeds it from a reactor pump.
+  // The handshake's crypto and transcript live in detail::HandshakeCore,
+  // which detail::AsyncHandshake feeds from a reactor pump.
   friend struct detail::HandshakeCore;
   friend struct detail::AsyncHandshake;
 
-  static util::Result<SecureChannel> handshake(net::Connection conn,
-                                               const Identity& self,
-                                               const util::Bytes& ca_key,
-                                               net::Duration timeout,
-                                               ChannelOptions options,
-                                               bool is_client);
-
-  // Verifies and decrypts one record in place (see recv). nullopt = forged
-  // or replayed. Caller coordinates recv_mu.
+  // Verifies and decrypts one record in place (see on_frame). nullopt =
+  // forged or replayed. Caller coordinates recv_mu.
   static std::optional<net::Frame> decrypt_record(State& state,
                                                   net::Frame record);
 

@@ -23,13 +23,11 @@ std::uint64_t next_jitter_seed() {
   return counter.fetch_add(0x9e3779b97f4a7c15ULL, std::memory_order_relaxed);
 }
 
-}  // namespace
+// How long a caller waits for a handshake past its own timeout before
+// giving up on the completion.
+constexpr std::chrono::seconds kHandshakeWaitMargin{1};
 
-void AceClient::complete(PendingCall& slot, util::Result<cmdlang::CmdLine> r) {
-  std::scoped_lock lk(slot.mu);
-  if (!slot.result) slot.result.emplace(std::move(r));
-  slot.cv.notify_all();
-}
+}  // namespace
 
 AceClient::AceClient(Environment& env, net::Host& from_host,
                      crypto::Identity identity)
@@ -84,7 +82,8 @@ void AceClient::sweep_idle_channels() {
       bool idle;
       {
         std::scoped_lock lk(entry->mu);
-        idle = entry->pending.empty() && now - entry->last_used > ttl;
+        idle = entry->pending.empty() && !entry->connecting &&
+               now - entry->last_used > ttl;
       }
       if (idle) {
         stale.emplace_back(addr, entry);
@@ -107,33 +106,55 @@ std::shared_ptr<AceClient::ChannelEntry> AceClient::entry_for(
   return slot;
 }
 
-// Establishes the channel if needed. Caller must hold entry->mu.
-util::Status AceClient::ensure_channel_locked(
+util::Result<std::shared_ptr<crypto::SecureChannel>> AceClient::ensure_channel(
     const std::shared_ptr<ChannelEntry>& entry, const net::Address& to) {
-  // A shut-down entry is already unlinked from channels_; refusing to
-  // reconnect here sends the caller back through entry_for (the error is
-  // retryable), which hands out a fresh entry.
-  if (entry->closed)
-    return {util::Errc::closed, "connection to " + to.to_string() + " dropped"};
-  if (entry->channel && !entry->channel->closed())
-    return util::Status::ok_status();
-  // Replacing a dead channel orphans whatever was still pending on it.
-  // (Its demux pump is left to self-terminate: the dead channel delivers
-  // the pump's final callback, which sees a non-matching entry->channel
-  // and does nothing. Stopping it here would deadlock — stop() waits for
-  // the handler, and the handler takes entry->mu, which we hold.)
-  if (!entry->pending.empty())
-    fail_pending_locked(*entry, util::Error{util::Errc::closed,
-                                            "channel to " + to.to_string() +
-                                                " died mid-call"});
-  auto conn = host_.connect(to, env_.default_timeout);
-  if (!conn.ok()) return conn.error();
-  auto ch = crypto::SecureChannel::connect(std::move(conn.value()), identity_,
-                                           env_.ca_key(), env_.default_timeout,
-                                           env_.channel_options());
+  using Live = util::Result<std::shared_ptr<crypto::SecureChannel>>;
+  // Under entry->mu: the live channel, nullptr when a reconnect is due, or
+  // an error for a shut-down entry. That entry is already unlinked from
+  // channels_; refusing to reconnect through it sends the caller back
+  // through entry_for (the error is retryable), which hands out a fresh
+  // entry.
+  auto live_locked = [&]() -> Live {
+    if (entry->closed)
+      return util::Error{util::Errc::closed,
+                         "connection to " + to.to_string() + " dropped"};
+    if (entry->channel && !entry->channel->closed()) return entry->channel;
+    return std::shared_ptr<crypto::SecureChannel>{};
+  };
+  {
+    std::scoped_lock lk(entry->mu);
+    entry->last_used = std::chrono::steady_clock::now();
+    if (auto live = live_locked(); !live.ok() || live.value()) return live;
+  }
+
+  std::scoped_lock connecting(entry->connect_mu);
+  net::Subscription dead_demux;
+  {
+    std::scoped_lock lk(entry->mu);
+    // Another caller may have reconnected while we waited our turn.
+    if (auto live = live_locked(); !live.ok() || live.value()) return live;
+    // Replacing a dead channel orphans whatever was still pending on it.
+    if (!entry->pending.empty())
+      fail_pending_locked(*entry, util::Error{util::Errc::closed,
+                                              "channel to " + to.to_string() +
+                                                  " died mid-call"});
+    dead_demux = std::move(entry->demux);
+    entry->connecting = true;
+  }
+  dead_demux.stop();
+
+  auto conn = host_.connect(to);
+  auto ch = conn.ok() ? handshake(std::move(conn.value()))
+                      : util::Result<crypto::SecureChannel>(conn.error());
+  std::scoped_lock lk(entry->mu);
+  entry->connecting = false;
   if (!ch.ok()) return ch.error();
   auto channel =
       std::make_shared<crypto::SecureChannel>(std::move(ch.value()));
+  if (entry->closed) {  // shut down while we handshook
+    channel->close();
+    return live_locked();
+  }
   entry->channel = channel;
   // Replies are demultiplexed by a reactor pump on the new channel.
   entry->demux = channel->on_frame(
@@ -141,7 +162,25 @@ util::Status AceClient::ensure_channel_locked(
       [this, entry, channel](std::optional<net::Frame> frame) {
         handle_reply(entry, channel, std::move(frame));
       });
-  return util::Status::ok_status();
+  return channel;
+}
+
+util::Result<crypto::SecureChannel> AceClient::handshake(net::Connection conn) {
+  // `done` captures only the slot: it may run on the calling thread before
+  // async_connect returns, or on a core worker after we gave up.
+  auto slot = std::make_shared<Completion<crypto::SecureChannel>>();
+  net::Connection handle = conn;  // shares the connection's state
+  crypto::SecureChannel::async_connect(
+      env_.reactor(), std::move(conn), identity_, env_.ca_key(),
+      env_.default_timeout, env_.channel_options(),
+      [slot](util::Result<crypto::SecureChannel> ch) {
+        slot->complete(std::move(ch));
+      });
+  // Reactor::stop() drops the handshake's timer, so `done` may never come.
+  if (auto ch = slot->take(env_.default_timeout + kHandshakeWaitMargin))
+    return std::move(*ch);
+  handle.close();  // fails a late completion, and frees the server side
+  return util::Error{util::Errc::timeout, "handshake: no completion"};
 }
 
 // Demux: routes reply frames off one channel generation to their call-id's
@@ -153,9 +192,9 @@ void AceClient::handle_reply(
     const std::shared_ptr<crypto::SecureChannel>& channel,
     std::optional<net::Frame> frame) {
   if (!frame) {
-    // Channel closed and drained (terminal: the pump stops itself). Only
-    // fail pending calls still belonging to this generation — a reconnect
-    // may already have swapped a live channel in.
+    // Channel closed and drained (terminal: the pump stops itself). Fail
+    // the calls in flight on it, unless a shutdown already took the
+    // channel out of the entry, failing them.
     std::scoped_lock lk(entry->mu);
     if (entry->channel == channel && !entry->pending.empty())
       fail_pending_locked(
@@ -175,13 +214,13 @@ void AceClient::handle_reply(
     }
   }
   if (!slot) return;  // late reply for a withdrawn call: drop
-  complete(*slot, cmdlang::Parser::parse(decoded->body));
+  slot->complete(cmdlang::Parser::parse(decoded->body));
 }
 
 // Caller must hold entry.mu.
 void AceClient::fail_pending_locked(ChannelEntry& entry,
                                     const util::Error& error) {
-  for (auto& [id, slot] : entry.pending) complete(*slot, error);
+  for (auto& [id, slot] : entry.pending) slot->complete(error);
   inflight_->add(-static_cast<std::int64_t>(entry.pending.size()));
   entry.pending.clear();
 }
@@ -211,27 +250,11 @@ util::Result<cmdlang::CmdLine> AceClient::call(const net::Address& to,
       return admitted.error();
     }
 
-    std::shared_ptr<crypto::SecureChannel> channel;
-    std::shared_ptr<PendingCall> slot;
-    std::uint64_t call_id = 0;
-    std::optional<util::Error> connect_error;
-    {
-      std::scoped_lock lk(entry->mu);
-      entry->last_used = std::chrono::steady_clock::now();
-      if (auto s = ensure_channel_locked(entry, to); !s.ok()) {
-        connect_error = s.error();
-      } else {
-        channel = entry->channel;
-        call_id = entry->next_call_id++;
-        slot = std::make_shared<PendingCall>();
-        entry->pending.emplace(call_id, slot);
-        inflight_->add(1);
-      }
-    }
-    auto reply = connect_error
-                     ? util::Result<cmdlang::CmdLine>(*connect_error)
-                     : exchange(*entry, channel, call_id, slot, wire_text,
-                                timeout, cmd.name(), to);
+    auto channel = ensure_channel(entry, to);
+    auto reply = channel.ok()
+                     ? exchange(*entry, channel.value(), wire_text, timeout,
+                                cmd.name(), to)
+                     : util::Result<cmdlang::CmdLine>(channel.error());
     if (!reply.ok()) {
       const auto code = reply.error().code;
       const bool retryable = transport_errc(code);
@@ -337,14 +360,21 @@ void AceClient::backoff_sleep(const CallOptions& options, int attempt) {
           static_cast<double>(delay.count()) * jitter));
 }
 
-// Sends the framed request without holding any entry-wide lock across the
-// round trip, then parks on the completion slot until the demux reader
-// resolves it (or the deadline passes).
+// Registers a completion slot, sends the framed request without holding
+// any entry-wide lock across the round trip, then parks on the slot until
+// the demux resolves it (or the deadline passes).
 util::Result<cmdlang::CmdLine> AceClient::exchange(
     ChannelEntry& entry, const std::shared_ptr<crypto::SecureChannel>& ch,
-    std::uint64_t call_id, const std::shared_ptr<PendingCall>& slot,
     const std::string& wire_text, std::chrono::milliseconds timeout,
     const std::string& verb, const net::Address& to) {
+  auto slot = std::make_shared<PendingCall>();
+  std::uint64_t call_id = 0;
+  {
+    std::scoped_lock lk(entry.mu);
+    call_id = entry.next_call_id++;
+    entry.pending.emplace(call_id, slot);
+    inflight_->add(1);
+  }
   if (auto s = ch->send(wire::encode_frame(call_id, 0, wire_text)); !s.ok()) {
     ch->close();
     std::scoped_lock lk(entry.mu);
@@ -352,23 +382,17 @@ util::Result<cmdlang::CmdLine> AceClient::exchange(
     return util::Error{util::Errc::closed,
                        "stale channel to " + to.to_string()};
   }
-  {
-    std::unique_lock lk(slot->mu);
-    if (slot->cv.wait_for(lk, timeout, [&] { return slot->result.has_value(); }))
-      return std::move(*slot->result);
-  }
+  if (auto reply = slot->take(timeout)) return std::move(*reply);
   // Deadline passed: withdraw the slot so a late reply is dropped by the
-  // reader. The channel stays open — call-ids make a late reply harmless,
+  // demux. The channel stays open — call-ids make a late reply harmless,
   // and other calls are still in flight on it.
   {
     std::scoped_lock lk(entry.mu);
     if (entry.pending.erase(call_id) > 0) inflight_->add(-1);
   }
-  {
-    std::scoped_lock lk(slot->mu);
-    if (slot->result)  // reply landed while we were withdrawing
-      return std::move(*slot->result);
-  }
+  // A reply that landed while we were withdrawing still counts.
+  if (auto reply = slot->take(std::chrono::milliseconds{0}))
+    return std::move(*reply);
   return util::Error{util::Errc::timeout, "no reply from " + to.to_string() +
                                               " for '" + verb + "'"};
 }
@@ -376,22 +400,16 @@ util::Result<cmdlang::CmdLine> AceClient::exchange(
 util::Status AceClient::send_only(const net::Address& to,
                                   const cmdlang::CmdLine& cmd) {
   net::expect_may_block("AceClient::send_only");  // may connect first
-  auto entry = entry_for(to);
-  std::shared_ptr<crypto::SecureChannel> channel;
-  {
-    std::scoped_lock lk(entry->mu);
-    entry->last_used = std::chrono::steady_clock::now();
-    if (auto s = ensure_channel_locked(entry, to); !s.ok()) {
-      errors_->inc();
-      return s;
-    }
-    channel = entry->channel;
+  auto channel = ensure_channel(entry_for(to), to);
+  if (!channel.ok()) {
+    errors_->inc();
+    return channel.error();
   }
   // The call-id is unused: no reply will ever reference it.
-  auto s = channel->send(
+  auto s = channel.value()->send(
       wire::encode_frame(0, wire::kFlagNoReply, cmd.to_string()));
   if (!s.ok()) {
-    channel->close();
+    channel.value()->close();
     errors_->inc();
   }
   return s;
@@ -427,6 +445,10 @@ void AceClient::drop_connection(const net::Address& to) {
     auto it = channels_.find(to);
     if (it == channels_.end()) return;
     entry = it->second;
+    {
+      std::scoped_lock lk(entry->mu);
+      if (entry->connecting) return;
+    }
     channels_.erase(it);
   }
   shutdown_entry(entry);

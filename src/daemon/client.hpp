@@ -116,7 +116,11 @@ class AceClient {
   // without waiting; the daemon executes the command and replies nothing.
   util::Status send_only(const net::Address& to, const cmdlang::CmdLine& cmd);
 
+  // Closes the cached channel to `to` and fails the calls in flight on
+  // it; the next call reconnects. A reconnect already under way is left
+  // to finish: its channel is the replacement.
   void drop_connection(const net::Address& to);
+  // Closes every channel, discarding reconnects under way.
   void close_all();
 
   // Replaces the whole client policy atomically. Thread-safe; affects
@@ -135,43 +139,65 @@ class AceClient {
   Environment& env() { return env_; }
 
  private:
-  // One in-flight call awaiting its reply from the demux reader.
-  struct PendingCall {
+  // A result one thread hands to another: a call's reply, routed by the
+  // demux, or a handshake's channel. The first writer wins; a second
+  // resolution (e.g. a reply racing a timeout withdrawal) is dropped.
+  template <typename T>
+  struct Completion {
     std::mutex mu;
     std::condition_variable cv;
-    std::optional<util::Result<cmdlang::CmdLine>> result;
-  };
+    std::optional<util::Result<T>> result;
 
-  // One cached channel per destination. `mu` guards every field and is
-  // only ever held for brief bookkeeping (never across a round trip).
-  // Lock order: mu -> PendingCall::mu.
+    void complete(util::Result<T> r) {
+      std::scoped_lock lk(mu);
+      if (!result) result.emplace(std::move(r));
+      cv.notify_all();
+    }
+    // Takes the result, waiting up to `timeout` for it; nullopt if none
+    // came.
+    std::optional<util::Result<T>> take(std::chrono::milliseconds timeout) {
+      std::unique_lock lk(mu);
+      if (!cv.wait_for(lk, timeout, [&] { return result.has_value(); }))
+        return std::nullopt;
+      return std::move(result);
+    }
+  };
+  using PendingCall = Completion<cmdlang::CmdLine>;
+
+  // One cached channel per destination. `mu` guards the fields below it
+  // and is only ever held for brief bookkeeping, never across a connect, a
+  // handshake or a round trip. `connect_mu` serializes reconnects to the
+  // destination; only callers take it, never a reactor worker.
+  // Lock order: connect_mu -> mu -> PendingCall::mu.
   struct ChannelEntry {
+    std::mutex connect_mu;
     std::mutex mu;
     std::shared_ptr<crypto::SecureChannel> channel;
     std::uint64_t next_call_id = 1;
     std::map<std::uint64_t, std::shared_ptr<PendingCall>> pending;
     bool closed = false;  // entry was shut down; never reconnect through it
+    // A reconnect is under way: the entry is neither idle nor droppable,
+    // and only close_all() discards the channel it makes.
+    bool connecting = false;
     std::chrono::steady_clock::time_point last_used{};
     // Circuit-breaker state (guarded by `mu`; see BreakerPolicy).
     int consecutive_failures = 0;
     bool breaker_open = false;
     bool probe_inflight = false;  // the single half-open probe is out
     std::chrono::steady_clock::time_point open_until{};
-    // Reply demux for the *current* channel: a reactor pump attached at
-    // connect time. A replaced channel's old pump self-terminates (the
-    // dead channel delivers its final callback) without being stopped
-    // under entry.mu, which its own handler also takes.
+    // Reply demux for the current channel: a reactor pump attached at
+    // connect time. Whoever replaces or shuts down the channel stops it,
+    // outside `mu`, which its handler takes.
     net::Subscription demux;
   };
 
-  // Resolves a finished call into its completion slot and wakes the waiter.
-  // First writer wins; a second resolution (e.g. a reply racing a timeout
-  // withdrawal) is dropped.
-  static void complete(PendingCall& slot, util::Result<cmdlang::CmdLine> r);
-
   std::shared_ptr<ChannelEntry> entry_for(const net::Address& to);
-  util::Status ensure_channel_locked(const std::shared_ptr<ChannelEntry>& entry,
-                                     const net::Address& to);
+  // The entry's live channel, connecting and handshaking first when there
+  // is none (see ChannelEntry for the locks).
+  util::Result<std::shared_ptr<crypto::SecureChannel>> ensure_channel(
+      const std::shared_ptr<ChannelEntry>& entry, const net::Address& to);
+  // Runs the client handshake on the reactor and parks on its completion.
+  util::Result<crypto::SecureChannel> handshake(net::Connection conn);
   // Demux pump handler: routes one reply frame (or the channel's death)
   // for the given channel generation. Runs on a reactor core worker.
   void handle_reply(const std::shared_ptr<ChannelEntry>& entry,
@@ -195,7 +221,6 @@ class AceClient {
   void shutdown_entry(const std::shared_ptr<ChannelEntry>& entry);
   util::Result<cmdlang::CmdLine> exchange(
       ChannelEntry& entry, const std::shared_ptr<crypto::SecureChannel>& ch,
-      std::uint64_t call_id, const std::shared_ptr<PendingCall>& slot,
       const std::string& wire_text, std::chrono::milliseconds timeout,
       const std::string& verb, const net::Address& to);
 

@@ -50,18 +50,6 @@ util::Status Connection::send(Frame frame) {
   return util::Status::ok_status();
 }
 
-std::optional<Frame> Connection::recv(Duration timeout) {
-  if (!state_) return std::nullopt;
-  auto deadline = Clock::now() + timeout;
-  auto& queue = is_a_ ? state_->to_a : state_->to_b;
-  auto tf = queue.pop_until(deadline);
-  if (!tf) return std::nullopt;
-  // Model link latency: the frame is not visible before its delivery time.
-  std::this_thread::sleep_until(tf->deliver_at);
-  network_->count_frame_received(tf->frame.size());
-  return std::move(tf->frame);
-}
-
 Subscription Connection::on_frame(
     Reactor& reactor, std::function<void(std::optional<Frame>)> handler,
     AttachOptions options) {
@@ -111,10 +99,6 @@ Listener::Listener(Address address, Network* network)
 
 Listener::~Listener() { close(); }
 
-std::optional<Connection> Listener::accept(Duration timeout) {
-  return pending_.pop_for(timeout);
-}
-
 Subscription Listener::on_accept(
     Reactor& reactor, std::function<void(std::optional<Connection>)> handler,
     AttachOptions options) {
@@ -148,15 +132,6 @@ util::Status DatagramSocket::send_many(std::span<const Address> to,
                                        const util::SharedBytes& payload) {
   if (!open_.load()) return {util::Errc::closed, "socket closed"};
   return network_->deliver_datagrams(address_, to, payload);
-}
-
-std::optional<Datagram> DatagramSocket::recv(Duration timeout) {
-  auto deadline = Clock::now() + timeout;
-  auto td = inbox_.pop_until(deadline);
-  if (!td) return std::nullopt;
-  std::this_thread::sleep_until(td->deliver_at);
-  network_->count_datagram_delivered();
-  return std::move(td->datagram);
 }
 
 Subscription DatagramSocket::on_datagram(
@@ -209,9 +184,9 @@ util::Result<std::shared_ptr<DatagramSocket>> Host::open_datagram(
   return socket;
 }
 
-util::Result<Connection> Host::connect(const Address& to, Duration timeout) {
+util::Result<Connection> Host::connect(const Address& to) {
   if (down_.load()) return util::Error{util::Errc::unavailable, "host down"};
-  return network_->do_connect(*this, to, timeout);
+  return network_->do_connect(*this, to);
 }
 
 std::uint16_t Host::ephemeral_port() {
@@ -328,8 +303,7 @@ NetworkStats Network::stats() const {
   return s;
 }
 
-util::Result<Connection> Network::do_connect(Host& from, const Address& to,
-                                             Duration timeout) {
+util::Result<Connection> Network::do_connect(Host& from, const Address& to) {
   Listener* listener = nullptr;
   LinkPolicy policy = link(from.name(), to.host);
   if (!policy.up)
@@ -365,7 +339,6 @@ util::Result<Connection> Network::do_connect(Host& from, const Address& to,
   if (!listener->pending_.push(std::move(server))) {
     return util::Error{util::Errc::refused, "listener closed"};
   }
-  (void)timeout;
   return client;
 }
 

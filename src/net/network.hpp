@@ -8,18 +8,14 @@
 // host crashes are injectable so experiments can reproduce LAN/WAN placement
 // effects and the failure behaviours the architecture is designed around.
 //
-// Thread-safety: all classes here are safe to use from multiple threads;
-// blocking calls always accept timeouts.
+// Thread-safety: all classes here are safe to use from multiple threads.
 //
-// Two consumption modes per endpoint (see docs/net.md):
-//  * blocking — recv(timeout)/accept(timeout), the original API. Kept as a
-//    shim for tests, benches and the media pipeline; costs the caller a
-//    parked thread per endpoint.
-//  * async — on_frame/on_accept/on_datagram register a callback pump on a
-//    net::Reactor; frames are delivered on reactor workers with O(pool)
-//    threads total. An endpoint uses one mode at a time: registering a pump
-//    claims the endpoint's readiness signal, so don't mix a pump with
-//    concurrent blocking recv() calls on the same endpoint.
+// Endpoints are read through the reactor (see docs/net.md):
+// on_frame/on_accept/on_datagram register a callback pump on a
+// net::Reactor, which delivers on reactor workers with O(pool) threads in
+// total and models link latency with a timer, not a sleeping thread. An
+// endpoint has one pump at a time: registering a pump claims the
+// endpoint's readiness signal.
 #pragma once
 
 #include <atomic>
@@ -125,13 +121,8 @@ class Connection {
   // like a TCP reset).
   util::Status send(Frame frame);
 
-  // Receives the next frame; std::nullopt on timeout or once the
-  // connection is closed and drained. Blocking shim — prefer on_frame for
-  // anything that scales with connection count.
-  std::optional<Frame> recv(Duration timeout);
-
-  // Async surface: delivers every inbound frame to `handler` on a reactor
-  // worker, serialized and in order, honouring link latency. A final
+  // Delivers every inbound frame to `handler` on a reactor worker,
+  // serialized and in order, honouring link latency. A final
   // handler(std::nullopt) fires exactly once when the connection is closed
   // and drained. One registration per endpoint; re-registering replaces
   // the previous pump (stop it first for a deterministic handoff).
@@ -151,16 +142,14 @@ class Connection {
   Network* network_ = nullptr;
 };
 
-// A passive listening socket; accept() yields connections.
+// A passive listening socket; on_accept() yields connections.
 class Listener {
  public:
   Listener(Address address, Network* network);
   ~Listener();
 
-  std::optional<Connection> accept(Duration timeout);
-
-  // Async accept: each inbound connection lands in `handler` on a reactor
-  // worker; handler(std::nullopt) fires once when the listener closes.
+  // Each inbound connection lands in `handler` on a reactor worker;
+  // handler(std::nullopt) fires once when the listener closes.
   Subscription on_accept(
       Reactor& reactor,
       std::function<void(std::optional<Connection>)> handler,
@@ -195,10 +184,8 @@ class DatagramSocket {
   util::Status send_many(std::span<const Address> to,
                          const util::SharedBytes& payload);
 
-  std::optional<Datagram> recv(Duration timeout);
-
-  // Async receive: datagrams delivered on a reactor worker (in order,
-  // honouring link latency); handler(std::nullopt) once on close.
+  // Datagrams delivered on a reactor worker (in order, honouring link
+  // latency); handler(std::nullopt) once on close.
   Subscription on_datagram(
       Reactor& reactor, std::function<void(std::optional<Datagram>)> handler,
       AttachOptions options = {});
@@ -231,8 +218,9 @@ class Host {
   util::Result<std::shared_ptr<DatagramSocket>> open_datagram(
       std::uint16_t port = 0);
 
-  // Actively connects to a listener elsewhere in the network.
-  util::Result<Connection> connect(const Address& to, Duration timeout);
+  // Actively connects to a listener elsewhere in the network. Blocks the
+  // caller for one link latency (connection setup).
+  util::Result<Connection> connect(const Address& to);
 
   void set_down(bool down) { down_.store(down); }
   bool down() const { return down_.load(); }
@@ -290,8 +278,7 @@ class Network {
   friend class Listener;
   friend class DatagramSocket;
 
-  util::Result<Connection> do_connect(Host& from, const Address& to,
-                                      Duration timeout);
+  util::Result<Connection> do_connect(Host& from, const Address& to);
   util::Status deliver_datagram(const Address& from, const Address& to,
                                 util::SharedBytes payload);
   util::Status deliver_datagrams(const Address& from,

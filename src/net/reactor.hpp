@@ -28,8 +28,7 @@
 //
 // Timers: post_after/post_at run a task later; cancel() unarms it. The
 // pumps use timers to model link latency (a frame is not readable before
-// its deliver_at), replacing the blocking path's sleep_until. PeriodicTask
-// turns a timer into a repeating duty.
+// its deliver_at). PeriodicTask turns a timer into a repeating duty.
 #pragma once
 
 #include <atomic>
@@ -298,9 +297,8 @@ struct AttachOptions {
 // Turns `queue` + `handler` into a reactor-driven pump. Delivery is
 // serialized and in order; handler(std::nullopt) fires exactly once when
 // the queue is closed and drained (terminal). `due`, when supplied, gates
-// the head item: it is not delivered before due(item) — the async
-// equivalent of the blocking path's latency sleep; pass nullptr for
-// immediate delivery.
+// the head item: it is not delivered before due(item), which is how link
+// latency is modelled; pass nullptr for immediate delivery.
 //
 // One pump per queue at a time (the queue's signal slot is single-owner).
 // The queue must outlive the pump's activity: stop the subscription, or see

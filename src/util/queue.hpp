@@ -6,7 +6,6 @@
 // sent from one thread to another."
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -46,27 +45,6 @@ class MessageQueue {
   std::optional<T> pop() {
     std::unique_lock lock(mu_);
     cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-    return take_locked();
-  }
-
-  // Blocks up to `timeout`; std::nullopt on timeout or closed-and-drained.
-  template <typename Rep, typename Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mu_);
-    cv_.wait_for(lock, timeout, [&] { return !items_.empty() || closed_; });
-    return take_locked();
-  }
-
-  // Blocks until `deadline` on a steady clock.
-  std::optional<T> pop_until(std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock lock(mu_);
-    cv_.wait_until(lock, deadline,
-                   [&] { return !items_.empty() || closed_; });
-    return take_locked();
-  }
-
-  std::optional<T> try_pop() {
-    std::scoped_lock lock(mu_);
     return take_locked();
   }
 

@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "crypto/certificate.hpp"
@@ -10,6 +9,7 @@
 #include "crypto/channel.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/sha256.hpp"
+#include "endpoint_waiter.hpp"
 #include "net/network.hpp"
 
 using namespace ace;
@@ -224,24 +224,21 @@ class ChannelTest : public ::testing::Test {
   util::Result<Pair> make_pair(ChannelOptions options = {}) {
     auto listener = network_.add_host("server").listen(100);
     if (!listener.ok()) return listener.error();
-    auto conn = network_.add_host("client").connect({"server", 100}, 1s);
+    testenv::AcceptInbox accepts(reactor_, **listener);
+    auto conn = network_.add_host("client").connect({"server", 100});
     if (!conn.ok()) return conn.error();
-    auto accepted = (*listener)->accept(1s);
+    auto accepted = accepts.next();
     if (!accepted) return util::Error{util::Errc::timeout, "no accept"};
 
-    Identity client_id = ca_.issue("user/client");
-    Identity server_id = ca_.issue("svc/server");
-
-    util::Result<SecureChannel> server_side{util::Errc::invalid};
-    std::thread server_thread([&] {
-      server_side = SecureChannel::accept(std::move(*accepted), server_id,
-                                          ca_.verification_key(), 1s, options);
-    });
-    auto client_side = SecureChannel::connect(std::move(conn.value()),
-                                              client_id,
-                                              ca_.verification_key(), 1s,
-                                              options);
-    server_thread.join();
+    auto server = testenv::Handshake::accept(
+        reactor_, std::move(*accepted), ca_.issue("svc/server"),
+        ca_.verification_key(), 1s, options);
+    auto client_side =
+        testenv::Handshake::connect(reactor_, std::move(conn.value()),
+                                    ca_.issue("user/client"),
+                                    ca_.verification_key(), 1s, options)
+            .result();
+    auto server_side = server.result();
     if (!client_side.ok()) return client_side.error();
     if (!server_side.ok()) return server_side.error();
     return Pair{std::move(client_side.value()),
@@ -249,65 +246,68 @@ class ChannelTest : public ::testing::Test {
   }
 
   // A channel pair with a man in the middle: the client dials "relay", and
-  // the relay dials the server on `port`. The relay thread carries the four
+  // the relay dials the server on `port`. The relay carries the four
   // handshake frames across untouched; after that the test moves client
   // records to the server by hand, so it can corrupt, replay or reorder
   // them on the way.
   struct Relayed {
     SecureChannel client;
     SecureChannel server;
-    net::Connection from_client;  // the relay's end facing the client
-    net::Connection to_server;    // the relay's end facing the server
+    net::Connection to_server;  // the relay's end facing the server
+    // What reaches the relay's end facing the client.
+    std::unique_ptr<testenv::FrameInbox> from_client;
   };
 
   util::Result<Relayed> make_relayed_pair(std::uint16_t port) {
     auto server_listener = network_.add_host("server").listen(port);
     if (!server_listener.ok()) return server_listener.error();
+    testenv::AcceptInbox server_accepts(reactor_, **server_listener);
     net::Host& relay = network_.add_host("relay");
     auto relay_listener = relay.listen(port);
     if (!relay_listener.ok()) return relay_listener.error();
-    auto client_conn = network_.add_host("client").connect({"relay", port}, 1s);
+    testenv::AcceptInbox relay_accepts(reactor_, **relay_listener);
+    auto client_conn = network_.add_host("client").connect({"relay", port});
     if (!client_conn.ok()) return client_conn.error();
-    auto from_client = (*relay_listener)->accept(1s);
-    auto to_server = relay.connect({"server", port}, 1s);
-    if (!from_client || !to_server.ok())
+    auto client_end = relay_accepts.next();
+    auto server_end = relay.connect({"server", port});
+    if (!client_end || !server_end.ok())
       return util::Error{util::Errc::timeout, "relay not connected"};
-    auto server_conn = (*server_listener)->accept(1s);
+    auto server_conn = server_accepts.next();
     if (!server_conn) return util::Error{util::Errc::timeout, "no accept"};
 
-    auto forward = [](net::Connection& from, net::Connection& to, int frames) {
+    Relayed pair;
+    pair.to_server = server_end.value();
+    pair.from_client =
+        std::make_unique<testenv::FrameInbox>(reactor_, *client_end);
+    testenv::FrameInbox from_server(reactor_, pair.to_server);
+    auto server = testenv::Handshake::accept(
+        reactor_, std::move(*server_conn), ca_.issue("svc/server"),
+        ca_.verification_key(), 1s);
+    auto client = testenv::Handshake::connect(
+        reactor_, std::move(client_conn.value()), ca_.issue("user/client"),
+        ca_.verification_key(), 1s);
+    auto forward = [](testenv::FrameInbox& from, net::Connection& to,
+                      int frames) {
       for (int i = 0; i < frames; ++i) {
-        auto f = from.recv(1s);
+        auto f = from.next();
         if (!f || !to.send(std::move(*f)).ok()) return;
       }
     };
-    std::thread relay_thread([&] {
-      // Client hello; server hello and authenticator; client authenticator.
-      forward(*from_client, to_server.value(), 1);
-      forward(to_server.value(), *from_client, 2);
-      forward(*from_client, to_server.value(), 1);
-    });
-    // Issued up front: the CA is not thread-safe.
-    const Identity client_id = ca_.issue("user/client");
-    const Identity server_id = ca_.issue("svc/server");
-    util::Result<SecureChannel> server_side{util::Errc::invalid};
-    std::thread server_thread([&] {
-      server_side = SecureChannel::accept(std::move(*server_conn), server_id,
-                                          ca_.verification_key(), 1s);
-    });
-    auto client_side = SecureChannel::connect(std::move(client_conn.value()),
-                                              client_id,
-                                              ca_.verification_key(), 1s);
-    server_thread.join();
-    relay_thread.join();
+    // Client hello; server hello and authenticator; client authenticator.
+    forward(*pair.from_client, pair.to_server, 1);
+    forward(from_server, *client_end, 2);
+    forward(*pair.from_client, pair.to_server, 1);
+    auto client_side = client.result();
+    auto server_side = server.result();
     if (!client_side.ok()) return client_side.error();
     if (!server_side.ok()) return server_side.error();
-    return Relayed{std::move(client_side.value()),
-                   std::move(server_side.value()), std::move(*from_client),
-                   std::move(to_server.value())};
+    pair.client = std::move(client_side.value());
+    pair.server = std::move(server_side.value());
+    return pair;
   }
 
   net::Network network_;
+  net::Reactor reactor_;  // after network_: stops before the queues die
   CertificateAuthority ca_{77};
 };
 
@@ -321,13 +321,15 @@ TEST_F(ChannelTest, HandshakeAuthenticatesBothPeers) {
 TEST_F(ChannelTest, EncryptedRoundTrip) {
   auto pair = make_pair();
   ASSERT_TRUE(pair.ok());
+  testenv::FrameInbox server_rx(reactor_, pair->server);
+  testenv::FrameInbox client_rx(reactor_, pair->client);
   ASSERT_TRUE(pair->client.send(util::to_bytes("secret command")).ok());
-  auto got = pair->server.recv(1s);
+  auto got = server_rx.next();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(util::to_string(*got), "secret command");
 
   ASSERT_TRUE(pair->server.send(util::to_bytes("reply")).ok());
-  got = pair->client.recv(1s);
+  got = client_rx.next();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(util::to_string(*got), "reply");
 }
@@ -340,10 +342,11 @@ TEST_F(ChannelTest, CiphertextDiffersFromPlaintext) {
   ASSERT_TRUE(pair.ok());
   // White-box: a record is seq(8) + ciphertext + mac(16); ensure a second
   // identical payload yields a different record (sequence-keyed nonce).
+  testenv::FrameInbox server_rx(reactor_, pair->server);
   ASSERT_TRUE(pair->client.send(util::to_bytes("same payload")).ok());
   ASSERT_TRUE(pair->client.send(util::to_bytes("same payload")).ok());
-  auto r1 = pair->server.recv(1s);
-  auto r2 = pair->server.recv(1s);
+  auto r1 = server_rx.next();
+  auto r2 = server_rx.next();
   ASSERT_TRUE(r1 && r2);
   EXPECT_EQ(*r1, *r2);  // decrypted payloads equal...
   // ...which exercises nonce-per-sequence decryption of distinct records.
@@ -355,8 +358,9 @@ TEST_F(ChannelTest, ManyMessagesKeepSequence) {
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(pair->client.send(util::to_bytes(std::to_string(i))).ok());
   }
+  testenv::FrameInbox server_rx(reactor_, pair->server);
   for (int i = 0; i < 200; ++i) {
-    auto got = pair->server.recv(1s);
+    auto got = server_rx.next();
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(util::to_string(*got), std::to_string(i));
   }
@@ -367,8 +371,9 @@ TEST_F(ChannelTest, PlaintextModePassesThrough) {
   options.encrypt = false;
   auto pair = make_pair(options);
   ASSERT_TRUE(pair.ok());
+  testenv::FrameInbox server_rx(reactor_, pair->server);
   ASSERT_TRUE(pair->client.send(util::to_bytes("in the clear")).ok());
-  auto got = pair->server.recv(1s);
+  auto got = server_rx.next();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(util::to_string(*got), "in the clear");
   EXPECT_EQ(pair->client.peer_name(), "");  // unauthenticated
@@ -377,26 +382,89 @@ TEST_F(ChannelTest, PlaintextModePassesThrough) {
 TEST_F(ChannelTest, ForgedCertificateRejected) {
   auto listener = network_.add_host("server").listen(100);
   ASSERT_TRUE(listener.ok());
-  auto conn = network_.add_host("client").connect({"server", 100}, 1s);
+  testenv::AcceptInbox accepts(reactor_, **listener);
+  auto conn = network_.add_host("client").connect({"server", 100});
   ASSERT_TRUE(conn.ok());
-  auto accepted = (*listener)->accept(1s);
+  auto accepted = accepts.next();
   ASSERT_TRUE(accepted.has_value());
 
   CertificateAuthority rogue_ca(123);  // not trusted by the server
-  Identity rogue = rogue_ca.issue("user/mallory");
-  Identity server_id = ca_.issue("svc/server");
-
-  util::Result<SecureChannel> server_side{util::Errc::invalid};
-  std::thread server_thread([&] {
-    server_side = SecureChannel::accept(std::move(*accepted), server_id,
-                                        ca_.verification_key(), 300ms);
-  });
-  auto client_side = SecureChannel::connect(std::move(conn.value()), rogue,
-                                            ca_.verification_key(), 300ms);
-  server_thread.join();
-  EXPECT_FALSE(server_side.ok());
+  auto server = testenv::Handshake::accept(
+      reactor_, std::move(*accepted), ca_.issue("svc/server"),
+      ca_.verification_key(), 300ms);
+  auto client_side =
+      testenv::Handshake::connect(reactor_, std::move(conn.value()),
+                                  rogue_ca.issue("user/mallory"),
+                                  ca_.verification_key(), 300ms)
+          .result();
+  auto server_side = server.result();
+  ASSERT_FALSE(server_side.ok());
   EXPECT_EQ(server_side.error().code, util::Errc::auth_error);
-  (void)client_side;
+  // The server rejects before it sends its hello and closes the
+  // connection, which ends the client's exchange.
+  ASSERT_FALSE(client_side.ok());
+  EXPECT_EQ(client_side.error().code, util::Errc::closed);
+  EXPECT_EQ(client_side.error().message, "handshake: connection closed");
+}
+
+// A listener nobody accepts never answers the client hello: the handshake
+// times out once, closes its connection and counts one failure.
+TEST_F(ChannelTest, AsyncConnectTimesOutWithoutServerHello) {
+  auto listener = network_.add_host("server").listen(100);  // never accepts
+  ASSERT_TRUE(listener.ok());
+  auto conn = network_.add_host("client").connect({"server", 100});
+  ASSERT_TRUE(conn.ok());
+  net::Connection handle = conn.value();  // shares the connection's state
+  obs::MetricsRegistry metrics;
+  ChannelOptions options;
+  options.metrics = &metrics;
+
+  auto client = testenv::Handshake::connect(
+      reactor_, std::move(conn.value()), ca_.issue("user/client"),
+      ca_.verification_key(), 200ms, options);
+  auto result = client.result();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, util::Errc::timeout);
+  EXPECT_EQ(result.error().message, "handshake: no server hello");
+  EXPECT_TRUE(handle.closed());
+  EXPECT_EQ(metrics.counter("crypto.handshake_failures").value(), 1u);
+  EXPECT_EQ(metrics.counter("crypto.handshakes").value(), 0u);
+  std::this_thread::sleep_for(200ms);  // room for a second completion
+  EXPECT_EQ(client.completions(), 1);
+}
+
+// A stopped reactor cannot arm the handshake's timer: the handshake fails
+// at once, on the calling thread, and counts one failure.
+TEST_F(ChannelTest, AsyncConnectOnStoppedReactorFailsOnCallingThread) {
+  auto listener = network_.add_host("server").listen(100);
+  ASSERT_TRUE(listener.ok());
+  auto conn = network_.add_host("client").connect({"server", 100});
+  ASSERT_TRUE(conn.ok());
+  net::Connection handle = conn.value();
+  obs::MetricsRegistry metrics;
+  ChannelOptions options;
+  options.metrics = &metrics;
+  net::Reactor stopped;
+  stopped.stop();
+
+  int completions = 0;
+  std::thread::id ran_on;
+  std::optional<util::Error> error;
+  SecureChannel::async_connect(
+      stopped, std::move(conn.value()), ca_.issue("user/client"),
+      ca_.verification_key(), 200ms, options,
+      [&](util::Result<SecureChannel> ch) {
+        ++completions;
+        ran_on = std::this_thread::get_id();
+        if (!ch.ok()) error = ch.error();
+      });
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, util::Errc::unavailable);
+  EXPECT_EQ(error->message, "handshake: reactor stopped");
+  EXPECT_TRUE(handle.closed());
+  EXPECT_EQ(metrics.counter("crypto.handshake_failures").value(), 1u);
 }
 
 // --------------------------------------------------- record-layer tampering
@@ -440,38 +508,6 @@ util::Bytes bad_frame(Tamper t, const std::vector<util::Bytes>& records) {
 
 }  // namespace
 
-TEST_F(ChannelTest, RecvDropsTamperedReplayedAndReorderedRecords) {
-  std::uint16_t port = 300;
-  for (Tamper t : kTampers) {
-    SCOPED_TRACE(tamper_name(t));
-    auto pair = make_relayed_pair(port++);
-    ASSERT_TRUE(pair.ok()) << pair.error().to_string();
-    std::vector<util::Bytes> records;
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(
-          pair->client.send(util::to_bytes("record " + std::to_string(i))).ok());
-      auto record = pair->from_client.recv(1s);
-      ASSERT_TRUE(record.has_value());
-      records.push_back(std::move(*record));
-    }
-
-    // record 0, the bad frame, then records 1 and 2 intact and in order.
-    for (const util::Bytes& frame :
-         {records[0], bad_frame(t, records), records[1], records[2]})
-      ASSERT_TRUE(pair->to_server.send(frame).ok());
-    auto first = pair->server.recv(1s);
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(util::to_string(*first), "record 0");
-    EXPECT_FALSE(pair->server.recv(1s).has_value());  // the bad frame
-    // Dropping it left the expected sequence where it was.
-    for (int i = 1; i < 3; ++i) {
-      auto got = pair->server.recv(1s);
-      ASSERT_TRUE(got.has_value()) << "record " << i;
-      EXPECT_EQ(util::to_string(*got), "record " + std::to_string(i));
-    }
-  }
-}
-
 TEST_F(ChannelTest, OnFrameClosesChannelOnTamperedRecord) {
   std::uint16_t port = 400;
   for (Tamper t : kTampers) {
@@ -482,7 +518,7 @@ TEST_F(ChannelTest, OnFrameClosesChannelOnTamperedRecord) {
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(
           pair->client.send(util::to_bytes("record " + std::to_string(i))).ok());
-      auto record = pair->from_client.recv(1s);
+      auto record = pair->from_client->next();
       ASSERT_TRUE(record.has_value());
       records.push_back(std::move(*record));
     }
@@ -494,26 +530,12 @@ TEST_F(ChannelTest, OnFrameClosesChannelOnTamperedRecord) {
          {records[0], bad_frame(t, records), records[1], records[2]})
       ASSERT_TRUE(pair->to_server.send(frame).ok());
 
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::string> delivered;
-    bool closed = false;
-    net::Reactor reactor;
-    net::Subscription sub = pair->server.on_frame(
-        reactor, [&](std::optional<net::Frame> frame) {
-          std::scoped_lock lock(mu);
-          if (frame)
-            delivered.push_back(util::to_string(*frame));
-          else
-            closed = true;
-          cv.notify_all();
-        });
-    {
-      std::unique_lock lock(mu);
-      ASSERT_TRUE(cv.wait_for(lock, 2s, [&] { return closed; }));
-      EXPECT_EQ(delivered, std::vector<std::string>{"record 0"});
-    }
-    sub.stop();
+    testenv::FrameInbox server_rx(reactor_, pair->server);
+    auto first = server_rx.next();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(util::to_string(*first), "record 0");
+    EXPECT_FALSE(server_rx.next(2s).has_value());
+    EXPECT_TRUE(server_rx.ended());
     EXPECT_TRUE(pair->server.closed());
   }
 }

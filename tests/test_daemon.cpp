@@ -10,6 +10,7 @@
 #include "ace_test_env.hpp"
 #include "daemon/devices.hpp"
 #include "daemon/wire.hpp"
+#include "endpoint_waiter.hpp"
 #include "services/auth_db.hpp"
 
 using namespace ace;
@@ -663,11 +664,13 @@ TEST(InlineDispatchTest, LaneCountResetsWithItsQueue) {
   for (const bool crash : {true, false}) {
     SCOPED_TRACE(crash ? "crash" : "stop");
     // Park the control lane: a nap runs while three pings queue behind it.
-    auto conn = pipeliner.connect(svc.address(), 2s);
+    auto conn = pipeliner.connect(svc.address());
     ASSERT_TRUE(conn.ok());
-    auto ch = crypto::SecureChannel::connect(
-        std::move(conn.value()), env.issue_identity("user/pipeliner"),
-        env.ca_key(), 2s, env.channel_options());
+    auto ch = testenv::Handshake::connect(
+                  env.reactor(), std::move(conn.value()),
+                  env.issue_identity("user/pipeliner"), env.ca_key(), 2s,
+                  env.channel_options())
+                  .result();
     ASSERT_TRUE(ch.ok()) << ch.error().to_string();
     const int naps = svc.naps();
     for (const char* text : {"nap;", "ping;", "ping;", "ping;"})

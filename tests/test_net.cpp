@@ -2,11 +2,15 @@
 
 #include <thread>
 
+#include "endpoint_waiter.hpp"
 #include "net/network.hpp"
 
 using namespace ace;
 using namespace ace::net;
 using namespace std::chrono_literals;
+using testenv::AcceptInbox;
+using testenv::DatagramInbox;
+using testenv::FrameInbox;
 
 namespace {
 Frame frame_of(const char* s) { return util::to_bytes(s); }
@@ -14,23 +18,27 @@ Frame frame_of(const char* s) { return util::to_bytes(s); }
 
 TEST(Network, ConnectSendRecv) {
   Network network;
+  Reactor reactor;
   Host& a = network.add_host("a");
   Host& b = network.add_host("b");
   auto listener = b.listen(100);
   ASSERT_TRUE(listener.ok());
+  AcceptInbox accepts(reactor, **listener);
 
-  auto client = a.connect({"b", 100}, 1s);
+  auto client = a.connect({"b", 100});
   ASSERT_TRUE(client.ok());
-  auto server = (*listener)->accept(1s);
+  auto server = accepts.next();
   ASSERT_TRUE(server.has_value());
+  FrameInbox server_rx(reactor, *server);
+  FrameInbox client_rx(reactor, *client);
 
   ASSERT_TRUE(client->send(frame_of("hello")).ok());
-  auto got = server->recv(1s);
+  auto got = server_rx.next();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(util::to_string(*got), "hello");
 
   ASSERT_TRUE(server->send(frame_of("world")).ok());
-  got = client->recv(1s);
+  got = client_rx.next();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(util::to_string(*got), "world");
 }
@@ -39,7 +47,7 @@ TEST(Network, ConnectionRefusedWithoutListener) {
   Network network;
   Host& a = network.add_host("a");
   network.add_host("b");
-  auto conn = a.connect({"b", 9}, 100ms);
+  auto conn = a.connect({"b", 9});
   EXPECT_FALSE(conn.ok());
   EXPECT_EQ(conn.error().code, util::Errc::refused);
 }
@@ -47,7 +55,7 @@ TEST(Network, ConnectionRefusedWithoutListener) {
 TEST(Network, UnknownHost) {
   Network network;
   Host& a = network.add_host("a");
-  auto conn = a.connect({"ghost", 9}, 100ms);
+  auto conn = a.connect({"ghost", 9});
   EXPECT_FALSE(conn.ok());
   EXPECT_EQ(conn.error().code, util::Errc::not_found);
 }
@@ -59,11 +67,11 @@ TEST(Network, DownHostRefusesConnections) {
   auto listener = b.listen(100);
   ASSERT_TRUE(listener.ok());
   b.set_down(true);
-  auto conn = a.connect({"b", 100}, 100ms);
+  auto conn = a.connect({"b", 100});
   EXPECT_FALSE(conn.ok());
   EXPECT_EQ(conn.error().code, util::Errc::unavailable);
   b.set_down(false);
-  EXPECT_TRUE(a.connect({"b", 100}, 100ms).ok());
+  EXPECT_TRUE(a.connect({"b", 100}).ok());
 }
 
 TEST(Network, PortConflict) {
@@ -89,17 +97,21 @@ TEST(Network, ListenerCloseFreesPort) {
 
 TEST(Network, CloseMakesPeerRecvFail) {
   Network network;
+  Reactor reactor;
   Host& a = network.add_host("a");
   Host& b = network.add_host("b");
   auto listener = b.listen(100);
   ASSERT_TRUE(listener.ok());
-  auto client = a.connect({"b", 100}, 1s);
+  AcceptInbox accepts(reactor, **listener);
+  auto client = a.connect({"b", 100});
   ASSERT_TRUE(client.ok());
-  auto server = (*listener)->accept(1s);
+  auto server = accepts.next();
   ASSERT_TRUE(server.has_value());
+  FrameInbox server_rx(reactor, *server);
 
   client->close();
-  EXPECT_FALSE(server->recv(100ms).has_value());
+  EXPECT_FALSE(server_rx.next().has_value());
+  EXPECT_TRUE(server_rx.ended());
   EXPECT_FALSE(server->send(frame_of("x")).ok());
 }
 
@@ -110,17 +122,20 @@ TEST(Network, LinkLatencyDelaysDelivery) {
   LinkPolicy slow;
   slow.latency = 20ms;
   network.set_link("a", "b", slow);
+  Reactor reactor;
 
   auto listener = b.listen(100);
   ASSERT_TRUE(listener.ok());
-  auto client = a.connect({"b", 100}, 1s);
+  AcceptInbox accepts(reactor, **listener);
+  auto client = a.connect({"b", 100});
   ASSERT_TRUE(client.ok());
-  auto server = (*listener)->accept(1s);
+  auto server = accepts.next();
   ASSERT_TRUE(server.has_value());
+  FrameInbox server_rx(reactor, *server);
 
   auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(client->send(frame_of("ping")).ok());
-  auto got = server->recv(1s);
+  auto got = server_rx.next();
   auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(got.has_value());
   EXPECT_GE(elapsed, 18ms);
@@ -132,7 +147,7 @@ TEST(Network, PartitionResetsConnection) {
   Host& b = network.add_host("b");
   auto listener = b.listen(100);
   ASSERT_TRUE(listener.ok());
-  auto client = a.connect({"b", 100}, 1s);
+  auto client = a.connect({"b", 100});
   ASSERT_TRUE(client.ok());
 
   network.set_partitioned("a", "b", true);
@@ -142,10 +157,10 @@ TEST(Network, PartitionResetsConnection) {
   EXPECT_TRUE(client->closed());
 
   // New connections are also refused while partitioned.
-  auto again = a.connect({"b", 100}, 100ms);
+  auto again = a.connect({"b", 100});
   EXPECT_FALSE(again.ok());
   network.set_partitioned("a", "b", false);
-  EXPECT_TRUE(a.connect({"b", 100}, 100ms).ok());
+  EXPECT_TRUE(a.connect({"b", 100}).ok());
 }
 
 TEST(Network, DatagramDelivery) {
@@ -155,9 +170,11 @@ TEST(Network, DatagramDelivery) {
   auto sa = a.open_datagram(200);
   auto sb = b.open_datagram(200);
   ASSERT_TRUE(sa.ok() && sb.ok());
+  Reactor reactor;
+  DatagramInbox sb_rx(reactor, **sb);
 
   ASSERT_TRUE((*sa)->send_to({"b", 200}, frame_of("dgram")).ok());
-  auto got = (*sb)->recv(1s);
+  auto got = sb_rx.next();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(util::to_string(got->payload), "dgram");
   EXPECT_EQ(got->from.host, "a");
@@ -184,12 +201,14 @@ TEST(Network, DatagramLossRate) {
   auto sa = a.open_datagram(200);
   auto sb = b.open_datagram(200);
   ASSERT_TRUE(sa.ok() && sb.ok());
+  Reactor reactor;
+  DatagramInbox sb_rx(reactor, **sb);
 
   constexpr int kSent = 400;
   for (int i = 0; i < kSent; ++i)
     ASSERT_TRUE((*sa)->send_to({"b", 200}, frame_of("x")).ok());
   int received = 0;
-  while ((*sb)->recv(20ms)) received++;
+  while (sb_rx.next(20ms)) received++;
   // ~50% loss with generous tolerance.
   EXPECT_GT(received, kSent / 4);
   EXPECT_LT(received, 3 * kSent / 4);
@@ -212,7 +231,7 @@ TEST(Network, StatsCountFramesAndBytes) {
   Host& b = network.add_host("b");
   auto listener = b.listen(100);
   ASSERT_TRUE(listener.ok());
-  auto client = a.connect({"b", 100}, 1s);
+  auto client = a.connect({"b", 100});
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->send(Frame(128, 0)).ok());
   auto stats = network.stats();

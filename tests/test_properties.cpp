@@ -14,6 +14,7 @@
 
 #include "ace_test_env.hpp"
 #include "apps/framebuffer.hpp"
+#include "endpoint_waiter.hpp"
 #include "keynote/expr.hpp"
 #include "media/codec.hpp"
 #include "store/persistent_store.hpp"
@@ -129,26 +130,27 @@ class ChannelPayloadProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChannelPayloadProperty, RandomPayloadsSurviveEncryptedChannel) {
   net::Network network;
+  net::Reactor reactor;
   crypto::CertificateAuthority ca(9);
   auto listener = network.add_host("server").listen(100);
   ASSERT_TRUE(listener.ok());
-  auto conn = network.add_host("client").connect({"server", 100}, 1s);
+  testenv::AcceptInbox accepts(reactor, **listener);
+  auto conn = network.add_host("client").connect({"server", 100});
   ASSERT_TRUE(conn.ok());
-  auto accepted = (*listener)->accept(1s);
+  auto accepted = accepts.next();
   ASSERT_TRUE(accepted.has_value());
 
-  crypto::Identity client_id = ca.issue("c");
-  crypto::Identity server_id = ca.issue("s");
-  util::Result<crypto::SecureChannel> server_side{util::Errc::invalid};
-  std::thread t([&] {
-    server_side = crypto::SecureChannel::accept(
-        std::move(*accepted), server_id, ca.verification_key(), 1s);
-  });
-  auto client_side = crypto::SecureChannel::connect(
-      std::move(conn.value()), client_id, ca.verification_key(), 1s);
-  t.join();
+  auto server = testenv::Handshake::accept(reactor, std::move(*accepted),
+                                           ca.issue("s"),
+                                           ca.verification_key(), 1s);
+  auto client_side =
+      testenv::Handshake::connect(reactor, std::move(conn.value()),
+                                  ca.issue("c"), ca.verification_key(), 1s)
+          .result();
+  auto server_side = server.result();
   ASSERT_TRUE(client_side.ok());
   ASSERT_TRUE(server_side.ok());
+  testenv::FrameInbox server_rx(reactor, server_side.value());
 
   util::Rng rng(GetParam() * 13 + 3);
   for (int i = 0; i < 30; ++i) {
@@ -157,7 +159,7 @@ TEST_P(ChannelPayloadProperty, RandomPayloadsSurviveEncryptedChannel) {
     util::Bytes payload(n);
     for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
     ASSERT_TRUE(client_side->send(payload).ok());
-    auto got = server_side->recv(1s);
+    auto got = server_rx.next();
     ASSERT_TRUE(got.has_value()) << "size " << n;
     EXPECT_EQ(*got, payload) << "size " << n;
   }

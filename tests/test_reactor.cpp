@@ -16,6 +16,7 @@
 
 #include "ace_test_env.hpp"
 #include "daemon/wire.hpp"
+#include "endpoint_waiter.hpp"
 #include "io/sim_disk.hpp"
 #include "net/network.hpp"
 #include "net/reactor.hpp"
@@ -401,7 +402,7 @@ TEST(Reactor, OnAcceptAndOnFrameDriveAConnection) {
             });
       });
 
-  auto client = a.connect({"b", 100}, 1s);
+  auto client = a.connect({"b", 100});
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->send(util::to_bytes("one")).ok());
   ASSERT_TRUE(client->send(util::to_bytes("two")).ok());
@@ -491,14 +492,16 @@ TEST(ReactorSoak, ConnectCloseChurnUnderLoad) {
     auto identity = f.env.env.issue_identity("user/churn");
     int i = 0;
     while (!done.load()) {
-      auto conn = host.connect(addr, 200ms);
+      auto conn = host.connect(addr);
       if (conn.ok()) {
         if (i++ % 2 == 0) {
           conn->close();  // die before the handshake completes
         } else {
-          auto ch = crypto::SecureChannel::connect(
-              std::move(*conn), identity, f.env.env.ca_key(), 500ms,
-              f.env.env.channel_options());
+          auto ch = testenv::Handshake::connect(
+                        f.env.env.reactor(), std::move(*conn), identity,
+                        f.env.env.ca_key(), 500ms,
+                        f.env.env.channel_options())
+                        .result();
           if (ch.ok()) ch->close();
         }
       }
@@ -688,7 +691,7 @@ TEST(ReactorSoak, ThreadCountIndependentOfEndpointCount) {
   std::vector<net::Connection> clients;
   net::Host& origin = network.add_host("origin");
   for (int i = 0; i < kConns; ++i) {
-    auto conn = origin.connect({"server", 100}, 1s);
+    auto conn = origin.connect({"server", 100});
     ASSERT_TRUE(conn.ok());
     clients.push_back(std::move(*conn));
   }

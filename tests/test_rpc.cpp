@@ -1,8 +1,9 @@
 // Tests for the pipelined multiplexed command channel: concurrent in-flight
 // calls per destination, out-of-order reply routing, retry across channel
 // death, malformed frames, the daemon-side handshake pool keeping slow
-// connectors off the accept path, and per-connection order on the inline
-// path of nonblocking commands.
+// connectors off the accept path, a client reconnect holding no lock a
+// drop or close_all needs, and per-connection order on the inline path of
+// nonblocking commands.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 
 #include "ace_test_env.hpp"
 #include "daemon/wire.hpp"
+#include "endpoint_waiter.hpp"
 
 using namespace ace;
 using namespace std::chrono_literals;
@@ -130,11 +132,13 @@ struct RpcFixture {
   // A channel of its own to the service, on which the test frames requests
   // by hand, so that several ride it back to back.
   util::Result<crypto::SecureChannel> raw_channel(const std::string& host) {
-    auto conn = env.env.network().add_host(host).connect(svc->address(), 2s);
+    auto conn = env.env.network().add_host(host).connect(svc->address());
     if (!conn.ok()) return conn.error();
-    return crypto::SecureChannel::connect(
-        std::move(conn.value()), env.env.issue_identity("user/" + host),
-        env.env.ca_key(), 2s, env.env.channel_options());
+    return testenv::Handshake::connect(
+               env.env.reactor(), std::move(conn.value()),
+               env.env.issue_identity("user/" + host), env.env.ca_key(), 2s,
+               env.env.channel_options())
+        .result();
   }
 
   testenv::AceTestEnv env;
@@ -145,12 +149,14 @@ struct RpcFixture {
 
 // Reads replies off a raw channel until every id in `ids` has one, or 2 s
 // pass.
-std::map<std::uint64_t, CmdLine> read_replies(crypto::SecureChannel& ch,
+std::map<std::uint64_t, CmdLine> read_replies(net::Reactor& reactor,
+                                              crypto::SecureChannel& ch,
                                               std::set<std::uint64_t> ids) {
   std::map<std::uint64_t, CmdLine> replies;
+  testenv::FrameInbox inbox(reactor, ch);
   const auto deadline = std::chrono::steady_clock::now() + 2s;
   while (!ids.empty() && std::chrono::steady_clock::now() < deadline) {
-    auto frame = ch.recv(200ms);
+    auto frame = inbox.next(200ms);
     if (!frame) continue;
     auto decoded = daemon::wire::decode_frame(*frame);
     if (!decoded) continue;
@@ -272,7 +278,7 @@ TEST(Rpc, SlowHandshakerDoesNotBlockAcceptPath) {
   RpcFixture f;
   const net::Address addr = f.svc->address();
   auto& staller_host = f.env.env.network().add_host("staller");
-  auto stalled = staller_host.connect(addr, 500ms);
+  auto stalled = staller_host.connect(addr);
   ASSERT_TRUE(stalled.ok());  // connected, but never sends its hello
 
   const auto started = std::chrono::steady_clock::now();
@@ -284,6 +290,78 @@ TEST(Rpc, SlowHandshakerDoesNotBlockAcceptPath) {
   // Well under the 2s handshake timeout the staller is burning.
   EXPECT_LT(elapsed, 1500ms);
   stalled.value().close();
+}
+
+// A reconnect holds no lock the rest of the client needs: dropping the
+// destination 50 ms into a handshake with a listener that never accepts
+// returns at once instead of waiting the handshake out.
+TEST(Rpc, DropConnectionDoesNotWaitForAStalledHandshake) {
+  RpcFixture f;
+  auto listener = f.env.env.network().add_host("tarpit").listen(7000);
+  ASSERT_TRUE(listener.ok());  // connections queue here; nobody accepts
+  const net::Address addr{"tarpit", 7000};
+  std::jthread caller([&] {
+    auto reply = f.client->call(addr, CmdLine("ping"),
+                                daemon::CallOptions{.retries = 0});
+    EXPECT_FALSE(reply.ok());
+  });
+  std::this_thread::sleep_for(50ms);  // the caller is now mid-handshake
+  const auto started = std::chrono::steady_clock::now();
+  f.client->drop_connection(addr);
+  EXPECT_LT(std::chrono::steady_clock::now() - started, 200ms);
+}
+
+// A reconnect in flight when the client lets go of its destination: a drop
+// leaves it to finish and carry the call, close_all discards the channel
+// it makes. Neither waits for the handshake, which the server, played by
+// hand here, completes only afterwards.
+TEST(Rpc, HandshakeInFlightOutlivesDropButNotCloseAll) {
+  for (const bool close_all : {false, true}) {
+    SCOPED_TRACE(close_all ? "close_all" : "drop_connection");
+    RpcFixture f;
+    net::Reactor& reactor = f.env.env.reactor();
+    auto listener = f.env.env.network().add_host("by-hand").listen(7001);
+    ASSERT_TRUE(listener.ok());
+    testenv::AcceptInbox accepts(reactor, **listener);
+    const net::Address addr{"by-hand", 7001};
+    std::optional<util::Result<CmdLine>> reply;
+    std::jthread caller([&] {
+      reply.emplace(f.client->call(addr, CmdLine("ping"),
+                                   daemon::CallOptions{.retries = 0}));
+    });
+    auto conn = accepts.next(2s);
+    ASSERT_TRUE(conn.has_value());  // the caller is now mid-handshake
+
+    const auto started = std::chrono::steady_clock::now();
+    if (close_all)
+      f.client->close_all();
+    else
+      f.client->drop_connection(addr);
+    EXPECT_LT(std::chrono::steady_clock::now() - started, 200ms);
+
+    auto server = testenv::Handshake::accept(
+                      reactor, std::move(*conn),
+                      f.env.env.issue_identity("svc/by-hand"),
+                      f.env.env.ca_key(), 2s, f.env.env.channel_options())
+                      .result();
+    ASSERT_TRUE(server.ok()) << server.error().to_string();
+    testenv::FrameInbox requests(reactor, server.value());
+    auto request = requests.next(2s);
+    if (close_all) {
+      EXPECT_FALSE(request.has_value());
+      EXPECT_TRUE(requests.ended());  // the client closed the new channel
+    } else {
+      ASSERT_TRUE(request.has_value());
+      auto decoded = daemon::wire::decode_frame(*request);
+      ASSERT_TRUE(decoded.has_value());
+      ASSERT_TRUE(server->send(daemon::wire::encode_frame(decoded->call_id, 0,
+                                                          "ok;"))
+                      .ok());
+    }
+    caller.join();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->ok(), !close_all);
+  }
 }
 
 // Fire-and-forget: the noreply marker travels as a frame flag, the daemon
@@ -331,9 +409,10 @@ TEST(Rpc, MalformedFramesAreCountedAndChannelSurvives) {
   // Replies come back in frame order, so the ping's reply proves both
   // earlier frames have been handled.
   std::map<std::uint64_t, CmdLine> replies;
+  testenv::FrameInbox inbox(f.env.env.reactor(), *ch);
   const auto deadline = std::chrono::steady_clock::now() + 2s;
   while (!replies.contains(3) && std::chrono::steady_clock::now() < deadline) {
-    auto frame = ch->recv(200ms);
+    auto frame = inbox.next(200ms);
     if (!frame) continue;
     auto decoded = daemon::wire::decode_frame(*frame);
     ASSERT_TRUE(decoded.has_value());
@@ -359,7 +438,7 @@ TEST(Rpc, NonblockingCommandQueuesBehindBusyControlLane) {
   ASSERT_TRUE(ch.ok()) << ch.error().to_string();
   ASSERT_TRUE(ch->send(daemon::wire::encode_frame(1, 0, "slow text=first;")).ok());
   ASSERT_TRUE(ch->send(daemon::wire::encode_frame(2, 0, "probe;")).ok());
-  auto replies = read_replies(*ch, {1, 2});
+  auto replies = read_replies(f.env.env.reactor(), *ch, {1, 2});
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_TRUE(cmdlang::is_ok(replies.at(1)));
   EXPECT_TRUE(cmdlang::is_ok(replies.at(2)));
@@ -375,7 +454,7 @@ TEST(Rpc, NonblockingCommandQueuesBehindBusyStrand) {
   ASSERT_TRUE(ch.ok()) << ch.error().to_string();
   ASSERT_TRUE(ch->send(daemon::wire::encode_frame(1, 0, "slowStrand;")).ok());
   ASSERT_TRUE(ch->send(daemon::wire::encode_frame(2, 0, "probeStrand;")).ok());
-  auto replies = read_replies(*ch, {1, 2});
+  auto replies = read_replies(f.env.env.reactor(), *ch, {1, 2});
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_TRUE(cmdlang::is_ok(replies.at(1)));
   EXPECT_TRUE(cmdlang::is_ok(replies.at(2)));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "ace_test_env.hpp"
+#include "endpoint_waiter.hpp"
 #include "media/audio.hpp"
 #include "services/launchers.hpp"
 #include "services/monitors.hpp"
@@ -522,6 +523,7 @@ TEST_F(ServicesTest, ConverterAdpcmRouteCompressesAudio) {
   // Destination socket for converted packets.
   auto dest = host.net_host().open_datagram(9000);
   ASSERT_TRUE(dest.ok());
+  testenv::DatagramInbox dest_rx(deployment_->env.reactor(), **dest);
 
   CmdLine route("convRoute");
   route.arg("stream", "mic1");
@@ -548,7 +550,7 @@ TEST_F(ServicesTest, ConverterAdpcmRouteCompressesAudio) {
 
   int received = 0;
   std::size_t out_bytes = 0;
-  while (auto dg = (*dest)->recv(300ms)) {
+  while (auto dg = dest_rx.next(300ms)) {
     auto out = services::MediaPacket::parse(dg->payload);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->format, "adpcm");
@@ -574,6 +576,8 @@ TEST_F(ServicesTest, DistributionFansOutToAllSinks) {
   auto sink1 = host.net_host().open_datagram(9100);
   auto sink2 = host.net_host().open_datagram(9101);
   ASSERT_TRUE(sink1.ok() && sink2.ok());
+  testenv::DatagramInbox sink1_rx(deployment_->env.reactor(), **sink1);
+  testenv::DatagramInbox sink2_rx(deployment_->env.reactor(), **sink2);
 
   for (std::uint16_t port : {9100, 9101}) {
     CmdLine add("distAddSink");
@@ -590,8 +594,8 @@ TEST_F(ServicesTest, DistributionFansOutToAllSinks) {
   packet.payload = util::to_bytes("frame-data");
   ASSERT_TRUE((*src)->send_to(dist.data_address(), packet.serialize()).ok());
 
-  auto d1 = (*sink1)->recv(500ms);
-  auto d2 = (*sink2)->recv(500ms);
+  auto d1 = sink1_rx.next(500ms);
+  auto d2 = sink2_rx.next(500ms);
   ASSERT_TRUE(d1.has_value());
   ASSERT_TRUE(d2.has_value());
   EXPECT_EQ(d1->payload, d2->payload);
@@ -599,7 +603,7 @@ TEST_F(ServicesTest, DistributionFansOutToAllSinks) {
   // Unsubscribed streams are not forwarded.
   packet.stream = "other";
   ASSERT_TRUE((*src)->send_to(dist.data_address(), packet.serialize()).ok());
-  EXPECT_FALSE((*sink1)->recv(200ms).has_value());
+  EXPECT_FALSE(sink1_rx.next(200ms).has_value());
 
   auto stats = dist.dist_stats();
   EXPECT_EQ(stats.packets, 1u);

@@ -7,6 +7,7 @@
 #include <atomic>
 
 #include "ace_test_env.hpp"
+#include "endpoint_waiter.hpp"
 #include "apps/vnc.hpp"
 #include "apps/workspace_backend.hpp"
 #include "media/codec.hpp"
@@ -219,6 +220,7 @@ TEST_F(Services2Test, ConverterVideoRouteCompressesAndDecodes) {
   ASSERT_TRUE(conv.start().ok());
   auto dest = host_->net_host().open_datagram(9300);
   ASSERT_TRUE(dest.ok());
+  testenv::DatagramInbox dest_rx(deployment_->env.reactor(), **dest);
 
   CmdLine route("convRoute");
   route.arg("stream", "cam-feed");
@@ -251,7 +253,7 @@ TEST_F(Services2Test, ConverterVideoRouteCompressesAndDecodes) {
     ASSERT_TRUE(
         (*src)->send_to(conv.data_address(), packet.serialize()).ok());
 
-    auto out = (*dest)->recv(2s);
+    auto out = dest_rx.next(2s);
     ASSERT_TRUE(out.has_value()) << "frame " << t;
     auto out_packet = services::MediaPacket::parse(out->payload);
     ASSERT_TRUE(out_packet.has_value());

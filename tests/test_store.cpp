@@ -188,16 +188,19 @@ TEST_F(StoreTest, PeerRejoinTriggersAutomaticAntiEntropy) {
   net.set_partitioned("store3", "app-host", false);
 
   // No manual storeSync: the monitor notices its peers transition back to
-  // reachable and runs an anti-entropy round on its own.
-  bool converged = false;
-  for (int i = 0; i < 600 && !converged; ++i) {
-    converged = replicas_[2]->object("while-away").has_value();
-    if (!converged) std::this_thread::sleep_for(10ms);
-  }
-  ASSERT_TRUE(converged);
+  // reachable and runs an anti-entropy round on its own. The peers may
+  // drain their hints into the replica before that round ends, so wait
+  // for both.
+  auto& rejoin_syncs = deployment_->env.metrics().counter("store.rejoin_syncs");
+  auto settled = [&] {
+    return replicas_[2]->object("while-away").has_value() &&
+           rejoin_syncs.value() >= 1;
+  };
+  for (int i = 0; i < 600 && !settled(); ++i)
+    std::this_thread::sleep_for(10ms);
+  ASSERT_TRUE(replicas_[2]->object("while-away").has_value());
   EXPECT_EQ(util::to_string(replicas_[2]->object("while-away")->data), "v");
-  EXPECT_GE(deployment_->env.metrics().counter("store.rejoin_syncs").value(),
-            1u);
+  EXPECT_GE(rejoin_syncs.value(), 1u);
 }
 
 TEST_F(StoreTest, CheckpointApiStoresServiceState) {

@@ -20,13 +20,6 @@ TEST(MessageQueue, FifoOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop().value(), i);
 }
 
-TEST(MessageQueue, PopForTimesOutWhenEmpty) {
-  MessageQueue<int> q;
-  auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.pop_for(30ms).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - start, 25ms);
-}
-
 TEST(MessageQueue, CloseDrainsPendingThenReturnsNullopt) {
   MessageQueue<int> q;
   q.push(1);
