@@ -299,6 +299,27 @@ require_never_block_check() {
   fi
 }
 
+# SHA-256 picks its compression from CPUID at run time. On a CPU whose
+# /proc/cpuinfo lists sha_ni, the hardware compression must be both
+# cross-checked against the portable one and the one Sha256 chose; a
+# skip there means the dispatch or the hardware path fell out of the build.
+require_sha_hardware() {
+  local build_dir="$1" out
+  echo "=== SHA-256 hardware compression: ${build_dir} ==="
+  if ! grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
+    echo "ci.sh: /proc/cpuinfo lists no sha_ni, so Sha256.Hardware* may" \
+      "skip here and is not required"
+    return 0
+  fi
+  out="$(run_filtered "${build_dir}/tests/test_crypto" 'Sha256.Hardware*')"
+  echo "${out}"
+  if grep -q '\[  SKIPPED \]' <<<"${out}"; then
+    echo "ci.sh: the CPU lists sha_ni but ${build_dir} skipped the SHA-256" \
+      "hardware test" >&2
+    exit 1
+  fi
+}
+
 # Stopping a store coordinator while writers keep submitting races the
 # batcher's shutdown against submit() and the flushes in flight; ASan
 # catches a write into a freed lane.
@@ -329,6 +350,7 @@ want="${1:-all}"
 case "${want}" in
   release|all)
     run_config "release" build-ci -DCMAKE_BUILD_TYPE=Release
+    require_sha_hardware build-ci
     doc_lint build-ci
     bench_smoke build-ci
     ;;&
@@ -340,6 +362,7 @@ case "${want}" in
     authz_race_sweep build-tsan
     timer_chain_sweep build-tsan
     require_never_block_check build-tsan
+    require_sha_hardware build-tsan
     inline_dispatch_sweep build-tsan
     handshake_sweep build-tsan
     ;;&
@@ -348,6 +371,7 @@ case "${want}" in
     disk_fault_sweep build-asan
     batcher_stop_sweep build-asan
     require_never_block_check build-asan
+    require_sha_hardware build-asan
     handshake_sweep build-asan
     ;;&
   release|tsan|asan|all) ;;

@@ -59,12 +59,9 @@ Identity CertificateAuthority::issue(const std::string& subject) {
 bool CertificateAuthority::verify(const Certificate& cert,
                                   const util::Bytes& ca_key) {
   Digest expected = hmac_sha256(ca_key, cert.signed_payload());
-  if (cert.tag.size() != expected.size()) return false;
-  // Constant-time comparison.
-  std::uint8_t diff = 0;
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    diff |= static_cast<std::uint8_t>(cert.tag[i] ^ expected[i]);
-  return diff == 0;
+  return cert.tag.size() == expected.size() &&
+         constant_time_equal(cert.tag.data(), expected.data(),
+                             expected.size());
 }
 
 }  // namespace ace::crypto

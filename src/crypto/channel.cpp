@@ -324,15 +324,18 @@ util::Status SecureChannel::send(net::Frame frame) {
 
   std::scoped_lock lock(state_->send_mu);
   DirectionKeys& keys = state_->send_keys;
-  std::uint64_t seq = keys.sequence++;
+  const std::uint64_t seq = keys.sequence++;
+  // One buffer, sized once: u64 sequence (little-endian) | ciphertext | tag.
+  const std::size_t body_len = 8 + frame.size();
+  net::Frame record(body_len + kMacTagLen);
+  for (int i = 0; i < 8; ++i)
+    record[i] = static_cast<std::uint8_t>(seq >> (8 * i));
+  std::copy(frame.begin(), frame.end(), record.begin() + 8);
   chacha20_xor(keys.cipher_key, nonce_from_sequence(seq, keys.nonce_salt), 1,
-               frame);
-  util::ByteWriter record;
-  record.u64(seq);
-  record.raw(frame);
-  Digest mac = keys.mac_key.mac(record.bytes());
-  record.raw(mac.data(), kMacTagLen);
-  return state_->conn.send(record.take());
+               record.data() + 8, frame.size());
+  const Digest mac = keys.mac_key.mac(record.data(), body_len);
+  std::copy_n(mac.begin(), kMacTagLen, record.begin() + body_len);
+  return state_->conn.send(std::move(record));
 }
 
 std::optional<net::Frame> SecureChannel::decrypt_record(State& state,

@@ -1,5 +1,7 @@
 // SHA-256, HMAC-SHA256 and a simplified HKDF. Implemented from scratch for
 // the ACE secure-channel substitution of the paper's SSL layer (§3.1).
+// The compression runs on the CPU's SHA extensions where it has them,
+// chosen at run time, and on a portable loop otherwise.
 #pragma once
 
 #include <array>
@@ -25,8 +27,6 @@ class Sha256 {
   Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;
@@ -74,5 +74,30 @@ util::Bytes hkdf(const util::Bytes& salt, const util::Bytes& ikm,
                  std::string_view info, std::size_t length);
 
 util::Bytes digest_bytes(const Digest& d);
+
+namespace detail {
+
+// SHA-256's compression over `blocks` whole 64-byte blocks at `data`,
+// folded into the eight state words. Sha256 calls the one
+// sha256_compress() returns; the tests cross-check the two here.
+using Sha256Compress = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                                std::size_t blocks);
+
+// FIPS 180-4's loop. Runs on every CPU; the tests' reference.
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks);
+
+#if defined(__x86_64__)
+// The x86-64 SHA extensions' compression. Only for a CPU that reports
+// `sha` and `sse4.1`: elsewhere it dies on an illegal instruction.
+void sha256_compress_sha_ni(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t blocks);
+#endif
+
+// The compression Sha256 uses, chosen on the first call from CPUID: the
+// SHA-extension one where the CPU has it, the portable one otherwise.
+Sha256Compress sha256_compress();
+
+}  // namespace detail
 
 }  // namespace ace::crypto

@@ -4,7 +4,10 @@ namespace ace::daemon::wire {
 
 util::Bytes encode_frame(std::uint64_t call_id, std::uint8_t flags,
                          std::string_view body) {
+  std::size_t header = 2;  // the varint's last byte, then the flags
+  for (std::uint64_t v = call_id; v >= 0x80; v >>= 7) ++header;
   util::ByteWriter w;
+  w.reserve(header + body.size());
   w.varint(call_id);
   w.u8(flags);
   w.raw(reinterpret_cast<const std::uint8_t*>(body.data()), body.size());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
 #include <thread>
@@ -49,6 +51,68 @@ TEST(Sha256, IncrementalEqualsOneShot) {
   h.update(std::string_view("hello "));
   h.update(std::string_view("world"));
   EXPECT_EQ(hex(h.finish()), hex(sha256(std::string_view("hello world"))));
+}
+
+TEST(Sha256, ChunkedUpdatesMatchOneShot) {
+  // update() compresses runs of whole blocks straight from its input and
+  // buffers only the ragged ends; chunk sizes around the 64-byte block
+  // cross every mix of partial block, whole-block run and tail.
+  util::Bytes input(1024);
+  util::Rng rng(19);
+  for (auto& b : input) b = static_cast<std::uint8_t>(rng.next());
+  const std::string one_shot = hex(sha256(input));
+  for (std::size_t chunk : {1, 55, 63, 64, 65, 128, 200}) {
+    Sha256 h;
+    for (std::size_t at = 0; at < input.size(); at += chunk)
+      h.update(input.data() + at, std::min(chunk, input.size() - at));
+    EXPECT_EQ(hex(h.finish()), one_shot) << "chunk=" << chunk;
+  }
+}
+
+namespace {
+// The CPU feature test Sha256 makes, asked again here, so that a dispatch
+// that stops choosing the hardware compression fails a test.
+bool cpu_has_sha_extensions() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+}  // namespace
+
+TEST(Sha256, HardwareCompressionMatchesPortable) {
+#if defined(__x86_64__)
+  if (!cpu_has_sha_extensions())
+    GTEST_SKIP() << "this CPU lacks the SHA extensions (sha, sse4.1)";
+  util::Rng rng(1901);
+  util::Bytes data(8 * 64);
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::array<std::uint32_t, 8> state{};
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng.next());
+    const std::size_t blocks = 1 + rng.next_below(8);
+    for (std::size_t i = 0; i < blocks * 64; ++i)
+      data[i] = static_cast<std::uint8_t>(rng.next());
+    std::array<std::uint32_t, 8> portable = state, hardware = state;
+    detail::sha256_compress_portable(portable.data(), data.data(), blocks);
+    detail::sha256_compress_sha_ni(hardware.data(), data.data(), blocks);
+    ASSERT_EQ(hardware, portable) << "trial " << trial << ", " << blocks
+                                  << " blocks";
+  }
+#else
+  GTEST_SKIP() << "the SHA-extension compression is built for x86-64 only";
+#endif
+}
+
+TEST(Sha256, HardwareSelectedWhenCpuHasShaExtensions) {
+#if defined(__x86_64__)
+  if (cpu_has_sha_extensions()) {
+    EXPECT_EQ(detail::sha256_compress(), &detail::sha256_compress_sha_ni);
+    return;
+  }
+#endif
+  EXPECT_EQ(detail::sha256_compress(), &detail::sha256_compress_portable);
 }
 
 TEST(Hmac, Rfc4231Vector) {
@@ -126,17 +190,23 @@ TEST(ChaCha20, Rfc8439Vector) {
   // RFC 8439 §2.4.2: key 00..1f, nonce 000000000000004a00000000, counter 1.
   ChaChaKey key;
   for (int i = 0; i < 32; ++i) key[i] = static_cast<std::uint8_t>(i);
-  ChaChaNonce nonce{};
-  nonce[3] = 0x4a;  // big-endian 00 00 00 4a in bytes 0..3? RFC layout below
-  // RFC nonce: 00 00 00 00 00 00 00 4a 00 00 00 00
-  nonce = ChaChaNonce{0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0};
+  const ChaChaNonce nonce{0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0};
   std::string plaintext =
       "Ladies and Gentlemen of the class of '99: If I could offer you "
       "only one tip for the future, sunscreen would be it.";
   util::Bytes data = util::to_bytes(plaintext);
   chacha20_xor(key, nonce, 1, data);
-  EXPECT_EQ(util::hex_encode(util::Bytes(data.begin(), data.begin() + 16)),
-            "6e2e359a2568f98041ba0728dd0d6981");
+  // All 114 bytes: one whole 64-byte keystream block, then a 50-byte tail
+  // of the second.
+  EXPECT_EQ(util::hex_encode(data),
+            "6e2e359a2568f98041ba0728dd0d6981"
+            "e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b357"
+            "1639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e"
+            "52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42"
+            "874d");
 }
 
 TEST(ChaCha20, EncryptDecryptRoundTrip) {
