@@ -196,10 +196,13 @@ chaos_seed_sweep() {
   done
 }
 
-# The read path fans digest RPCs and async read repairs across the ops
-# pool, and cluster scans merge per-shard pages gathered concurrently —
-# replay those suites under TSan, plus one fixed-seed chaos torture whose
-# final R=2 verification reads drive the digest path under crash/restart.
+# The read path's digest reads, cluster scans and federated queries fan out
+# through AceClient::call_all, whose one completion set the demux fills
+# from core workers while the caller withdraws what it stopped waiting
+# for, and async read repairs still run on the ops pool — replay those
+# suites and call_all's own tests under TSan, plus one fixed-seed chaos
+# torture whose final R=2 verification reads drive the digest path under
+# crash/restart.
 read_path_race_sweep() {
   local build_dir="$1"
   echo "=== store read-path sweep under ThreadSanitizer ==="
@@ -209,6 +212,10 @@ read_path_race_sweep() {
 'StoreDigestReadTest.*:ShardedStoreTest.Scan*' --gtest_repeat=3
   ACE_CHAOS_SEED=42 run_filtered "${build_dir}/tests/test_store" \
     'QuorumStoreTest.ChaosQuorumTortureNeverLosesAckedWrites'
+  run_filtered "${build_dir}/tests/test_rpc" 'CallAll.*' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_federation" \
+'FederationTest.CrossRoom*:FederationTest.ForwardCache*:'\
+'FederationTest.Relay*' --gtest_repeat=3
 }
 
 # Every authorized command on every strand reads the daemon's verdict
@@ -330,6 +337,19 @@ batcher_stop_sweep() {
     'QuorumStoreTest.BatcherStopRace*' --gtest_repeat=5
 }
 
+# A pump whose handler captures the owner of its own queue forms a cycle
+# that only the pump's release breaks, also when a stopping reactor
+# refuses or discards its drain. LeakSanitizer reports such a cycle at
+# exit: replay the two release tests, and the RPC suite whose daemons
+# close accepted channels while stopping, under ASan.
+pump_release_sweep() {
+  local build_dir="$1"
+  echo "=== pump release under AddressSanitizer ==="
+  run_filtered "${build_dir}/tests/test_reactor" \
+    'Reactor.*ReleasesPumpCaptures' --gtest_repeat=5
+  "${build_dir}/tests/test_rpc" --gtest_repeat=5
+}
+
 # Replays the durable-store suite — power cycles, torn WAL tails, lying
 # fsyncs, crash-mid-compaction — under fixed seeds with ASan watching the
 # recovery paths (daemon restart swaps the batcher, monitor duty, and
@@ -370,6 +390,7 @@ case "${want}" in
     run_config "asan" build-asan -DACE_SANITIZE=address
     disk_fault_sweep build-asan
     batcher_stop_sweep build-asan
+    pump_release_sweep build-asan
     require_never_block_check build-asan
     require_sha_hardware build-asan
     handshake_sweep build-asan

@@ -168,17 +168,19 @@ util::Result<std::shared_ptr<crypto::SecureChannel>> AceClient::ensure_channel(
 util::Result<crypto::SecureChannel> AceClient::handshake(net::Connection conn) {
   // `done` captures only the slot: it may run on the calling thread before
   // async_connect returns, or on a core worker after we gave up.
-  auto slot = std::make_shared<Completion<crypto::SecureChannel>>();
+  auto slot = std::make_shared<Completion<crypto::SecureChannel>>(1);
   net::Connection handle = conn;  // shares the connection's state
   crypto::SecureChannel::async_connect(
       env_.reactor(), std::move(conn), identity_, env_.ca_key(),
       env_.default_timeout, env_.channel_options(),
       [slot](util::Result<crypto::SecureChannel> ch) {
-        slot->complete(std::move(ch));
+        slot->complete(0, std::move(ch));
       });
   // Reactor::stop() drops the handshake's timer, so `done` may never come.
-  if (auto ch = slot->take(env_.default_timeout + kHandshakeWaitMargin))
-    return std::move(*ch);
+  slot->wait_until(std::chrono::steady_clock::now() + env_.default_timeout +
+                       kHandshakeWaitMargin,
+                   [](const auto& r) { return r[0].has_value(); });
+  if (auto ch = std::move(slot->take()[0])) return std::move(*ch);
   handle.close();  // fails a late completion, and frees the server side
   return util::Error{util::Errc::timeout, "handshake: no completion"};
 }
@@ -203,7 +205,7 @@ void AceClient::handle_reply(
   }
   auto decoded = wire::decode_frame(*frame);
   if (!decoded) return;  // malformed reply frame: drop
-  std::shared_ptr<PendingCall> slot;
+  PendingCall slot;
   {
     std::scoped_lock lk(entry->mu);
     auto it = entry->pending.find(decoded->call_id);
@@ -213,14 +215,14 @@ void AceClient::handle_reply(
       inflight_->add(-1);
     }
   }
-  if (!slot) return;  // late reply for a withdrawn call: drop
-  slot->complete(cmdlang::Parser::parse(decoded->body));
+  if (!slot.set) return;  // late reply for a withdrawn call: drop
+  slot.set->complete(slot.index, cmdlang::Parser::parse(decoded->body));
 }
 
 // Caller must hold entry.mu.
 void AceClient::fail_pending_locked(ChannelEntry& entry,
                                     const util::Error& error) {
-  for (auto& [id, slot] : entry.pending) slot->complete(error);
+  for (auto& [id, slot] : entry.pending) slot.set->complete(slot.index, error);
   inflight_->add(-static_cast<std::int64_t>(entry.pending.size()));
   entry.pending.clear();
 }
@@ -235,47 +237,23 @@ util::Result<cmdlang::CmdLine> AceClient::call(const net::Address& to,
   calls_->inc();
   const auto timeout = options.timeout.value_or(env_.default_timeout);
   const int attempts = options.retries < 0 ? 1 : options.retries + 1;
-  const std::string wire_text = cmd.to_string();
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  const Request request{to, cmd};
+  for (int attempt = 0;; ++attempt) {
     if (attempt > 0) {
       reconnects_->inc();
       retries_->inc();
       backoff_sleep(options, attempt);
     }
-    auto entry = entry_for(to);
-    bool probe = false;
-    if (auto admitted = breaker_admit(*entry, to, probe); !admitted.ok()) {
-      span.fail();
-      errors_->inc();
-      return admitted.error();
-    }
-
-    auto channel = ensure_channel(entry, to);
-    auto reply = channel.ok()
-                     ? exchange(*entry, channel.value(), wire_text, timeout,
-                                cmd.name(), to)
-                     : util::Result<cmdlang::CmdLine>(channel.error());
+    auto reply = std::move(*attempt_all({&request, 1}, timeout, {}).front());
     if (!reply.ok()) {
-      const auto code = reply.error().code;
-      const bool retryable = transport_errc(code);
-      // Only transport faults feed the breaker; if this failure opened it,
-      // stop burning the remaining retries against a known-dead peer.
-      const bool open_now =
-          retryable && breaker_record_failure(*entry, probe);
-      if (retryable && !open_now && attempt + 1 < attempts) continue;
+      // Retry a transport fault, unless the breaker is open: then stop
+      // burning the remaining retries against a known-dead peer.
+      if (transport_errc(reply.error().code) && attempt + 1 < attempts &&
+          !breaker_is_open(to))
+        continue;
       span.fail();
-      if (code == util::Errc::timeout) {
-        timeouts_->inc();
-        return reply;
-      }
-      errors_->inc();
-      if (code == util::Errc::closed ||
-          code == util::Errc::io_error)  // exhausted reconnect attempts
-        return util::Error{util::Errc::unavailable,
-                           "cannot reach " + to.to_string()};
-      return reply;
+      return count_failure(std::move(reply.error()), to);
     }
-    breaker_record_success(*entry, probe);
     if (options.require_ok && cmdlang::is_error(reply.value())) {
       span.fail();
       errors_->inc();
@@ -283,10 +261,121 @@ util::Result<cmdlang::CmdLine> AceClient::call(const net::Address& to,
     }
     return reply;
   }
-  span.fail();
+}
+
+AceClient::Replies AceClient::call_all(
+    std::span<const Request> requests, std::chrono::milliseconds timeout,
+    const std::function<bool(const Replies&)>& enough) {
+  net::expect_may_block("AceClient::call_all");  // as call()
+  Replies replies = attempt_all(requests, timeout, enough);
+  calls_->inc(replies.size());
+  for (std::size_t i = 0; i < replies.size(); ++i)
+    if (replies[i] && !replies[i]->ok())
+      replies[i] = count_failure(std::move(replies[i]->error()),
+                                 requests[i].to);
+  return replies;
+}
+
+AceClient::Replies AceClient::attempt_all(
+    std::span<const Request> requests, std::chrono::milliseconds timeout,
+    const std::function<bool(const Replies&)>& enough) {
+  const std::size_t n = requests.size();
+  auto set = std::make_shared<CallSet>(n);
+  struct Sent {
+    std::shared_ptr<ChannelEntry> entry;  // null: the breaker refused it
+    std::uint64_t call_id = 0;            // 0: never registered
+    bool probe = false;
+  };
+  std::vector<Sent> sent(n);
+  auto withdraw = [this](Sent& s) {
+    std::scoped_lock lk(s.entry->mu);
+    if (s.entry->pending.erase(s.call_id) > 0) inflight_->add(-1);
+  };
+
+  // Send each request in turn; one that cannot go out settles at once.
+  for (std::size_t i = 0; i < n; ++i) {
+    const net::Address& to = requests[i].to;
+    Sent& s = sent[i];
+    auto entry = entry_for(to);
+    if (auto admitted = breaker_admit(*entry, to, s.probe); !admitted.ok()) {
+      set->complete(i, admitted.error());
+      continue;
+    }
+    s.entry = entry;
+    auto channel = ensure_channel(entry, to);
+    if (!channel.ok()) {
+      set->complete(i, channel.error());
+      continue;
+    }
+    {
+      std::scoped_lock lk(entry->mu);
+      s.call_id = entry->next_call_id++;
+      entry->pending.emplace(s.call_id, PendingCall{set, i});
+      inflight_->add(1);
+    }
+    const std::string text = requests[i].cmd.to_string();
+    if (!channel.value()->send(wire::encode_frame(s.call_id, 0, text)).ok()) {
+      channel.value()->close();
+      withdraw(s);
+      set->complete(i, util::Error{util::Errc::closed,
+                                   "stale channel to " + to.to_string()});
+    }
+  }
+
+  // One waiter for the whole set: each reply the demux routes wakes it.
+  const bool met = set->wait_until(
+      std::chrono::steady_clock::now() + timeout, [&](const Replies& rs) {
+        return std::all_of(rs.begin(), rs.end(),
+                           [](const auto& r) { return r.has_value(); }) ||
+               (enough && enough(rs));
+      });
+  // Withdraw the slots still registered, outside the set's lock (the
+  // demux takes entry->mu first), so the demux drops their late replies.
+  // The channel stays open: call-ids make a late reply harmless.
+  for (Sent& s : sent)
+    if (s.call_id != 0) withdraw(s);
+  Replies replies = set->take();
+
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& reply = replies[i];
+    // A reply that landed while we were withdrawing still counts.
+    if (!reply && !met)
+      reply = util::Error{util::Errc::timeout,
+                          "no reply from " + requests[i].to.to_string() +
+                              " for '" + requests[i].cmd.name() + "'"};
+    // Only transport faults feed the breaker. A request not awaited, or
+    // failed otherwise, is neither, but frees the probe it may hold.
+    Sent& s = sent[i];
+    if (!s.entry) continue;
+    if (reply && reply->ok()) {
+      breaker_record_success(*s.entry, s.probe);
+    } else if (reply && transport_errc(reply->error().code)) {
+      breaker_record_failure(*s.entry, s.probe);
+    } else if (s.probe) {
+      std::scoped_lock entry_lock(s.entry->mu);
+      s.entry->probe_inflight = false;
+    }
+  }
+  return replies;
+}
+
+util::Error AceClient::count_failure(util::Error error,
+                                     const net::Address& to) {
+  if (error.code == util::Errc::timeout) {
+    timeouts_->inc();
+    return error;
+  }
   errors_->inc();
-  return util::Error{util::Errc::unavailable,
-                     "cannot reach " + to.to_string()};
+  if (error.code == util::Errc::closed || error.code == util::Errc::io_error)
+    return util::Error{util::Errc::unavailable,
+                       "cannot reach " + to.to_string()};
+  return error;
+}
+
+bool AceClient::breaker_is_open(const net::Address& to) {
+  auto entry = entry_for(to);
+  std::scoped_lock lk(entry->mu);
+  return entry->breaker_open;
 }
 
 util::Status AceClient::breaker_admit(ChannelEntry& entry,
@@ -305,7 +394,7 @@ util::Status AceClient::breaker_admit(ChannelEntry& entry,
   return util::Status::ok_status();
 }
 
-bool AceClient::breaker_record_failure(ChannelEntry& entry, bool probe) {
+void AceClient::breaker_record_failure(ChannelEntry& entry, bool probe) {
   const BreakerPolicy breaker = policy().breaker;
   std::scoped_lock lk(entry.mu);
   ++entry.consecutive_failures;
@@ -315,17 +404,13 @@ bool AceClient::breaker_record_failure(ChannelEntry& entry, bool probe) {
     // Failed half-open probe (or a straggler admitted before the trip):
     // re-arm the cooldown.
     entry.open_until = now + breaker.cooldown;
-    return true;
-  }
-  if (breaker.failure_threshold > 0 &&
-      entry.consecutive_failures >= breaker.failure_threshold) {
+  } else if (breaker.failure_threshold > 0 &&
+             entry.consecutive_failures >= breaker.failure_threshold) {
     entry.breaker_open = true;
     entry.open_until = now + breaker.cooldown;
     breaker_trips_->inc();
     breaker_open_->add(1);
-    return true;
   }
-  return false;
 }
 
 void AceClient::breaker_record_success(ChannelEntry& entry, bool probe) {
@@ -358,43 +443,6 @@ void AceClient::backoff_sleep(const CallOptions& options, int attempt) {
   std::this_thread::sleep_for(
       std::chrono::duration<double, std::milli>(
           static_cast<double>(delay.count()) * jitter));
-}
-
-// Registers a completion slot, sends the framed request without holding
-// any entry-wide lock across the round trip, then parks on the slot until
-// the demux resolves it (or the deadline passes).
-util::Result<cmdlang::CmdLine> AceClient::exchange(
-    ChannelEntry& entry, const std::shared_ptr<crypto::SecureChannel>& ch,
-    const std::string& wire_text, std::chrono::milliseconds timeout,
-    const std::string& verb, const net::Address& to) {
-  auto slot = std::make_shared<PendingCall>();
-  std::uint64_t call_id = 0;
-  {
-    std::scoped_lock lk(entry.mu);
-    call_id = entry.next_call_id++;
-    entry.pending.emplace(call_id, slot);
-    inflight_->add(1);
-  }
-  if (auto s = ch->send(wire::encode_frame(call_id, 0, wire_text)); !s.ok()) {
-    ch->close();
-    std::scoped_lock lk(entry.mu);
-    if (entry.pending.erase(call_id) > 0) inflight_->add(-1);
-    return util::Error{util::Errc::closed,
-                       "stale channel to " + to.to_string()};
-  }
-  if (auto reply = slot->take(timeout)) return std::move(*reply);
-  // Deadline passed: withdraw the slot so a late reply is dropped by the
-  // demux. The channel stays open — call-ids make a late reply harmless,
-  // and other calls are still in flight on it.
-  {
-    std::scoped_lock lk(entry.mu);
-    if (entry.pending.erase(call_id) > 0) inflight_->add(-1);
-  }
-  // A reply that landed while we were withdrawing still counts.
-  if (auto reply = slot->take(std::chrono::milliseconds{0}))
-    return std::move(*reply);
-  return util::Error{util::Errc::timeout, "no reply from " + to.to_string() +
-                                              " for '" + verb + "'"};
 }
 
 util::Status AceClient::send_only(const net::Address& to,

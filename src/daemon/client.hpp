@@ -15,21 +15,24 @@
 // of N serialized round trips, and a process full of clients costs no
 // reader threads at all.
 //
-// All request/reply traffic funnels through the single
-// call(to, cmd, CallOptions) entry point, so call latency, reconnects,
-// timeouts and retry policy are instrumented in exactly one place.
+// All request/reply traffic funnels through call() and call_all(), which
+// share one path (register, send, wait, withdraw), so reconnects, timeouts
+// and the breaker are instrumented in exactly one place.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "cmdlang/parser.hpp"
 #include "cmdlang/value.hpp"
@@ -112,6 +115,25 @@ class AceClient {
                                       const cmdlang::CmdLine& cmd,
                                       const CallOptions& options = {});
 
+  // One request of a call_all set, and the set's results in request order.
+  struct Request {
+    net::Address to;
+    cmdlang::CmdLine cmd;
+  };
+  using Replies = std::vector<std::optional<util::Result<cmdlang::CmdLine>>>;
+  // Sends every request at once, each on its destination's pipelined
+  // channel (connecting in the caller, one after another, where none is
+  // live), and waits until `enough(replies)` holds, every request is
+  // settled, or `timeout` passes after the last send. Result i is the
+  // reply (error replies included), a util::Error (transport, breaker, or
+  // timeout), or nullopt when `enough` ended the wait first. Each request
+  // counts like a call() with retries = 0; a nullopt one as neither a
+  // success nor a failure. `enough` runs under the set's lock: keep it
+  // quick, and never call the client from it.
+  Replies call_all(std::span<const Request> requests,
+                   std::chrono::milliseconds timeout,
+                   const std::function<bool(const Replies&)>& enough = {});
+
   // Fire-and-forget: sends a frame flagged kFlagNoReply and returns
   // without waiting; the daemon executes the command and replies nothing.
   util::Status send_only(const net::Address& to, const cmdlang::CmdLine& cmd);
@@ -139,42 +161,54 @@ class AceClient {
   Environment& env() { return env_; }
 
  private:
-  // A result one thread hands to another: a call's reply, routed by the
-  // demux, or a handshake's channel. The first writer wins; a second
-  // resolution (e.g. a reply racing a timeout withdrawal) is dropped.
+  // Results handed from the reactor to one waiting caller: a handshake's
+  // channel, or the replies of a set of calls (CallSet), which the demux
+  // routes. The first result for a slot wins; none lands once taken.
   template <typename T>
   struct Completion {
     std::mutex mu;
     std::condition_variable cv;
-    std::optional<util::Result<T>> result;
+    std::vector<std::optional<util::Result<T>>> results;
+    bool taken = false;
 
-    void complete(util::Result<T> r) {
+    explicit Completion(std::size_t n) : results(n) {}
+    void complete(std::size_t i, util::Result<T> r) {
       std::scoped_lock lk(mu);
-      if (!result) result.emplace(std::move(r));
+      if (taken || results[i]) return;
+      results[i].emplace(std::move(r));
       cv.notify_all();
     }
-    // Takes the result, waiting up to `timeout` for it; nullopt if none
-    // came.
-    std::optional<util::Result<T>> take(std::chrono::milliseconds timeout) {
+    // Waits until `done(results)` holds or `deadline` passes; true if the
+    // former.
+    template <typename Done>
+    bool wait_until(std::chrono::steady_clock::time_point deadline,
+                    Done done) {
       std::unique_lock lk(mu);
-      if (!cv.wait_for(lk, timeout, [&] { return result.has_value(); }))
-        return std::nullopt;
-      return std::move(result);
+      return cv.wait_until(lk, deadline, [&] { return done(results); });
+    }
+    std::vector<std::optional<util::Result<T>>> take() {
+      std::scoped_lock lk(mu);
+      taken = true;
+      return std::move(results);
     }
   };
-  using PendingCall = Completion<cmdlang::CmdLine>;
+  using CallSet = Completion<cmdlang::CmdLine>;
+  struct PendingCall {  // where the demux delivers one reply
+    std::shared_ptr<CallSet> set;
+    std::size_t index = 0;
+  };
 
   // One cached channel per destination. `mu` guards the fields below it
   // and is only ever held for brief bookkeeping, never across a connect, a
   // handshake or a round trip. `connect_mu` serializes reconnects to the
   // destination; only callers take it, never a reactor worker.
-  // Lock order: connect_mu -> mu -> PendingCall::mu.
+  // Lock order: connect_mu -> mu -> CallSet::mu.
   struct ChannelEntry {
     std::mutex connect_mu;
     std::mutex mu;
     std::shared_ptr<crypto::SecureChannel> channel;
     std::uint64_t next_call_id = 1;
-    std::map<std::uint64_t, std::shared_ptr<PendingCall>> pending;
+    std::map<std::uint64_t, PendingCall> pending;
     bool closed = false;  // entry was shut down; never reconnect through it
     // A reconnect is under way: the entry is neither idle nor droppable,
     // and only close_all() discards the channel it makes.
@@ -208,21 +242,23 @@ class AceClient {
   void sweep_idle_channels();
   // Breaker hooks around one call attempt. admit fails fast with
   // Errc::unavailable while the destination's breaker is open (setting
-  // `probe` when this attempt is the half-open probe); record_failure
-  // returns true when the breaker is open afterwards, telling the retry
-  // loop to stop hammering.
+  // `probe` when this attempt is the half-open probe).
   util::Status breaker_admit(ChannelEntry& entry, const net::Address& to,
                              bool& probe);
-  bool breaker_record_failure(ChannelEntry& entry, bool probe);
+  void breaker_record_failure(ChannelEntry& entry, bool probe);
   void breaker_record_success(ChannelEntry& entry, bool probe);
   // Jittered exponential delay before retry attempt `attempt` (>= 1).
   void backoff_sleep(const CallOptions& options, int attempt);
   void fail_pending_locked(ChannelEntry& entry, const util::Error& error);
   void shutdown_entry(const std::shared_ptr<ChannelEntry>& entry);
-  util::Result<cmdlang::CmdLine> exchange(
-      ChannelEntry& entry, const std::shared_ptr<crypto::SecureChannel>& ch,
-      const std::string& wire_text, std::chrono::milliseconds timeout,
-      const std::string& verb, const net::Address& to);
+  // The one path of call() and call_all (see there), counting no call,
+  // timeout or error: its callers do, through count_failure, which also
+  // reports a channel that stayed dead (closed, io_error) as unavailable.
+  Replies attempt_all(std::span<const Request> requests,
+                      std::chrono::milliseconds timeout,
+                      const std::function<bool(const Replies&)>& enough);
+  util::Error count_failure(util::Error error, const net::Address& to);
+  bool breaker_is_open(const net::Address& to);
 
   Environment& env_;
   net::Host& host_;

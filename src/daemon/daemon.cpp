@@ -549,11 +549,18 @@ void ServiceDaemon::finish_accept(std::uint64_t pending_id,
     // Strand first, frames second: by the time a frame can enqueue work
     // the work pump exists. Both pumps capture the actor; the captures are
     // released when the pumps hit their terminal state (connection closed,
-    // work queue drained), so a dead connection frees its actor.
+    // work queue drained), so a dead connection frees its actor. The actor
+    // stays in actors_ until its strand has run the backlog, so teardown()
+    // waits out a handler still running for a closed connection.
     actor->work_sub = net::attach_queue<WorkItem>(
         env_.reactor(), actor->work,
         [this, actor](std::optional<WorkItem> item) {
-          if (item) run_work_item(*item, /*serialize=*/false, actor->load);
+          if (item) {
+            run_work_item(*item, /*serialize=*/false, actor->load);
+            return;
+          }
+          std::scoped_lock lock(actors_mu_);
+          actors_.erase(actor->id);
         },
         {.blocking = true});
     actor->frame_sub = channel->on_frame(
@@ -573,11 +580,9 @@ void ServiceDaemon::finish_accept(std::uint64_t pending_id,
 void ServiceDaemon::handle_frame(const std::shared_ptr<ChannelActor>& actor,
                                  std::optional<net::Frame> frame) {
   if (!frame) {
-    // Connection closed and drained. Close the strand (its pump terminates
-    // after the backlog) and forget the actor.
+    // Connection closed and drained. Close the strand: its pump runs the
+    // backlog, then forgets the actor.
     actor->work.close();
-    std::scoped_lock lock(actors_mu_);
-    actors_.erase(actor->id);
     return;
   }
   auto decoded = wire::decode_frame(*frame);

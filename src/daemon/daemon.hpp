@@ -213,7 +213,8 @@ class ServiceDaemon {
   // on the core pool (handle_frame); concurrent_ok commands run on `work`,
   // a per-channel strand pumped on the ops pool (per-connection order,
   // cross-connection parallelism); serialized commands go to the daemon's
-  // control queue. Dropped from `actors_` when the connection dies.
+  // control queue. Dropped from `actors_` once the connection died and
+  // the strand has run its backlog.
   struct ChannelActor {
     std::uint64_t id = 0;
     std::shared_ptr<crypto::SecureChannel> channel;

@@ -49,10 +49,14 @@ Reactor::~Reactor() { stop(); }
 
 void Reactor::stop() {
   core_queue_.close();  // core workers drain what's queued, then exit
+  // Dropped timers and ops tasks die outside the locks: a pump's task
+  // frees its handler's captures then (PumpTicket), which may call back.
+  std::multimap<Clock::time_point, TimerEntry> dropped_timers;
+  std::deque<Task> dropped_ops;
   {
     std::scoped_lock lock(timer_mu_);
     timer_stop_ = true;
-    timers_.clear();
+    dropped_timers.swap(timers_);
     timer_index_.clear();
   }
   timer_cv_.notify_all();
@@ -62,10 +66,12 @@ void Reactor::stop() {
   {
     std::scoped_lock lock(ops_mu_);
     stopping_ = true;
-    ops_queue_.clear();
+    dropped_ops.swap(ops_queue_);
     workers.swap(ops_workers_);
   }
   ops_cv_.notify_all();
+  dropped_timers.clear();
+  dropped_ops.clear();
   workers.clear();  // joins
   core_workers_.clear();
   if (obs_threads_) obs_threads_->set(0);
@@ -114,9 +120,11 @@ Reactor::TimerId Reactor::post_after(Clock::duration delay, Task task,
 
 bool Reactor::cancel(TimerId id) {
   if (id == 0) return false;
+  Task dropped;  // destroyed after the lock is released
   std::scoped_lock lock(timer_mu_);
   auto it = timer_index_.find(id);
   if (it == timer_index_.end()) return false;
+  dropped = std::move(it->second->second.task);
   timers_.erase(it->second);
   timer_index_.erase(it);
   return true;
@@ -202,6 +210,7 @@ void Reactor::ops_loop(OpsWorker* self) {
     ops_queue_.pop_front();
     lock.unlock();
     task();
+    task = nullptr;  // its captures die outside ops_mu_
     blocking_tasks_run_.fetch_add(1, std::memory_order_relaxed);
     if (obs_blocking_tasks_) obs_blocking_tasks_->inc();
     lock.lock();
@@ -238,18 +247,68 @@ void Reactor::timer_loop() {
 
 namespace detail {
 
+namespace {
+
+// A drain's or due timer's hold on its pump, counted in SubCore::holds so
+// that posting one allocates nothing. A stopping reactor refuses tasks and
+// drops queued ones and armed timers, and then no drain of the pump can
+// run: when the last hold of a pump still scheduled dies, the pump ends and
+// its handler's captures are freed, outside core->mu. A handler that
+// captures the owner of its own queue would keep that owner alive
+// otherwise. Holds are taken under core->mu, so the last one's check there
+// cannot miss a drain being scheduled; they are never let go of under it
+// unless another hold of the pump is alive.
+class PumpHold {
+ public:
+  explicit PumpHold(std::shared_ptr<SubCore> core) : core_(std::move(core)) {
+    core_->holds.fetch_add(1, std::memory_order_relaxed);
+  }
+  PumpHold(const PumpHold& other) : PumpHold(other.core_) {}
+  PumpHold(PumpHold&&) = default;
+  PumpHold& operator=(const PumpHold&) = delete;
+  ~PumpHold() {
+    if (!core_ || core_->holds.fetch_sub(1, std::memory_order_acq_rel) != 1)
+      return;
+    std::function<SubCore::StepResult()> step;  // die after the lock
+    std::function<bool()> has_work;
+    std::scoped_lock lock(core_->mu);
+    if (core_->holds.load(std::memory_order_relaxed) != 0 || !core_->scheduled)
+      return;  // a drain ran, or another was scheduled meanwhile
+    core_->stopped = true;
+    core_->scheduled = false;
+    core_->due_timer = 0;
+    step.swap(core_->step);
+    has_work.swap(core_->has_work);
+  }
+
+  const std::shared_ptr<SubCore>& core() const { return core_; }
+
+ private:
+  std::shared_ptr<SubCore> core_;
+};
+
+void post_drain(PumpHold hold) {
+  Reactor& reactor = *hold.core()->reactor;
+  const bool blocking = hold.core()->blocking;
+  auto drain = [hold = std::move(hold)] { pump_drain(hold.core()); };
+  if (blocking)
+    reactor.post_blocking(std::move(drain));
+  else
+    reactor.post(std::move(drain));
+}
+
+}  // namespace
+
 // Queue signal hook: ensure exactly one drain is scheduled.
 void pump_signal(const std::shared_ptr<SubCore>& core) {
+  std::optional<PumpHold> hold;
   {
     std::scoped_lock lock(core->mu);
     if (core->stopped || core->scheduled) return;
     core->scheduled = true;
+    hold.emplace(core);
   }
-  auto drain = [core] { pump_drain(core); };
-  if (core->blocking)
-    core->reactor->post_blocking(std::move(drain));
-  else
-    core->reactor->post(std::move(drain));
+  post_drain(std::move(*hold));
 }
 
 void pump_drain(const std::shared_ptr<SubCore>& core) {
@@ -293,7 +352,8 @@ void pump_drain(const std::shared_ptr<SubCore>& core) {
         // armed and come back at its due time.
         core->due_timer = core->reactor->post_at(
             r.due,
-            [core] {
+            [hold = PumpHold(core)] {
+              const auto& core = hold.core();
               {
                 std::scoped_lock lk(core->mu);
                 core->due_timer = 0;
@@ -302,11 +362,7 @@ void pump_drain(const std::shared_ptr<SubCore>& core) {
                   return;
                 }
               }
-              auto drain = [core] { pump_drain(core); };
-              if (core->blocking)
-                core->reactor->post_blocking(std::move(drain));
-              else
-                core->reactor->post(std::move(drain));
+              post_drain(hold);
             },
             /*blocking=*/false);
         if (core->due_timer == 0) {  // reactor stopping: pump is done

@@ -259,7 +259,8 @@ namespace detail {
 // drain tasks, and the Subscription handle. Ownership: the queue's signal
 // closure and any in-flight drain task hold shared_ptrs; `step`/`has_work`
 // capture the queue and handler but never the core, so there is no cycle
-// (they are cleared at the terminal states to release handler captures).
+// (they are cleared at the terminal states to release handler captures,
+// also when the reactor refuses or drops the pump's drain or due timer).
 struct SubCore {
   std::mutex mu;
   std::condition_variable cv;
@@ -268,6 +269,8 @@ struct SubCore {
   bool in_handler = false;
   std::thread::id handler_thread{};
   Reactor::TimerId due_timer = 0;
+  // Drain and due-timer tasks alive (PumpHold, reactor.cpp).
+  std::atomic<int> holds{0};
   Reactor* reactor = nullptr;
   bool blocking = false;
 

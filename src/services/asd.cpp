@@ -1,7 +1,6 @@
 #include "services/asd.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <iterator>
 
 #include "daemon/host.hpp"
@@ -349,68 +348,35 @@ std::vector<std::string> AsdDaemon::forward_query(
   }
   if (missing.empty() || !client) return merged;
 
-  // Fan the misses out in parallel on the ops pool. The tasks are
-  // self-contained — they touch only the shared gather state and their own
-  // client reference — so a task that outlives our bounded wait (or the
-  // daemon's stop) writes into an abandoned gather and harmlessly expires.
-  struct Gather {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t outstanding = 0;
-    struct SubResult {
-      bool ok = false;
-      std::vector<std::string> encoded;
-    };
-    std::vector<SubResult> results;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->outstanding = missing.size();
-  gather->results.resize(missing.size());
-  const auto timeout = options_.federation.forward_timeout;
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    env().reactor().post_blocking([client, gather, i, target = missing[i],
-                                   name_glob, class_glob, room_glob, timeout,
-                                   forwarded = obs_forwarded_] {
-      CmdLine q("query");
-      q.arg("name", name_glob);
-      q.arg("class", class_glob);
-      q.arg("room", room_glob);
-      q.arg("scope", Word{"local"});  // the peer must not re-forward
-      forwarded->inc();
-      auto reply = call_room(*client, target, q, timeout);
-      Gather::SubResult res;
-      if (reply.ok()) {
-        res.ok = true;
-        if (auto vec = reply->get_vector("services")) {
-          res.encoded.reserve(vec->elements.size());
-          for (const auto& elem : vec->elements)
-            if (elem.is_string() || elem.is_word())
-              res.encoded.push_back(elem.as_text());
-        }
-      }
-      std::scoped_lock lock(gather->mu);
-      gather->results[i] = std::move(res);
-      if (--gather->outstanding == 0) gather->cv.notify_all();
-    });
-  }
-  {
-    // Bounded wait: every sub-query carries its own deadline, the slack
-    // covers scheduling. Partial answers are better than a hung query.
-    std::unique_lock lock(gather->mu);
-    gather->cv.wait_for(lock, timeout + timeout / 2 + std::chrono::milliseconds(250),
-                        [&] { return gather->outstanding == 0; });
-  }
+  // Send every miss at once; forward_timeout bounds the whole wait.
+  CmdLine q("query");
+  q.arg("name", name_glob);
+  q.arg("class", class_glob);
+  q.arg("room", room_glob);
+  q.arg("scope", Word{"local"});  // the peer must not re-forward
+  std::vector<daemon::AceClient::Request> requests;
+  requests.reserve(missing.size());
+  for (const RoomView& t : missing) requests.push_back(room_request(t, q));
+  obs_forwarded_->inc(missing.size());
+  auto replies =
+      client->call_all(requests, options_.federation.forward_timeout);
 
   now = std::chrono::steady_clock::now();
-  std::scoped_lock glock(gather->mu);  // a straggler may still be writing
   std::scoped_lock lock(forward_mu_);
   for (std::size_t i = 0; i < missing.size(); ++i) {
-    const auto& res = gather->results[i];
-    if (!res.ok) {
+    auto reply = room_reply(missing[i], std::move(*replies[i]));
+    if (!reply.ok()) {
       obs_forward_failures_->inc();
       continue;
     }
-    merged.insert(merged.end(), res.encoded.begin(), res.encoded.end());
+    std::vector<std::string> encoded;
+    if (auto vec = reply->get_vector("services")) {
+      encoded.reserve(vec->elements.size());
+      for (const auto& elem : vec->elements)
+        if (elem.is_string() || elem.is_word())
+          encoded.push_back(elem.as_text());
+    }
+    merged.insert(merged.end(), encoded.begin(), encoded.end());
     if (options_.federation.forward_cache_ttl.count() <= 0) continue;
     if (forward_cache_.size() >= options_.federation.forward_cache_max) {
       // Capped: drop dead entries first, then the soonest-expiring one.
@@ -428,7 +394,7 @@ std::vector<std::string> AsdDaemon::forward_query(
     }
     const RoomView& t = missing[i];
     ForwardCacheEntry entry;
-    entry.encoded = res.encoded;
+    entry.encoded = std::move(encoded);
     entry.valid_until = now + options_.federation.forward_cache_ttl;
     // Bound the entry to the freshness pair we targeted at fan-out time;
     // if gossip advanced meanwhile, the entry self-invalidates on its
@@ -544,12 +510,6 @@ void AsdClient::invalidate(const std::string& name) {
   if (!cache_) return;
   std::scoped_lock lock(cache_->mu);
   cache_->entries.erase(name);
-}
-
-void AsdClient::invalidate_all() {
-  if (!cache_) return;
-  std::scoped_lock lock(cache_->mu);
-  cache_->entries.clear();
 }
 
 util::Result<ServiceLocation> AsdClient::lookup(const std::string& name) {

@@ -117,10 +117,11 @@ class AsdDaemon : public daemon::ServiceDaemon {
 
   AsdIndex index_;
 
-  // Federation state. gossip_ exists iff options_.federation.enabled; the
-  // client is shared so an in-flight fan-out task can outlive the handler
-  // that posted it (it holds its own reference). Both the client slot and
-  // the scoped cache are guarded by forward_mu_.
+  // Federation state. gossip_ exists iff options_.federation.enabled. A
+  // forwarded query runs its fan-out in the handler on its own reference
+  // to the client, so on_stop() may empty the slot meanwhile; no task
+  // outlives the handler. Both the client slot and the scoped cache are
+  // guarded by forward_mu_.
   std::unique_ptr<GossipAgent> gossip_;
   std::shared_ptr<daemon::AceClient> fed_client_;
   struct ForwardCacheEntry {
@@ -215,11 +216,10 @@ class AsdClient {
   // `count;` — number of live registrations.
   util::Result<std::size_t> count();
 
-  // Evicts one name / everything from the lookup cache. No-ops when the
-  // cache is disabled. Wire these to `serviceExpired` notifications for
-  // eviction ahead of the lease horizon.
+  // Evicts one name from the lookup cache. No-op when the cache is
+  // disabled. Wire it to `serviceExpired` notifications for eviction ahead
+  // of the lease horizon.
   void invalidate(const std::string& name);
-  void invalidate_all();
 
  private:
   struct CacheEntry {

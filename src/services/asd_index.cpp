@@ -135,12 +135,6 @@ std::size_t AsdIndex::size() const {
   return registry_.size();
 }
 
-std::optional<AsdIndex::Clock::time_point> AsdIndex::next_expiry() const {
-  std::shared_lock lock(mu_);
-  if (expiry_heap_.empty()) return std::nullopt;
-  return expiry_heap_.top().expires;
-}
-
 void AsdIndex::append_if_match_locked(
     const Entry& e, std::string_view name_glob, std::string_view class_glob,
     std::string_view room_glob, Clock::time_point now,

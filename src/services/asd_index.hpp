@@ -118,10 +118,6 @@ class AsdIndex {
   // the reaper pops them within one reap interval). O(1).
   std::size_t size() const;
 
-  // Earliest pending expiry deadline (may be a superseded node — a wake
-  // hint for the reaper, not a promise). nullopt when the heap is empty.
-  std::optional<Clock::time_point> next_expiry() const;
-
   // Test hook: verifies index <-> registry agreement — every registration
   // sits in exactly its class/room bucket, every bucket member resolves to
   // a registration, and the live-count gauge matches the registry size.

@@ -340,19 +340,21 @@ void GossipAgent::register_with_relay(daemon::AceClient& client) {
         << "relay registration failed: " << r.error().to_string();
 }
 
-util::Result<CmdLine> call_room(daemon::AceClient& client,
-                                const RoomView& target, const CmdLine& cmd,
-                                std::chrono::milliseconds timeout) {
-  if (target.relay.host.empty())
-    return client.call(target.address, cmd,
-                       CallOptions{.timeout = timeout, .require_ok = true});
+daemon::AceClient::Request room_request(const RoomView& target,
+                                        const CmdLine& cmd) {
+  if (target.relay.host.empty()) return {target.address, cmd};
   CmdLine tunnel("relayForward");
   tunnel.arg("room", Word{target.room});
   tunnel.arg("cmd", cmd.to_string());
-  auto outer = client.call(target.relay, tunnel,
-                           CallOptions{.timeout = timeout, .require_ok = true});
-  if (!outer.ok()) return outer.error();
-  auto inner = cmdlang::Parser::parse(outer->get_text("reply"));
+  return {target.relay, std::move(tunnel)};
+}
+
+util::Result<CmdLine> room_reply(const RoomView& target,
+                                 util::Result<CmdLine> reply) {
+  if (!reply.ok()) return reply;
+  if (cmdlang::is_error(reply.value())) return cmdlang::reply_error(*reply);
+  if (target.relay.host.empty()) return reply;
+  auto inner = cmdlang::Parser::parse(reply->get_text("reply"));
   if (!inner.ok())
     return util::Error{util::Errc::parse_error,
                        "unparseable relayed reply from room '" + target.room +
@@ -361,7 +363,16 @@ util::Result<CmdLine> call_room(daemon::AceClient& client,
     return util::Error{util::Errc::unavailable,
                        "relayed command to room '" + target.room +
                            "' failed: " + inner.value().to_string()};
-  return inner.value();
+  return inner;
+}
+
+util::Result<CmdLine> call_room(daemon::AceClient& client,
+                                const RoomView& target, const CmdLine& cmd,
+                                std::chrono::milliseconds timeout) {
+  auto request = room_request(target, cmd);
+  return room_reply(target, client.call(request.to, request.cmd,
+                                        CallOptions{.timeout = timeout,
+                                                    .require_ok = true}));
 }
 
 }  // namespace ace::services

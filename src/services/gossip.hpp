@@ -197,7 +197,12 @@ class GossipAgent {
 // Sends `cmd` to a room's ASD: directly, or tunneled through `relayForward`
 // when the target advertises a relay. Error replies (outer or tunneled)
 // come back as util errors either way, so callers handle a relayed room
-// exactly like a direct one.
+// exactly like a direct one. call_room is room_request, one call() and
+// room_reply; a fan-out sends the requests of many rooms with call_all.
+daemon::AceClient::Request room_request(const RoomView& target,
+                                        const cmdlang::CmdLine& cmd);
+util::Result<cmdlang::CmdLine> room_reply(
+    const RoomView& target, util::Result<cmdlang::CmdLine> reply);
 util::Result<cmdlang::CmdLine> call_room(daemon::AceClient& client,
                                          const RoomView& target,
                                          const cmdlang::CmdLine& cmd,

@@ -88,12 +88,6 @@ std::optional<MediaPacketView> MediaPacketView::parse(util::BytesView data) {
   return v;
 }
 
-std::optional<std::string> peek_stream_tag(util::BytesView data) {
-  auto tag = media::peek_tag(data);
-  if (!tag) return std::nullopt;
-  return std::string(*tag);
-}
-
 // ------------------------------------------------------------------ Converter
 
 ConverterDaemon::ConverterDaemon(daemon::Environment& env,

@@ -51,9 +51,6 @@ struct MediaPacketView {
   static std::optional<MediaPacketView> parse(util::BytesView data);
 };
 
-// Reads only the leading stream tag of any media datagram.
-std::optional<std::string> peek_stream_tag(util::BytesView data);
-
 class ConverterDaemon : public media::RoutedMediaDaemon {
  public:
   ConverterDaemon(daemon::Environment& env, daemon::DaemonHost& host,

@@ -1,7 +1,7 @@
 #include "store/persistent_store.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <charconv>
 #include <cstdlib>
 #include <optional>
 
@@ -36,6 +36,37 @@ std::string encode_replica_entry(const std::string& key,
   return daemon::wire::pack_batch({key, std::to_string(r.version),
                                    r.deleted ? "d" : "l", hex_of(r.data),
                                    hint});
+}
+
+// `hex` decoded, or nullopt unless it is even-length hex (util::hex_decode
+// alone maps bad input to empty bytes).
+std::optional<util::Bytes> decode_hex(const std::string& hex) {
+  util::Bytes bytes = util::hex_decode(hex);
+  if (bytes.size() * 2 != hex.size()) return std::nullopt;
+  return bytes;
+}
+
+// One encode_replica_entry record, or nullopt unless it has 5 fields, an
+// all-digit version, d or l, hex data and a hint empty or host:port.
+struct ReplicaEntry {
+  std::string key;
+  PersistentStoreDaemon::ObjectRecord record;
+  std::optional<net::Address> hint;
+};
+std::optional<ReplicaEntry> decode_replica_entry(const std::string& packed) {
+  auto f = daemon::wire::unpack_batch(packed);
+  if (!f || f->size() != 5) return std::nullopt;
+  const std::string &version = (*f)[1], &flag = (*f)[2], &hint = (*f)[4];
+  ReplicaEntry e{(*f)[0], {}, net::Address::parse(hint)};
+  const char* end = version.data() + version.size();
+  auto [ptr, ec] = std::from_chars(version.data(), end, e.record.version);
+  auto data = decode_hex((*f)[3]);
+  if (version.empty() || ec != std::errc{} || ptr != end ||
+      (flag != "d" && flag != "l") || !data || (!hint.empty() && !e.hint))
+    return std::nullopt;
+  e.record.deleted = flag == "d";
+  e.record.data = std::move(*data);
+  return e;
 }
 
 CmdLine make_replicate_cmd(const std::string& key,
@@ -114,8 +145,12 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
           .arg(string_arg("key"))
           .arg(string_arg("data")),
       [this](const CmdLine& cmd, const CallerInfo&) {
+        auto data = decode_hex(cmd.get_text("data"));
+        if (!data)
+          return cmdlang::make_error(util::Errc::invalid,
+                                     "data is not even-length hex");
         ObjectRecord record;
-        record.data = bytes_of_hex(cmd.get_text("data"));
+        record.data = std::move(*data);
         record.version = next_version();
         std::string key = cmd.get_text("key");
         WriteOutcome out = coordinate_write(key, record);
@@ -329,26 +364,27 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
         if (!records)
           return cmdlang::make_error(util::Errc::semantic_error,
                                      "malformed batch payload");
-        std::int64_t applied = 0;
-        std::vector<WalTicket> tickets;
+        // Check every entry before applying any: the ok below acks the
+        // whole batch, so a replica never acks a record it dropped.
+        std::vector<ReplicaEntry> entries;
         for (const std::string& packed : *records) {
-          auto fields = daemon::wire::unpack_batch(packed);
-          if (!fields || fields->size() != 5) continue;
-          ObjectRecord record;
-          record.version = std::strtoull((*fields)[1].c_str(), nullptr, 10);
-          record.deleted = (*fields)[2] == "d";
-          record.data = bytes_of_hex((*fields)[3]);
-          tickets.push_back(apply((*fields)[0], record));
-          if (auto intended = net::Address::parse((*fields)[4]))
-            tickets.push_back(
-                record_hint(*intended, (*fields)[0], record.version));
-          ++applied;
+          auto entry = decode_replica_entry(packed);
+          if (!entry)
+            return cmdlang::make_error(util::Errc::semantic_error,
+                                       "malformed batch entry");
+          entries.push_back(std::move(*entry));
+        }
+        std::vector<WalTicket> tickets;
+        for (const ReplicaEntry& e : entries) {
+          tickets.push_back(apply(e.key, e.record));
+          if (e.hint)
+            tickets.push_back(record_hint(*e.hint, e.key, e.record.version));
         }
         // One group-commit flush covers the whole batch: the first sync
         // fsyncs everything appended, the rest return immediately.
         for (const WalTicket& t : tickets) DurableLog::sync(t);
         CmdLine reply = cmdlang::make_ok();
-        reply.arg("applied", applied);
+        reply.arg("applied", static_cast<std::int64_t>(entries.size()));
         return reply;
       });
 
@@ -480,8 +516,8 @@ void PersistentStoreDaemon::shutdown_runtime(bool flush) {
     dlog = dlog_;
     read_tasks = read_tasks_;
   }
-  // Read fan-out / read-repair tasks still on the ops pool become no-ops;
-  // revoke() waits out any mid-run one, so nothing touches a dead daemon.
+  // Read-repair tasks still on the ops pool become no-ops; revoke() waits
+  // out any mid-run one, so nothing touches a dead daemon.
   read_tasks.revoke();
   // Left in place (inert) — command handlers may still be draining and
   // submit() must fast-fail rather than touch a dead object.
@@ -868,19 +904,17 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
 
 // Parallel digest read: one full value (from this replica when it owns
 // the key, else from the first listed owner) plus version digests from
-// every other preference-list replica, all RPCs issued concurrently on
-// the pipelined channel. The reply waits for R countable answers, not for
-// the whole fan-out; if a digest outvotes the full copy, the newest value
-// is fetched from one of its holders before replying, and any replica
-// observed stale or absent is repaired off the reply path.
+// every other preference-list replica, all requests sent at once on the
+// pipelined channels by one call_all. The reply waits for R countable
+// answers, not for the whole fan-out; if a digest outvotes the full copy,
+// the newest value is fetched from one of its holders before replying, and
+// any replica observed stale or absent is repaired off the reply path.
 CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
   std::vector<net::Address> prefs;
-  net::TaskGuard guard;
   {
     std::scoped_lock lock(mu_);
     prefs = ring_.preference_list(
         key, static_cast<std::size_t>(std::max(1, options_.replication)));
-    guard = read_tasks_;
   }
   const net::Address self = address();
   if (prefs.empty()) prefs.push_back(self);
@@ -914,26 +948,19 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
   obs_digest_reads_->inc();
 
   struct Vote {
-    bool finished = false;  // the attempt completed (even unreachable)
-    bool replied = false;   // countable: ok or authoritative not_found
-    bool has = false;       // holds a record (maybe a tombstone)
-    bool full = false;      // record.data is populated
+    bool replied = false;  // countable: ok or authoritative not_found
+    bool has = false;      // holds a record (maybe a tombstone)
+    bool full = false;     // record.data is populated
     ObjectRecord record;
   };
-  struct Gather {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Vote> votes;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->votes.resize(prefs.size());
+  std::vector<Vote> votes(prefs.size());
 
   // The local vote is answered inline under one lock scope — an owner
   // that lacks the key is a countable "authoritative absent".
   if (self_owner) {
-    Vote& v = gather->votes[full_index];
+    Vote& v = votes[full_index];
     std::scoped_lock lock(mu_);
-    v.finished = v.replied = true;
+    v.replied = true;
     auto it = objects_.find(key);
     if (it != objects_.end()) {
       v.has = v.full = true;
@@ -941,58 +968,51 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
     }
   }
 
-  const auto timeout = options_.replicate_timeout;
+  // One request per remote replica; voter[k] is request k's vote.
+  std::vector<daemon::AceClient::Request> requests;
+  std::vector<std::size_t> voter;
   for (std::size_t i = 0; i < prefs.size(); ++i) {
     if (self_owner && i == full_index) continue;
-    const net::Address target = prefs[i];
     const bool want_full = !self_owner && i == full_index;
-    env().reactor().post_blocking(guard.wrap([this, gather, i, target,
-                                              want_full, key, timeout] {
-      CmdLine sub(want_full ? "storeGet" : "storeGetDigest");
-      sub.arg("key", key);
-      if (want_full) sub.arg("scope", Word{"local"});
-      auto reply = control_client().call(
-          target, sub, daemon::CallOptions{.timeout = timeout, .retries = 0});
-      Vote v;
-      v.finished = true;
-      if (reply.ok() && cmdlang::is_ok(reply.value())) {
-        v.replied = v.has = true;
-        v.record.version =
-            static_cast<std::uint64_t>(reply->get_integer("version"));
-        v.record.deleted = reply->get_text("deleted") == "yes";
-        if (want_full) {
-          v.full = true;
-          v.record.data = bytes_of_hex(reply->get_text("data"));
-        }
-      } else if (reply.ok() && cmdlang::reply_error(reply.value()).code ==
-                                   util::Errc::not_found) {
-        v.replied = true;  // authoritative absence
-      }
-      std::scoped_lock lock(gather->mu);
-      gather->votes[i] = std::move(v);
-      gather->cv.notify_all();
-    }));
+    CmdLine sub(want_full ? "storeGet" : "storeGetDigest");
+    sub.arg("key", key);
+    if (want_full) sub.arg("scope", Word{"local"});
+    requests.push_back({prefs[i], std::move(sub)});
+    voter.push_back(i);
   }
-
-  // Quorum wait: R countable replies with the full-value attempt settled,
-  // or everything finished, whichever is first. The deadline covers tasks
-  // dropped by a stopping reactor or a revoked guard.
-  std::vector<Vote> votes;
-  {
-    std::unique_lock lk(gather->mu);
-    gather->cv.wait_until(
-        lk, steady_clock::now() + timeout + std::chrono::milliseconds(200),
-        [&] {
-          int finished = 0;
-          int replied = 0;
-          for (const Vote& v : gather->votes) {
-            if (v.finished) ++finished;
-            if (v.replied) ++replied;
-          }
-          if (finished == static_cast<int>(gather->votes.size())) return true;
-          return replied >= r_eff && gather->votes[full_index].finished;
-        });
-    votes = gather->votes;
+  auto countable = [](const util::Result<CmdLine>& reply) {
+    return reply.ok() &&
+           (cmdlang::is_ok(reply.value()) ||
+            cmdlang::reply_error(reply.value()).code == util::Errc::not_found);
+  };
+  // Quorum: R countable replies with the full-value attempt settled (it is
+  // request 0 when remote).
+  const auto results = control_client().call_all(
+      requests, options_.replicate_timeout,
+      [&](const daemon::AceClient::Replies& rs) {
+        if (!self_owner && !rs[0]) return false;
+        int replied = self_owner ? 1 : 0;
+        for (const auto& r : rs)
+          if (r && countable(*r)) ++replied;
+        return replied >= r_eff;
+      });
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    if (!results[k]) continue;  // not awaited
+    const util::Result<CmdLine>& reply = *results[k];
+    Vote& v = votes[voter[k]];
+    const bool want_full = !self_owner && voter[k] == full_index;
+    if (reply.ok() && cmdlang::is_ok(reply.value())) {
+      v.replied = v.has = true;
+      v.record.version =
+          static_cast<std::uint64_t>(reply->get_integer("version"));
+      v.record.deleted = reply->get_text("deleted") == "yes";
+      if (want_full) {
+        v.full = true;
+        v.record.data = bytes_of_hex(reply->get_text("data"));
+      }
+    } else if (countable(reply)) {
+      v.replied = true;  // authoritative absence
+    }
   }
 
   int replies = 0;
@@ -1029,7 +1049,8 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
           continue;
         auto reply = control_client().call(
             prefs[i], sub,
-            daemon::CallOptions{.timeout = timeout, .retries = 0});
+            daemon::CallOptions{.timeout = options_.replicate_timeout,
+                                .retries = 0});
         if (!reply.ok() || !cmdlang::is_ok(reply.value())) continue;
         ObjectRecord fetched;
         fetched.version =
@@ -1157,99 +1178,63 @@ PersistentStoreDaemon::parse_scan_cursor(const std::string& blob) {
 }
 
 // Cluster scan page: each shard serves one local page in parallel (self
-// answered without an RPC), the coordinator merges them in order and only
-// emits keys at or below the lowest point every still-active shard has
-// been scanned to (the "barrier"), so no key can later arrive behind the
-// emission front. The cursor blob records, per peer, where to resume —
-// which makes the cursor resumable through any coordinator. Unreachable
-// peers are dropped from the remainder of the scan, best effort.
+// answered without an RPC, the rest sent at once by one call_all), the
+// coordinator merges them in order and only emits keys at or below the
+// lowest point every still-active shard has been scanned to (the
+// "barrier"), so no key can later arrive behind the emission front. The
+// cursor blob records, per peer, where to resume — which makes the cursor
+// resumable through any coordinator. Unreachable peers are dropped from
+// the remainder of the scan, best effort.
 util::Result<PersistentStoreDaemon::ClusterPage>
 PersistentStoreDaemon::scan_cluster(const std::string& prefix,
                                     const std::string& cursor_blob,
                                     std::size_t limit) {
   const net::Address self = address();
   std::vector<PeerCursor> entries;
-  net::TaskGuard guard;
   if (cursor_blob.empty()) {
     std::scoped_lock lock(mu_);
     entries.push_back(PeerCursor{self, false, ""});
     for (const net::Address& peer : peers_)
       entries.push_back(PeerCursor{peer, false, ""});
-    guard = read_tasks_;
   } else {
     auto parsed = parse_scan_cursor(cursor_blob);
     if (!parsed)
       return util::Error{util::Errc::semantic_error, "malformed scan cursor"};
     entries = std::move(*parsed);
-    std::scoped_lock lock(mu_);
-    guard = read_tasks_;
   }
 
-  struct Slot {
-    bool finished = false;
-    bool ok = false;
-    ScanPage page;
-  };
-  struct Gather {
-    std::mutex mu;
-    std::condition_variable cv;
-    int outstanding = 0;
-    std::vector<Slot> slots;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->slots.resize(entries.size());
-
-  const auto timeout = options_.replicate_timeout;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].exhausted || entries[i].addr == self) continue;
-    ++gather->outstanding;
-  }
+  // One page per active shard; nullopt for a shard that did not answer.
+  std::vector<std::optional<ScanPage>> pages(entries.size());
+  std::vector<daemon::AceClient::Request> requests;
+  std::vector<std::size_t> shard;  // shard[k]: request k's entry
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const PeerCursor& e = entries[i];
-    Slot& slot = gather->slots[i];
     if (e.exhausted) {
-      slot.finished = slot.ok = true;
-      slot.page.done = true;
-      continue;
-    }
-    if (e.addr == self) {
-      slot.finished = slot.ok = true;
-      slot.page = scan_local(prefix, e.last, limit);
-      continue;
-    }
-    env().reactor().post_blocking(guard.wrap([this, gather, i, e, prefix,
-                                              limit, timeout] {
+      pages[i].emplace().done = true;
+    } else if (e.addr == self) {
+      pages[i] = scan_local(prefix, e.last, limit);
+    } else {
       CmdLine sub("storeScan");
       sub.arg("prefix", prefix);
       sub.arg("cursor", e.last);
       sub.arg("limit", static_cast<std::int64_t>(limit));
       sub.arg("scope", Word{"local"});
-      auto reply = control_client().call(
-          e.addr, sub, daemon::CallOptions{.timeout = timeout, .retries = 0});
-      Slot slot;
-      slot.finished = true;
-      if (reply.ok() && cmdlang::is_ok(reply.value())) {
-        slot.ok = true;
-        if (auto vec = reply->get_vector("keys"))
-          for (const auto& elem : vec->elements)
-            if (elem.is_string() || elem.is_word())
-              slot.page.keys.push_back(elem.as_text());
-        slot.page.next = reply->get_text("next");
-        slot.page.done = reply->get_text("done") == "yes";
-      }
-      std::scoped_lock lock(gather->mu);
-      gather->slots[i] = std::move(slot);
-      if (--gather->outstanding == 0) gather->cv.notify_all();
-    }));
+      requests.push_back({e.addr, std::move(sub)});
+      shard.push_back(i);
+    }
   }
-
-  std::vector<Slot> slots;
-  {
-    std::unique_lock lk(gather->mu);
-    gather->cv.wait_until(
-        lk, steady_clock::now() + timeout + std::chrono::milliseconds(200),
-        [&] { return gather->outstanding == 0; });
-    slots = gather->slots;
+  const auto replies =
+      control_client().call_all(requests, options_.replicate_timeout);
+  for (std::size_t k = 0; k < replies.size(); ++k) {
+    const util::Result<CmdLine>& reply = *replies[k];
+    if (!reply.ok() || !cmdlang::is_ok(reply.value())) continue;
+    ScanPage& page = pages[shard[k]].emplace();
+    if (auto vec = reply->get_vector("keys"))
+      for (const auto& elem : vec->elements)
+        if (elem.is_string() || elem.is_word())
+          page.keys.push_back(elem.as_text());
+    page.next = reply->get_text("next");
+    page.done = reply->get_text("done") == "yes";
   }
 
   // Merge in order. A shard whose page is not done may hold further keys
@@ -1257,11 +1242,11 @@ PersistentStoreDaemon::scan_cluster(const std::string& prefix,
   // may be emitted yet.
   std::set<std::string> merged;
   std::optional<std::string> barrier;
-  for (const Slot& s : slots) {
-    if (!s.ok) continue;
-    merged.insert(s.page.keys.begin(), s.page.keys.end());
-    if (!s.page.done && (!barrier || s.page.next < *barrier))
-      barrier = s.page.next;
+  for (const auto& page : pages) {
+    if (!page) continue;
+    merged.insert(page->keys.begin(), page->keys.end());
+    if (!page->done && (!barrier || page->next < *barrier))
+      barrier = page->next;
   }
 
   ClusterPage out;
@@ -1276,14 +1261,13 @@ PersistentStoreDaemon::scan_cluster(const std::string& prefix,
   for (std::size_t i = 0; i < entries.size(); ++i) {
     PeerCursor& e = entries[i];
     if (e.exhausted) continue;
-    const Slot& s = slots[i];
-    if (!s.ok || !s.finished) {
+    if (!pages[i]) {
       e.exhausted = true;  // unreachable: dropped for the rest of the scan
       continue;
     }
+    const ScanPage& page = *pages[i];
     if (!out.keys.empty()) {
-      if (s.page.done &&
-          (s.page.keys.empty() || s.page.keys.back() <= front)) {
+      if (page.done && (page.keys.empty() || page.keys.back() <= front)) {
         e.exhausted = true;
       } else {
         // Anything this shard sent above the emission front is refetched
@@ -1295,10 +1279,10 @@ PersistentStoreDaemon::scan_cluster(const std::string& prefix,
       // Nothing emitted this round: a tombstone-dense shard may still be
       // walking. Advance it past its examined run; shards holding keys
       // above the barrier keep their cursor and re-send next round.
-      if (s.page.done && s.page.keys.empty()) {
+      if (page.done && page.keys.empty()) {
         e.exhausted = true;
       } else {
-        if (!s.page.done) e.last = s.page.next;
+        if (!page.done) e.last = page.next;
         all_done = false;
       }
     }

@@ -252,9 +252,10 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   std::map<net::Address, std::map<std::string, std::uint64_t>> hints_;
   std::shared_ptr<ReplicationBatcher> batcher_;  // swapped per start
   std::shared_ptr<DurableLog> dlog_;  // durable mode only; swapped per start
-  // Revoked in shutdown_runtime so in-flight read fan-out / read-repair
-  // tasks on the ops pool can never touch a dead daemon. Re-armed (fresh
-  // guard) each on_start.
+  // Guards the read-repair tasks schedule_read_repair posts, the only
+  // tasks the read path leaves on the ops pool (its fan-outs run in the
+  // handler): revoked in shutdown_runtime so none can touch a dead daemon,
+  // re-armed (fresh guard) each on_start.
   net::TaskGuard read_tasks_;
   // Cumulative per-replica durability stats (storeWalStats; the obs
   // counters aggregate across the whole deployment).

@@ -1,5 +1,6 @@
 // Tests for net::Reactor — the event loop the fabric multiplexes onto —
-// and for the async surfaces built on it: queue pumps (attach_queue), the
+// and for the async surfaces built on it: queue pumps (attach_queue) and
+// their release when a stopping reactor refuses or drops a drain, the
 // PeriodicTask contract, endpoint callbacks (on_frame/on_accept), the
 // client's per-destination reply demux, and the idle-channel sweeper.
 // Includes a connect/close churn soak meant to run under ThreadSanitizer
@@ -202,6 +203,71 @@ TEST(Reactor, SubscriptionStopFromInsideHandlerIsAllowed) {
   sub.stop();  // idempotent from outside too
   std::this_thread::sleep_for(30ms);
   EXPECT_EQ(handled.load(), 1);  // the self-stop halted delivery
+}
+
+// Holds a queue and a blocking pump whose handler captures the owner: a
+// cycle that only the pump's release breaks. `freed` is set on the way out.
+struct PumpOwner {
+  std::shared_ptr<util::MessageQueue<int>> queue;
+  net::Subscription pump;
+  std::atomic<int> delivered{0};
+  std::atomic<bool>* freed = nullptr;
+  ~PumpOwner() { *freed = true; }
+};
+
+std::weak_ptr<PumpOwner> make_pump_owner(
+    net::Reactor& reactor, std::shared_ptr<util::MessageQueue<int>> queue,
+    std::atomic<bool>* freed) {
+  auto owner = std::make_shared<PumpOwner>();
+  owner->queue = std::move(queue);
+  owner->freed = freed;
+  owner->pump = net::attach_queue<int>(
+      reactor, *owner->queue,
+      [owner](std::optional<int> item) {
+        if (item) owner->delivered++;
+      },
+      {.blocking = true});
+  return owner;
+}
+
+// A queue that closes after stop() signals a drain the reactor refuses;
+// the refusal releases the handler's captures, and with them the owner.
+TEST(Reactor, RefusedDrainReleasesPumpCaptures) {
+  net::Reactor reactor;
+  auto queue = std::make_shared<util::MessageQueue<int>>();
+  std::atomic<bool> freed{false};
+  auto owner = make_pump_owner(reactor, queue, &freed);
+  ASSERT_TRUE(queue->push(1));
+  ASSERT_TRUE(eventually([&] {
+    auto live = owner.lock();
+    return live && live->delivered.load() == 1;
+  }));
+  reactor.stop();
+  ASSERT_FALSE(owner.expired());  // the pump was idle: nothing to discard
+  queue->close();
+  EXPECT_TRUE(owner.expired());
+  EXPECT_TRUE(freed.load());
+}
+
+// A drain queued behind the only ops worker, busy while stop() runs, is
+// discarded; the discard releases the owner. The busy task waits for that
+// (2 s cap), so stop() returns only once the owner is gone or the cap hit.
+TEST(Reactor, DiscardedDrainReleasesPumpCaptures) {
+  net::Reactor reactor(
+      net::Reactor::Options{.core_workers = 1, .ops_min = 1, .ops_max = 1});
+  std::atomic<bool> busy{false}, freed{false};
+  reactor.post_blocking([&] {
+    busy = true;
+    const auto cap = std::chrono::steady_clock::now() + 2s;
+    while (!freed.load() && std::chrono::steady_clock::now() < cap)
+      std::this_thread::sleep_for(1ms);
+  });
+  ASSERT_TRUE(eventually([&] { return busy.load(); }));
+  auto queue = std::make_shared<util::MessageQueue<int>>();
+  auto owner = make_pump_owner(reactor, queue, &freed);  // its drain queues
+  reactor.stop();
+  EXPECT_TRUE(owner.expired());
+  EXPECT_TRUE(freed.load());
 }
 
 TEST(Reactor, TaskGuardRevokeMakesPendingTasksNoOps) {
@@ -590,8 +656,20 @@ TEST(ReactorSoak, IdleDemuxTearDownAndRecreate) {
 // which is what the reactor.threads gauge counts.
 TEST(ReactorSoak, DeploymentRunsNoThreadOutsideReactor) {
   // Threads that predate the deployment: the test's own, plus a
-  // sanitizer's helper thread where one runs.
-  const int baseline = process_threads();
+  // sanitizer's helper thread where one runs. An earlier test's threads
+  // may still be exiting, so wait (2 s at most) until the count has not
+  // fallen for 100 ms.
+  int baseline = process_threads();
+  const auto cap = std::chrono::steady_clock::now() + 2s;
+  auto quiet_since = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() < cap &&
+         std::chrono::steady_clock::now() - quiet_since < 100ms) {
+    std::this_thread::sleep_for(5ms);
+    if (const int now = process_threads(); now < baseline) {
+      baseline = now;
+      quiet_since = std::chrono::steady_clock::now();
+    }
+  }
   testenv::AceTestEnv env(93);
   ASSERT_TRUE(env.start().ok());
 

@@ -2,11 +2,15 @@
 // calls per destination, out-of-order reply routing, retry across channel
 // death, malformed frames, the daemon-side handshake pool keeping slow
 // connectors off the accept path, a client reconnect holding no lock a
-// drop or close_all needs, and per-connection order on the inline path of
-// nonblocking commands.
+// drop or close_all needs, per-connection order on the inline path of
+// nonblocking commands, and AceClient::call_all's fan-out: requests in
+// flight together, an early stop that withdraws the rest, and failures,
+// timeouts and breaker rejections kept per request.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <set>
@@ -23,6 +27,20 @@ using namespace std::chrono_literals;
 using cmdlang::CmdLine;
 
 namespace {
+
+// A three-party barrier that `rendezvous` handlers wait at, 2 s at most.
+struct Rendezvous {
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+
+  bool arrive_and_wait() {
+    std::unique_lock lk(mu);
+    ++arrived;
+    cv.notify_all();
+    return cv.wait_for(lk, 2s, [&] { return arrived >= 3; });
+  }
+};
 
 // Echo service with a deliberately slow serialized command and a fast
 // concurrent one, for exercising reply interleaving on one channel; a slow
@@ -87,7 +105,39 @@ class RpcTestDaemon : public daemon::ServiceDaemon {
           auto r = control_client().call(address(), CmdLine("ping"));
           return r.ok() ? *r : cmdlang::make_error(r.error().code, "failed");
         });
+    // The same promise broken through a fan-out.
+    register_command(
+        cmdlang::CommandSpec("nestedCallAll", "fan out to ourselves")
+            .concurrent_ok()
+            .nonblocking(),
+        [this](const CmdLine&, const daemon::CallerInfo&) {
+          const daemon::AceClient::Request ping{address(), CmdLine("ping")};
+          auto replies = control_client().call_all({&ping, 1}, 1s);
+          return replies[0] && replies[0]->ok()
+                     ? **replies[0]
+                     : cmdlang::make_error(util::Errc::unavailable, "failed");
+        });
+    register_command(
+        cmdlang::CommandSpec("nap", "sleep, then reply")
+            .arg(cmdlang::integer_arg("ms"))
+            .concurrent_ok(),
+        [](const CmdLine& cmd, const daemon::CallerInfo&) {
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(cmd.get_integer("ms")));
+          return cmdlang::make_ok();
+        });
+    register_command(
+        cmdlang::CommandSpec("rendezvous", "wait for two more callers")
+            .concurrent_ok(),
+        [this](const CmdLine&, const daemon::CallerInfo&) {
+          CmdLine reply = cmdlang::make_ok();
+          reply.arg("met",
+                    cmdlang::Word{rendezvous_->arrive_and_wait() ? "yes" : "no"});
+          return reply;
+        });
   }
+
+  void set_rendezvous(Rendezvous* r) { rendezvous_ = r; }
 
   // Names of the logging commands in the order their handlers ran.
   std::vector<std::string> executed() const {
@@ -103,6 +153,7 @@ class RpcTestDaemon : public daemon::ServiceDaemon {
 
   mutable std::mutex mu_;
   std::vector<std::string> executed_;
+  Rendezvous* rendezvous_ = nullptr;
 };
 
 struct RpcFixture {
@@ -116,6 +167,18 @@ struct RpcFixture {
     svc = &svc_host->add_daemon<RpcTestDaemon>(cfg);
     EXPECT_TRUE(svc_host->start_all().ok());
     client = env.make_client("ap", "user/tester");
+  }
+
+  // Another service like `svc`, on a host of its own.
+  RpcTestDaemon* add_service(const std::string& host) {
+    more_hosts.push_back(std::make_unique<daemon::DaemonHost>(env.env, host));
+    daemon::DaemonConfig cfg;
+    cfg.name = "rpc-" + host;
+    cfg.room = "lab";
+    cfg.service_class = "Service/Test";
+    auto* daemon = &more_hosts.back()->add_daemon<RpcTestDaemon>(cfg);
+    EXPECT_TRUE(more_hosts.back()->start_all().ok());
+    return daemon;
   }
 
   std::int64_t gauge_value(const std::string& name) {
@@ -143,6 +206,7 @@ struct RpcFixture {
 
   testenv::AceTestEnv env;
   std::unique_ptr<daemon::DaemonHost> svc_host;
+  std::vector<std::unique_ptr<daemon::DaemonHost>> more_hosts;
   RpcTestDaemon* svc = nullptr;
   std::unique_ptr<daemon::AceClient> client;
 };
@@ -476,6 +540,120 @@ TEST(RpcDeathTest, NestedCallFromNonblockingCommandAborts) {
         (void)f.client->call(f.svc->address(), CmdLine("nestedCall"));
       },
       "core task would block at AceClient::call");
+}
+
+// ------------------------------------------------------------ call_all
+
+using Request = daemon::AceClient::Request;
+
+// call_all puts every request in flight before it waits: three handlers
+// that each wait at a barrier for the other two all see it complete.
+TEST(CallAll, RequestsAreInFlightTogether) {
+  RpcFixture f;
+  Rendezvous rendezvous;
+  std::vector<Request> requests;
+  for (RpcTestDaemon* s : {f.svc, f.add_service("svc2"), f.add_service("svc3")}) {
+    s->set_rendezvous(&rendezvous);
+    requests.push_back({s->address(), CmdLine("rendezvous")});
+  }
+  auto replies = f.client->call_all(requests, 5s);
+  ASSERT_EQ(replies.size(), 3u);
+  for (const auto& reply : replies) {
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_TRUE(reply->ok()) << reply->error().to_string();
+    EXPECT_EQ((*reply)->get_text("met"), "yes");
+  }
+}
+
+// `enough` ends the wait: the slow request comes back nullopt, its slot is
+// withdrawn at once rather than by its late reply, and that reply, dropped
+// by the demux, leaves the channel usable.
+TEST(CallAll, EnoughStopsTheWaitAndWithdrawsTheRest) {
+  RpcFixture f;
+  RpcTestDaemon* slow = f.add_service("svc2");
+  // Connect both first, so the timing below is the wait alone.
+  ASSERT_TRUE(f.client->call(f.svc->address(), CmdLine("ping")).ok());
+  ASSERT_TRUE(f.client->call(slow->address(), CmdLine("ping")).ok());
+
+  CmdLine nap("nap");
+  nap.arg("ms", 1000);
+  const std::vector<Request> requests{{f.svc->address(), CmdLine("fast")},
+                                      {slow->address(), nap}};
+  const auto started = std::chrono::steady_clock::now();
+  auto replies = f.client->call_all(
+      requests, 5s, [](const daemon::AceClient::Replies& rs) {
+        return std::any_of(rs.begin(), rs.end(),
+                           [](const auto& r) { return r.has_value(); });
+      });
+  EXPECT_LT(std::chrono::steady_clock::now() - started, 500ms);
+  ASSERT_EQ(replies.size(), 2u);
+  ASSERT_TRUE(replies[0].has_value() && replies[0]->ok());
+  EXPECT_TRUE(cmdlang::is_ok(replies[0]->value()));
+  EXPECT_FALSE(replies[1].has_value());
+  // The nap replies 1 s after it was sent; the gauge must read 0 before.
+  bool drained = false;
+  while (!drained && std::chrono::steady_clock::now() - started < 900ms) {
+    drained = f.gauge_value("client.inflight") == 0;
+    if (!drained) std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_TRUE(drained) << "client.inflight " << f.gauge_value("client.inflight");
+  EXPECT_TRUE(
+      f.client->call(slow->address(), CmdLine("ping"), daemon::kCallOk).ok());
+}
+
+// Failures stay with their own request: a refused connect, an open
+// breaker and a live daemon each get their own result from one call.
+TEST(CallAll, FailuresStayPerRequest) {
+  RpcFixture f;
+  f.client->set_policy({.breaker = {.failure_threshold = 1, .cooldown = 60s}});
+  const net::Address refused{"svc", 40001};  // nothing listens there
+  const net::Address tripped{"svc", 40002};
+  ASSERT_FALSE(
+      f.client->call(tripped, CmdLine("ping"), {.retries = 0}).ok());
+  const auto rejected = f.counter_value("client.breaker_rejected");
+
+  const std::vector<Request> requests{{refused, CmdLine("ping")},
+                                      {tripped, CmdLine("ping")},
+                                      {f.svc->address(), CmdLine("ping")}};
+  auto replies = f.client->call_all(requests, 2s);
+  ASSERT_EQ(replies.size(), 3u);
+  ASSERT_TRUE(replies[0].has_value() && !replies[0]->ok());
+  EXPECT_EQ(replies[0]->error().code, util::Errc::refused);
+  ASSERT_TRUE(replies[1].has_value() && !replies[1]->ok());
+  EXPECT_EQ(replies[1]->error().code, util::Errc::unavailable);
+  EXPECT_EQ(f.counter_value("client.breaker_rejected"), rejected + 1);
+  ASSERT_TRUE(replies[2].has_value() && replies[2]->ok());
+  EXPECT_TRUE(cmdlang::is_ok(replies[2]->value()));
+}
+
+// A request unanswered at the deadline ends as a timeout and counts in
+// client.timeouts, like one from call().
+TEST(CallAll, TimeoutCountsLikeCall) {
+  RpcFixture f;
+  ASSERT_TRUE(f.client->call(f.svc->address(), CmdLine("ping")).ok());
+  const auto timeouts = f.counter_value("client.timeouts");
+  CmdLine nap("nap");
+  nap.arg("ms", 500);
+  const std::vector<Request> requests{{f.svc->address(), nap}};
+  auto replies = f.client->call_all(requests, 100ms);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_TRUE(replies[0].has_value() && !replies[0]->ok());
+  EXPECT_EQ(replies[0]->error().code, util::Errc::timeout);
+  EXPECT_EQ(f.counter_value("client.timeouts"), timeouts + 1);
+}
+
+// call_all waits like call(), so a nonblocking command that fans out
+// aborts at it wherever the never-block check is compiled in.
+TEST(RpcDeathTest, CallAllFromNonblockingCommandAborts) {
+  if (!net::kNeverBlockChecked)
+    GTEST_SKIP() << "the never-block check is compiled out of this build";
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        RpcFixture f;
+        (void)f.client->call(f.svc->address(), CmdLine("nestedCallAll"));
+      },
+      "core task would block at AceClient::call_all");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "ace_test_env.hpp"
 #include "chaos/chaos.hpp"
+#include "daemon/wire.hpp"
 #include "services/launchers.hpp"
 #include "services/monitors.hpp"
 #include "store/merkle.hpp"
@@ -224,6 +225,48 @@ TEST_F(StoreTest, BinaryDataSurvivesHexTransport) {
   auto got = store.get("bin");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), binary);
+}
+
+// storePut takes only even-length hex: anything else fails `invalid` and
+// writes nothing, instead of decoding to an empty object.
+TEST_F(StoreTest, NonHexPutIsRejected) {
+  for (const char* data : {"zz", "abc"}) {
+    CmdLine put("storePut");
+    put.arg("key", "bad-hex");
+    put.arg("data", data);
+    auto reply = client_->call(addresses_[0], put);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    ASSERT_TRUE(cmdlang::is_error(reply.value())) << data;
+    EXPECT_EQ(cmdlang::reply_error(reply.value()).code, util::Errc::invalid)
+        << data;
+  }
+  for (auto* r : replicas_) EXPECT_FALSE(r->object("bad-hex").has_value());
+}
+
+// A replica checks every batch entry before applying any: one malformed
+// entry fails the batch and applies neither it nor the good one, so the
+// coordinator never counts an ack for a record the replica dropped.
+TEST_F(StoreTest, MalformedBatchEntryAppliesNothing) {
+  const std::string good = daemon::wire::pack_batch(
+      {"batch/good", "5", "l", store::hex_of(util::to_bytes("v")), ""});
+  const std::vector<std::string> bad{
+      daemon::wire::pack_batch({"batch/bad", "5", "l"}),
+      daemon::wire::pack_batch({"batch/bad", "5x", "l", "", ""}),
+      daemon::wire::pack_batch({"batch/bad", "", "l", "", ""}),
+      daemon::wire::pack_batch({"batch/bad", "5", "q", "", ""}),
+      daemon::wire::pack_batch({"batch/bad", "5", "l", "zz", ""}),
+      daemon::wire::pack_batch({"batch/bad", "5", "l", "", "nohost"})};
+  for (const std::string& entry : bad) {
+    CmdLine batch("storeReplicateBatch");
+    batch.arg("entries", daemon::wire::pack_batch({good, entry}));
+    auto reply = client_->call(addresses_[0], batch);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    ASSERT_TRUE(cmdlang::is_error(reply.value())) << reply->to_string();
+    EXPECT_EQ(cmdlang::reply_error(reply.value()).code,
+              util::Errc::semantic_error);
+  }
+  EXPECT_FALSE(replicas_[0]->object("batch/good").has_value());
+  EXPECT_FALSE(replicas_[0]->object("batch/bad").has_value());
 }
 
 // --------------------------------------------------------- ring and merkle
