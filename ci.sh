@@ -276,7 +276,9 @@ inline_dispatch_sweep() {
 # slot its callback shares, bounded by the handshake timeout: a slot that
 # outlives a timed-out waiter, or a reconnect racing a drop, is what TSan
 # and ASan should see. Replay the channel, network and Jini suites and the
-# client's handshake, retry and drop tests in both sanitizer legs.
+# client's handshake, retry and drop tests in both sanitizer legs, and the
+# certificate authority issuing identities to several threads at once, as
+# clients made on several threads make it do.
 handshake_sweep() {
   local build_dir="$1"
   echo "=== handshake hand-off sweep: ${build_dir} ==="
@@ -287,6 +289,9 @@ handshake_sweep() {
   run_filtered "${build_dir}/tests/test_rpc" \
 'Rpc.SlowHandshaker*:Rpc.RetriesReconnect*:Rpc.DropConnection*:'\
 'Rpc.HandshakeInFlight*' \
+    --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_crypto" \
+    'CertificateAuthorityTest.ConcurrentIssueGivesDistinctSerials' \
     --gtest_repeat=3
 }
 
@@ -350,6 +355,16 @@ pump_release_sweep() {
   "${build_dir}/tests/test_rpc" --gtest_repeat=5
 }
 
+# Parser::parse decodes every command text a peer sends. Replay its
+# properties under ASan: arbitrary bytes, seeded mutations of valid
+# commands (bit flips, truncations, grammar-byte insertions, splices), and
+# the exact number round trips.
+parser_fuzz_sweep() {
+  local build_dir="$1"
+  echo "=== parser fuzz sweep under AddressSanitizer ==="
+  run_filtered "${build_dir}/tests/test_properties" 'ParserProperty.*'
+}
+
 # Replays the durable-store suite — power cycles, torn WAL tails, lying
 # fsyncs, crash-mid-compaction — under fixed seeds with ASan watching the
 # recovery paths (daemon restart swaps the batcher, monitor duty, and
@@ -391,6 +406,7 @@ case "${want}" in
     disk_fault_sweep build-asan
     batcher_stop_sweep build-asan
     pump_release_sweep build-asan
+    parser_fuzz_sweep build-asan
     require_never_block_check build-asan
     require_sha_hardware build-asan
     handshake_sweep build-asan

@@ -1,7 +1,7 @@
 #include "cmdlang/parser.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
 
 namespace ace::cmdlang {
 
@@ -28,39 +28,56 @@ struct Token {
   std::size_t pos = 0;
 };
 
-bool is_word_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+// The C locale's white space.
+bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
 class Lexer {
  public:
   explicit Lexer(std::string_view input) : in_(input) {}
 
-  util::Result<Token> next() {
+  // Reads the next token into t. Only the fields its kind uses are set.
+  util::Status next(Token& t) {
     skip_space();
-    Token t;
     t.pos = pos_;
     if (pos_ >= in_.size()) {
       t.kind = TokKind::end;
-      return t;
+      return {};
     }
     char c = in_[pos_];
     switch (c) {
-      case '=': ++pos_; t.kind = TokKind::equals; return t;
-      case ',': ++pos_; t.kind = TokKind::comma; return t;
-      case '{': ++pos_; t.kind = TokKind::lbrace; return t;
-      case '}': ++pos_; t.kind = TokKind::rbrace; return t;
-      case ';': ++pos_; t.kind = TokKind::semicolon; return t;
-      case '"': return lex_string();
+      case '=': ++pos_; t.kind = TokKind::equals; return {};
+      case ',': ++pos_; t.kind = TokKind::comma; return {};
+      case '{': ++pos_; t.kind = TokKind::lbrace; return {};
+      case '}': ++pos_; t.kind = TokKind::rbrace; return {};
+      case ';': ++pos_; t.kind = TokKind::semicolon; return {};
+      case '"': return lex_string(t);
       default: break;
     }
-    if (c == '-' || c == '+' || std::isdigit(static_cast<unsigned char>(c)))
-      return lex_number();
-    if (is_word_char(c)) return lex_word();
+    if (c == '-' || c == '+' || is_digit(c)) return lex_number(t);
+    if (is_word_char(c)) return lex_word(t);
     return fail("unexpected character '" + std::string(1, c) + "'");
   }
 
   std::size_t position() const { return pos_; }
+
+  // How many arguments to size a command for: the '=' before the next ';'.
+  // A quoted '=' or ';' makes the guess high or low, which costs only a
+  // reallocation or spare capacity, never a different parse. The cap
+  // bounds the scan and the capacity a string full of '=' can ask for.
+  std::size_t equals_ahead() const {
+    constexpr std::size_t kCap = 16;
+    std::string_view rest = in_.substr(pos_);
+    rest = rest.substr(0, rest.find(';'));
+    std::size_t n = 0;
+    for (std::size_t at = rest.find('=');
+         at != std::string_view::npos && n < kCap; at = rest.find('=', at + 1))
+      ++n;
+    return n;
+  }
 
  private:
   util::Error fail(const std::string& message) const {
@@ -68,16 +85,19 @@ class Lexer {
   }
 
   void skip_space() {
-    while (pos_ < in_.size() &&
-           std::isspace(static_cast<unsigned char>(in_[pos_])))
-      ++pos_;
+    while (pos_ < in_.size() && is_space(in_[pos_])) ++pos_;
   }
 
-  util::Result<Token> lex_string() {
-    Token t;
-    t.pos = pos_;
+  util::Status lex_string(Token& t) {
     t.kind = TokKind::string;
     ++pos_;  // opening quote
+    // The text up to the closing quote or the first backslash is one slice
+    // of the input; only an escape takes the rest a character at a time.
+    std::size_t close = std::min(in_.find('"', pos_), in_.size());
+    std::size_t run = in_.substr(pos_, close - pos_).find('\\');
+    if (run == std::string_view::npos) run = close - pos_;
+    t.text.assign(in_.substr(pos_, run));
+    pos_ += run;
     while (pos_ < in_.size() && in_[pos_] != '"') {
       char c = in_[pos_];
       if (c == '\\') {
@@ -91,19 +111,17 @@ class Lexer {
     }
     if (pos_ >= in_.size()) return fail("unterminated string");
     ++pos_;  // closing quote
-    return t;
+    return {};
   }
 
-  util::Result<Token> lex_number() {
-    Token t;
-    t.pos = pos_;
+  util::Status lex_number(Token& t) {
     std::size_t start = pos_;
     if (in_[pos_] == '-' || in_[pos_] == '+') ++pos_;
     bool has_digits = false;
     bool is_real = false;
     while (pos_ < in_.size()) {
       char c = in_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
+      if (is_digit(c)) {
         has_digits = true;
         ++pos_;
       } else if (c == '.') {
@@ -116,12 +134,9 @@ class Lexer {
         ++pos_;
         if (pos_ < in_.size() && (in_[pos_] == '-' || in_[pos_] == '+'))
           ++pos_;
-        if (pos_ < in_.size() &&
-            std::isdigit(static_cast<unsigned char>(in_[pos_]))) {
+        if (pos_ < in_.size() && is_digit(in_[pos_])) {
           is_real = true;
-          while (pos_ < in_.size() &&
-                 std::isdigit(static_cast<unsigned char>(in_[pos_])))
-            ++pos_;
+          while (pos_ < in_.size() && is_digit(in_[pos_])) ++pos_;
         } else {
           pos_ = save;
         }
@@ -134,24 +149,26 @@ class Lexer {
     // Reject '3abc' style tokens.
     if (pos_ < in_.size() && is_word_char(in_[pos_]))
       return fail("malformed number (trailing word characters)");
-    std::string text(in_.substr(start, pos_ - start));
-    if (is_real) {
-      t.kind = TokKind::real;
-      t.rval = std::strtod(text.c_str(), nullptr);
-    } else {
-      t.kind = TokKind::integer;
-      t.ival = std::strtoll(text.c_str(), nullptr, 10);
-    }
-    return t;
+    // from_chars takes no '+', which the scan above allows once.
+    const char* first = in_.data() + start + (in_[start] == '+');
+    const char* last = in_.data() + pos_;
+    t.kind = is_real ? TokKind::real : TokKind::integer;
+    std::from_chars_result res = is_real ? std::from_chars(first, last, t.rval)
+                                         : std::from_chars(first, last, t.ival);
+    // Overflow, or a nonzero literal that underflows to zero.
+    if (res.ec == std::errc::result_out_of_range)
+      return ParseError{start, "number out of range"}.to_error();
+    if (res.ec != std::errc{} || res.ptr != last)
+      return ParseError{start, "malformed number"}.to_error();
+    return {};
   }
 
-  util::Result<Token> lex_word() {
-    Token t;
-    t.pos = pos_;
+  util::Status lex_word(Token& t) {
     t.kind = TokKind::word;
-    while (pos_ < in_.size() && is_word_char(in_[pos_]))
-      t.text.push_back(in_[pos_++]);
-    return t;
+    std::size_t start = pos_;
+    while (pos_ < in_.size() && is_word_char(in_[pos_])) ++pos_;
+    t.text.assign(in_.substr(start, pos_ - start));
+    return {};
   }
 
   std::string_view in_;
@@ -168,7 +185,8 @@ class ParserImpl {
       return fail("empty input, expected command name");
     if (current_.kind != TokKind::word)
       return fail("expected command name word");
-    CmdLine cmd(current_.text);
+    CmdLine cmd(std::move(current_.text));
+    cmd.reserve(lexer_.equals_ahead());
     if (auto s = advance(); !s.ok()) return s.error();
 
     while (current_.kind != TokKind::semicolon) {
@@ -182,14 +200,14 @@ class ParserImpl {
       }
       if (current_.kind != TokKind::word)
         return fail("expected argument name");
-      std::string arg_name = current_.text;
+      std::string arg_name = std::move(current_.text);
       if (auto s = advance(); !s.ok()) return s.error();
       if (current_.kind != TokKind::equals)
         return fail("expected '=' after argument name '" + arg_name + "'");
       if (auto s = advance(); !s.ok()) return s.error();
-      auto value = parse_value();
-      if (!value.ok()) return value.error();
-      cmd.arg(std::move(arg_name), std::move(value.value()));
+      Value value;
+      if (auto s = parse_value(value); !s.ok()) return s.error();
+      cmd.arg(std::move(arg_name), std::move(value));
     }
     return cmd;
   }
@@ -210,8 +228,8 @@ class ParserImpl {
       out.push_back(std::move(cmd.value()));
       // Peek: if only whitespace remains we are done.
       Lexer probe = lexer_;
-      auto t = probe.next();
-      if (t.ok() && t->kind == TokKind::end) return out;
+      Token t{};
+      if (probe.next(t).ok() && t.kind == TokKind::end) return out;
     }
   }
 
@@ -221,45 +239,16 @@ class ParserImpl {
     return ParseError{current_.pos, message}.to_error();
   }
 
-  util::Status advance() {
-    auto t = lexer_.next();
-    if (!t.ok()) return t.error();
-    current_ = std::move(t.value());
-    return util::Status::ok_status();
-  }
+  util::Status advance() { return lexer_.next(current_); }
 
-  util::Result<Value> parse_value() {
-    switch (current_.kind) {
-      case TokKind::integer: {
-        Value v(current_.ival);
-        if (auto s = advance(); !s.ok()) return s.error();
-        return v;
-      }
-      case TokKind::real: {
-        Value v(current_.rval);
-        if (auto s = advance(); !s.ok()) return s.error();
-        return v;
-      }
-      case TokKind::word: {
-        Value v(Word{current_.text});
-        if (auto s = advance(); !s.ok()) return s.error();
-        return v;
-      }
-      case TokKind::string: {
-        Value v(current_.text);
-        if (auto s = advance(); !s.ok()) return s.error();
-        return v;
-      }
-      case TokKind::lbrace:
-        return parse_braced();
-      default:
-        return fail("expected a value");
-    }
+  util::Status parse_value(Value& out) {
+    if (current_.kind == TokKind::lbrace) return parse_braced(out);
+    return parse_scalar(out, "expected a value");
   }
 
   // Parses either a VECTOR {1,2,3} or an ARRAY {{1,2},{3}} — disambiguated
   // by whether the first element is itself braced.
-  util::Result<Value> parse_braced() {
+  util::Status parse_braced(Value& out) {
     if (auto s = advance(); !s.ok()) return s.error();  // consume '{'
     if (current_.kind == TokKind::lbrace) {
       Array arr;
@@ -276,11 +265,13 @@ class ParserImpl {
       if (current_.kind != TokKind::rbrace)
         return fail("expected '}' closing array");
       if (auto s = advance(); !s.ok()) return s.error();
-      return Value(std::move(arr));
+      out = std::move(arr);
+      return {};
     }
     auto vec = parse_vector_elements();
     if (!vec.ok()) return vec.error();
-    return Value(std::move(vec.value()));
+    out = std::move(vec.value());
+    return {};
   }
 
   // Assumes '{' already consumed; parses elements up to and including '}'.
@@ -295,9 +286,11 @@ class ParserImpl {
           return fail("expected ',' between vector elements");
         if (auto s = advance(); !s.ok()) return s.error();
       }
-      auto elem = parse_scalar();
-      if (!elem.ok()) return elem.error();
-      ValueType t = elem->type();
+      Value elem;
+      if (auto s = parse_scalar(elem, "expected scalar vector element");
+          !s.ok())
+        return s.error();
+      ValueType t = elem.type();
       if (first) {
         vec.element_type = t;
       } else if (t != vec.element_type) {
@@ -311,7 +304,7 @@ class ParserImpl {
           return fail("mixed element types in vector");
         }
       }
-      vec.elements.push_back(std::move(elem.value()));
+      vec.elements.push_back(std::move(elem));
       first = false;
     }
     if (auto s = advance(); !s.ok()) return s.error();  // consume '}'
@@ -326,31 +319,15 @@ class ParserImpl {
     return parse_vector_elements();
   }
 
-  util::Result<Value> parse_scalar() {
+  util::Status parse_scalar(Value& out, const char* expected) {
     switch (current_.kind) {
-      case TokKind::integer: {
-        Value v(current_.ival);
-        if (auto s = advance(); !s.ok()) return s.error();
-        return v;
-      }
-      case TokKind::real: {
-        Value v(current_.rval);
-        if (auto s = advance(); !s.ok()) return s.error();
-        return v;
-      }
-      case TokKind::word: {
-        Value v(Word{current_.text});
-        if (auto s = advance(); !s.ok()) return s.error();
-        return v;
-      }
-      case TokKind::string: {
-        Value v(current_.text);
-        if (auto s = advance(); !s.ok()) return s.error();
-        return v;
-      }
-      default:
-        return fail("expected scalar vector element");
+      case TokKind::integer: out = current_.ival; break;
+      case TokKind::real: out = current_.rval; break;
+      case TokKind::word: out = Word{std::move(current_.text)}; break;
+      case TokKind::string: out = std::move(current_.text); break;
+      default: return fail(expected);
     }
+    return advance();
   }
 
   Lexer lexer_;

@@ -1,8 +1,8 @@
 #include "cmdlang/value.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
+#include <string_view>
 
 namespace ace::cmdlang {
 
@@ -57,83 +57,116 @@ const std::string& Value::as_text() const {
 
 namespace {
 
-bool is_word_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
 bool is_valid_word(const std::string& s) {
   if (s.empty()) return false;
   for (char c : s)
     if (!is_word_char(c)) return false;
   // A bare word must not look like a number, or the parser would read it
   // back as one.
-  if (std::isdigit(static_cast<unsigned char>(s[0]))) return false;
-  return true;
+  return !(s[0] >= '0' && s[0] <= '9');
 }
 
-std::string quote_string(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+// Appends s in quotes, copying the runs between the characters it escapes.
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t quote = s.find('"');
+  std::size_t slash = s.find('\\');
+  std::size_t done = 0;
+  for (;;) {
+    std::size_t esc = std::min(quote, slash);
+    if (esc == std::string_view::npos) break;
+    out.append(s.substr(done, esc - done));
+    out += '\\';
+    out += s[esc];
+    done = esc + 1;
+    if (esc == quote)
+      quote = s.find('"', done);
+    else
+      slash = s.find('\\', done);
   }
-  out.push_back('"');
-  return out;
+  out.append(s.substr(done));
+  out += '"';
 }
 
-std::string format_real(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  std::string s(buf);
-  // Guarantee it reads back as FLOAT, not INTEGER.
-  if (s.find_first_of(".eE") == std::string::npos &&
-      s.find_first_of("nN") == std::string::npos) {
-    s += ".0";
+void append_integer(std::string& out, std::int64_t v) {
+  char buf[24];
+  auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+// The shortest text that reads back to the same double.
+void append_real(std::string& out, double v) {
+  char buf[32];
+  auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  std::string_view text(buf, static_cast<std::size_t>(res.ptr - buf));
+  out.append(text);
+  // Guarantee it reads back as FLOAT, not INTEGER: 1000.0 comes out as
+  // "1000" and -0.0 as "-0".
+  if (text.find_first_of(".eEnN") == std::string_view::npos) out += ".0";
+}
+
+void append_value(std::string& out, const Value& v);
+
+void append_vector(std::string& out, const Vector& vec) {
+  out += '{';
+  for (std::size_t i = 0; i < vec.elements.size(); ++i) {
+    if (i) out += ',';
+    append_value(out, vec.elements[i]);
   }
-  return s;
+  out += '}';
+}
+
+void append_value(std::string& out, const Value& v) {
+  switch (v.type()) {
+    case ValueType::integer:
+      append_integer(out, v.as_integer());
+      return;
+    case ValueType::real:
+      append_real(out, v.as_real());
+      return;
+    case ValueType::word: {
+      // Words that violate the WORD production (e.g. "machine-room") are
+      // emitted quoted; they round-trip as strings, which every word-typed
+      // argument accepts.
+      const std::string& w = v.as_word();
+      if (is_valid_word(w))
+        out += w;
+      else
+        append_quoted(out, w);
+      return;
+    }
+    case ValueType::string:
+      // Always quoted so the value round-trips as a STRING. (The paper's
+      // grammar also admits bare words as strings on input.)
+      append_quoted(out, v.as_string());
+      return;
+    case ValueType::vector:
+      append_vector(out, v.as_vector());
+      return;
+    case ValueType::array: {
+      const Array& arr = v.as_array();
+      out += '{';
+      for (std::size_t i = 0; i < arr.vectors.size(); ++i) {
+        if (i) out += ',';
+        append_vector(out, arr.vectors[i]);
+      }
+      out += '}';
+      return;
+    }
+  }
 }
 
 }  // namespace
 
 std::string Value::to_string() const {
-  switch (type()) {
-    case ValueType::integer:
-      return std::to_string(as_integer());
-    case ValueType::real:
-      return format_real(std::get<double>(v_));
-    case ValueType::word: {
-      // Words that violate the WORD production (e.g. "machine-room") are
-      // emitted quoted; they round-trip as strings, which every word-typed
-      // argument accepts.
-      const std::string& w = as_word();
-      return is_valid_word(w) ? w : quote_string(w);
-    }
-    case ValueType::string:
-      // Always quoted so the value round-trips as a STRING. (The paper's
-      // grammar also admits bare words as strings on input.)
-      return quote_string(as_string());
-    case ValueType::vector: {
-      std::string out = "{";
-      const Vector& vec = as_vector();
-      for (std::size_t i = 0; i < vec.elements.size(); ++i) {
-        if (i) out += ",";
-        out += vec.elements[i].to_string();
-      }
-      out += "}";
-      return out;
-    }
-    case ValueType::array: {
-      std::string out = "{";
-      const Array& arr = as_array();
-      for (std::size_t i = 0; i < arr.vectors.size(); ++i) {
-        if (i) out += ",";
-        out += Value(arr.vectors[i]).to_string();
-      }
-      out += "}";
-      return out;
-    }
-  }
-  return {};
+  std::string out;
+  append_value(out, *this);
+  return out;
+}
+
+CmdLine& CmdLine::arg(std::string name, Value value) {
+  args_.emplace_back(std::move(name), std::move(value));
+  return *this;
 }
 
 const Value* CmdLine::find(const std::string& name) const {
@@ -177,12 +210,12 @@ std::optional<Array> CmdLine::get_array(const std::string& name) const {
 std::string CmdLine::to_string() const {
   std::string out = name_;
   for (const auto& a : args_) {
-    out += " ";
+    out += ' ';
     out += a.name;
-    out += "=";
-    out += a.value.to_string();
+    out += '=';
+    append_value(out, a.value);
   }
-  out += ";";
+  out += ';';
   return out;
 }
 

@@ -30,6 +30,14 @@ enum class ValueType {
 
 const char* value_type_name(ValueType t);
 
+// A character of the WORD production, [A-Za-z0-9_]. The parser lexes bare
+// words with it, and the serializer writes a word bare only when every
+// character passes it, so a bare word always re-lexes as one word.
+constexpr bool is_word_char(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_';
+}
+
 class Value;
 
 // A homogeneous vector of scalar values, e.g. {1,2,3} or {"a","b"}.
@@ -84,7 +92,8 @@ class Value {
   const Vector& as_vector() const { return std::get<Vector>(v_); }
   const Array& as_array() const { return std::get<Array>(v_); }
 
-  // Serializes this value in ACE command-language syntax.
+  // Serializes this value in ACE command-language syntax. A real is
+  // written in the shortest form that reads back to the same bits.
   std::string to_string() const;
 
   friend bool operator==(const Value&, const Value&);
@@ -108,10 +117,9 @@ class CmdLine {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  CmdLine& arg(std::string name, Value value) {
-    args_.push_back({std::move(name), std::move(value)});
-    return *this;
-  }
+  CmdLine& arg(std::string name, Value value);
+  // Sizes the argument list for n arguments ahead of the arg() calls.
+  void reserve(std::size_t n) { args_.reserve(n); }
 
   const std::vector<Argument>& args() const { return args_; }
   bool has(const std::string& name) const { return find(name) != nullptr; }

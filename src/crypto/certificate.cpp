@@ -45,11 +45,15 @@ CertificateAuthority::CertificateAuthority(std::uint64_t seed) : rng_(seed) {
 
 Identity CertificateAuthority::issue(const std::string& subject) {
   Identity id;
-  DhKeyPair kp = dh_generate(rng_);
+  DhKeyPair kp;
+  {
+    std::lock_guard lock(mu_);
+    kp = dh_generate(rng_);
+    id.certificate.serial = next_serial_++;
+  }
   id.static_private = kp.private_key;
   id.certificate.subject = subject;
   id.certificate.static_public = kp.public_key;
-  id.certificate.serial = next_serial_++;
   id.certificate.expires_unix = 0;
   Digest tag = hmac_sha256(key_, id.certificate.signed_payload());
   id.certificate.tag.assign(tag.begin(), tag.end());

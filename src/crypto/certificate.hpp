@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -41,6 +42,7 @@ class CertificateAuthority {
   explicit CertificateAuthority(std::uint64_t seed = 0xaceca);
 
   // Issues a fresh identity (static DH key pair + CA-tagged certificate).
+  // Safe to call from several threads at once.
   Identity issue(const std::string& subject);
 
   // Verification key handed to every ACE host so daemons can verify peers.
@@ -50,6 +52,7 @@ class CertificateAuthority {
 
  private:
   util::Bytes key_;
+  std::mutex mu_;  // guards rng_ and next_serial_
   util::Rng rng_;
   std::uint64_t next_serial_ = 1;
 };

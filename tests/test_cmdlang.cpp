@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+
 #include "cmdlang/parser.hpp"
 #include "cmdlang/semantics.hpp"
 #include "cmdlang/value.hpp"
+#include "cmdlang_corpus.hpp"
 
 using namespace ace;
 using namespace ace::cmdlang;
@@ -24,6 +29,15 @@ TEST(Value, RealAlwaysReparsesAsReal) {
   auto cmd = Parser::parse("c x=" + s + ";");
   ASSERT_TRUE(cmd.ok());
   EXPECT_TRUE(cmd->find("x")->is_real());
+}
+
+TEST(Value, RealIsShortestRoundTripForm) {
+  EXPECT_EQ(Value(-26.2).to_string(), "-26.2");
+  EXPECT_EQ(Value(0.1).to_string(), "0.1");
+  EXPECT_EQ(Value(1000.0).to_string(), "1000.0");
+  EXPECT_EQ(Value(-0.0).to_string(), "-0.0");
+  EXPECT_EQ(Value(1e21).to_string(), "1e+21");
+  EXPECT_EQ(Value(5e-324).to_string(), "5e-324");
 }
 
 TEST(Value, StringEscaping) {
@@ -52,11 +66,6 @@ TEST(CmdLine, SerializeMatchesPaperSyntax) {
 
 // ------------------------------------------------------------------ parser
 
-struct RoundTripCase {
-  const char* name;
-  const char* text;
-};
-
 class ParserRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(ParserRoundTrip, ParseSerializeParseIsStable) {
@@ -69,26 +78,7 @@ TEST_P(ParserRoundTrip, ParseSerializeParseIsStable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Commands, ParserRoundTrip,
-    ::testing::Values(
-        RoundTripCase{"bare", "ping;"},
-        RoundTripCase{"ints", "cmd a=1 b=-2 c=+3;"},
-        RoundTripCase{"floats", "cmd x=1.5 y=-2.75 z=1e3 w=2.5e-2;"},
-        RoundTripCase{"words", "cmd mode=fast dir=up_down;"},
-        RoundTripCase{"strings", "cmd s=\"hello there\" t=\"a=b;c\";"},
-        RoundTripCase{"escapes", "cmd s=\"quote \\\" and slash \\\\\";"},
-        RoundTripCase{"int_vector", "cmd v={1,2,3};"},
-        RoundTripCase{"float_vector", "cmd v={1.5,2.5};"},
-        RoundTripCase{"word_vector", "cmd v={up,down,left};"},
-        RoundTripCase{"string_vector", "cmd v={\"a b\",\"c d\"};"},
-        RoundTripCase{"array", "cmd a={{1,2},{3,4},{5}};"},
-        RoundTripCase{"comma_args", "cmd a=1,b=2,c=3;"},
-        RoundTripCase{"mixed_sep", "cmd a=1 b=2,c=3;"},
-        RoundTripCase{"empty_vector", "cmd v={};"},
-        RoundTripCase{"nested_many",
-                      "register name=foo host=\"bar\" port=1234 room=hawk "
-                      "class=\"ACEService\" caps={ptz,zoom} "
-                      "limits={{-90,90},{-30,30}};"}),
+    Commands, ParserRoundTrip, ::testing::ValuesIn(kRoundTripCorpus),
     [](const ::testing::TestParamInfo<RoundTripCase>& info) {
       return info.param.name;
     });
@@ -139,10 +129,47 @@ INSTANTIATE_TEST_SUITE_P(
                       ErrorCase{"mixed_vector", "cmd a={1,word};"},
                       ErrorCase{"value_only", "cmd =5;"},
                       ErrorCase{"stray_brace", "cmd a=}5;"},
-                      ErrorCase{"number_name", "42 a=1;"}),
+                      ErrorCase{"number_name", "42 a=1;"},
+                      ErrorCase{"real_overflow", "c x=1e999;"},
+                      ErrorCase{"negative_real_overflow", "c x=-1e999;"},
+                      ErrorCase{"integer_overflow",
+                                "c x=99999999999999999999;"},
+                      ErrorCase{"real_underflow", "c x=1e-400;"}),
     [](const ::testing::TestParamInfo<ErrorCase>& info) {
       return info.param.name;
     });
+
+TEST(Parser, OutOfRangeReportsTheNumbersOffset) {
+  auto cmd = Parser::parse("c a=1 x=1e999;");
+  ASSERT_FALSE(cmd.ok());
+  EXPECT_NE(cmd.error().message.find("number out of range (at offset 8)"),
+            std::string::npos)
+      << cmd.error().message;
+}
+
+// Every in-range literal form reads as what the C library reads it as.
+TEST(Parser, LiteralFormsMatchCLibrary) {
+  const char* reals[] = {"5.",     "-.5",      "1E3",   "2.5e-2",
+                         "-0.0",   "4.9e-324", "+.5",   "1e-310",
+                         "1.7976931348623157e308"};
+  for (const char* lit : reals) {
+    auto cmd = Parser::parse(std::string("c x=") + lit + ";");
+    ASSERT_TRUE(cmd.ok()) << lit << ": " << cmd.error().to_string();
+    ASSERT_TRUE(cmd->find("x")->is_real()) << lit;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cmd->find("x")->as_real()),
+              std::bit_cast<std::uint64_t>(std::strtod(lit, nullptr)))
+        << lit;
+  }
+  const char* integers[] = {"+3", "007", "-0", "9223372036854775807",
+                            "-9223372036854775808"};
+  for (const char* lit : integers) {
+    auto cmd = Parser::parse(std::string("c x=") + lit + ";");
+    ASSERT_TRUE(cmd.ok()) << lit << ": " << cmd.error().to_string();
+    ASSERT_TRUE(cmd->find("x")->is_integer()) << lit;
+    EXPECT_EQ(cmd->find("x")->as_integer(), std::strtoll(lit, nullptr, 10))
+        << lit;
+  }
+}
 
 TEST(Parser, ParseAllSequence) {
   auto cmds = Parser::parse_all("ping; info; move x=1;");

@@ -4,7 +4,9 @@
 #include <array>
 #include <map>
 #include <optional>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "crypto/certificate.hpp"
 #include "crypto/chacha20.hpp"
@@ -279,6 +281,34 @@ TEST(Certificates, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->subject, id.certificate.subject);
   EXPECT_EQ(parsed->static_public, id.certificate.static_public);
   EXPECT_EQ(parsed->tag, id.certificate.tag);
+}
+
+// Environment::issue_identity calls issue() from whichever thread makes a
+// client, so several threads draw keys and serials from one CA at once.
+TEST(CertificateAuthorityTest, ConcurrentIssueGivesDistinctSerials) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 50;
+  CertificateAuthority ca(3);
+  std::vector<std::vector<Identity>> issued(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&ca, &out = issued[t], t] {
+        for (int i = 0; i < kPerThread; ++i)
+          out.push_back(ca.issue("user/t" + std::to_string(t) + "-" +
+                                 std::to_string(i)));
+      });
+  }
+  std::set<std::uint64_t> serials;
+  for (const auto& batch : issued) {
+    for (const Identity& id : batch) {
+      serials.insert(id.certificate.serial);
+      EXPECT_TRUE(CertificateAuthority::verify(id.certificate,
+                                               ca.verification_key()))
+          << id.name();
+    }
+  }
+  EXPECT_EQ(serials.size(), std::size_t{kThreads * kPerThread});
 }
 
 // ----------------------------------------------------------- SecureChannel

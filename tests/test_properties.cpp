@@ -3,17 +3,25 @@
 //  * framebuffer server/viewer convergence under random drawing operations,
 //  * secure-channel round-trips over random payloads and sizes,
 //  * ADPCM SNR across the voice band (parameterized sweep),
-//  * glob self-match and KeyNote condition evaluator total-ness.
+//  * glob self-match and KeyNote condition evaluator total-ness,
+//  * the command parser: exact number round trips, and mutated commands
+//    that either fail cleanly or round-trip.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <string_view>
 
 #include "media/audio.hpp"
 #include "util/strings.hpp"
 
 #include "ace_test_env.hpp"
 #include "apps/framebuffer.hpp"
+#include "cmdlang/parser.hpp"
+#include "cmdlang_corpus.hpp"
 #include "endpoint_waiter.hpp"
 #include "keynote/expr.hpp"
 #include "media/codec.hpp"
@@ -238,5 +246,208 @@ TEST(ParserProperty, ArbitraryBytesNeverCrashParser) {
     // Must return cleanly (ok or parse_error), never crash or hang.
     auto r = cmdlang::Parser::parse(garbage);
     if (!r.ok()) EXPECT_EQ(r.error().code, util::Errc::parse_error);
+  }
+}
+
+// -------------------------------------------------- command-language numbers
+
+namespace {
+
+// Parses `c x=<text>;` and returns its one value.
+cmdlang::Value reparse(const std::string& text) {
+  auto cmd = cmdlang::Parser::parse("c x=" + text + ";");
+  if (!cmd.ok()) {
+    ADD_FAILURE() << text << ": " << cmd.error().to_string();
+    return {};
+  }
+  return *cmd->find("x");
+}
+
+// One decimal place, like the pan/tilt/zoom values the camera commands
+// carry.
+double one_decimal(util::Rng& rng) {
+  return static_cast<double>(rng.next_range(-20000, 20000)) / 10.0;
+}
+
+}  // namespace
+
+TEST(ParserProperty, RealsReadBackBitIdentical) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::nextafter(DBL_MIN, 0.0),
+                                -std::nextafter(DBL_MIN, 0.0),
+                                DBL_MIN,
+                                -DBL_MIN,
+                                DBL_MAX,
+                                -DBL_MAX};
+  util::Rng rng(211);
+  while (values.size() < 10 + 100000) {
+    double d = std::bit_cast<double>(rng.next());
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  for (int i = 0; i < 10000; ++i) values.push_back(one_decimal(rng));
+  for (double d : values) {
+    std::string text = cmdlang::Value(d).to_string();
+    cmdlang::Value back = reparse(text);
+    ASSERT_TRUE(back.is_real()) << text;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back.as_real()),
+              std::bit_cast<std::uint64_t>(d))
+        << text;
+  }
+}
+
+TEST(ParserProperty, IntegersReadBackIdentical) {
+  std::vector<std::int64_t> values = {std::numeric_limits<std::int64_t>::min(),
+                                      std::numeric_limits<std::int64_t>::max(),
+                                      -1, 0, 1};
+  util::Rng rng(223);
+  for (int i = 0; i < 10000; ++i) {
+    values.push_back(static_cast<std::int64_t>(rng.next()));
+    values.push_back(rng.next_range(-100000, 100000));
+  }
+  for (std::int64_t v : values) {
+    std::string text = cmdlang::Value(v).to_string();
+    cmdlang::Value back = reparse(text);
+    ASSERT_TRUE(back.is_integer()) << text;
+    ASSERT_EQ(back.as_integer(), v) << text;
+  }
+}
+
+// --------------------------------------------- command parser under mutation
+
+namespace {
+
+// A name that lexes as one WORD: a letter, then word characters.
+std::string random_word(util::Rng& rng) {
+  return static_cast<char>('a' + rng.next_below(26)) +
+         rng.next_name(rng.next_below(8));
+}
+
+cmdlang::Value random_scalar(util::Rng& rng, cmdlang::ValueType type) {
+  switch (type) {
+    case cmdlang::ValueType::integer:
+      return static_cast<std::int64_t>(rng.next());
+    case cmdlang::ValueType::real:
+      for (;;) {
+        double d = rng.next_bool(0.5) ? one_decimal(rng)
+                                      : std::bit_cast<double>(rng.next());
+        if (std::isfinite(d)) return d;
+      }
+    case cmdlang::ValueType::word:
+      return cmdlang::Word{random_word(rng)};
+    default: {
+      // Any byte, quotes and backslashes included.
+      std::string s(rng.next_below(24), '\0');
+      for (char& c : s) c = static_cast<char>(rng.next_below(256));
+      return s;
+    }
+  }
+}
+
+cmdlang::Vector random_vector(util::Rng& rng) {
+  constexpr cmdlang::ValueType kScalars[] = {
+      cmdlang::ValueType::integer, cmdlang::ValueType::real,
+      cmdlang::ValueType::word, cmdlang::ValueType::string};
+  cmdlang::Vector vec;
+  vec.element_type = kScalars[rng.next_below(std::size(kScalars))];
+  std::size_t n = 1 + rng.next_below(4);
+  for (std::size_t i = 0; i < n; ++i)
+    vec.elements.push_back(random_scalar(rng, vec.element_type));
+  return vec;
+}
+
+// A command with one argument of every value type, in random order, plus
+// a few more of random types.
+cmdlang::CmdLine random_command(util::Rng& rng) {
+  std::vector<int> types = {0, 1, 2, 3, 4, 5};
+  for (std::size_t extra = rng.next_below(4); extra > 0; --extra)
+    types.push_back(static_cast<int>(rng.next_below(6)));
+  for (std::size_t i = types.size(); i > 1; --i)
+    std::swap(types[i - 1], types[rng.next_below(i)]);
+  cmdlang::CmdLine cmd(random_word(rng));
+  for (int type : types) {
+    cmdlang::Value value;
+    if (type < 4) {
+      value = random_scalar(rng, static_cast<cmdlang::ValueType>(type));
+    } else if (type == 4) {
+      value = random_vector(rng);
+    } else {
+      cmdlang::Array arr;
+      for (std::size_t n = 1 + rng.next_below(3); n > 0; --n)
+        arr.vectors.push_back(random_vector(rng));
+      value = std::move(arr);
+    }
+    cmd.arg(random_word(rng), std::move(value));
+  }
+  return cmd;
+}
+
+// One bit flip, truncation, grammar-byte insertion or splice with another
+// corpus entry.
+std::string mutate(util::Rng& rng, std::string s,
+                   const std::vector<std::string>& corpus) {
+  constexpr std::string_view kGrammar = "\" \\{},=;-+.e0123456789";
+  switch (rng.next_below(4)) {
+    case 0:
+      if (!s.empty())
+        s[rng.next_below(s.size())] ^=
+            static_cast<char>(1u << rng.next_below(8));
+      break;
+    case 1:
+      s.resize(rng.next_below(s.size() + 1));
+      break;
+    case 2:
+      s.insert(s.begin() + static_cast<std::ptrdiff_t>(
+                               rng.next_below(s.size() + 1)),
+               kGrammar[rng.next_below(kGrammar.size())]);
+      break;
+    default: {
+      const std::string& other = corpus[rng.next_below(corpus.size())];
+      s = s.substr(0, rng.next_below(s.size() + 1)) +
+          other.substr(rng.next_below(other.size() + 1));
+      break;
+    }
+  }
+  return s;
+}
+
+}  // namespace
+
+// Parser::parse decodes untrusted bytes from the wire. Every mutation of a
+// valid command must either fail with parse_error or parse to a command
+// that serializes and parses back equal.
+TEST(ParserProperty, MutatedCommandsFailCleanlyOrRoundTrip) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    std::vector<std::string> corpus;
+    for (const RoundTripCase& c : kRoundTripCorpus) corpus.push_back(c.text);
+    for (int i = 0; i < 32; ++i) {
+      cmdlang::CmdLine cmd = random_command(rng);
+      corpus.push_back(cmd.to_string());
+      auto back = cmdlang::Parser::parse(corpus.back());
+      ASSERT_TRUE(back.ok()) << ::testing::PrintToString(corpus.back());
+      ASSERT_EQ(back.value(), cmd) << ::testing::PrintToString(corpus.back());
+    }
+    for (int i = 0; i < 2000; ++i) {
+      std::string input = corpus[rng.next_below(corpus.size())];
+      for (std::size_t n = 1 + rng.next_below(3); n > 0; --n)
+        input = mutate(rng, std::move(input), corpus);
+      auto first = cmdlang::Parser::parse(input);
+      if (!first.ok()) {
+        ASSERT_EQ(first.error().code, util::Errc::parse_error)
+            << ::testing::PrintToString(input);
+        continue;
+      }
+      std::string text = first->to_string();
+      auto second = cmdlang::Parser::parse(text);
+      ASSERT_TRUE(second.ok()) << ::testing::PrintToString(input) << " -> "
+                               << ::testing::PrintToString(text);
+      ASSERT_EQ(first.value(), second.value())
+          << ::testing::PrintToString(input) << " -> "
+          << ::testing::PrintToString(text);
+    }
   }
 }
