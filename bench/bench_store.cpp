@@ -210,7 +210,7 @@ double run_engine_storm(Cluster& c, int writers,
   std::atomic<bool> stop{false};
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(writers), 0);
   util::Bytes payload(256, 0x7e);
-  const std::string hex = store::hex_of(payload);
+  const std::string hex = util::hex_encode(payload);
   daemon::CallerInfo caller;
   std::vector<std::thread> threads;
   for (int t = 0; t < writers; ++t) {
@@ -699,7 +699,7 @@ void digest_read_latency(bool smoke, obs::MetricsSnapshot* merged) {
               static_cast<unsigned long long>(
                   m.counter("store.digest_mismatches").value()));
   if (!got.ok() || !cmdlang::is_ok(got.value()) ||
-      got->get_text("data") != store::hex_of(util::to_bytes("v2")))
+      got->get_text("data") != util::hex_encode(util::to_bytes("v2")))
     std::printf("  WARNING: post-heal read did not return the newest value\n");
   merge_counters(merged, m.snapshot());
 }

@@ -234,7 +234,7 @@ authz_race_sweep() {
 # Every periodic duty (lease renewal, gossip rounds, the idle sweeper, the
 # store monitor, RM watchdog, ASD reaper and HRM sampler) is a
 # net::PeriodicTask, and replication flushes are ops-pool tasks racing
-# submit() and shutdown(). Replay the primitive's contract tests and the
+# submit() and close(). Replay the primitive's contract tests and the
 # suites that start, stop, crash and restart those duties under TSan.
 timer_chain_sweep() {
   local build_dir="$1"
@@ -332,6 +332,22 @@ require_sha_hardware() {
   fi
 }
 
+# Every record one replica pushes to another rides the batch lane: the
+# batcher opens and closes with each life of the store daemon, hint drains
+# wait on their records from the monitor duty, and read repairs from one
+# ops task per read. Replay the hand-off, drain, repair and batcher tests,
+# writes served before on_start, the durable hint test, the remote
+# stand-in and the scripted-peer tests in both sanitizer legs.
+replication_path_sweep() {
+  local build_dir="$1"
+  echo "=== replication path sweep: ${build_dir} ==="
+  run_filtered "${build_dir}/tests/test_store" \
+'QuorumStoreTest.HintedHandoff*:QuorumStoreTest.DigestReadRepair*:'\
+'QuorumStoreTest.Batcher*:StoreWriteBeforeStartTest.*:'\
+'DurableStoreTest.HintsSurvive*:StandInStoreTest.*:ScriptedPeerTest.*' \
+    --gtest_repeat=3
+}
+
 # Stopping a store coordinator while writers keep submitting races the
 # batcher's shutdown against submit() and the flushes in flight; ASan
 # catches a write into a freed lane.
@@ -367,9 +383,9 @@ parser_fuzz_sweep() {
 
 # Replays the durable-store suite — power cycles, torn WAL tails, lying
 # fsyncs, crash-mid-compaction — under fixed seeds with ASan watching the
-# recovery paths (daemon restart swaps the batcher, monitor duty, and
-# durable log; lifetime bugs live exactly there). Fixed seeds keep failures
-# replayable: ACE_CHAOS_SEED=<seed> reruns the same schedule.
+# recovery paths (daemon restart reopens the batcher and swaps the monitor
+# duty and durable log; lifetime bugs live exactly there). Fixed seeds keep
+# failures replayable: ACE_CHAOS_SEED=<seed> reruns the same schedule.
 disk_fault_sweep() {
   local build_dir="$1"
   for seed in 3 11 1337; do
@@ -396,6 +412,7 @@ case "${want}" in
     read_path_race_sweep build-tsan
     authz_race_sweep build-tsan
     timer_chain_sweep build-tsan
+    replication_path_sweep build-tsan
     require_never_block_check build-tsan
     require_sha_hardware build-tsan
     inline_dispatch_sweep build-tsan
@@ -405,6 +422,7 @@ case "${want}" in
     run_config "asan" build-asan -DACE_SANITIZE=address
     disk_fault_sweep build-asan
     batcher_stop_sweep build-asan
+    replication_path_sweep build-asan
     pump_release_sweep build-asan
     parser_fuzz_sweep build-asan
     require_never_block_check build-asan

@@ -1,6 +1,8 @@
 // Group commit for store replication: a per-peer batcher that coalesces
 // concurrent replicated writes into one framed `storeReplicateBatch` RPC
-// per peer per flush, riding the pipelined channel.
+// per peer per flush, riding the pipelined channel. Every record one
+// replica pushes to another goes through it: ordinary fan-out, sloppy
+// stand-in hand-offs, hint drains and read repairs.
 //
 // Each destination replica gets a *lane*: a queue plus a flush-in-flight
 // flag. Writers enqueue an opaque record and receive a Pending handle to
@@ -12,7 +14,8 @@
 //
 // A batch either lands whole (the peer applies every record; LWW apply
 // cannot fail per-record) or fails whole (transport error / timeout), so
-// one reply settles every Pending in the flight.
+// one reply settles every Pending in the flight. Every record settles:
+// when its batch's reply or timeout comes back, or at close().
 #pragma once
 
 #include <chrono>
@@ -29,10 +32,6 @@
 
 namespace ace::store {
 
-struct BatcherOptions {
-  std::chrono::milliseconds call_timeout{300};
-};
-
 class ReplicationBatcher {
  public:
   // One record awaiting its batch acknowledgement.
@@ -41,6 +40,8 @@ class ReplicationBatcher {
     // Blocks until the record's batch settles or `deadline` passes;
     // returns true iff the batch was acknowledged in time.
     bool wait_until(std::chrono::steady_clock::time_point deadline);
+    // Blocks until the record's batch settles; true iff acknowledged.
+    bool wait();
 
    private:
     friend class ReplicationBatcher;
@@ -52,24 +53,28 @@ class ReplicationBatcher {
     bool ok_ = false;
   };
 
-  // Flushes run on the ops pool of `client`'s reactor.
-  ReplicationBatcher(obs::MetricsRegistry& metrics, daemon::AceClient& client,
-                     BatcherOptions options);
-  ~ReplicationBatcher();
+  // Built closed. Each batch RPC waits at most `call_timeout`.
+  ReplicationBatcher(obs::MetricsRegistry& metrics,
+                     std::chrono::milliseconds call_timeout);
+  ~ReplicationBatcher();  // close()
 
   ReplicationBatcher(const ReplicationBatcher&) = delete;
   ReplicationBatcher& operator=(const ReplicationBatcher&) = delete;
 
-  // Enqueues a record for `peer`; never blocks on the network. After
-  // shutdown() the returned handle is already settled as failed.
+  // Accepts records until close(), shipping them through `client` with
+  // flushes on the ops pool of its reactor. The store daemon opens its
+  // batcher on each life's control client.
+  void open(daemon::AceClient& client);
+
+  // Enqueues a record for `peer`; never blocks on the network. While the
+  // batcher is closed the returned handle is already settled as failed.
   std::shared_ptr<Pending> submit(const net::Address& peer,
                                   std::string record);
 
   // Revokes the flush tasks (waiting out those in flight) and fails every
-  // queued record. Idempotent; submit() afterwards fast-fails. Called from
-  // the store daemon's on_stop/on_crash, where command handlers may still
-  // be racing in — the object stays valid, merely inert.
-  void shutdown();
+  // queued record. Idempotent. Called from the store daemon's
+  // on_stop/on_crash, where command handlers may still be racing in.
+  void close();
 
  private:
   struct Item {
@@ -82,15 +87,14 @@ class ReplicationBatcher {
   };
 
   // The lane's flush task: ships its queue, batch after batch, until it
-  // finds the queue empty (or the batcher stopped).
-  void flush(const net::Address& peer);
+  // finds the queue empty (or the batcher closed).
+  void flush(daemon::AceClient& client, const net::Address& peer);
 
-  daemon::AceClient& client_;
-  BatcherOptions options_;
-  net::TaskGuard flushes_;
+  std::chrono::milliseconds call_timeout_;
 
   std::mutex mu_;
-  bool stopped_ = false;
+  daemon::AceClient* client_ = nullptr;  // null while closed
+  net::TaskGuard flushes_;               // this opening's flush tasks
   std::map<net::Address, Lane> lanes_;
 
   obs::Counter* obs_flushes_;

@@ -34,16 +34,8 @@ std::string encode_replica_entry(const std::string& key,
                                  const PersistentStoreDaemon::ObjectRecord& r,
                                  const std::string& hint) {
   return daemon::wire::pack_batch({key, std::to_string(r.version),
-                                   r.deleted ? "d" : "l", hex_of(r.data),
-                                   hint});
-}
-
-// `hex` decoded, or nullopt unless it is even-length hex (util::hex_decode
-// alone maps bad input to empty bytes).
-std::optional<util::Bytes> decode_hex(const std::string& hex) {
-  util::Bytes bytes = util::hex_decode(hex);
-  if (bytes.size() * 2 != hex.size()) return std::nullopt;
-  return bytes;
+                                   r.deleted ? "d" : "l",
+                                   util::hex_encode(r.data), hint});
 }
 
 // One encode_replica_entry record, or nullopt unless it has 5 fields, an
@@ -69,19 +61,13 @@ std::optional<ReplicaEntry> decode_replica_entry(const std::string& packed) {
   return e;
 }
 
-CmdLine make_replicate_cmd(const std::string& key,
-                           const PersistentStoreDaemon::ObjectRecord& r,
-                           const std::string& hint) {
-  CmdLine rep("storeReplicate");
-  rep.arg("key", key);
-  rep.arg("version", static_cast<std::int64_t>(r.version));
-  rep.arg("data", hex_of(r.data));
-  rep.arg("deleted", Word{r.deleted ? "yes" : "no"});
-  if (!hint.empty()) rep.arg("hint", hint);
-  return rep;
-}
-
 }  // namespace
+
+std::optional<util::Bytes> decode_hex(std::string_view hex) {
+  util::Bytes bytes = util::hex_decode(hex);
+  if (bytes.size() * 2 != hex.size()) return std::nullopt;
+  return bytes;
+}
 
 util::Status validate_store_options(const StoreOptions& o) {
   auto bad = [](const std::string& msg) {
@@ -101,12 +87,6 @@ util::Status validate_store_options(const StoreOptions& o) {
   return util::Status::ok_status();
 }
 
-std::string hex_of(const util::Bytes& data) { return util::hex_encode(data); }
-
-util::Bytes bytes_of_hex(const std::string& hex) {
-  return util::hex_decode(hex);
-}
-
 PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
                                              daemon::DaemonHost& host,
                                              daemon::DaemonConfig config,
@@ -116,6 +96,7 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
       replica_id_(replica_id),
       options_(options),
       options_status_(validate_store_options(options)),
+      batcher_(env.metrics(), options.replicate_timeout),
       tree_(kMerkleDepth),
       bucket_keys_(tree_.leaf_count()),
       obs_writes_(&env.metrics().counter("store.writes")),
@@ -177,7 +158,7 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
             return cmdlang::make_error(util::Errc::not_found,
                                        "no such object");
           CmdLine reply = cmdlang::make_ok();
-          reply.arg("data", hex_of(it->second.data));
+          reply.arg("data", util::hex_encode(it->second.data));
           reply.arg("version",
                     static_cast<std::int64_t>(it->second.version));
           reply.arg("deleted", Word{it->second.deleted ? "yes" : "no"});
@@ -329,33 +310,10 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
         return reply;
       });
 
-  // Peer-internal replication message. `hint` names the intended owner
-  // when this replica is a sloppy-quorum stand-in for a downed peer.
-  register_command(
-      CommandSpec("storeReplicate", "apply a replicated write (internal)").concurrent_ok()
-          .arg(string_arg("key"))
-          .arg(integer_arg("version"))
-          .arg(string_arg("data"))
-          .arg(word_arg("deleted").choices({"yes", "no"}))
-          .arg(string_arg("hint").optional_arg()),
-      [this](const CmdLine& cmd, const CallerInfo&) {
-        ObjectRecord record;
-        record.version = static_cast<std::uint64_t>(cmd.get_integer("version"));
-        record.data = bytes_of_hex(cmd.get_text("data"));
-        record.deleted = cmd.get_text("deleted") == "yes";
-        const std::string key = cmd.get_text("key");
-        WalTicket t = apply(key, record);
-        WalTicket h;
-        if (auto intended = net::Address::parse(cmd.get_text("hint")))
-          h = record_hint(*intended, key, record.version);
-        // The ok below is this replica's durability promise: flush first.
-        DurableLog::sync(t);
-        DurableLog::sync(h);
-        return cmdlang::make_ok();
-      });
-
   // Peer-internal group commit: one frame carrying many replicated writes
-  // (daemon/wire.hpp pack_batch of encode_replica_entry records).
+  // (daemon/wire.hpp pack_batch of encode_replica_entry records). An entry
+  // with a hint makes this replica a sloppy-quorum stand-in: it keeps the
+  // record and owes the named owner a hand-off.
   register_command(
       CommandSpec("storeReplicateBatch", "apply a batch of replicated writes (internal)").concurrent_ok()
           .arg(string_arg("entries")),
@@ -487,13 +445,11 @@ util::Status PersistentStoreDaemon::on_start() {
                            " bytes)"
                      : ""));
   }
+  batcher_.open(control_client());
   {
-    std::scoped_lock lock(mu_);
-    batcher_ = std::make_shared<ReplicationBatcher>(
-        env().metrics(), control_client(),
-        BatcherOptions{.call_timeout = options_.replicate_timeout});
     // Fresh guard per start: the previous one stays revoked so any task
     // still queued from the last life remains a no-op.
+    std::scoped_lock lock(mu_);
     read_tasks_ = net::TaskGuard();
   }
   // The monitor's first round, at once, is the boot catch-up sync.
@@ -507,21 +463,20 @@ util::Status PersistentStoreDaemon::on_start() {
 }
 
 void PersistentStoreDaemon::shutdown_runtime(bool flush) {
-  std::shared_ptr<ReplicationBatcher> batcher;
   std::shared_ptr<DurableLog> dlog;
   net::TaskGuard read_tasks;
   {
     std::scoped_lock lock(mu_);
-    batcher = batcher_;
     dlog = dlog_;
     read_tasks = read_tasks_;
   }
+  // Closed first: every record settles, so a read-repair task waiting on
+  // its acks wakes now. Command handlers may still be draining; their
+  // submit() fails at once.
+  batcher_.close();
   // Read-repair tasks still on the ops pool become no-ops; revoke() waits
   // out any mid-run one, so nothing touches a dead daemon.
   read_tasks.revoke();
-  // Left in place (inert) — command handlers may still be draining and
-  // submit() must fast-fail rather than touch a dead object.
-  if (batcher) batcher->shutdown();
   // Graceful stop flushes the WAL tail; a crash must not (whatever was
   // not yet fsynced is exactly what the durability contract is about).
   if (dlog && flush) dlog->sync_all();
@@ -728,32 +683,34 @@ WalTicket PersistentStoreDaemon::record_hint(const net::Address& intended,
   return dlog_->append(r);
 }
 
+// Hands a peer's whole backlog to its lane at once and returns only once
+// every record has settled: each is then either home or back in the
+// ledger, so the snapshot maybe_compact takes next misses no hint.
 void PersistentStoreDaemon::drain_hints(const net::Address& peer) {
-  std::map<std::string, std::uint64_t> batch;
+  std::map<std::string, std::uint64_t> backlog;
   {
     std::scoped_lock lock(mu_);
     auto it = hints_.find(peer);
     if (it == hints_.end() || it->second.empty()) return;
-    batch.swap(it->second);
+    backlog.swap(it->second);
     hints_.erase(it);
   }
-  for (const auto& [key, version] : batch) {
-    ObjectRecord record;
-    bool have = false;
-    {
-      std::scoped_lock lock(mu_);
-      auto it = objects_.find(key);
-      if (it != objects_.end() && it->second.version >= version) {
-        record = it->second;
-        have = true;
-      }
-    }
-    if (!have) continue;  // superseded locally; anti-entropy covers the rest
-    auto reply = control_client().call(
-        peer, make_replicate_cmd(key, record, ""),
-        daemon::CallOptions{.timeout = options_.replicate_timeout,
-                            .retries = 0});
-    if (reply.ok() && cmdlang::is_ok(reply.value())) {
+  struct Handoff {
+    std::string key;
+    std::uint64_t version;
+    std::shared_ptr<ReplicationBatcher::Pending> pending;
+  };
+  std::vector<Handoff> handoffs;
+  for (const auto& [key, version] : backlog) {
+    auto record = object(key);
+    // Superseded locally; anti-entropy covers the rest.
+    if (!record || record->version < version) continue;
+    handoffs.push_back(
+        {key, version,
+         batcher_.submit(peer, encode_replica_entry(key, *record, ""))});
+  }
+  for (const auto& [key, version, pending] : handoffs) {
+    if (pending->wait()) {
       obs_hints_drained_->inc();
       {
         // Lazily synced: replaying an already-drained hint after a crash
@@ -794,11 +751,9 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
     const std::string& key, const ObjectRecord& record) {
   obs::Span span(env().metrics(), "store", "replicate");
   std::vector<net::Address> order;
-  std::shared_ptr<ReplicationBatcher> batcher;
   {
     std::scoped_lock lock(mu_);
     order = ring_.walk(key);
-    batcher = batcher_;
   }
   const net::Address self = address();
   if (order.empty()) order.push_back(self);
@@ -827,31 +782,26 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
     ++acks;
   }
 
+  // A write served during start(), before on_start opened the batcher,
+  // finds it closed: every target and remote stand-in counts as a miss and
+  // the coordinator keeps the hints.
   const auto deadline = steady_clock::now() + options_.replicate_timeout;
+  std::vector<std::shared_ptr<ReplicationBatcher::Pending>> inflight;
+  inflight.reserve(targets.size());
+  const std::string entry = encode_replica_entry(key, record, "");
+  for (const net::Address& t : targets)
+    inflight.push_back(batcher_.submit(t, entry));
   std::vector<net::Address> failed;
-  if (!batcher) {
-    // A write served during start(), before on_start built the batcher:
-    // every target counts as a miss and rides the hinted handoff below.
-    failed = targets;
-  } else {
-    std::vector<std::pair<net::Address,
-                          std::shared_ptr<ReplicationBatcher::Pending>>>
-        inflight;
-    inflight.reserve(targets.size());
-    const std::string entry = encode_replica_entry(key, record, "");
-    for (const net::Address& t : targets)
-      inflight.emplace_back(t, batcher->submit(t, entry));
-    for (auto& [t, pending] : inflight) {
-      // Every attempt is awaited even once W acks are in: a miss must be
-      // *observed* to leave a hint behind, and that hint is what makes the
-      // downed replica converge on heal. The per-peer circuit breaker
-      // keeps waits on a dead peer cheap after the first few timeouts.
-      if (pending->wait_until(deadline)) {
-        ++acks;
-        ++peer_acks;
-      } else {
-        failed.push_back(t);
-      }
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    // Every attempt is awaited even once W acks are in: a miss must be
+    // *observed* to leave a hint behind, and that hint is what makes the
+    // downed replica converge on heal. The per-peer circuit breaker
+    // keeps waits on a dead peer cheap after the first few timeouts.
+    if (inflight[i]->wait_until(deadline)) {
+      ++acks;
+      ++peer_acks;
+    } else {
+      failed.push_back(targets[i]);
     }
   }
 
@@ -872,11 +822,10 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
         handed = true;
         break;
       }
-      auto reply = control_client().call(
-          fb, make_replicate_cmd(key, record, dead.to_string()),
-          daemon::CallOptions{.timeout = options_.replicate_timeout,
-                              .retries = 0});
-      if (reply.ok() && cmdlang::is_ok(reply.value())) {
+      auto pending = batcher_.submit(
+          fb, encode_replica_entry(key, record, dead.to_string()));
+      if (pending->wait_until(steady_clock::now() +
+                              options_.replicate_timeout)) {
         ++acks;
         ++peer_acks;
         handed = true;
@@ -940,7 +889,7 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
     if (it == objects_.end() || it->second.deleted)
       return cmdlang::make_error(util::Errc::not_found, "no such object");
     CmdLine reply = cmdlang::make_ok();
-    reply.arg("data", hex_of(it->second.data));
+    reply.arg("data", util::hex_encode(it->second.data));
     reply.arg("version", static_cast<std::int64_t>(it->second.version));
     return reply;
   }
@@ -980,38 +929,40 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
     requests.push_back({prefs[i], std::move(sub)});
     voter.push_back(i);
   }
-  auto countable = [](const util::Result<CmdLine>& reply) {
-    return reply.ok() &&
-           (cmdlang::is_ok(reply.value()) ||
-            cmdlang::reply_error(reply.value()).code == util::Errc::not_found);
+  // The full-value attempt is request 0 when remote. Countable: ok or an
+  // authoritative not_found; a full value whose data is not even-length
+  // hex is no reply at all.
+  auto countable = [self_owner](std::size_t k,
+                                const util::Result<CmdLine>& reply) {
+    if (!reply.ok()) return false;
+    if (!cmdlang::is_ok(reply.value()))
+      return cmdlang::reply_error(reply.value()).code == util::Errc::not_found;
+    return self_owner || k != 0 ||
+           decode_hex(reply->get_text("data")).has_value();
   };
-  // Quorum: R countable replies with the full-value attempt settled (it is
-  // request 0 when remote).
+  // Quorum: R countable replies with the full-value attempt settled.
   const auto results = control_client().call_all(
       requests, options_.replicate_timeout,
       [&](const daemon::AceClient::Replies& rs) {
         if (!self_owner && !rs[0]) return false;
         int replied = self_owner ? 1 : 0;
-        for (const auto& r : rs)
-          if (r && countable(*r)) ++replied;
+        for (std::size_t k = 0; k < rs.size(); ++k)
+          if (rs[k] && countable(k, *rs[k])) ++replied;
         return replied >= r_eff;
       });
   for (std::size_t k = 0; k < results.size(); ++k) {
-    if (!results[k]) continue;  // not awaited
-    const util::Result<CmdLine>& reply = *results[k];
+    // Not awaited, or not countable.
+    if (!results[k] || !countable(k, *results[k])) continue;
+    const CmdLine& reply = results[k]->value();
     Vote& v = votes[voter[k]];
-    const bool want_full = !self_owner && voter[k] == full_index;
-    if (reply.ok() && cmdlang::is_ok(reply.value())) {
-      v.replied = v.has = true;
-      v.record.version =
-          static_cast<std::uint64_t>(reply->get_integer("version"));
-      v.record.deleted = reply->get_text("deleted") == "yes";
-      if (want_full) {
-        v.full = true;
-        v.record.data = bytes_of_hex(reply->get_text("data"));
-      }
-    } else if (countable(reply)) {
-      v.replied = true;  // authoritative absence
+    v.replied = true;
+    if (!cmdlang::is_ok(reply)) continue;  // authoritative absence
+    v.has = true;
+    v.record.version = static_cast<std::uint64_t>(reply.get_integer("version"));
+    v.record.deleted = reply.get_text("deleted") == "yes";
+    if (!self_owner && k == 0) {  // the full value, hex checked above
+      v.full = true;
+      v.record.data = *decode_hex(reply.get_text("data"));
     }
   }
 
@@ -1052,11 +1003,13 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
             daemon::CallOptions{.timeout = options_.replicate_timeout,
                                 .retries = 0});
         if (!reply.ok() || !cmdlang::is_ok(reply.value())) continue;
+        auto data = decode_hex(reply->get_text("data"));
+        if (!data) continue;  // no reply from this holder
         ObjectRecord fetched;
         fetched.version =
             static_cast<std::uint64_t>(reply->get_integer("version"));
         fetched.deleted = reply->get_text("deleted") == "yes";
-        fetched.data = bytes_of_hex(reply->get_text("data"));
+        fetched.data = std::move(*data);
         if (fetched.version >= winner.version) {
           winner = std::move(fetched);
           materialized = true;
@@ -1094,7 +1047,7 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
   if (winner.deleted)
     return cmdlang::make_error(util::Errc::not_found, "no such object");
   CmdLine reply = cmdlang::make_ok();
-  reply.arg("data", hex_of(winner.data));
+  reply.arg("data", util::hex_encode(winner.data));
   reply.arg("version", static_cast<std::int64_t>(winner.version));
   return reply;
 }
@@ -1102,28 +1055,31 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
 void PersistentStoreDaemon::schedule_read_repair(
     const std::string& key, const ObjectRecord& winner,
     std::vector<net::Address> stale) {
+  const std::string entry = encode_replica_entry(key, winner, "");
+  std::vector<std::shared_ptr<ReplicationBatcher::Pending>> repairs;
+  repairs.reserve(stale.size());
+  for (const net::Address& peer : stale)
+    repairs.push_back(batcher_.submit(peer, entry));
   net::TaskGuard guard;
   {
     std::scoped_lock lock(mu_);
     guard = read_tasks_;
   }
-  const auto timeout = options_.replicate_timeout;
-  for (const net::Address& peer : stale) {
-    env().reactor().post_blocking(guard.wrap([this, key, winner, peer,
-                                              timeout] {
-      auto reply = control_client().call(
-          peer, make_replicate_cmd(key, winner, ""),
-          daemon::CallOptions{.timeout = timeout, .retries = 0});
-      if (reply.ok() && cmdlang::is_ok(reply.value())) {
-        obs_read_repairs_->inc();
-      } else {
-        // The repair missed; leave a hinted-handoff obligation so the
-        // monitor pushes it home when the peer is reachable again.
-        WalTicket t = record_hint(peer, key, winner.version);
-        DurableLog::sync(t);
-      }
-    }));
-  }
+  env().reactor().post_blocking(guard.wrap(
+      [this, key, version = winner.version, stale = std::move(stale),
+       repairs = std::move(repairs)] {
+        std::vector<WalTicket> tickets;
+        for (std::size_t i = 0; i < stale.size(); ++i) {
+          if (repairs[i]->wait()) {
+            obs_read_repairs_->inc();
+          } else {
+            // The repair missed; leave a hinted-handoff obligation so the
+            // monitor pushes it home when the peer is reachable again.
+            tickets.push_back(record_hint(stale[i], key, version));
+          }
+        }
+        for (const WalTicket& t : tickets) DurableLog::sync(t);
+      }));
 }
 
 PersistentStoreDaemon::ScanPage PersistentStoreDaemon::scan_local(
@@ -1339,9 +1295,11 @@ std::int64_t PersistentStoreDaemon::ingest_digest_entry(
       peer, get, daemon::CallOptions{.timeout = std::chrono::milliseconds(500),
                                      .retries = 0});
   if (!obj.ok() || !cmdlang::is_ok(obj.value())) return 0;
+  auto data = decode_hex(obj->get_text("data"));
+  if (!data) return 0;  // no reply from this peer
   ObjectRecord record;
   record.version = static_cast<std::uint64_t>(obj->get_integer("version"));
-  record.data = bytes_of_hex(obj->get_text("data"));
+  record.data = std::move(*data);
   record.deleted = obj->get_text("deleted") == "yes";
   apply(key, record);
   obs_sync_fetched_->inc();
@@ -1358,6 +1316,10 @@ std::int64_t PersistentStoreDaemon::sync_with_peer(const net::Address& peer) {
     std::vector<std::size_t> divergent;
     for (std::size_t chunk = 0; chunk < frontier.size(); chunk += 256) {
       const std::size_t end = std::min(frontier.size(), chunk + 256);
+      // Only ids this request names are descended into, each once: a peer
+      // cannot steer the walk (or keep it from ending).
+      std::set<std::size_t> asked(frontier.begin() + chunk,
+                                  frontier.begin() + end);
       std::string ids;
       for (std::size_t i = chunk; i < end; ++i) {
         if (!ids.empty()) ids += ' ';
@@ -1379,6 +1341,7 @@ std::int64_t PersistentStoreDaemon::sync_with_peer(const net::Address& peer) {
         auto parts = util::split(elem.as_text(), '|');
         if (parts.size() != 2) continue;
         const std::size_t id = std::strtoull(parts[0].c_str(), nullptr, 10);
+        if (asked.erase(id) == 0) continue;
         const std::uint64_t theirs =
             std::strtoull(parts[1].c_str(), nullptr, 10);
         if (tree_.node(id) != theirs) divergent.push_back(id);

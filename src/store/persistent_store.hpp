@@ -25,7 +25,8 @@
 //     intended owner; hints drain automatically when the owner returns.
 //     This is how the Fig 17 "1 or 2 of 3 may fail" availability claim
 //     survives sharding.
-//   * Group commit — replica fan-out rides a per-peer batcher
+//   * Group commit — every record one replica pushes to another (fan-out,
+//     stand-in hand-off, hint drain, read repair) rides a per-peer batcher
 //     (store/batch.hpp) that coalesces concurrent writes into one framed
 //     `storeReplicateBatch` per peer per flush, on the pipelined channel.
 //   * Merkle anti-entropy — a rejoining replica compares O(log n) digest
@@ -52,12 +53,13 @@
 //   storeSync;                         -> ok fetched=
 //   storeWalStats;                     -> ok durable= generation= ...
 //   storeCompact;                      -> ok generation= records=
-//   storeReplicate key= version= data= deleted= hint=?;           (internal)
 //   storeReplicateBatch entries=;      -> ok applied=              (internal)
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
+#include <string_view>
 
 #include "daemon/daemon.hpp"
 #include "io/sim_disk.hpp"
@@ -205,8 +207,9 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
                                 const ObjectRecord& record);
   // Cluster-scope read gathering up to R copies; newest version wins.
   cmdlang::CmdLine coordinate_read(const std::string& key);
-  // Pushes the winning record to replicas observed stale/absent during a
-  // read — async on the ops pool, off the reply path.
+  // Submits the winning record to the lane of every replica observed
+  // stale/absent during a read; one ops task awaits the acks off the reply
+  // path and leaves a hint for each miss.
   void schedule_read_repair(const std::string& key, const ObjectRecord& winner,
                             std::vector<net::Address> stale);
   // One ordered page of this replica's live keys under `prefix`, resuming
@@ -240,6 +243,9 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   int replica_id_;
   StoreOptions options_;
   util::Status options_status_;  // construction-time validation verdict
+  // Open from on_start to shutdown_runtime, on that life's control client;
+  // a record submitted while it is closed fails at once.
+  ReplicationBatcher batcher_;
   mutable std::mutex mu_;
   std::map<std::string, ObjectRecord> objects_;
   std::uint64_t lamport_ = 0;
@@ -250,12 +256,12 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   std::vector<std::set<std::string>> bucket_keys_;
   // Hinted handoff ledger: intended owner -> key -> version it still needs.
   std::map<net::Address, std::map<std::string, std::uint64_t>> hints_;
-  std::shared_ptr<ReplicationBatcher> batcher_;  // swapped per start
   std::shared_ptr<DurableLog> dlog_;  // durable mode only; swapped per start
   // Guards the read-repair tasks schedule_read_repair posts, the only
   // tasks the read path leaves on the ops pool (its fan-outs run in the
-  // handler): revoked in shutdown_runtime so none can touch a dead daemon,
-  // re-armed (fresh guard) each on_start.
+  // handler). shutdown_runtime closes the batcher, which wakes them, then
+  // revokes them so none can touch a dead daemon; re-armed (fresh guard)
+  // each on_start.
   net::TaskGuard read_tasks_;
   // Cumulative per-replica durability stats (storeWalStats; the obs
   // counters aggregate across the whole deployment).
@@ -288,7 +294,9 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   obs::Counter* obs_snap_fallbacks_;
 };
 
-std::string hex_of(const util::Bytes& data);
-util::Bytes bytes_of_hex(const std::string& hex);
+// `hex` decoded, or nullopt unless it is even-length hex (util::hex_decode
+// alone maps bad input to empty bytes). Every `data=` a replica or a
+// client receives goes through it.
+std::optional<util::Bytes> decode_hex(std::string_view hex);
 
 }  // namespace ace::store

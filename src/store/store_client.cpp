@@ -35,7 +35,7 @@ util::Status StoreClient::put(const std::string& key,
                               const util::Bytes& data) {
   CmdLine cmd("storePut");
   cmd.arg("key", key);
-  cmd.arg("data", hex_of(data));
+  cmd.arg("data", util::hex_encode(data));
   for (const net::Address& replica : route(key)) {
     auto reply = client_.call(
         replica, cmd,
@@ -70,7 +70,13 @@ util::Result<util::Bytes> StoreClient::get(const std::string& key) {
       // for the simulation's read semantics.
       return err;
     }
-    return bytes_of_hex(reply->get_text("data"));
+    auto data = decode_hex(reply->get_text("data"));
+    if (!data) {
+      // Bytes that do not decode are no answer: try the next replica.
+      last = util::Error{util::Errc::invalid, "data is not even-length hex"};
+      continue;
+    }
+    return std::move(*data);
   }
   return last;
 }

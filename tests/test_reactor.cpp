@@ -699,7 +699,7 @@ TEST(ReactorSoak, DeploymentRunsNoThreadOutsideReactor) {
     for (int k = 0; k < 3; ++k) {
       CmdLine put("storePut");
       put.arg("key", "threads/" + std::to_string(k))
-          .arg("data", store::hex_of(util::to_bytes("v")));
+          .arg("data", util::hex_encode(util::to_bytes("v")));
       ASSERT_TRUE(cmdlang::is_ok(r->execute(put, daemon::CallerInfo{})));
     }
   }

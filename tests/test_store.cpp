@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
+#include <set>
 #include <thread>
 
 #include "ace_test_env.hpp"
@@ -21,6 +23,7 @@
 #include "store/ring.hpp"
 #include "store/robustness.hpp"
 #include "store/store_client.hpp"
+#include "util/strings.hpp"
 
 using namespace ace;
 using namespace std::chrono_literals;
@@ -248,7 +251,7 @@ TEST_F(StoreTest, NonHexPutIsRejected) {
 // coordinator never counts an ack for a record the replica dropped.
 TEST_F(StoreTest, MalformedBatchEntryAppliesNothing) {
   const std::string good = daemon::wire::pack_batch(
-      {"batch/good", "5", "l", store::hex_of(util::to_bytes("v")), ""});
+      {"batch/good", "5", "l", util::hex_encode(util::to_bytes("v")), ""});
   const std::vector<std::string> bad{
       daemon::wire::pack_batch({"batch/bad", "5", "l"}),
       daemon::wire::pack_batch({"batch/bad", "5x", "l", "", ""}),
@@ -367,6 +370,8 @@ class ShardedStoreTest : public ::testing::Test {
  protected:
   static constexpr int kNodes = 5;
 
+  virtual store::StoreOptions options() const { return {}; }
+
   void SetUp() override {
     deployment_ = std::make_unique<testenv::AceTestEnv>();
     ASSERT_TRUE(deployment_->start().ok());
@@ -378,8 +383,8 @@ class ShardedStoreTest : public ::testing::Test {
       c.name = "shard" + std::to_string(i + 1);
       c.room = "machine-room";
       c.port = 6000;
-      replicas_.push_back(
-          &hosts_.back()->add_daemon<store::PersistentStoreDaemon>(c, i + 1));
+      replicas_.push_back(&hosts_.back()->add_daemon<store::PersistentStoreDaemon>(
+          c, i + 1, options()));
     }
     for (int i = 0; i < kNodes; ++i) {
       std::vector<net::Address> peers;
@@ -536,6 +541,57 @@ TEST_F(ShardedStoreTest, ScanCursorStableUnderConcurrentChurn) {
         << padded_key("churn/k", i);
 }
 
+// A write whose owner is down lands on the next ring node, a non-owner
+// stand-in, tagged with the owner's address. Once the owner is back, the
+// stand-in hands the record home and sheds its own copy and hint.
+class StandInStoreTest : public ShardedStoreTest {
+ protected:
+  store::StoreOptions options() const override {
+    store::StoreOptions opts;
+    opts.write_quorum = 3;
+    opts.probe_interval = std::chrono::milliseconds(100);
+    opts.replicate_timeout = 2s;  // headroom for sanitizers
+    return opts;
+  }
+
+  std::size_t index_of(const net::Address& addr) const {
+    return static_cast<std::size_t>(
+        std::find(addresses_.begin(), addresses_.end(), addr) -
+        addresses_.begin());
+  }
+};
+
+TEST_F(StandInStoreTest, RemoteStandInHandsRecordHome) {
+  const std::string key = "standin/k";
+  const std::vector<net::Address> walk = replicas_[0]->ring().walk(key);
+  ASSERT_EQ(walk.size(), static_cast<std::size_t>(kNodes));
+  const std::size_t coordinator = index_of(walk[0]);
+  const std::size_t owner = index_of(walk[2]);
+  const std::size_t stand_in = index_of(walk[3]);
+
+  hosts_[owner]->fail();
+  CmdLine put("storePut");
+  put.arg("key", key).arg("data", util::hex_encode(util::to_bytes("v")));
+  const CmdLine reply =
+      replicas_[coordinator]->execute(put, daemon::CallerInfo{});
+  ASSERT_TRUE(cmdlang::is_ok(reply)) << reply.to_string();
+  EXPECT_EQ(reply.get_integer("acks"), 3);
+  ASSERT_TRUE(replicas_[stand_in]->object(key).has_value());
+  EXPECT_EQ(replicas_[stand_in]->hints_pending(), 1u);
+
+  hosts_[owner]->restore();
+  ASSERT_TRUE(replicas_[owner]->start().ok());
+  bool home = false;
+  for (int i = 0; i < 600 && !home; ++i) {
+    auto obj = replicas_[owner]->object(key);
+    home = obj && util::to_string(obj->data) == "v" &&
+           !replicas_[stand_in]->object(key).has_value() &&
+           replicas_[stand_in]->hints_pending() == 0;
+    if (!home) std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_TRUE(home) << "the stand-in never handed the record home";
+}
+
 // ------------------------------------------- quorums, hints, chaos torture
 
 class QuorumStoreTest : public ::testing::Test {
@@ -632,6 +688,50 @@ TEST_F(QuorumStoreTest, HintedHandoffDrainsOnHeal) {
   EXPECT_GE(metrics.counter("store.hints_drained").value(), 1u);
 }
 
+// A hint drain hands a peer's whole backlog to its batch lane at once:
+// K hinted writes go home in fewer than K flushes.
+TEST_F(QuorumStoreTest, HintedHandoffDrainRidesBatchLane) {
+  store::StoreOptions opts;
+  opts.write_quorum = 2;
+  opts.probe_interval = std::chrono::milliseconds(100);
+  opts.replicate_timeout = 2s;  // headroom for sanitizers
+  start_cluster(opts);
+  auto& metrics = deployment_->env.metrics();
+
+  constexpr std::size_t kWrites = 24;
+  hosts_[2]->fail();
+  for (std::size_t i = 0; i < kWrites; ++i) {
+    CmdLine put("storePut");
+    put.arg("key", "drain/" + std::to_string(i))
+        .arg("data", util::hex_encode(util::to_bytes("v")));
+    const CmdLine reply = replicas_[0]->execute(put, daemon::CallerInfo{});
+    ASSERT_TRUE(cmdlang::is_ok(reply)) << reply.to_string();
+  }
+  ASSERT_EQ(replicas_[0]->hints_pending(), kWrites);
+
+  const auto drained0 = metrics.counter("store.hints_drained").value();
+  const auto records0 = metrics.counter("store.batch_records").value();
+  const auto flushes0 = metrics.counter("store.batch_flushes").value();
+  hosts_[2]->restore();
+  ASSERT_TRUE(replicas_[2]->start().ok());
+  bool drained = false;
+  for (int i = 0; i < 600 && !drained; ++i) {
+    drained = replicas_[0]->hints_pending() == 0 &&
+              metrics.counter("store.hints_drained").value() - drained0 >=
+                  kWrites;
+    if (!drained) std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_TRUE(drained);
+  EXPECT_EQ(metrics.counter("store.hints_drained").value() - drained0,
+            kWrites);
+  EXPECT_GE(metrics.counter("store.batch_records").value() - records0,
+            kWrites);
+  EXPECT_LT(metrics.counter("store.batch_flushes").value() - flushes0,
+            kWrites);
+  for (std::size_t i = 0; i < kWrites; ++i)
+    EXPECT_TRUE(replicas_[2]->object("drain/" + std::to_string(i)).has_value());
+}
+
 // Group commit, checked: E16d's shape (writers driving storePut through
 // execute() on every coordinator at once) must coalesce replicated
 // records into fewer flushes than records, and every write must collect
@@ -642,7 +742,7 @@ TEST_F(QuorumStoreTest, BatcherCoalescesConcurrentWrites) {
   opts.replicate_timeout = 2s;
   start_cluster(opts);
   auto& metrics = deployment_->env.metrics();
-  const std::string hex = store::hex_of(util::Bytes(256, 0x7e));
+  const std::string hex = util::hex_encode(util::Bytes(256, 0x7e));
 
   constexpr int kWriters = 16;
   std::atomic<bool> stop{false};
@@ -684,7 +784,7 @@ TEST_F(QuorumStoreTest, BatcherStopRaceSettlesEveryPut) {
   opts.replicate_timeout = 300ms;
   start_cluster(opts);
   auto* coordinator = replicas_[0];
-  const std::string hex = store::hex_of(util::to_bytes("racing"));
+  const std::string hex = util::hex_encode(util::to_bytes("racing"));
 
   constexpr int kWriters = 8;
   std::atomic<bool> stop{false};
@@ -939,11 +1039,10 @@ TEST_F(QuorumStoreTest, ReadQuorumUnavailableIsSurfaced) {
   hosts_[2]->restore();
 }
 
-// A write can reach a replica before on_start has built its replication
+// A write can reach a replica before on_start has opened its replication
 // batcher (commands are served while start() still runs). Every peer then
 // counts as a miss: the write applies locally and leaves one hint per
-// owner for the monitor to hand off, instead of touching a batcher that
-// does not exist yet.
+// owner for the monitor to hand off, and nothing is sent.
 TEST(StoreWriteBeforeStartTest, PeersBecomeHintsWithoutBatcher) {
   daemon::Environment env(5);
   daemon::DaemonHost host(env, "store1");
@@ -956,12 +1055,47 @@ TEST(StoreWriteBeforeStartTest, PeersBecomeHintsWithoutBatcher) {
 
   CmdLine put("storePut");
   put.arg("key", "early/k");
-  put.arg("data", store::hex_of(util::to_bytes("v")));
+  put.arg("data", util::hex_encode(util::to_bytes("v")));
   const CmdLine reply = replica.execute(put, daemon::CallerInfo{});
   ASSERT_TRUE(cmdlang::is_ok(reply)) << reply.to_string();
   EXPECT_EQ(reply.get_integer("acks"), 1);
   EXPECT_EQ(replica.hints_pending(), 2u);
   ASSERT_TRUE(replica.object("early/k").has_value());
+}
+
+// The same on a ring larger than N, where each missed owner has remote
+// stand-in candidates: they count as misses too, so the owning coordinator
+// keeps one hint per other owner and sends nothing.
+TEST(StoreWriteBeforeStartTest, RemoteStandInsBecomeHintsWithoutBatcher) {
+  daemon::Environment env(5);
+  daemon::DaemonHost host(env, "store1");
+  daemon::DaemonConfig c;
+  c.name = "store1";
+  c.room = "machine-room";
+  c.port = 6000;
+  auto& replica = host.add_daemon<store::PersistentStoreDaemon>(c, 1);
+  replica.set_peers({net::Address{"store2", 6000}, net::Address{"store3", 6000},
+                     net::Address{"store4", 6000}, net::Address{"store5", 6000}});
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "early/" + std::to_string(i);
+    const auto owners = replica.ring().preference_list(candidate, 3);
+    if (std::find(owners.begin(), owners.end(), replica.address()) !=
+        owners.end())
+      key = candidate;
+  }
+
+  CmdLine put("storePut");
+  put.arg("key", key);
+  put.arg("data", util::hex_encode(util::to_bytes("v")));
+  const CmdLine reply = replica.execute(put, daemon::CallerInfo{});
+  ASSERT_TRUE(cmdlang::is_ok(reply)) << reply.to_string();
+  EXPECT_EQ(reply.get_integer("acks"), 1);
+  EXPECT_EQ(replica.hints_pending(), 2u);
+  ASSERT_TRUE(replica.object(key).has_value());
+  EXPECT_EQ(env.metrics().counter("store.batch_records").value(), 0u);
+  EXPECT_EQ(env.metrics().counter("client.calls").value(), 0u);
+  EXPECT_EQ(env.metrics().counter("net.connects").value(), 0u);
 }
 
 // Read contract of the digest fan-out: binary payloads, overwrites,
@@ -1052,6 +1186,284 @@ TEST(StoreDigestReadTest, DigestReadsReturnWorkloadOutcomes) {
   EXPECT_EQ(cluster.run(), expected);
   EXPECT_GE(cluster.env->env.metrics().counter("store.digest_reads").value(),
             1u);
+}
+
+// ------------------------------------------------- scripted peer replicas
+
+namespace {
+
+// A peer whose store commands the test scripts. It serves only what
+// answer() registers, so any other store command (storeReplicateBatch,
+// for one) fails like a replica that cannot take the record.
+class ScriptedPeer : public daemon::ServiceDaemon {
+ public:
+  using Reply = std::function<CmdLine(const CmdLine&)>;
+
+  ScriptedPeer(daemon::Environment& env, daemon::DaemonHost& host,
+               daemon::DaemonConfig config)
+      : ServiceDaemon(env, host, std::move(config)) {}
+
+  void answer(cmdlang::CommandSpec spec, Reply reply) {
+    spec.concurrent_ok();
+    register_command(std::move(spec),
+                     [reply = std::move(reply)](const CmdLine& cmd,
+                                                const daemon::CallerInfo&) {
+                       return reply(cmd);
+                     });
+  }
+};
+
+cmdlang::CommandSpec get_digest_spec() {
+  return cmdlang::CommandSpec("storeGetDigest", "scripted")
+      .arg(cmdlang::string_arg("key"));
+}
+
+cmdlang::CommandSpec get_spec() {
+  return cmdlang::CommandSpec("storeGet", "scripted")
+      .arg(cmdlang::string_arg("key"))
+      .arg(cmdlang::word_arg("scope").optional_arg());
+}
+
+CmdLine digest_reply(std::int64_t version) {
+  CmdLine reply = cmdlang::make_ok();
+  reply.arg("version", version);
+  reply.arg("deleted", Word{"no"});
+  return reply;
+}
+
+CmdLine record_reply(std::int64_t version, const std::string& data) {
+  CmdLine reply = cmdlang::make_ok();
+  reply.arg("data", data);
+  reply.arg("version", version);
+  reply.arg("deleted", Word{"no"});
+  return reply;
+}
+
+}  // namespace
+
+// One real replica and one scripted peer on a 2-node ring. By default
+// every key belongs to both and R=2, so every read consults both.
+class ScriptedPeerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    deployment_ = std::make_unique<testenv::AceTestEnv>();
+    ASSERT_TRUE(deployment_->start().ok());
+    client_ = deployment_->make_client("app-host", "svc/app");
+    peer_host_ =
+        std::make_unique<daemon::DaemonHost>(deployment_->env, "peer");
+    replica_host_ =
+        std::make_unique<daemon::DaemonHost>(deployment_->env, "store1");
+    peer_ = &peer_host_->add_daemon<ScriptedPeer>(config("peer"));
+  }
+
+  static store::StoreOptions read_both() {
+    store::StoreOptions opts;
+    opts.read_quorum = 2;
+    // Park the monitor after its boot round: nothing but the test's own
+    // reads and syncs talks to the peer.
+    opts.probe_interval = std::chrono::seconds(60);
+    opts.replicate_timeout = 2s;  // headroom for sanitizers
+    return opts;
+  }
+
+  static daemon::DaemonConfig config(const std::string& name) {
+    daemon::DaemonConfig c;
+    c.name = name;
+    c.room = "machine-room";
+    c.port = 6000;
+    return c;
+  }
+
+  // Starts the peer with the answers registered so far, then the replica.
+  void start(store::StoreOptions opts = read_both()) {
+    ASSERT_TRUE(peer_->start().ok());
+    replica_ = &replica_host_->add_daemon<store::PersistentStoreDaemon>(
+        config("store1"), 1, opts);
+    replica_->set_peers({peer_->address()});
+    ASSERT_TRUE(replica_->start().ok());
+  }
+
+  // Gives the replica `key` at `version` without a coordinated write (which
+  // would leave a hint for the peer).
+  void seed(const std::string& key, std::uint64_t version,
+            const std::string& value) {
+    CmdLine batch("storeReplicateBatch");
+    batch.arg("entries",
+              daemon::wire::pack_batch({daemon::wire::pack_batch(
+                  {key, std::to_string(version), "l",
+                   util::hex_encode(util::to_bytes(value)), ""})}));
+    auto reply = client_->call(replica_->address(), batch);
+    ASSERT_TRUE(reply.ok() && cmdlang::is_ok(reply.value()));
+  }
+
+  CmdLine get(const std::string& key) {
+    CmdLine cmd("storeGet");
+    cmd.arg("key", key);
+    auto reply = client_->call(replica_->address(), cmd);
+    EXPECT_TRUE(reply.ok()) << reply.error().to_string();
+    return reply.ok() ? reply.value()
+                      : cmdlang::make_error(util::Errc::timeout, "no reply");
+  }
+
+  std::unique_ptr<testenv::AceTestEnv> deployment_;
+  std::unique_ptr<daemon::AceClient> client_;
+  std::unique_ptr<daemon::DaemonHost> peer_host_;
+  std::unique_ptr<daemon::DaemonHost> replica_host_;
+  ScriptedPeer* peer_ = nullptr;
+  store::PersistentStoreDaemon* replica_ = nullptr;
+};
+
+// The peer's digest is older, so the read repairs it, and the peer cannot
+// take the record: the read still answers the replica's own value, and the
+// missed repair becomes a hint.
+TEST_F(ScriptedPeerTest, MissedReadRepairLeavesHint) {
+  peer_->answer(get_digest_spec(),
+                [](const CmdLine&) { return digest_reply(999); });
+  start();
+  seed("rr/k", 1000, "mine");
+
+  const CmdLine got = get("rr/k");
+  ASSERT_TRUE(cmdlang::is_ok(got)) << got.to_string();
+  EXPECT_EQ(got.get_text("data"), util::hex_encode(util::to_bytes("mine")));
+  bool hinted = false;
+  for (int i = 0; i < 600 && !hinted; ++i) {
+    hinted = replica_->hints_pending() == 1;
+    if (!hinted) std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_TRUE(hinted) << "the missed repair left " << replica_->hints_pending()
+                      << " hints";
+}
+
+// The peer votes a newer version but sends bytes that are not hex when the
+// read fetches them: that is no reply, so the read fails `unavailable`
+// instead of answering (and applying) an empty value.
+TEST_F(ScriptedPeerTest, BadHexFullValueIsNoReply) {
+  peer_->answer(get_digest_spec(),
+                [](const CmdLine&) { return digest_reply(2000); });
+  peer_->answer(get_spec(),
+                [](const CmdLine&) { return record_reply(2000, "zz"); });
+  start();
+  seed("hex/k", 1000, "mine");
+
+  const CmdLine got = get("hex/k");
+  ASSERT_TRUE(cmdlang::is_error(got)) << got.to_string();
+  EXPECT_EQ(cmdlang::reply_error(got).code, util::Errc::unavailable);
+  auto own = replica_->object("hex/k");
+  ASSERT_TRUE(own.has_value());
+  EXPECT_EQ(own->version, 1000u);
+  EXPECT_EQ(util::to_string(own->data), "mine");
+}
+
+// With N=1 a key the peer owns is read from the peer alone. A value that
+// is not hex is no reply, so the read misses its quorum instead of
+// answering an empty value.
+TEST_F(ScriptedPeerTest, BadHexRemoteFullValueIsNoReply) {
+  peer_->answer(get_spec(),
+                [](const CmdLine&) { return record_reply(2000, "zz"); });
+  store::StoreOptions opts = read_both();
+  opts.replication = 1;
+  opts.read_quorum = 1;
+  start(opts);
+  std::string key;  // one only the peer owns
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "remote/" + std::to_string(i);
+    if (replica_->ring().preference_list(candidate, 1).front() ==
+        peer_->address())
+      key = candidate;
+  }
+
+  const CmdLine got = get(key);
+  ASSERT_TRUE(cmdlang::is_error(got)) << got.to_string();
+  EXPECT_EQ(cmdlang::reply_error(got).code, util::Errc::unavailable);
+}
+
+// Anti-entropy against a peer whose tree differs only on one key's path
+// and whose copy of that key is not hex: the sync fetches nothing.
+TEST_F(ScriptedPeerTest, BadHexDigestFetchAppliesNothing) {
+  const std::string key = "sync/k";
+  const store::MerkleTree shape(store::kMerkleDepth);
+  const std::size_t bucket = shape.bucket_of(store::Ring::hash_key(key));
+  std::set<std::size_t> path;  // the leaf and its ancestors
+  for (std::size_t id = shape.first_leaf() + bucket; id >= 1; id /= 2)
+    path.insert(id);
+  // The replica holds nothing, so every node of its tree hashes to 0.
+  peer_->answer(cmdlang::CommandSpec("storeDigestTree", "scripted")
+                    .arg(cmdlang::string_arg("nodes")),
+                [path](const CmdLine& cmd) {
+                  std::vector<std::string> hashes;
+                  for (const std::string& id :
+                       util::split(cmd.get_text("nodes"), ' '))
+                    hashes.push_back(
+                        id + (path.contains(std::stoull(id)) ? "|1" : "|0"));
+                  CmdLine reply = cmdlang::make_ok();
+                  reply.arg("hashes", cmdlang::string_vector(hashes));
+                  return reply;
+                });
+  peer_->answer(cmdlang::CommandSpec("storeDigestBucket", "scripted")
+                    .arg(cmdlang::integer_arg("bucket")),
+                [key](const CmdLine&) {
+                  CmdLine reply = cmdlang::make_ok();
+                  reply.arg("entries",
+                            cmdlang::string_vector({key + "|2000|l"}));
+                  return reply;
+                });
+  peer_->answer(get_spec(),
+                [](const CmdLine&) { return record_reply(2000, "zz"); });
+  start();
+
+  auto reply = client_->call(replica_->address(), CmdLine("storeSync"));
+  ASSERT_TRUE(reply.ok() && cmdlang::is_ok(reply.value()));
+  EXPECT_EQ(reply->get_integer("fetched"), 0);
+  EXPECT_FALSE(replica_->object(key).has_value());
+  EXPECT_GE(
+      deployment_->env.metrics().counter("store.sync_bucket_rpcs").value(),
+      1u);
+}
+
+// A peer that answers the digest walk with a node id nobody asked for
+// must not keep the walk going: the sync ends, fetching nothing.
+TEST_F(ScriptedPeerTest, TreeReplyWithUnaskedIdsEndsSync) {
+  peer_->answer(cmdlang::CommandSpec("storeDigestTree", "scripted")
+                    .arg(cmdlang::string_arg("nodes")),
+                [](const CmdLine&) {
+                  CmdLine reply = cmdlang::make_ok();
+                  reply.arg("hashes", cmdlang::string_vector({"0|5"}));
+                  return reply;
+                });
+  start();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto reply = client_->call(replica_->address(), CmdLine("storeSync"),
+                             daemon::CallOptions{.timeout = 5s});
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  ASSERT_TRUE(cmdlang::is_ok(reply.value())) << reply->to_string();
+  EXPECT_EQ(reply->get_integer("fetched"), 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
+}
+
+// StoreClient::get treats a reply whose data is not hex as no reply and
+// asks the next replica, whose quorum read finds the peer's digest current.
+TEST_F(ScriptedPeerTest, StoreClientSkipsBadHexReply) {
+  peer_->answer(get_digest_spec(),
+                [](const CmdLine&) { return digest_reply(1000); });
+  peer_->answer(get_spec(),
+                [](const CmdLine&) { return record_reply(1000, "zz"); });
+  start();
+  const std::vector<net::Address> replicas{peer_->address(),
+                                           replica_->address()};
+  const store::Ring ring(replicas, store::kDefaultVnodes);
+  std::string key;  // one the client asks the scripted peer about first
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "client/" + std::to_string(i);
+    if (ring.preference_list(candidate, 3).front() == peer_->address())
+      key = candidate;
+  }
+  seed(key, 1000, "mine");
+
+  store::StoreClient store(*client_, replicas);
+  auto got = store.get(key);
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_EQ(util::to_string(got.value()), "mine");
 }
 
 // --------------------------------------------------------------- durability
