@@ -348,6 +348,31 @@ replication_path_sweep() {
     --gtest_repeat=3
 }
 
+# Every outbound call a daemon makes rides the one AceClient built with it.
+# stop() and crash() close it last, after the gossip rounds, batch flushes
+# and read repairs that call through it have ended, and the next life
+# reuses it; reads served before start() use it too. Replay the one-client
+# and close-order tests, the Robustness Manager and federation suites, the
+# daemon stop/crash/restart cases, the reads and writes served before
+# start(), and a connect racing its listener's destruction in both
+# sanitizer legs.
+client_lifetime_sweep() {
+  local build_dir="$1"
+  echo "=== client lifetime sweep: ${build_dir} ==="
+  run_filtered "${build_dir}/tests/test_daemon" \
+'OneClientTest.*:DaemonTest.StoppedDaemonRefusesConnections:'\
+'DaemonTest.LeaseExpiryRemovesCrashedDaemon:'\
+'DaemonTest.AuthorizationRevokedThenCrashIsDeniedAtOnce:'\
+'InlineDispatchTest.LaneCountResetsWithItsQueue' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_store" \
+'OneClientTest.*:RobustnessTest.*:StoreReadBeforeStartTest.*:'\
+'StoreWriteBeforeStartTest.*' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_federation" 'FederationTest.*' \
+    --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_net" \
+    'Network.ConnectRacingListenerDestructionIsRefused' --gtest_repeat=3
+}
+
 # Stopping a store coordinator while writers keep submitting races the
 # batcher's shutdown against submit() and the flushes in flight; ASan
 # catches a write into a freed lane.
@@ -413,6 +438,7 @@ case "${want}" in
     authz_race_sweep build-tsan
     timer_chain_sweep build-tsan
     replication_path_sweep build-tsan
+    client_lifetime_sweep build-tsan
     require_never_block_check build-tsan
     require_sha_hardware build-tsan
     inline_dispatch_sweep build-tsan
@@ -423,6 +449,7 @@ case "${want}" in
     disk_fault_sweep build-asan
     batcher_stop_sweep build-asan
     replication_path_sweep build-asan
+    client_lifetime_sweep build-asan
     pump_release_sweep build-asan
     parser_fuzz_sweep build-asan
     require_never_block_check build-asan

@@ -65,6 +65,7 @@ ServiceDaemon::ServiceDaemon(Environment& env, DaemonHost& host,
       host_(host),
       config_(std::move(config)),
       identity_(env.issue_identity("svc/" + config_.name)),
+      client_(env, host.net_host(), identity_),
       obs_cmd_executed_(&env.metrics().counter("daemon.cmd.executed")),
       obs_cmd_rejected_(&env.metrics().counter("daemon.cmd.rejected")),
       obs_auth_denied_(&env.metrics().counter("daemon.auth.denied")),
@@ -266,7 +267,7 @@ util::Status ServiceDaemon::run_startup_sequence() {
     reg.arg("host", host_.name());
     reg.arg("port", static_cast<std::int64_t>(config_.port));
     reg.arg("class", config_.service_class);
-    auto r = infra_client_->call(env_.room_db_address, reg, kCallOk);
+    auto r = client_.call(env_.room_db_address, reg, kCallOk);
     if (!r.ok())
       util::log_warn(config_.name)
           << "room database registration failed: " << r.error().to_string();
@@ -296,7 +297,7 @@ util::Status ServiceDaemon::register_with_asd() {
   reg.arg("room", Word{config_.room});
   reg.arg("class", config_.service_class);
   reg.arg("lease", static_cast<std::int64_t>(config_.lease.count()));
-  auto r = infra_client_->call(env_.asd_address, reg, kCallOk);
+  auto r = client_.call(env_.asd_address, reg, kCallOk);
   if (!r.ok()) return r.error();
   return util::Status::ok_status();
 }
@@ -326,13 +327,6 @@ util::Status ServiceDaemon::start() {
     if (!sock.ok()) return sock.error();
     data_socket_ = sock.value();
   }
-
-  control_client_ =
-      std::make_unique<AceClient>(env_, host_.net_host(), identity_);
-  notify_client_ =
-      std::make_unique<AceClient>(env_, host_.net_host(), identity_);
-  infra_client_ =
-      std::make_unique<AceClient>(env_, host_.net_host(), identity_);
 
   // The serving pumps must be registered before the startup sequence: the
   // ASD may call us back (and the ASD itself must serve while registering
@@ -405,17 +399,20 @@ void ServiceDaemon::stop() {
       env_.asd_address != address()) {
     CmdLine dereg("deregister");
     dereg.arg("name", config_.name);
-    (void)infra_client_->call(env_.asd_address, dereg,
-                              CallOptions{.timeout = 500ms});
+    (void)client_.call(env_.asd_address, dereg, CallOptions{.timeout = 500ms});
   }
   net_log("info", "service '" + config_.name + "' stopped");
   teardown();
+  // Last: on_stop() has ended the subclass's rounds, flushes and repairs,
+  // and teardown() the handlers and the notify pump, so nothing that calls
+  // through the client is left to reconnect it.
+  client_.close_all();
 }
 
-// Tears down every reactor registration and connection. Order matters:
-// stop the accept pump first (no new handshakes), then abort and await
-// in-flight handshakes (no new actors), then kill the actors, and only
-// then close the daemon-wide queues nothing can push to anymore.
+// Tears down every reactor registration and accepted connection. Order
+// matters: stop the accept pump first (no new handshakes), then abort and
+// await in-flight handshakes (no new actors), then kill the actors, and
+// only then close the daemon-wide queues nothing can push to anymore.
 void ServiceDaemon::teardown() {
   if (listener_) listener_->close();
   accept_sub_.stop();
@@ -458,9 +455,6 @@ void ServiceDaemon::teardown() {
     notify_pending_.clear();
   }
 
-  if (control_client_) control_client_->close_all();
-  if (notify_client_) notify_client_->close_all();
-  if (infra_client_) infra_client_->close_all();
   listener_.reset();
   data_socket_.reset();
 }
@@ -487,6 +481,7 @@ void ServiceDaemon::crash() {
     credential_cache_.clear();
   }
   on_crash();
+  client_.close_all();  // last, as in stop()
 }
 
 void ServiceDaemon::start_duty(std::chrono::milliseconds period,
@@ -763,7 +758,7 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
       env_.auth_db_address != address()) {
     CmdLine fetch("getCredentials");
     fetch.arg("principal", principal);
-    auto reply = control_client_->call(env_.auth_db_address, fetch, kCallOk);
+    auto reply = client_.call(env_.auth_db_address, fetch, kCallOk);
     if (reply.ok()) {
       if (auto vec = reply->get_vector("credentials")) {
         for (const auto& elem : vec->elements) {
@@ -873,7 +868,7 @@ void ServiceDaemon::run_notify_dest(const net::Address& dest) {
     notify.arg("source", config_.name);
     notify.arg("command", Word{job.command});
     notify.arg("detail", job.detail);
-    auto s = notify_client_->send_only(dest, notify);
+    auto s = client_.send_only(dest, notify);
     obs_notify_sent_->inc();
     if (!s.ok()) record_notify_failure(dest, job.command);
     return;
@@ -891,7 +886,7 @@ void ServiceDaemon::run_notify_dest(const net::Address& dest) {
   CmdLine batch("notifyBatch");
   batch.arg("source", config_.name);
   batch.arg("events", cmdlang::string_vector(std::move(events)));
-  auto s = notify_client_->send_only(dest, batch);
+  auto s = client_.send_only(dest, batch);
   obs_notify_batches_->inc();
   obs_notify_batched_events_->inc(jobs.size());
   obs_notify_sent_->inc(jobs.size());
@@ -939,12 +934,11 @@ void ServiceDaemon::net_log(const std::string& level,
   if (!config_.log_to_net_logger || env_.net_logger_address.host.empty())
     return;
   if (env_.net_logger_address == address()) return;
-  if (!infra_client_) return;
   CmdLine log("log");
   log.arg("source", config_.name);
   log.arg("level", Word{level});
   log.arg("message", message);
-  (void)infra_client_->send_only(env_.net_logger_address, log);
+  (void)client_.send_only(env_.net_logger_address, log);
 }
 
 }  // namespace ace::daemon

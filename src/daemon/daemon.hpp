@@ -134,8 +134,13 @@ class ServiceDaemon {
   Environment& env() { return env_; }
   DaemonHost& host() { return host_; }
 
-  // Client for use from command handlers (control thread).
-  AceClient& control_client() { return *control_client_; }
+  // The daemon's one client, built with it and kept for its whole life.
+  // Every outbound call rides it: command handlers, notification fan-out,
+  // the Fig 9 registration and logging, and each subclass's duties, so a
+  // destination gets one channel and one circuit breaker. Usable before
+  // start(); stop() and crash() close its channels last, once everything
+  // that calls through it has ended.
+  AceClient& control_client() { return client_; }
 
   // Called after infrastructure registration, before the daemon is
   // considered started. Subclasses register with peer services here.
@@ -267,6 +272,7 @@ class ServiceDaemon {
   DaemonHost& host_;
   DaemonConfig config_;
   crypto::Identity identity_;
+  AceClient client_;  // see control_client()
 
   cmdlang::SemanticRegistry semantics_;
   struct HandlerEntry {
@@ -277,10 +283,6 @@ class ServiceDaemon {
 
   std::shared_ptr<net::Listener> listener_;
   std::shared_ptr<net::DatagramSocket> data_socket_;
-
-  std::unique_ptr<AceClient> control_client_;
-  std::unique_ptr<AceClient> notify_client_;
-  std::unique_ptr<AceClient> infra_client_;  // lease renewal + registration
 
   // Notify pump: the queue carries destination *tokens*, the events
   // themselves accumulate per destination in notify_pending_. A token is

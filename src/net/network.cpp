@@ -166,7 +166,7 @@ util::Result<std::shared_ptr<Listener>> Host::listen(std::uint16_t port) {
   if (listeners_.contains(port))
     return util::Error{util::Errc::conflict, "port in use"};
   auto listener = std::make_shared<Listener>(Address{name_, port}, network_);
-  listeners_[port] = listener.get();
+  listeners_[port] = listener;
   return listener;
 }
 
@@ -304,7 +304,7 @@ NetworkStats Network::stats() const {
 }
 
 util::Result<Connection> Network::do_connect(Host& from, const Address& to) {
-  Listener* listener = nullptr;
+  std::weak_ptr<Listener> target_listener;
   LinkPolicy policy = link(from.name(), to.host);
   if (!policy.up)
     return util::Error{util::Errc::io_error, "link partitioned"};
@@ -321,7 +321,7 @@ util::Result<Connection> Network::do_connect(Host& from, const Address& to) {
     if (lst_it == target.listeners_.end())
       return util::Error{util::Errc::refused,
                          "connection refused: " + to.to_string()};
-    listener = lst_it->second;
+    target_listener = lst_it->second;
   }
   cells_.connects->inc();
 
@@ -336,9 +336,11 @@ util::Result<Connection> Network::do_connect(Host& from, const Address& to) {
   state->addr_b = to;
   Connection client(state, /*is_a=*/true, this);
   Connection server(state, /*is_a=*/false, this);
-  if (!listener->pending_.push(std::move(server))) {
+  // The listener may have been closed or destroyed during the setup delay:
+  // hold it across the push, and refuse if it is gone.
+  auto listener = target_listener.lock();
+  if (!listener || !listener->pending_.push(std::move(server)))
     return util::Error{util::Errc::refused, "listener closed"};
-  }
   return client;
 }
 

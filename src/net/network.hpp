@@ -239,7 +239,9 @@ class Host {
   Network* network_;
   std::atomic<bool> down_{false};
   std::mutex mu_;
-  std::map<std::uint16_t, Listener*> listeners_;
+  // Weak: a connect holds its target only across the hand-off, so a
+  // listener destroyed meanwhile refuses it instead of being written to.
+  std::map<std::uint16_t, std::weak_ptr<Listener>> listeners_;
   std::map<std::uint16_t, DatagramSocket*> datagram_sockets_;
   std::uint16_t next_ephemeral_ = 40000;
 };

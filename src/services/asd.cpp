@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "daemon/host.hpp"
 #include "util/strings.hpp"
 
 namespace ace::services {
@@ -59,7 +58,8 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
       index_(/*use_index=*/true,
              AsdIndexObs{obs_index_hits_, obs_scans_, obs_live_count_}) {
   if (options_.federation.enabled) {
-    gossip_ = std::make_unique<GossipAgent>(env, ServiceDaemon::config().room,
+    gossip_ = std::make_unique<GossipAgent>(env, control_client(),
+                                            ServiceDaemon::config().room,
                                             options_.federation);
     gossip_->on_room_changed = [this](const std::string& room) {
       invalidate_forward_cache(room);
@@ -322,10 +322,8 @@ std::vector<std::string> AsdDaemon::forward_query(
   auto now = std::chrono::steady_clock::now();
   std::vector<std::string> merged;
   std::vector<RoomView> missing;
-  std::shared_ptr<daemon::AceClient> client;
   {
     std::scoped_lock lock(forward_mu_);
-    client = fed_client_;
     for (const RoomView& t : targets) {
       const std::string key =
           t.room + "\x1f" + name_glob + "\x1f" + class_glob;
@@ -346,7 +344,7 @@ std::vector<std::string> AsdDaemon::forward_query(
       missing.push_back(t);
     }
   }
-  if (missing.empty() || !client) return merged;
+  if (missing.empty()) return merged;
 
   // Send every miss at once; forward_timeout bounds the whole wait.
   CmdLine q("query");
@@ -358,8 +356,8 @@ std::vector<std::string> AsdDaemon::forward_query(
   requests.reserve(missing.size());
   for (const RoomView& t : missing) requests.push_back(room_request(t, q));
   obs_forwarded_->inc(missing.size());
-  auto replies =
-      client->call_all(requests, options_.federation.forward_timeout);
+  auto replies = control_client().call_all(
+      requests, options_.federation.forward_timeout);
 
   now = std::chrono::steady_clock::now();
   std::scoped_lock lock(forward_mu_);
@@ -409,27 +407,14 @@ std::vector<std::string> AsdDaemon::forward_query(
 
 util::Status AsdDaemon::on_start() {
   start_duty(options_.reap_interval, [this] { reap_expired(); });
-  if (gossip_) {
-    auto client = std::make_shared<daemon::AceClient>(
-        env(), host().net_host(), identity());
-    {
-      std::scoped_lock lock(forward_mu_);
-      fed_client_ = client;
-    }
-    gossip_->start(address(), client);
-  }
+  if (gossip_) gossip_->start(address());
   return util::Status::ok_status();
 }
 
 void AsdDaemon::on_stop() {
   if (gossip_) gossip_->stop();
-  std::shared_ptr<daemon::AceClient> client;
-  {
-    std::scoped_lock lock(forward_mu_);
-    client = std::move(fed_client_);
-    forward_cache_.clear();
-  }
-  if (client) client->close_all();
+  std::scoped_lock lock(forward_mu_);
+  forward_cache_.clear();
 }
 
 void AsdDaemon::on_crash() {

@@ -83,8 +83,8 @@ class AsdDaemon : public daemon::ServiceDaemon {
   static std::string encode_entry(const Registration& r);
 
   // Cross-room fan-out for one query (federation enabled, scope != local):
-  // probes the scoped cache per live target room, sends the misses in
-  // parallel on the ops pool (`scope=local`, so peers never re-forward),
+  // probes the scoped cache per live target room, sends the misses at once
+  // through control_client() (`scope=local`, so peers never re-forward),
   // and fills the cache from whatever answered within forward_timeout.
   // Returns the remote entries, encoded like local ones.
   std::vector<std::string> forward_query(const std::string& name_glob,
@@ -117,13 +117,10 @@ class AsdDaemon : public daemon::ServiceDaemon {
 
   AsdIndex index_;
 
-  // Federation state. gossip_ exists iff options_.federation.enabled. A
-  // forwarded query runs its fan-out in the handler on its own reference
-  // to the client, so on_stop() may empty the slot meanwhile; no task
-  // outlives the handler. Both the client slot and the scoped cache are
-  // guarded by forward_mu_.
+  // Federation state. gossip_ exists iff options_.federation.enabled; its
+  // rounds and the forwarded queries ride control_client(). The scoped
+  // cache is guarded by forward_mu_.
   std::unique_ptr<GossipAgent> gossip_;
-  std::shared_ptr<daemon::AceClient> fed_client_;
   struct ForwardCacheEntry {
     std::vector<std::string> encoded;  // remote entries, wire encoding
     std::chrono::steady_clock::time_point valid_until;

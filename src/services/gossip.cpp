@@ -53,9 +53,10 @@ std::optional<RoomView> GossipAgent::decode_entry(std::string_view s) {
   return v;
 }
 
-GossipAgent::GossipAgent(daemon::Environment& env, std::string self_room,
-                         FederationOptions options)
+GossipAgent::GossipAgent(daemon::Environment& env, daemon::AceClient& client,
+                         std::string self_room, FederationOptions options)
     : env_(env),
+      client_(client),
       self_room_(std::move(self_room)),
       options_(std::move(options)),
       obs_rounds_(&env.metrics().counter("asd.gossip_rounds")),
@@ -70,10 +71,8 @@ GossipAgent::GossipAgent(daemon::Environment& env, std::string self_room,
 
 GossipAgent::~GossipAgent() { stop(); }
 
-void GossipAgent::start(net::Address self_address,
-                        std::shared_ptr<daemon::AceClient> client) {
+void GossipAgent::start(net::Address self_address) {
   std::scoped_lock lock(mu_);
-  client_ = std::move(client);
   // New incarnation: whatever peers cached from the previous life is dead.
   ++incarnation_;
   round_ = 0;
@@ -98,8 +97,6 @@ void GossipAgent::start(net::Address self_address,
 
 void GossipAgent::stop() {
   rounds_.stop();  // waits out a round running right now
-  std::scoped_lock lock(mu_);
-  client_.reset();
 }
 
 void GossipAgent::bump_version() {
@@ -219,15 +216,12 @@ std::vector<std::string> GossipAgent::handle_sync(
 }
 
 void GossipAgent::round() {
-  std::shared_ptr<daemon::AceClient> client;
   std::vector<RoomView> candidates;
   std::vector<RoomView> evicted;
   std::vector<std::string> payload;
   std::uint64_t round_no = 0;
   {
     std::scoped_lock lock(mu_);
-    client = client_;
-    if (!client) return;
     round_no = ++round_;
     ++self_.heartbeat;
     std::int64_t live = 1;
@@ -287,7 +281,7 @@ void GossipAgent::round() {
     sync.arg("from", Word{self_room_});
     sync.arg("view", cmdlang::string_vector(payload));
     obs_syncs_->inc();
-    auto reply = call_room(*client, peer, sync, options_.sync_timeout);
+    auto reply = call_room(client_, peer, sync, options_.sync_timeout);
     if (!reply.ok()) {
       // Silence is the failure signal: the peer's heartbeat stops
       // advancing and the round clock ages it into suspicion.
@@ -317,11 +311,11 @@ void GossipAgent::round() {
                (2 * std::max<std::uint64_t>(
                         1, static_cast<std::uint64_t>(
                                options_.gossip_interval.count()))));
-    if (round_no == 1 || round_no % every == 0) register_with_relay(*client);
+    if (round_no == 1 || round_no % every == 0) register_with_relay();
   }
 }
 
-void GossipAgent::register_with_relay(daemon::AceClient& client) {
+void GossipAgent::register_with_relay() {
   net::Address self_addr;
   {
     std::scoped_lock lock(mu_);
@@ -332,9 +326,9 @@ void GossipAgent::register_with_relay(daemon::AceClient& client) {
   reg.arg("host", self_addr.host);
   reg.arg("port", static_cast<std::int64_t>(self_addr.port));
   reg.arg("lease", static_cast<std::int64_t>(options_.relay_lease.count()));
-  auto r = client.call(options_.relay, reg,
-                       CallOptions{.timeout = options_.sync_timeout,
-                                   .require_ok = true});
+  auto r = client_.call(options_.relay, reg,
+                        CallOptions{.timeout = options_.sync_timeout,
+                                    .require_ok = true});
   if (!r.ok())
     util::log_warn("gossip/" + self_room_)
         << "relay registration failed: " << r.error().to_string();

@@ -102,12 +102,13 @@ struct FederationOptions {
   std::chrono::milliseconds relay_lease{2000};
 };
 
-// The per-room membership agent. Owned by an AsdDaemon; rounds run as a
-// net::PeriodicTask on the ops pool (they do bounded RPCs).
+// The per-room membership agent. Owned by an AsdDaemon, whose client
+// carries its syncs; rounds run as a net::PeriodicTask on the ops pool
+// (they do bounded RPCs).
 class GossipAgent {
  public:
-  GossipAgent(daemon::Environment& env, std::string self_room,
-              FederationOptions options);
+  GossipAgent(daemon::Environment& env, daemon::AceClient& client,
+              std::string self_room, FederationOptions options);
   ~GossipAgent();
 
   GossipAgent(const GossipAgent&) = delete;
@@ -117,8 +118,7 @@ class GossipAgent {
   // directory's registry is empty, so peers must drop anything cached from
   // the previous life — and re-seeds the membership map from options
   // (volatile state died with the "process").
-  void start(net::Address self_address,
-             std::shared_ptr<daemon::AceClient> client);
+  void start(net::Address self_address);
 
   // Cancels the round chain and waits out a round running right now.
   void stop();
@@ -164,7 +164,7 @@ class GossipAgent {
   };
 
   void round();
-  void register_with_relay(daemon::AceClient& client);
+  void register_with_relay();
   std::vector<std::string> encode_view_locked() const;
   // Merge one incoming entry; appends the room to `changed` when its
   // epoch/version advanced (cache-invalidation signal).
@@ -172,6 +172,7 @@ class GossipAgent {
                           std::vector<std::string>& changed);
 
   daemon::Environment& env_;
+  daemon::AceClient& client_;
   const std::string self_room_;
   const FederationOptions options_;
 
@@ -184,7 +185,6 @@ class GossipAgent {
   obs::Gauge* obs_live_rooms_;
 
   mutable std::mutex mu_;
-  std::shared_ptr<daemon::AceClient> client_;
   RoomView self_;
   std::unordered_map<std::string, Member> members_;
   std::uint64_t incarnation_ = 0;  // survives restarts of this object

@@ -63,7 +63,7 @@ class ReplicationBatcher {
 
   // Accepts records until close(), shipping them through `client` with
   // flushes on the ops pool of its reactor. The store daemon opens its
-  // batcher on each life's control client.
+  // batcher in each on_start, on the client it keeps for its whole life.
   void open(daemon::AceClient& client);
 
   // Enqueues a record for `peer`; never blocks on the network. While the

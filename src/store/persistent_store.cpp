@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 
 #include "daemon/wire.hpp"
@@ -27,6 +28,29 @@ daemon::DaemonConfig store_defaults(daemon::DaemonConfig config) {
   return config;
 }
 
+// A version is a hybrid clock << 8 | replica id, and travels in replies as
+// a non-negative `version=` integer. kMaxVersion is the largest one a
+// replica holds or hands out: next_version() fails a write rather than
+// step past it, so the clock never wraps below a version already held.
+// Every version a peer sends is range-checked where it is parsed.
+constexpr std::uint64_t kMaxVersion = std::numeric_limits<std::int64_t>::max();
+
+// An all-digit version in range, as replica and digest entries carry it.
+std::optional<std::uint64_t> parse_version(std::string_view text) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v > kMaxVersion) return std::nullopt;
+  return v;
+}
+
+// A peer reply's `version=`; a negative one is out of range.
+std::optional<std::uint64_t> reply_version(const CmdLine& reply) {
+  const std::int64_t v = reply.get_integer("version", -1);
+  if (v < 0) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
+}
+
 // One replicated record on the wire: a netstring-packed field tuple
 // [key, version, d|l, hex data, hint owner or ""], nested inside the
 // storeReplicateBatch `entries` payload (daemon/wire.hpp pack_batch).
@@ -38,8 +62,9 @@ std::string encode_replica_entry(const std::string& key,
                                    util::hex_encode(r.data), hint});
 }
 
-// One encode_replica_entry record, or nullopt unless it has 5 fields, an
-// all-digit version, d or l, hex data and a hint empty or host:port.
+// One encode_replica_entry record, or nullopt unless it has 5 fields, a
+// version parse_version takes, d or l, hex data and a hint empty or
+// host:port.
 struct ReplicaEntry {
   std::string key;
   PersistentStoreDaemon::ObjectRecord record;
@@ -48,14 +73,14 @@ struct ReplicaEntry {
 std::optional<ReplicaEntry> decode_replica_entry(const std::string& packed) {
   auto f = daemon::wire::unpack_batch(packed);
   if (!f || f->size() != 5) return std::nullopt;
-  const std::string &version = (*f)[1], &flag = (*f)[2], &hint = (*f)[4];
+  const std::string &flag = (*f)[2], &hint = (*f)[4];
   ReplicaEntry e{(*f)[0], {}, net::Address::parse(hint)};
-  const char* end = version.data() + version.size();
-  auto [ptr, ec] = std::from_chars(version.data(), end, e.record.version);
+  auto version = parse_version((*f)[1]);
   auto data = decode_hex((*f)[3]);
-  if (version.empty() || ec != std::errc{} || ptr != end ||
-      (flag != "d" && flag != "l") || !data || (!hint.empty() && !e.hint))
+  if (!version || (flag != "d" && flag != "l") || !data ||
+      (!hint.empty() && !e.hint))
     return std::nullopt;
+  e.record.version = *version;
   e.record.deleted = flag == "d";
   e.record.data = std::move(*data);
   return e;
@@ -130,9 +155,13 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
         if (!data)
           return cmdlang::make_error(util::Errc::invalid,
                                      "data is not even-length hex");
+        auto version = next_version();
+        if (!version)
+          return cmdlang::make_error(util::Errc::conflict,
+                                     "version clock exhausted");
         ObjectRecord record;
         record.data = std::move(*data);
-        record.version = next_version();
+        record.version = *version;
         std::string key = cmd.get_text("key");
         WriteOutcome out = coordinate_write(key, record);
         if (!out.quorum_met)
@@ -192,9 +221,13 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
       CommandSpec("storeDelete", "remove an object (tombstone)").concurrent_ok()
           .arg(string_arg("key")),
       [this](const CmdLine& cmd, const CallerInfo&) {
+        auto version = next_version();
+        if (!version)
+          return cmdlang::make_error(util::Errc::conflict,
+                                     "version clock exhausted");
         ObjectRecord record;
         record.deleted = true;
-        record.version = next_version();
+        record.version = *version;
         std::string key = cmd.get_text("key");
         WriteOutcome out = coordinate_write(key, record);
         if (!out.quorum_met)
@@ -541,7 +574,7 @@ void PersistentStoreDaemon::monitor_round(std::map<net::Address, bool>& peer_up,
   first = false;
 }
 
-std::uint64_t PersistentStoreDaemon::next_version() {
+std::optional<std::uint64_t> PersistentStoreDaemon::next_version() {
   // Hybrid clock: wall microseconds, bumped past anything already seen
   // (Lamport absorption in apply()), replica id as tiebreak. The wall
   // component keeps versions monotone across coordinator failover — a
@@ -552,7 +585,9 @@ std::uint64_t PersistentStoreDaemon::next_version() {
           steady_clock::now().time_since_epoch())
           .count());
   std::scoped_lock lock(mu_);
-  lamport_ = std::max(lamport_ + 1, now);
+  const std::uint64_t next = std::max(lamport_ + 1, now);
+  if (next > kMaxVersion >> 8) return std::nullopt;  // would not fit
+  lamport_ = next;
   return lamport_ << 8 | static_cast<std::uint64_t>(replica_id_ & 0xff);
 }
 
@@ -565,6 +600,9 @@ WalTicket PersistentStoreDaemon::apply(const std::string& key,
 WalTicket PersistentStoreDaemon::apply_locked(const std::string& key,
                                               const ObjectRecord& record,
                                               bool log) {
+  // Out of range (a corrupt record): refused, so it cannot push the clock
+  // past what next_version() can step over.
+  if (record.version > kMaxVersion) return {};
   // Lamport clock absorption: future local writes order after this one.
   lamport_ = std::max(lamport_, record.version >> 8);
   auto it = objects_.find(key);
@@ -930,13 +968,14 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
     voter.push_back(i);
   }
   // The full-value attempt is request 0 when remote. Countable: ok or an
-  // authoritative not_found; a full value whose data is not even-length
-  // hex is no reply at all.
+  // authoritative not_found; an ok whose version is out of range, or a
+  // full value whose data is not even-length hex, is no reply at all.
   auto countable = [self_owner](std::size_t k,
                                 const util::Result<CmdLine>& reply) {
     if (!reply.ok()) return false;
     if (!cmdlang::is_ok(reply.value()))
       return cmdlang::reply_error(reply.value()).code == util::Errc::not_found;
+    if (!reply_version(reply.value())) return false;
     return self_owner || k != 0 ||
            decode_hex(reply->get_text("data")).has_value();
   };
@@ -958,7 +997,7 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
     v.replied = true;
     if (!cmdlang::is_ok(reply)) continue;  // authoritative absence
     v.has = true;
-    v.record.version = static_cast<std::uint64_t>(reply.get_integer("version"));
+    v.record.version = *reply_version(reply);  // range checked above
     v.record.deleted = reply.get_text("deleted") == "yes";
     if (!self_owner && k == 0) {  // the full value, hex checked above
       v.full = true;
@@ -1004,10 +1043,10 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
                                 .retries = 0});
         if (!reply.ok() || !cmdlang::is_ok(reply.value())) continue;
         auto data = decode_hex(reply->get_text("data"));
-        if (!data) continue;  // no reply from this holder
+        auto version = reply_version(reply.value());
+        if (!data || !version) continue;  // no reply from this holder
         ObjectRecord fetched;
-        fetched.version =
-            static_cast<std::uint64_t>(reply->get_integer("version"));
+        fetched.version = *version;
         fetched.deleted = reply->get_text("deleted") == "yes";
         fetched.data = std::move(*data);
         if (fetched.version >= winner.version) {
@@ -1270,19 +1309,20 @@ std::int64_t PersistentStoreDaemon::ingest_digest_entry(
   auto parts = util::split(entry, '|');
   if (parts.size() != 3) return 0;
   const std::string& key = parts[0];
-  const std::uint64_t version = std::strtoull(parts[1].c_str(), nullptr, 10);
+  const auto version = parse_version(parts[1]);
+  if (!version) return 0;
   bool newer;
   {
     std::scoped_lock lock(mu_);
     auto it = objects_.find(key);
-    newer = it == objects_.end() || it->second.version < version;
+    newer = it == objects_.end() || it->second.version < *version;
   }
   if (!newer) return 0;
   // Sharded clusters: do not hoard keys this replica is not an owner of.
   if (!owns(key)) return 0;
   if (parts[2] == "d") {
     ObjectRecord tomb;
-    tomb.version = version;
+    tomb.version = *version;
     tomb.deleted = true;
     apply(key, tomb);
     obs_sync_fetched_->inc();
@@ -1296,9 +1336,10 @@ std::int64_t PersistentStoreDaemon::ingest_digest_entry(
                                      .retries = 0});
   if (!obj.ok() || !cmdlang::is_ok(obj.value())) return 0;
   auto data = decode_hex(obj->get_text("data"));
-  if (!data) return 0;  // no reply from this peer
+  auto fetched = reply_version(obj.value());
+  if (!data || !fetched) return 0;  // no reply from this peer
   ObjectRecord record;
-  record.version = static_cast<std::uint64_t>(obj->get_integer("version"));
+  record.version = *fetched;
   record.data = std::move(*data);
   record.deleted = obj->get_text("deleted") == "yes";
   apply(key, record);

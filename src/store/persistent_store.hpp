@@ -165,7 +165,10 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
     bool quorum_met = false;
   };
 
-  std::uint64_t next_version();
+  // The next write's version; nullopt once the clock is at the top of the
+  // version range (a peer pushed it there), so the write fails instead of
+  // wrapping below a version this replica holds.
+  std::optional<std::uint64_t> next_version();
   // Applies a record (LWW) and, in durable mode, WAL-logs it. The ticket
   // must be group-commit synced before the write is acknowledged.
   WalTicket apply(const std::string& key, const ObjectRecord& record);
@@ -243,8 +246,8 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   int replica_id_;
   StoreOptions options_;
   util::Status options_status_;  // construction-time validation verdict
-  // Open from on_start to shutdown_runtime, on that life's control client;
-  // a record submitted while it is closed fails at once.
+  // Open from on_start to shutdown_runtime, on the daemon's one client; a
+  // record submitted while it is closed fails at once.
   ReplicationBatcher batcher_;
   mutable std::mutex mu_;
   std::map<std::string, ObjectRecord> objects_;

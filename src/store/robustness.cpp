@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "daemon/host.hpp"
 #include "services/asd.hpp"
 
 namespace ace::store {
@@ -82,7 +81,7 @@ RobustnessManagerDaemon::RobustnessManagerDaemon(daemon::Environment& env,
           // the directory, never through a cache entry for the dead
           // instance.
           if (auto dir = directory()) {
-            dir->asd.invalidate(name);
+            dir->invalidate(name);
             obs_cache_invalidations_->inc();
           }
           handle_expiry(name);
@@ -109,23 +108,18 @@ RobustnessManagerDaemon::RobustnessManagerDaemon(daemon::Environment& env,
       });
 }
 
-std::shared_ptr<RobustnessManagerDaemon::DirectoryClient>
-RobustnessManagerDaemon::directory() {
+std::shared_ptr<services::AsdClient> RobustnessManagerDaemon::directory() {
   std::scoped_lock lock(asd_mu_);
   return asd_;
 }
 
 util::Status RobustnessManagerDaemon::on_start() {
   if (!env().asd_address.host.empty()) {
-    // Fresh client each life (a restart is a new process; nothing cached
+    // Fresh cache each life (a restart is a new process; nothing cached
     // survives). The old one, if any, dies when its last user lets go.
-    auto transport = std::make_unique<daemon::AceClient>(
-        env(), host().net_host(), identity());
-    daemon::AceClient& t = *transport;
-    auto fresh = std::make_shared<DirectoryClient>(DirectoryClient{
-        std::move(transport),
-        services::AsdClient(t, env().asd_address,
-                            services::AsdCacheOptions{.enabled = true})});
+    auto fresh = std::make_shared<services::AsdClient>(
+        control_client(), env().asd_address,
+        services::AsdCacheOptions{.enabled = true});
     std::scoped_lock lock(asd_mu_);
     asd_ = std::move(fresh);
   }
@@ -223,7 +217,7 @@ bool RobustnessManagerDaemon::try_relaunch(const std::string& name) {
 
   auto dir = directory();
   if (!dir) return fail("no ASD configured");
-  auto sals = dir->asd.query("*", "Service/Launcher/SAL*", "*");
+  auto sals = dir->query("*", "Service/Launcher/SAL*", "*");
   if (!sals.ok()) return fail("SAL query failed: " + sals.error().to_string());
   if (sals->empty()) return fail("no SAL registered");
 
@@ -278,7 +272,7 @@ void RobustnessManagerDaemon::watchdog_tick() {
     // Cached lookups: a hit is lease-bounded, so a dead service is never
     // reported live past the instant the directory itself would have
     // dropped it — the sweep loses no detection latency to the cache.
-    auto loc = dir->asd.lookup(name);
+    auto loc = dir->lookup(name);
     if (!loc.ok() && loc.error().code == util::Errc::not_found) {
       net_log("warn", "managed service '" + name +
                           "' missing from directory; relaunching");

@@ -99,17 +99,11 @@ class RobustnessManagerDaemon : public daemon::ServiceDaemon {
   // True when the ASD still lists our serviceExpired subscription.
   bool subscription_alive();
 
-  // The manager's cached directory client with the transport it rides on
-  // (owned together: the base class replaces control_client() on every
-  // start(), so a cache built over it would dangle across a restart).
-  struct DirectoryClient {
-    std::unique_ptr<daemon::AceClient> transport;
-    services::AsdClient asd;
-  };
-  // Snapshot of the current client; null before the first start or when no
-  // ASD is configured. Callers keep the snapshot alive across their calls,
-  // so a concurrent restart swapping in a fresh client never pulls the rug.
-  std::shared_ptr<DirectoryClient> directory();
+  // Snapshot of this life's caching directory client over control_client();
+  // null before the first start or when no ASD is configured. Callers keep
+  // the snapshot alive across their calls, so a concurrent restart swapping
+  // in a fresh cache never pulls the rug.
+  std::shared_ptr<services::AsdClient> directory();
 
   RobustnessOptions options_;
   mutable std::mutex mu_;
@@ -122,9 +116,10 @@ class RobustnessManagerDaemon : public daemon::ServiceDaemon {
   // which made the manager the chattiest ASD reader in the deployment. A
   // lease-bounded lookup cache absorbs most of that traffic, and the
   // rmNotify handler evicts on serviceExpired so a death is acted on the
-  // moment the directory announces it rather than a TTL later.
+  // moment the directory announces it rather than a TTL later. Rebuilt
+  // each life: the cache dies with the process.
   std::mutex asd_mu_;  // guards the asd_ pointer swap only
-  std::shared_ptr<DirectoryClient> asd_;
+  std::shared_ptr<services::AsdClient> asd_;
 
   // Cached obs cells (deployment registry, `rm.*` names).
   obs::Counter* obs_restarts_;

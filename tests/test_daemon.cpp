@@ -106,6 +106,38 @@ class NapDaemon : public daemon::ServiceDaemon {
   std::atomic<int> naps_{0};
 };
 
+// Pings its peer through its one client: from its `callPeer` handler, and
+// as it ends, from on_stop() and on_crash() (where a subclass ends its own
+// rounds, flushes and repairs).
+class CallerDaemon : public daemon::ServiceDaemon {
+ public:
+  CallerDaemon(daemon::Environment& env, daemon::DaemonHost& host,
+               daemon::DaemonConfig config, net::Address peer)
+      : ServiceDaemon(env, host, std::move(config)), peer_(std::move(peer)) {
+    register_command(cmdlang::CommandSpec("callPeer", "ping the peer"),
+                     [this](const CmdLine&, const daemon::CallerInfo&) {
+                       return ping_peer() ? cmdlang::make_ok()
+                                          : cmdlang::make_error(
+                                                util::Errc::unavailable,
+                                                "peer did not answer");
+                     });
+  }
+
+  bool pinged_at_end() const { return pinged_at_end_.load(); }
+
+ protected:
+  void on_stop() override { pinged_at_end_ = ping_peer(); }
+  void on_crash() override { pinged_at_end_ = ping_peer(); }
+
+ private:
+  bool ping_peer() {
+    return control_client().call(peer_, CmdLine("ping"), daemon::kCallOk).ok();
+  }
+
+  net::Address peer_;
+  std::atomic<bool> pinged_at_end_{false};
+};
+
 // reactor.blocking_tasks once the ops tasks behind earlier replies have
 // returned: a task sends its reply before it ends.
 std::uint64_t settled_blocking_tasks(daemon::Environment& env) {
@@ -752,4 +784,70 @@ TEST(InlineDispatchTest, ExpiredCredentialsRefetchOnceOnOpsPool) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(ping());
   EXPECT_EQ(settled_blocking_tasks(env) - refetched, 0u);
   EXPECT_EQ(fetches.snapshot().count, 2u);
+}
+
+// ------------------------------------------------------------ one client
+//
+// Deployments of their own with no directory, logger or lease traffic, so
+// the connection counters move only for the daemons under test.
+
+// A daemon's calls and its notifications to one peer ride one channel: the
+// caller pings the sink from a handler, and the sink is notified of it.
+TEST(OneClientTest, CallAndNotificationShareOneChannel) {
+  daemon::Environment env(31);
+  daemon::DaemonHost host(env, "solo");
+  daemon::DaemonConfig sink_cfg;
+  sink_cfg.name = "sink";
+  sink_cfg.room = "hawk";
+  auto& sink = host.add_daemon<SinkDaemon>(sink_cfg);
+  ASSERT_TRUE(sink.start().ok());
+  daemon::DaemonConfig caller_cfg;
+  caller_cfg.name = "caller";
+  caller_cfg.room = "hawk";
+  auto& caller = host.add_daemon<CallerDaemon>(caller_cfg, sink.address());
+  ASSERT_TRUE(caller.start().ok());
+
+  CmdLine sub("addNotification");
+  sub.arg("command", Word{"callPeer"});
+  sub.arg("service", sink.address().to_string());
+  sub.arg("method", Word{"sink"});
+  ASSERT_TRUE(cmdlang::is_ok(caller.execute(sub, daemon::CallerInfo{})));
+  ASSERT_TRUE(cmdlang::is_ok(
+      caller.execute(CmdLine("callPeer"), daemon::CallerInfo{})));
+  ASSERT_TRUE(sink.wait_for(1, 2s));
+  EXPECT_EQ(env.metrics().counter("daemon.conn.accepted").value(), 1u);
+  EXPECT_EQ(env.metrics().counter("net.connects").value(), 1u);
+}
+
+// The client closes after on_stop() and on_crash(), so what they send does
+// not outlive the process: the next call through the client connects
+// afresh. (Closed first, the channel their pings opened would survive and
+// carry that call.)
+TEST(OneClientTest, ClientClosesAfterOnStopAndOnCrash) {
+  daemon::Environment env(33);
+  daemon::DaemonHost host(env, "solo");
+  daemon::DaemonConfig sink_cfg;
+  sink_cfg.name = "sink";
+  sink_cfg.room = "hawk";
+  auto& sink = host.add_daemon<SinkDaemon>(sink_cfg);
+  ASSERT_TRUE(sink.start().ok());
+  daemon::DaemonConfig caller_cfg;
+  caller_cfg.name = "caller";
+  caller_cfg.room = "hawk";
+  auto& caller = host.add_daemon<CallerDaemon>(caller_cfg, sink.address());
+  auto& connects = env.metrics().counter("net.connects");
+
+  for (const bool crash : {true, false}) {
+    SCOPED_TRACE(crash ? "crash" : "stop");
+    ASSERT_TRUE(caller.start().ok());
+    if (crash)
+      caller.crash();
+    else
+      caller.stop();
+    EXPECT_TRUE(caller.pinged_at_end());
+    const auto at_end = connects.value();
+    ASSERT_TRUE(cmdlang::is_ok(
+        caller.execute(CmdLine("callPeer"), daemon::CallerInfo{})));
+    EXPECT_EQ(connects.value(), at_end + 1);
+  }
 }

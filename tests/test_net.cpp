@@ -287,3 +287,32 @@ TEST(Network, LoopbackHasZeroLatency) {
   auto policy = network.link("same", "same");
   EXPECT_EQ(policy.latency.count(), 0);
 }
+
+// A connect holds its listener only across the hand-off at the end of the
+// link's setup delay. A listener closed and destroyed (as a stopping daemon
+// does), or just destroyed, 10 ms into a 50 ms setup refuses the connect,
+// and nothing is written to the freed listener.
+TEST(Network, ConnectRacingListenerDestructionIsRefused) {
+  for (const bool close_first : {true, false}) {
+    SCOPED_TRACE(close_first ? "close, then destroy" : "destroy");
+    Network network;
+    Host& a = network.add_host("a");
+    Host& b = network.add_host("b");
+    LinkPolicy slow;
+    slow.latency = 50ms;
+    network.set_link("a", "b", slow);
+
+    auto bound = b.listen(100);
+    ASSERT_TRUE(bound.ok());
+    std::shared_ptr<Listener> listener = std::move(bound.value());
+    std::thread closer([&] {
+      std::this_thread::sleep_for(10ms);
+      if (close_first) listener->close();
+      listener.reset();
+    });
+    auto conn = a.connect({"b", 100});
+    closer.join();
+    ASSERT_FALSE(conn.ok());
+    EXPECT_EQ(conn.error().code, util::Errc::refused);
+  }
+}

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -1098,6 +1099,63 @@ TEST(StoreWriteBeforeStartTest, RemoteStandInsBecomeHintsWithoutBatcher) {
   EXPECT_EQ(env.metrics().counter("net.connects").value(), 0u);
 }
 
+// Reads served before on_start reach their peers through the client the
+// daemon was built with. With no peer up, each answers as a started
+// replica would: the scan drops the peer, the R=2 read misses its quorum,
+// and the sync fetches nothing.
+class StoreReadBeforeStartTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    daemon::DaemonConfig c;
+    c.name = "store1";
+    c.room = "machine-room";
+    c.port = 6000;
+    store::StoreOptions opts;
+    opts.read_quorum = 2;
+    replica_ = &host_.add_daemon<store::PersistentStoreDaemon>(c, 1, opts);
+    replica_->set_peers({net::Address{"store2", 6000}});
+    CmdLine put("storePut");
+    put.arg("key", "early/k");
+    put.arg("data", util::hex_encode(util::to_bytes("v")));
+    const CmdLine reply = replica_->execute(put, daemon::CallerInfo{});
+    ASSERT_TRUE(cmdlang::is_ok(reply)) << reply.to_string();
+  }
+
+  CmdLine run(const CmdLine& cmd) {
+    return replica_->execute(cmd, daemon::CallerInfo{});
+  }
+
+  daemon::Environment env_{5};
+  daemon::DaemonHost host_{env_, "store1"};
+  store::PersistentStoreDaemon* replica_ = nullptr;
+};
+
+TEST_F(StoreReadBeforeStartTest, ClusterScanAnswersOwnKeys) {
+  const CmdLine reply = run(CmdLine("storeScan"));
+  ASSERT_TRUE(cmdlang::is_ok(reply)) << reply.to_string();
+  auto keys = reply.get_vector("keys");
+  ASSERT_TRUE(keys.has_value());
+  ASSERT_EQ(keys->elements.size(), 1u);
+  EXPECT_EQ(keys->elements[0].as_text(), "early/k");
+  EXPECT_EQ(reply.get_text("done"), "yes");
+  EXPECT_EQ(reply.get_text("next"), "");
+}
+
+TEST_F(StoreReadBeforeStartTest, QuorumReadIsUnavailable) {
+  CmdLine get("storeGet");
+  get.arg("key", "early/k");
+  const CmdLine reply = run(get);
+  ASSERT_TRUE(cmdlang::is_error(reply)) << reply.to_string();
+  EXPECT_EQ(cmdlang::reply_error(reply).code, util::Errc::unavailable);
+  EXPECT_EQ(env_.metrics().counter("store.read_unavailable").value(), 1u);
+}
+
+TEST_F(StoreReadBeforeStartTest, SyncFetchesNothing) {
+  const CmdLine reply = run(CmdLine("storeSync"));
+  ASSERT_TRUE(cmdlang::is_ok(reply)) << reply.to_string();
+  EXPECT_EQ(reply.get_integer("fetched", -1), 0);
+}
+
 // Read contract of the digest fan-out: binary payloads, overwrites,
 // deletes and a stale-replica window must read back exactly as the
 // workload wrote them.
@@ -1464,6 +1522,58 @@ TEST_F(ScriptedPeerTest, StoreClientSkipsBadHexReply) {
   auto got = store.get(key);
   ASSERT_TRUE(got.ok()) << got.error().to_string();
   EXPECT_EQ(util::to_string(got.value()), "mine");
+}
+
+// A peer's version is range-checked where it is parsed. A batch entry at
+// 2^64 - 1 is refused whole, so puts keep acking above every version the
+// replica holds; one at the top of the range is taken, and puts after it
+// are refused instead of acked at a wrapped version.
+TEST_F(ScriptedPeerTest, PeerVersionCannotWrapTheClock) {
+  start();
+  auto batch = [&](std::uint64_t version) {
+    CmdLine cmd("storeReplicateBatch");
+    cmd.arg("entries",
+            daemon::wire::pack_batch({daemon::wire::pack_batch(
+                {"wrap/k", std::to_string(version), "l",
+                 util::hex_encode(util::to_bytes("theirs")), ""})}));
+    auto reply = client_->call(replica_->address(), cmd);
+    EXPECT_TRUE(reply.ok()) << reply.error().to_string();
+    return reply.ok() ? reply.value()
+                      : cmdlang::make_error(util::Errc::timeout, "no reply");
+  };
+  auto put = [&] {
+    CmdLine cmd("storePut");
+    cmd.arg("key", "wrap/k");
+    cmd.arg("data", util::hex_encode(util::to_bytes("mine")));
+    auto reply = client_->call(replica_->address(), cmd);
+    EXPECT_TRUE(reply.ok()) << reply.error().to_string();
+    return reply.ok() ? reply.value()
+                      : cmdlang::make_error(util::Errc::timeout, "no reply");
+  };
+
+  EXPECT_TRUE(cmdlang::is_error(batch(~std::uint64_t{0})));
+  EXPECT_FALSE(replica_->object("wrap/k").has_value());
+  for (int i = 0; i < 2; ++i) {
+    const auto held = replica_->object("wrap/k");
+    const CmdLine reply = put();
+    ASSERT_TRUE(cmdlang::is_ok(reply)) << reply.to_string();
+    const auto acked = static_cast<std::uint64_t>(reply.get_integer("version"));
+    if (held) EXPECT_GT(acked, held->version);
+    auto own = replica_->object("wrap/k");
+    ASSERT_TRUE(own.has_value());
+    EXPECT_EQ(own->version, acked);
+  }
+
+  const std::uint64_t top = std::numeric_limits<std::int64_t>::max();
+  EXPECT_TRUE(cmdlang::is_ok(batch(top)));
+  for (int i = 0; i < 2; ++i) {
+    const CmdLine reply = put();
+    ASSERT_TRUE(cmdlang::is_error(reply)) << reply.to_string();
+    EXPECT_EQ(cmdlang::reply_error(reply).code, util::Errc::conflict);
+    auto own = replica_->object("wrap/k");
+    ASSERT_TRUE(own.has_value());
+    EXPECT_EQ(own->version, top);
+  }
 }
 
 // --------------------------------------------------------------- durability
@@ -1858,6 +1968,48 @@ TEST_F(DurableStoreTest, ChaosPowerCycleTortureNeverLosesAckedWrites) {
 }
 
 // --------------------------------------------------------------- robustness
+
+// The Robustness Manager's registration, subscription, directory lookups
+// and queries all ride its one client, so it holds one channel to the ASD.
+// The only other channel is the host's lease coordinator, which renews
+// under its own principal.
+TEST(OneClientTest, RobustnessManagerHoldsOneChannelToAsd) {
+  daemon::Environment env(41);
+  env.asd_address = {"infra", daemon::kAsdPort};
+  daemon::DaemonHost infra(env, "infra");
+  daemon::DaemonConfig asd_cfg;
+  asd_cfg.name = "asd";
+  asd_cfg.port = daemon::kAsdPort;
+  asd_cfg.room = "machine-room";
+  infra.add_daemon<services::AsdDaemon>(asd_cfg);
+  ASSERT_TRUE(infra.start_all().ok());
+
+  daemon::DaemonHost ops(env, "ops");
+  daemon::DaemonConfig rm_cfg;
+  rm_cfg.name = "rm";
+  rm_cfg.room = "machine-room";
+  store::RobustnessOptions options;
+  options.watch_interval = 20ms;
+  options.relaunch_grace = 0ms;
+  auto& rm = ops.add_daemon<store::RobustnessManagerDaemon>(rm_cfg, options);
+  ASSERT_TRUE(rm.start().ok());
+  CmdLine manage("rmRegister");
+  manage.arg("name", Word{"ghost"});
+  manage.arg("kind", Word{"restart"});
+  ASSERT_TRUE(cmdlang::is_ok(rm.execute(manage, daemon::CallerInfo{})));
+
+  // The watchdog looks `ghost` up, finds it missing, and fails to relaunch
+  // it (the directory lists no SAL); the lease coordinator renews meanwhile.
+  auto& failures = env.metrics().counter("rm.restart_failures");
+  auto& renewals = env.metrics().counter("daemon.lease.batches");
+  for (int i = 0; i < 500 && (failures.value() == 0 || renewals.value() == 0);
+       ++i)
+    std::this_thread::sleep_for(10ms);
+  ASSERT_GE(failures.value(), 1u);
+  ASSERT_GE(renewals.value(), 1u);
+  EXPECT_GE(env.metrics().counter("asd_client.cache_misses").value(), 1u);
+  EXPECT_EQ(env.metrics().counter("daemon.conn.accepted").value(), 2u);
+}
 
 class RobustnessTest : public ::testing::Test {
  protected:
