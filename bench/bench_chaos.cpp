@@ -150,7 +150,7 @@ int main() {
   // --- cannot quantise the recovery timestamps it records.
   std::vector<std::vector<ProbeSample>> probes(svcs.size());
   auto prober_client = deployment.make_client("probe", "user/probe");
-  prober_client->set_policy({.breaker = {.failure_threshold = 0}});
+  prober_client->set_breaker_policy({.failure_threshold = 0});
   std::jthread prober([&](std::stop_token st) {
     const daemon::CallOptions opts{.timeout = 100ms,
                                    .require_ok = true,

@@ -192,16 +192,16 @@ void distribution_throughput() {
   }
   // Wait for the fan-out to drain.
   auto deadline = bench::Clock::now() + 10s;
-  while (dist.dist_stats().packets <
+  while (dist.route_stats().frames <
              static_cast<std::uint64_t>(kPackets) &&
          bench::Clock::now() < deadline)
     std::this_thread::sleep_for(1ms);
   double seconds = bench::us_since(start) / 1e6;
-  auto stats = dist.dist_stats();
+  auto stats = dist.route_stats();
   std::printf("  %llu packets x %d sinks in %.2f s -> %.0f packets/s in, "
               "%.1f MB/s out\n",
-              static_cast<unsigned long long>(stats.packets), kSinks, seconds,
-              stats.packets / seconds,
+              static_cast<unsigned long long>(stats.frames), kSinks, seconds,
+              stats.frames / seconds,
               static_cast<double>(stats.fanout) * 1024 / seconds / 1e6);
 }
 

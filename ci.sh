@@ -231,16 +231,17 @@ authz_race_sweep() {
     'FailureTest.*Auth*:FailureTest.CredentialCache*' --gtest_repeat=3
 }
 
-# Every periodic duty (lease renewal, gossip rounds, the idle sweeper, the
-# store monitor, RM watchdog, ASD reaper and HRM sampler) is a
-# net::PeriodicTask, and replication flushes are ops-pool tasks racing
-# submit() and close(). Replay the primitive's contract tests and the
-# suites that start, stop, crash and restart those duties under TSan.
+# Every periodic duty (lease renewal, gossip rounds, the store monitor, RM
+# watchdog, ASD reaper and HRM sampler) is a net::PeriodicTask, and
+# replication flushes are ops-pool tasks racing submit() and close().
+# Replay the primitive's contract tests, a client tearing down and
+# re-creating a channel's demux, and the suites that start, stop, crash
+# and restart those duties under TSan.
 timer_chain_sweep() {
   local build_dir="$1"
   echo "=== periodic-duty and batcher sweep under ThreadSanitizer ==="
   run_filtered "${build_dir}/tests/test_reactor" \
-    'PeriodicTask.*:ReactorSoak.IdleDemux*' --gtest_repeat=3
+    'PeriodicTask.*:ReactorSoak.DroppedDemux*' --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_asd_scale" \
     'AsdScaleTest.HostCoordinator*:AsdScaleTest.*Promptly*' --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_federation" \
@@ -373,6 +374,17 @@ client_lifetime_sweep() {
     'Network.ConnectRacingListenerDestructionIsRefused' --gtest_repeat=3
 }
 
+# The notify pump counts a subscriber's failed deliveries, and resets the
+# count on a delivered one, on the ops pool while command handlers fire
+# events. Replay the drop and reset tests, whose subscriber stops and
+# restarts between deliveries, under TSan.
+notify_failure_sweep() {
+  local build_dir="$1"
+  echo "=== notification failure sweep under ThreadSanitizer ==="
+  run_filtered "${build_dir}/tests/test_daemon" 'DaemonTest.NotifyFailures*' \
+    --gtest_repeat=3
+}
+
 # Stopping a store coordinator while writers keep submitting races the
 # batcher's shutdown against submit() and the flushes in flight; ASan
 # catches a write into a freed lane.
@@ -439,6 +451,7 @@ case "${want}" in
     timer_chain_sweep build-tsan
     replication_path_sweep build-tsan
     client_lifetime_sweep build-tsan
+    notify_failure_sweep build-tsan
     require_never_block_check build-tsan
     require_sha_hardware build-tsan
     inline_dispatch_sweep build-tsan

@@ -33,12 +33,6 @@ void VncWorkspaceFactory::install(services::WssDaemon& wss) {
   wss.set_backend(std::move(backend));
 }
 
-void VncWorkspaceFactory::set_store_replicas(
-    std::vector<net::Address> replicas) {
-  std::scoped_lock lock(mu_);
-  store_replicas_ = std::move(replicas);
-}
-
 daemon::DaemonHost* VncWorkspaceFactory::pick_server_host() {
   // Called with mu_ held. Prefer SRM placement when the monitors are up.
   if (!server_pool_.empty() && !env_.asd_address.host.empty()) {
@@ -67,14 +61,12 @@ util::Result<net::Address> VncWorkspaceFactory::create_workspace(
     const std::string& owner, const std::string& name) {
   daemon::DaemonHost* host;
   std::string password;
-  std::vector<net::Address> replicas;
   {
     std::scoped_lock lock(mu_);
     host = pick_server_host();
     if (!host)
       return util::Error{util::Errc::unavailable, "no workspace hosts"};
     password = password_rng_.next_name(12);
-    replicas = store_replicas_;
   }
   daemon::DaemonConfig config;
   config.name = "vnc-" + owner + "-" + name;
@@ -82,7 +74,6 @@ util::Result<net::Address> VncWorkspaceFactory::create_workspace(
   auto& server =
       host->add_daemon<VncServerDaemon>(std::move(config), owner, name);
   server.set_password(password);
-  if (!replicas.empty()) server.enable_persistence(replicas);
   if (auto s = server.start(); !s.ok()) return s.error();
   net::Address address = server.address();
   std::scoped_lock lock(mu_);

@@ -34,9 +34,6 @@ class VncWorkspaceFactory {
   // Installs this factory as the WSS backend.
   void install(services::WssDaemon& wss);
 
-  // Enables workspace state checkpointing against the persistent store.
-  void set_store_replicas(std::vector<net::Address> replicas);
-
   VncServerDaemon* server_at(const net::Address& address);
   VncViewerDaemon* viewer_on(const std::string& host_name);
 
@@ -61,7 +58,6 @@ class VncWorkspaceFactory {
   std::map<std::string, VncServerDaemon*> servers_;  // by address string
   std::map<std::string, std::string> passwords_;     // by address string
   std::map<std::string, VncViewerDaemon*> viewers_;  // by access-point host
-  std::vector<net::Address> store_replicas_;
   util::Rng password_rng_;
 };
 

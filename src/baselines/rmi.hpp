@@ -61,8 +61,6 @@ class RmiMarshaller {
   util::Bytes marshal(const RmiInvocation& invocation);
   util::Result<RmiInvocation> unmarshal(const util::Bytes& data);
 
-  void reset_cache() { sent_descriptors_.clear(); seen_descriptors_.clear(); }
-
  private:
   void write_value(util::ByteWriter& w, const std::string& field_name,
                    const RmiValue& value);

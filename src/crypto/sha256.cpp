@@ -272,8 +272,4 @@ util::Bytes hkdf(const util::Bytes& salt, const util::Bytes& ikm,
   return out;
 }
 
-util::Bytes digest_bytes(const Digest& d) {
-  return util::Bytes(d.begin(), d.end());
-}
-
 }  // namespace ace::crypto

@@ -73,8 +73,6 @@ bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
 util::Bytes hkdf(const util::Bytes& salt, const util::Bytes& ikm,
                  std::string_view info, std::size_t length);
 
-util::Bytes digest_bytes(const Digest& d);
-
 namespace detail {
 
 // SHA-256's compression over `blocks` whole 64-byte blocks at `data`,

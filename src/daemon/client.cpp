@@ -27,6 +27,10 @@ std::uint64_t next_jitter_seed() {
 // giving up on the completion.
 constexpr std::chrono::seconds kHandshakeWaitMargin{1};
 
+// Retry backoff when CallOptions sets none (see CallOptions::backoff).
+constexpr std::chrono::milliseconds kBackoff{10};
+constexpr std::chrono::milliseconds kBackoffCap{500};
+
 }  // namespace
 
 AceClient::AceClient(Environment& env, net::Host& from_host,
@@ -44,58 +48,18 @@ AceClient::AceClient(Environment& env, net::Host& from_host,
       breaker_rejected_(&env.metrics().counter("client.breaker_rejected")),
       breaker_closes_(&env.metrics().counter("client.breaker_closes")),
       inflight_(&env.metrics().gauge("client.inflight")),
-      breaker_open_(&env.metrics().gauge("client.breaker_open")),
-      sweeper_(env.reactor(), [this] { sweep_idle_channels(); }) {}
+      breaker_open_(&env.metrics().gauge("client.breaker_open")) {}
 
-AceClient::~AceClient() {
-  sweeper_.stop();  // its ticks capture `this` raw
-  close_all();
-}
+AceClient::~AceClient() { close_all(); }
 
-void AceClient::set_policy(ClientPolicy policy) {
+void AceClient::set_breaker_policy(BreakerPolicy policy) {
   std::scoped_lock lock(policy_mu_);
-  const auto old_ttl = std::exchange(policy_, policy).idle_channel_ttl;
-  if (policy.idle_channel_ttl.count() > 0 &&
-      policy.idle_channel_ttl != old_ttl)
-    sweeper_.start(policy.idle_channel_ttl);
+  breaker_policy_ = policy;
 }
 
-ClientPolicy AceClient::policy() const {
+BreakerPolicy AceClient::breaker_policy() const {
   std::scoped_lock lock(policy_mu_);
-  return policy_;
-}
-
-void AceClient::sweep_idle_channels() {
-  std::unique_lock policy_lock(policy_mu_);
-  const auto ttl = policy_.idle_channel_ttl;
-  if (ttl.count() <= 0) {
-    sweeper_.stop();  // set_policy() disarmed the sweeper
-    return;
-  }
-  policy_lock.unlock();
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<std::pair<net::Address, std::shared_ptr<ChannelEntry>>> stale;
-  {
-    std::scoped_lock lock(mu_);
-    for (auto it = channels_.begin(); it != channels_.end();) {
-      auto& [addr, entry] = *it;
-      bool idle;
-      {
-        std::scoped_lock lk(entry->mu);
-        idle = entry->pending.empty() && !entry->connecting &&
-               now - entry->last_used > ttl;
-      }
-      if (idle) {
-        stale.emplace_back(addr, entry);
-        it = channels_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& [addr, entry] : stale) shutdown_entry(entry);
-  if (!stale.empty())
-    env_.metrics().counter("client.idle_closed").inc(stale.size());
+  return breaker_policy_;
 }
 
 std::shared_ptr<AceClient::ChannelEntry> AceClient::entry_for(
@@ -123,7 +87,6 @@ util::Result<std::shared_ptr<crypto::SecureChannel>> AceClient::ensure_channel(
   };
   {
     std::scoped_lock lk(entry->mu);
-    entry->last_used = std::chrono::steady_clock::now();
     if (auto live = live_locked(); !live.ok() || live.value()) return live;
   }
 
@@ -395,7 +358,7 @@ util::Status AceClient::breaker_admit(ChannelEntry& entry,
 }
 
 void AceClient::breaker_record_failure(ChannelEntry& entry, bool probe) {
-  const BreakerPolicy breaker = policy().breaker;
+  const BreakerPolicy breaker = breaker_policy();
   std::scoped_lock lk(entry.mu);
   ++entry.consecutive_failures;
   if (probe) entry.probe_inflight = false;
@@ -425,12 +388,8 @@ void AceClient::breaker_record_success(ChannelEntry& entry, bool probe) {
 }
 
 void AceClient::backoff_sleep(const CallOptions& options, int attempt) {
-  std::chrono::milliseconds base{}, cap{};
-  {
-    std::scoped_lock lock(policy_mu_);
-    base = options.backoff.value_or(policy_.backoff);
-    cap = options.backoff_cap.value_or(policy_.backoff_cap);
-  }
+  const auto base = options.backoff.value_or(kBackoff);
+  const auto cap = options.backoff_cap.value_or(kBackoffCap);
   if (base.count() <= 0) return;
   const int exponent = std::min(attempt - 1, 16);
   auto delay = base * (std::int64_t{1} << exponent);

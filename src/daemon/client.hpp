@@ -54,8 +54,11 @@ struct CallOptions {
   // channel is gone). 1 preserves the historical behaviour of one
   // transparent reconnect.
   int retries = 1;
-  // Per-call overrides of ClientPolicy::backoff/backoff_cap (see there for
-  // semantics); unset = use the client's policy.
+  // Retry k waits backoff * 2^(k-1), scaled by a uniform [0.5, 1.5) jitter
+  // and capped at backoff_cap, so concurrent callers hammering a dead
+  // destination spread out instead of busy-spinning in lockstep; a zero
+  // backoff disables the delay. Unset = kBackoff (10 ms) and kBackoffCap
+  // (500 ms), client.cpp.
   std::optional<std::chrono::milliseconds> backoff{};
   std::optional<std::chrono::milliseconds> backoff_cap{};
 };
@@ -75,24 +78,6 @@ inline constexpr CallOptions kCallOk{.timeout = std::nullopt,
 struct BreakerPolicy {
   int failure_threshold = 4;
   std::chrono::milliseconds cooldown{250};
-};
-
-// Everything tunable about a client, applied as one unit via
-// AceClient::set_policy (replacing the old scattered per-knob setters).
-struct ClientPolicy {
-  // Per-destination circuit breaker (see BreakerPolicy).
-  BreakerPolicy breaker{};
-  // Base delay inserted before retry k: backoff * 2^(k-1), scaled by a
-  // uniform [0.5, 1.5) jitter and capped at backoff_cap, so concurrent
-  // callers hammering a dead destination spread out instead of busy-
-  // spinning in lockstep. 0 disables the delay. CallOptions may override
-  // both per call.
-  std::chrono::milliseconds backoff{10};
-  std::chrono::milliseconds backoff_cap{500};
-  // Close cached channels that have sat idle (no traffic, nothing in
-  // flight) this long, freeing their demux state; a later call
-  // transparently reconnects. 0 (default) keeps channels forever.
-  std::chrono::milliseconds idle_channel_ttl{0};
 };
 
 class AceClient {
@@ -145,13 +130,10 @@ class AceClient {
   // Closes every channel, discarding reconnects under way.
   void close_all();
 
-  // Replaces the whole client policy atomically. Thread-safe; affects
-  // channels opened and retries begun after the call. Arms (or disarms)
-  // the idle-channel sweeper when idle_channel_ttl changes.
-  void set_policy(ClientPolicy policy);
-  ClientPolicy policy() const;
-
-  BreakerPolicy breaker_policy() const { return policy().breaker; }
+  // Replaces the breaker policy of every destination. Thread-safe; counts
+  // from the next failure on.
+  void set_breaker_policy(BreakerPolicy policy);
+  BreakerPolicy breaker_policy() const;
 
   const std::string& principal() const {
     return identity_.certificate.subject;
@@ -210,10 +192,9 @@ class AceClient {
     std::uint64_t next_call_id = 1;
     std::map<std::uint64_t, PendingCall> pending;
     bool closed = false;  // entry was shut down; never reconnect through it
-    // A reconnect is under way: the entry is neither idle nor droppable,
-    // and only close_all() discards the channel it makes.
+    // A reconnect is under way: the entry is not droppable, and only
+    // close_all() discards the channel it makes.
     bool connecting = false;
-    std::chrono::steady_clock::time_point last_used{};
     // Circuit-breaker state (guarded by `mu`; see BreakerPolicy).
     int consecutive_failures = 0;
     bool breaker_open = false;
@@ -237,9 +218,6 @@ class AceClient {
   void handle_reply(const std::shared_ptr<ChannelEntry>& entry,
                     const std::shared_ptr<crypto::SecureChannel>& channel,
                     std::optional<net::Frame> frame);
-  // Idle-channel sweeper tick (policy().idle_channel_ttl > 0): shuts
-  // down destinations with no traffic and no calls in flight.
-  void sweep_idle_channels();
   // Breaker hooks around one call attempt. admit fails fast with
   // Errc::unavailable while the destination's breaker is open (setting
   // `probe` when this attempt is the half-open probe).
@@ -264,7 +242,7 @@ class AceClient {
   net::Host& host_;
   crypto::Identity identity_;
   mutable std::mutex policy_mu_;
-  ClientPolicy policy_;
+  BreakerPolicy breaker_policy_;
   std::mutex mu_;
   std::map<net::Address, std::shared_ptr<ChannelEntry>> channels_;
   std::mutex jitter_mu_;
@@ -281,9 +259,6 @@ class AceClient {
   obs::Counter* breaker_closes_;
   obs::Gauge* inflight_;
   obs::Gauge* breaker_open_;  // destinations currently open
-  // Started by set_policy() and stopped by the sweep itself, both under
-  // policy_mu_, so the chain and the policy cannot disagree.
-  net::PeriodicTask sweeper_;
 };
 
 }  // namespace ace::daemon

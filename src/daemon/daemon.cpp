@@ -827,20 +827,30 @@ void ServiceDaemon::fire_notifications(const CmdLine& cmd) {
   }
 }
 
-// Drops a subscriber whose host keeps refusing deliveries. Matches every
+// Counts one frame to `dest` carrying `jobs`, once per distinct command.
+// A subscriber that keeps refusing deliveries, kMaxNotifyFailures in a
+// row, is dropped; a frame it accepts resets the count. Matches every
 // entry for (dest, command) — the same subscriber may listen with several
-// methods, and they all rode the failed frame.
-void ServiceDaemon::record_notify_failure(const net::Address& dest,
-                                          const std::string& command) {
+// methods, and they all rode the frame.
+void ServiceDaemon::record_notify_outcome(const net::Address& dest,
+                                          const std::vector<NotifyJob>& jobs,
+                                          bool delivered) {
+  std::vector<std::string_view> seen;
   std::scoped_lock lock(notify_mu_);
-  for (auto& e : notifications_) {
-    if (e.service == dest && e.command == command &&
-        ++e.failures >= kMaxNotifyFailures) {
-      std::erase_if(notifications_, [&](const NotificationEntry& x) {
-        return x.service == dest && x.command == command;
-      });
-      break;
+  for (const NotifyJob& job : jobs) {
+    const std::string& command = job.command;
+    if (std::find(seen.begin(), seen.end(), command) != seen.end()) continue;
+    seen.push_back(command);
+    bool drop = false;
+    for (auto& e : notifications_) {
+      if (e.service != dest || e.command != command) continue;
+      e.failures = delivered ? 0 : e.failures + 1;
+      drop = drop || e.failures >= kMaxNotifyFailures;
     }
+    if (drop)
+      std::erase_if(notifications_, [&](const NotificationEntry& e) {
+        return e.service == dest && e.command == command;
+      });
   }
 }
 
@@ -870,7 +880,7 @@ void ServiceDaemon::run_notify_dest(const net::Address& dest) {
     notify.arg("detail", job.detail);
     auto s = client_.send_only(dest, notify);
     obs_notify_sent_->inc();
-    if (!s.ok()) record_notify_failure(dest, job.command);
+    record_notify_outcome(dest, jobs, s.ok());
     return;
   }
 
@@ -890,16 +900,7 @@ void ServiceDaemon::run_notify_dest(const net::Address& dest) {
   obs_notify_batches_->inc();
   obs_notify_batched_events_->inc(jobs.size());
   obs_notify_sent_->inc(jobs.size());
-  if (!s.ok()) {
-    // The frame carried every command; charge each distinct one once.
-    std::vector<std::string> seen;
-    for (const NotifyJob& job : jobs) {
-      if (std::find(seen.begin(), seen.end(), job.command) != seen.end())
-        continue;
-      seen.push_back(job.command);
-      record_notify_failure(dest, job.command);
-    }
-  }
+  record_notify_outcome(dest, jobs, s.ok());
 }
 
 void ServiceDaemon::handle_lease_lost() {

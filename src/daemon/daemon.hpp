@@ -239,8 +239,9 @@ class ServiceDaemon {
   void run_work_item(const WorkItem& item, bool serialize,
                      std::atomic<int>& lane);
   void run_notify_dest(const net::Address& dest);
-  void record_notify_failure(const net::Address& dest,
-                             const std::string& command);
+  void record_notify_outcome(const net::Address& dest,
+                             const std::vector<NotifyJob>& jobs,
+                             bool delivered);
   void teardown();
 
   // The one dispatch body of every path: validation, authorization, the

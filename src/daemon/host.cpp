@@ -119,13 +119,6 @@ void DaemonHost::leases_withdraw(const std::string& name) {
   if (leases) leases->withdraw(name);
 }
 
-ServiceDaemon* DaemonHost::find_daemon(const std::string& name) {
-  std::scoped_lock lock(mu_);
-  for (auto& d : daemons_)
-    if (d->config().name == name) return d.get();
-  return nullptr;
-}
-
 void DaemonHost::fail() {
   net_host_->set_down(true);
   std::vector<ServiceDaemon*> to_crash;

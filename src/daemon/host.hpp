@@ -98,7 +98,6 @@ class DaemonHost {
   // Boots the machine: starts every resident daemon in registration order.
   util::Status start_all();
   void stop_all();
-  ServiceDaemon* find_daemon(const std::string& name);
 
   // The host's batched lease renewer (lease.hpp), created on first use —
   // every daemon that registers with the ASD enrolls here. leases_withdraw()

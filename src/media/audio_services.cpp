@@ -334,13 +334,6 @@ std::vector<std::int16_t> AudioRecorderDaemon::recorded(
   return out;
 }
 
-std::vector<std::string> AudioRecorderDaemon::recorded_streams() const {
-  std::scoped_lock lock(mu_);
-  std::vector<std::string> out;
-  for (const auto& [tag, rec] : recordings_) out.push_back(tag);
-  return out;
-}
-
 void AudioRecorderDaemon::set_window(std::size_t samples) {
   std::scoped_lock lock(mu_);
   window_samples_ = samples;
@@ -435,10 +428,6 @@ SpeechToCommandDaemon::SpeechToCommandDaemon(daemon::Environment& env,
           return cmdlang::make_error(util::Errc::parse_error,
                                      "decoded text is not a command: " +
                                          parsed.error().message);
-        {
-          std::scoped_lock lock(mu_);
-          decoded_.push_back(parsed->to_string());
-        }
         CmdLine event("voiceCommand");
         event.arg("text", *text);
         emit_notification(event);
@@ -458,11 +447,6 @@ std::optional<util::SharedBytes> SpeechToCommandDaemon::on_frame_view(
   std::scoped_lock lock(mu_);
   view.append_samples(buffers_[std::string(view.stream)]);
   return std::nullopt;  // terminal: audio is buffered until stcFlush
-}
-
-std::vector<std::string> SpeechToCommandDaemon::decoded_commands() const {
-  std::scoped_lock lock(mu_);
-  return decoded_;
 }
 
 }  // namespace ace::media

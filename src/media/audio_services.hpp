@@ -160,7 +160,6 @@ class AudioRecorderDaemon : public AudioElementDaemon {
                       daemon::DaemonConfig config);
 
   std::vector<std::int16_t> recorded(const std::string& stream) const;
-  std::vector<std::string> recorded_streams() const;
 
   // Per-stream retention window in samples; older frames are evicted.
   void set_window(std::size_t samples);
@@ -200,8 +199,6 @@ class SpeechToCommandDaemon : public AudioElementDaemon {
   SpeechToCommandDaemon(daemon::Environment& env, daemon::DaemonHost& host,
                         daemon::DaemonConfig config);
 
-  std::vector<std::string> decoded_commands() const;
-
  protected:
   std::optional<util::SharedBytes> on_frame_view(
       const AudioFrameView& view, const util::SharedBytes& payload) override;
@@ -210,7 +207,6 @@ class SpeechToCommandDaemon : public AudioElementDaemon {
   mutable std::mutex mu_;
   std::map<std::string, std::vector<std::int16_t>> buffers_;
   net::Address target_;
-  std::vector<std::string> decoded_;
 };
 
 }  // namespace ace::media

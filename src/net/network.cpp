@@ -82,16 +82,6 @@ void Connection::close() {
 
 bool Connection::closed() const { return !state_ || state_->closed.load(); }
 
-Address Connection::local_address() const {
-  if (!state_) return {};
-  return is_a_ ? state_->addr_a : state_->addr_b;
-}
-
-Address Connection::peer_address() const {
-  if (!state_) return {};
-  return is_a_ ? state_->addr_b : state_->addr_a;
-}
-
 // ------------------------------------------------------------------ Listener
 
 Listener::Listener(Address address, Network* network)
@@ -332,8 +322,6 @@ util::Result<Connection> Network::do_connect(Host& from, const Address& to) {
   auto state = std::make_shared<detail::ConnState>();
   state->host_a = from.name();
   state->host_b = to.host;
-  state->addr_a = Address{from.name(), from.ephemeral_port()};
-  state->addr_b = to;
   Connection client(state, /*is_a=*/true, this);
   Connection server(state, /*is_a=*/false, this);
   // The listener may have been closed or destroyed during the setup delay:

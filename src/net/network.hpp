@@ -98,7 +98,6 @@ struct ConnState {
   util::MessageQueue<TimedFrame> to_b;
   std::atomic<bool> closed{false};
   std::string host_a, host_b;
-  Address addr_a, addr_b;
 };
 
 struct TimedDatagram {
@@ -132,9 +131,6 @@ class Connection {
 
   void close();
   bool closed() const;
-
-  Address local_address() const;
-  Address peer_address() const;
 
  private:
   std::shared_ptr<detail::ConnState> state_;

@@ -19,20 +19,26 @@ void expect_may_block(const char* site) {
 }
 #endif
 
+namespace {
+// An ops worker above ops_min retires after this long without work.
+constexpr std::chrono::milliseconds kOpsIdle{2000};
+}  // namespace
+
 // ------------------------------------------------------------------- Reactor
 
 Reactor::Reactor(Options options, obs::MetricsRegistry* metrics)
-    : options_(options) {
+    : options_(options),
+      owned_metrics_(metrics ? nullptr
+                             : std::make_unique<obs::MetricsRegistry>()) {
   if (options_.core_workers < 1) options_.core_workers = 1;
   if (options_.ops_min < 1) options_.ops_min = 1;
   if (options_.ops_max < options_.ops_min) options_.ops_max = options_.ops_min;
-  if (metrics) {
-    obs_tasks_ = &metrics->counter("reactor.tasks");
-    obs_blocking_tasks_ = &metrics->counter("reactor.blocking_tasks");
-    obs_timers_ = &metrics->counter("reactor.timers_fired");
-    obs_ops_spawned_ = &metrics->counter("reactor.ops_spawned");
-    obs_threads_ = &metrics->gauge("reactor.threads");
-  }
+  obs::MetricsRegistry& cells = metrics ? *metrics : *owned_metrics_;
+  obs_tasks_ = &cells.counter("reactor.tasks");
+  obs_blocking_tasks_ = &cells.counter("reactor.blocking_tasks");
+  obs_timers_ = &cells.counter("reactor.timers_fired");
+  obs_ops_spawned_ = &cells.counter("reactor.ops_spawned");
+  obs_threads_ = &cells.gauge("reactor.threads");
   core_workers_.reserve(static_cast<std::size_t>(options_.core_workers));
   for (int i = 0; i < options_.core_workers; ++i)
     core_workers_.emplace_back([this] { core_loop(); });
@@ -41,8 +47,7 @@ Reactor::Reactor(Options options, obs::MetricsRegistry* metrics)
     for (int i = 0; i < options_.ops_min; ++i) spawn_ops_locked();
   }
   timer_thread_ = std::jthread([this] { timer_loop(); });
-  if (obs_threads_)
-    obs_threads_->set(options_.core_workers + options_.ops_min + 1);
+  obs_threads_->set(options_.core_workers + options_.ops_min + 1);
 }
 
 Reactor::~Reactor() { stop(); }
@@ -74,7 +79,7 @@ void Reactor::stop() {
   dropped_ops.clear();
   workers.clear();  // joins
   core_workers_.clear();
-  if (obs_threads_) obs_threads_->set(0);
+  obs_threads_->set(0);
 }
 
 void Reactor::post(Task task) {
@@ -132,10 +137,10 @@ bool Reactor::cancel(TimerId id) {
 
 Reactor::Stats Reactor::stats() const {
   Stats s;
-  s.tasks_run = tasks_run_.load(std::memory_order_relaxed);
-  s.blocking_tasks_run = blocking_tasks_run_.load(std::memory_order_relaxed);
-  s.timers_fired = timers_fired_.load(std::memory_order_relaxed);
-  s.ops_spawned = ops_spawned_.load(std::memory_order_relaxed);
+  s.tasks_run = obs_tasks_->value();
+  s.blocking_tasks_run = obs_blocking_tasks_->value();
+  s.timers_fired = obs_timers_->value();
+  s.ops_spawned = obs_ops_spawned_->value();
   s.core_threads = static_cast<int>(core_workers_.size());
   {
     std::scoped_lock lock(ops_mu_);
@@ -150,8 +155,7 @@ void Reactor::core_loop() {
 #endif
   while (auto task = core_queue_.pop()) {
     (*task)();
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_tasks_) obs_tasks_->inc();
+    obs_tasks_->inc();
   }
 }
 
@@ -164,10 +168,8 @@ void Reactor::spawn_ops_locked() {
   OpsWorker* raw = worker.get();
   ops_workers_.push_back(std::move(worker));
   ++ops_live_;
-  ops_spawned_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_ops_spawned_) obs_ops_spawned_->inc();
-  if (obs_threads_)
-    obs_threads_->set(static_cast<int>(core_workers_.size()) + ops_live_ + 1);
+  obs_ops_spawned_->inc();
+  obs_threads_->set(static_cast<int>(core_workers_.size()) + ops_live_ + 1);
   raw->thread = std::jthread([this, raw] { ops_loop(raw); });
   // `dead` joins here as the vector unwinds — those threads have already
   // returned (exited is set on their way out), so this does not stall the
@@ -192,7 +194,7 @@ void Reactor::ops_loop(OpsWorker* self) {
         return;
       }
       ++ops_idle_count_;
-      bool got_work = ops_cv_.wait_for(lock, options_.ops_idle, [&] {
+      bool got_work = ops_cv_.wait_for(lock, kOpsIdle, [&] {
         return !ops_queue_.empty() || stopping_;
       });
       --ops_idle_count_;
@@ -200,9 +202,8 @@ void Reactor::ops_loop(OpsWorker* self) {
         // Idled out above the floor: retire. The spawner reaps us later.
         self->exited = true;
         --ops_live_;
-        if (obs_threads_)
-          obs_threads_->set(static_cast<int>(core_workers_.size()) +
-                            ops_live_ + 1);
+        obs_threads_->set(static_cast<int>(core_workers_.size()) +
+                          ops_live_ + 1);
         return;
       }
     }
@@ -211,8 +212,7 @@ void Reactor::ops_loop(OpsWorker* self) {
     lock.unlock();
     task();
     task = nullptr;  // its captures die outside ops_mu_
-    blocking_tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_blocking_tasks_) obs_blocking_tasks_->inc();
+    obs_blocking_tasks_->inc();
     lock.lock();
   }
 }
@@ -233,8 +233,7 @@ void Reactor::timer_loop() {
     timer_index_.erase(entry.id);
     timers_.erase(timers_.begin());
     lock.unlock();
-    timers_fired_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_timers_) obs_timers_->inc();
+    obs_timers_->inc();
     if (entry.blocking)
       post_blocking(std::move(entry.task));
     else

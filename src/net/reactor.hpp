@@ -152,10 +152,9 @@ class Reactor {
     int core_workers = 2;
     // Elastic blocking pool: at least `ops_min` workers while the reactor
     // runs, growing up to `ops_max` when every worker is busy and work is
-    // queued, shrinking back after `ops_idle` without work.
+    // queued, shrinking back after kOpsIdle (reactor.cpp) without work.
     int ops_min = 2;
     int ops_max = 256;
-    std::chrono::milliseconds ops_idle{2000};
   };
 
   struct Stats {
@@ -167,8 +166,9 @@ class Reactor {
     int ops_threads = 0;
   };
 
-  // Counters land in `metrics` under `reactor.*` names when a registry is
-  // supplied (the Environment wires its own in).
+  // Counters land in `metrics` under `reactor.*` names (the Environment
+  // wires its own in); without a registry the reactor owns a private one.
+  // stats() reads the same cells.
   Reactor() : Reactor(Options{}, nullptr) {}
   explicit Reactor(obs::MetricsRegistry* metrics)
       : Reactor(Options{}, metrics) {}
@@ -240,12 +240,9 @@ class Reactor {
   TimerId next_timer_id_ = 1;
   std::jthread timer_thread_;
 
-  std::atomic<std::uint64_t> tasks_run_{0};
-  std::atomic<std::uint64_t> blocking_tasks_run_{0};
-  std::atomic<std::uint64_t> timers_fired_{0};
-  std::atomic<std::uint64_t> ops_spawned_{0};
-
-  // Optional obs cells (null without a registry).
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // no registry given
+  // Cells in the given registry or in owned_metrics_; the constructor sets
+  // them, and they are never null after it.
   obs::Counter* obs_tasks_ = nullptr;
   obs::Counter* obs_blocking_tasks_ = nullptr;
   obs::Counter* obs_timers_ = nullptr;

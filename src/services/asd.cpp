@@ -32,6 +32,30 @@ std::int64_t remaining_ms(std::chrono::steady_clock::time_point expires,
   return std::chrono::duration_cast<std::chrono::milliseconds>(expires - now)
       .count();
 }
+
+// The shortest lease `register` grants; a shorter request is raised to it.
+constexpr std::chrono::milliseconds kMinLease{200};
+// Entries each size-capped cache holds: a directory's forwarded-query
+// results, and an AsdClient's lookups.
+constexpr std::size_t kForwardCacheMax = 1024;
+constexpr std::size_t kLookupCacheMax = 1024;
+
+// Makes room in a size-capped cache about to store `key`: drops dead
+// entries first, then the one that expires soonest (it carries the least
+// remaining usefulness). A key already cached is overwritten in place and
+// evicts nothing.
+template <typename Cache>
+void evict_for(Cache& cache, const std::string& key, std::size_t cap,
+               std::chrono::steady_clock::time_point now) {
+  if (cache.size() < cap || cache.contains(key)) return;
+  std::erase_if(cache,
+                [&](const auto& kv) { return kv.second.valid_until <= now; });
+  if (cache.size() < cap) return;
+  cache.erase(std::min_element(
+      cache.begin(), cache.end(), [](const auto& a, const auto& b) {
+        return a.second.valid_until < b.second.valid_until;
+      }));
+}
 }  // namespace
 
 AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
@@ -89,7 +113,7 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
         r.service_class = cmd.get_text("class");
         auto requested = std::chrono::milliseconds(
             cmd.get_integer("lease", options_.max_lease.count()));
-        r.lease = std::clamp(requested, options_.min_lease, options_.max_lease);
+        r.lease = std::clamp(requested, kMinLease, options_.max_lease);
         r.expires = std::chrono::steady_clock::now() + r.lease;
         auto granted = r.lease;
         index_.upsert(std::move(r));
@@ -209,8 +233,7 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
         // unconstrained) also fans out to live peer rooms — unless the
         // sender pinned scope=local, which is both the client's opt-out
         // and the loop guard on forwarded sub-queries.
-        if (gossip_ && options_.federation.forward_queries &&
-            cmd.get_text("scope", "") != "local") {
+        if (gossip_ && cmd.get_text("scope", "") != "local") {
           auto remote = forward_query(name_glob, class_glob, room_glob);
           encoded.insert(encoded.end(),
                          std::make_move_iterator(remote.begin()),
@@ -376,21 +399,9 @@ std::vector<std::string> AsdDaemon::forward_query(
     }
     merged.insert(merged.end(), encoded.begin(), encoded.end());
     if (options_.federation.forward_cache_ttl.count() <= 0) continue;
-    if (forward_cache_.size() >= options_.federation.forward_cache_max) {
-      // Capped: drop dead entries first, then the soonest-expiring one.
-      std::erase_if(forward_cache_, [&](const auto& kv) {
-        return kv.second.valid_until <= now;
-      });
-      if (forward_cache_.size() >= options_.federation.forward_cache_max) {
-        auto victim = forward_cache_.begin();
-        for (auto it = forward_cache_.begin(); it != forward_cache_.end();
-             ++it)
-          if (it->second.valid_until < victim->second.valid_until)
-            victim = it;
-        forward_cache_.erase(victim);
-      }
-    }
     const RoomView& t = missing[i];
+    std::string key = t.room + "\x1f" + name_glob + "\x1f" + class_glob;
+    evict_for(forward_cache_, key, kForwardCacheMax, now);
     ForwardCacheEntry entry;
     entry.encoded = std::move(encoded);
     entry.valid_until = now + options_.federation.forward_cache_ttl;
@@ -399,8 +410,7 @@ std::vector<std::string> AsdDaemon::forward_query(
     // first probe.
     entry.epoch = t.epoch;
     entry.version = t.version;
-    forward_cache_[t.room + "\x1f" + name_glob + "\x1f" + class_glob] =
-        std::move(entry);
+    forward_cache_[std::move(key)] = std::move(entry);
   }
   return merged;
 }
@@ -475,19 +485,7 @@ void AsdClient::cache_put(const std::string& name,
   if (ttl.count() <= 0) return;
   auto now = std::chrono::steady_clock::now();
   std::scoped_lock lock(cache_->mu);
-  if (cache_->entries.size() >= cache_->options.max_entries &&
-      !cache_->entries.contains(name)) {
-    // Capped size: drop dead entries first, then the soonest-expiring one
-    // (it carries the least remaining usefulness).
-    std::erase_if(cache_->entries,
-                  [&](const auto& kv) { return kv.second.valid_until <= now; });
-    if (cache_->entries.size() >= cache_->options.max_entries) {
-      auto victim = cache_->entries.begin();
-      for (auto it = cache_->entries.begin(); it != cache_->entries.end(); ++it)
-        if (it->second.valid_until < victim->second.valid_until) victim = it;
-      cache_->entries.erase(victim);
-    }
-  }
+  evict_for(cache_->entries, name, kLookupCacheMax, now);
   cache_->entries[name] = CacheEntry{std::move(loc), now + ttl};
 }
 

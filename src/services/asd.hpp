@@ -40,7 +40,6 @@
 namespace ace::services {
 
 struct AsdOptions {
-  std::chrono::milliseconds min_lease{200};
   std::chrono::milliseconds max_lease{60000};
   std::chrono::milliseconds reap_interval{50};
   // Multi-room federation (docs/federation.md): gossip membership with
@@ -165,7 +164,6 @@ struct RenewOutcome {
 // Robustness Manager) an eviction hook sharper than the TTLs.
 struct AsdCacheOptions {
   bool enabled = false;
-  std::size_t max_entries = 1024;
   std::chrono::milliseconds negative_ttl{250};
 };
 
@@ -178,8 +176,6 @@ class AsdClient {
  public:
   AsdClient(daemon::AceClient& client, net::Address asd,
             AsdCacheOptions cache = {});
-
-  const net::Address& directory_address() const { return asd_; }
 
   // `lookup name=;` — exact-name resolution (cached when enabled).
   util::Result<ServiceLocation> lookup(const std::string& name);

@@ -14,6 +14,12 @@ using cmdlang::CmdLine;
 using cmdlang::Word;
 using daemon::CallOptions;
 
+namespace {
+// The lease this room's directory asks its relay for, renewed at about
+// half its length.
+constexpr std::chrono::milliseconds kRelayLease{2000};
+}  // namespace
+
 const char* to_string(RoomState state) {
   switch (state) {
     case RoomState::alive: return "alive";
@@ -307,7 +313,7 @@ void GossipAgent::round() {
   // Keep our relay lease alive at roughly half its horizon.
   if (!options_.relay.host.empty()) {
     const std::uint64_t every = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(options_.relay_lease.count()) /
+        1, static_cast<std::uint64_t>(kRelayLease.count()) /
                (2 * std::max<std::uint64_t>(
                         1, static_cast<std::uint64_t>(
                                options_.gossip_interval.count()))));
@@ -325,7 +331,7 @@ void GossipAgent::register_with_relay() {
   reg.arg("room", Word{self_room_});
   reg.arg("host", self_addr.host);
   reg.arg("port", static_cast<std::int64_t>(self_addr.port));
-  reg.arg("lease", static_cast<std::int64_t>(options_.relay_lease.count()));
+  reg.arg("lease", static_cast<std::int64_t>(kRelayLease.count()));
   auto r = client_.call(options_.relay, reg,
                         CallOptions{.timeout = options_.sync_timeout,
                                     .require_ok = true});

@@ -89,17 +89,14 @@ struct FederationOptions {
   // `room` constraint is non-local (or unconstrained) fans out to live peer
   // rooms in parallel on the ops pool; per-(room, pattern) results are
   // cached for `forward_cache_ttl`, bounded by the peer's gossip
-  // epoch/version (any bump invalidates).
-  bool forward_queries = true;
+  // epoch/version (any bump invalidates), 1024 entries at most.
   std::chrono::milliseconds forward_timeout{750};
   std::chrono::milliseconds forward_cache_ttl{500};
-  std::size_t forward_cache_max = 1024;
 
   // This room's own rendezvous relay (empty host = directly reachable).
-  // When set, the agent keeps a `relayRegister` lease alive at the relay
-  // and advertises it in every view entry it gossips.
+  // When set, the agent keeps a 2 s `relayRegister` lease alive at the
+  // relay and advertises it in every view entry it gossips.
   net::Address relay{};
-  std::chrono::milliseconds relay_lease{2000};
 };
 
 // The per-room membership agent. Owned by an AsdDaemon, whose client

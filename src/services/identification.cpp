@@ -50,6 +50,9 @@ double feature_distance(const FingerprintFeatures& a,
   return std::sqrt(acc);
 }
 
+// Identification events the ID monitor keeps; older ones are dropped.
+constexpr std::size_t kMaxIdEvents = 256;
+
 }  // namespace
 
 // ----------------------------------------------------------------------- FIU
@@ -268,7 +271,7 @@ void IdMonitorDaemon::handle_identified(const cmdlang::CmdLine& detail) {
   {
     std::scoped_lock lock(mu_);
     events_.push_back(e);
-    while (events_.size() > options_.max_events) events_.pop_front();
+    while (events_.size() > kMaxIdEvents) events_.pop_front();
   }
   if (!e.positive || e.user.empty()) return;
 

@@ -58,7 +58,6 @@ class IButtonDaemon : public daemon::DeviceDaemon {
 
 struct IdMonitorOptions {
   bool auto_show_workspace = true;  // bring up the workspace on identify
-  std::size_t max_events = 256;
 };
 
 class IdMonitorDaemon : public daemon::ServiceDaemon {

@@ -116,8 +116,11 @@ std::vector<SrmDaemon::HostSnapshot> SrmDaemon::snapshots() {
       return cache_;
   }
 
+  // Every HRM registers under this class (HrmDaemon's default).
+  constexpr const char* kHrmClassGlob = "Service/Monitor/HRM*";
   std::vector<HostSnapshot> out;
-  auto hrms = AsdClient(control_client(), env().asd_address).query("*", options_.hrm_class_glob, "*");
+  auto hrms = AsdClient(control_client(), env().asd_address)
+                  .query("*", kHrmClassGlob, "*");
   if (hrms.ok()) {
     for (const ServiceLocation& loc : hrms.value()) {
       HostSnapshot s;

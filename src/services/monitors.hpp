@@ -41,7 +41,6 @@ class HrmDaemon : public daemon::ServiceDaemon {
 
 struct SrmOptions {
   std::chrono::milliseconds cache_ttl{200};  // HRM snapshot cache
-  std::string hrm_class_glob = "Service/Monitor/HRM*";
 };
 
 class SrmDaemon : public daemon::ServiceDaemon {

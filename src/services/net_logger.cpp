@@ -120,11 +120,6 @@ NetLoggerDaemon::NetLoggerDaemon(daemon::Environment& env,
                    });
 }
 
-std::size_t NetLoggerDaemon::entry_count() const {
-  std::scoped_lock lock(mu_);
-  return entries_.size();
-}
-
 std::vector<NetLoggerDaemon::Entry> NetLoggerDaemon::entries_from(
     const std::string& source_glob) const {
   std::scoped_lock lock(mu_);

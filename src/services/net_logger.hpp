@@ -37,7 +37,6 @@ class NetLoggerDaemon : public daemon::ServiceDaemon {
   NetLoggerDaemon(daemon::Environment& env, daemon::DaemonHost& host,
                   daemon::DaemonConfig config, NetLoggerOptions options = {});
 
-  std::size_t entry_count() const;
   std::vector<Entry> entries_from(const std::string& source_glob) const;
   std::uint64_t alerts_raised() const;
 

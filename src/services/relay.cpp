@@ -24,6 +24,10 @@ daemon::DaemonConfig relay_defaults(daemon::DaemonConfig config) {
   if (config.service_class.empty()) config.service_class = "Service/Relay";
   return config;
 }
+
+// The shortest lease `relayRegister` grants; a shorter request is raised
+// to it.
+constexpr std::chrono::milliseconds kMinLease{200};
 }  // namespace
 
 RelayDaemon::RelayDaemon(daemon::Environment& env, daemon::DaemonHost& host,
@@ -45,8 +49,7 @@ RelayDaemon::RelayDaemon(daemon::Environment& env, daemon::DaemonHost& host,
       [this](const CmdLine& cmd, const CallerInfo&) {
         auto requested = std::chrono::milliseconds(
             cmd.get_integer("lease", options_.max_lease.count()));
-        auto lease =
-            std::clamp(requested, options_.min_lease, options_.max_lease);
+        auto lease = std::clamp(requested, kMinLease, options_.max_lease);
         RoomEntry entry;
         entry.address = {cmd.get_text("host"),
                          static_cast<std::uint16_t>(cmd.get_integer("port"))};

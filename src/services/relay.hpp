@@ -27,7 +27,6 @@
 namespace ace::services {
 
 struct RelayOptions {
-  std::chrono::milliseconds min_lease{200};
   std::chrono::milliseconds max_lease{60000};
   // Deadline for one tunneled command (the room-side RPC).
   std::chrono::milliseconds forward_timeout{750};

@@ -311,18 +311,13 @@ DistributionDaemon::DistributionDaemon(daemon::Environment& env,
   register_command(
       CommandSpec("distStats", "forwarding statistics"),
       [this](const CmdLine&, const CallerInfo&) {
-        DistStats s = dist_stats();
+        RouteStats s = route_stats();
         CmdLine reply = cmdlang::make_ok();
-        reply.arg("packets", static_cast<std::int64_t>(s.packets));
+        reply.arg("packets", static_cast<std::int64_t>(s.frames));
         reply.arg("bytes", static_cast<std::int64_t>(s.bytes));
         reply.arg("fanout", static_cast<std::int64_t>(s.fanout));
         return reply;
       });
-}
-
-DistributionDaemon::DistStats DistributionDaemon::dist_stats() const {
-  RouteStats s = route_stats();
-  return DistStats{s.frames, s.bytes, s.fanout};
 }
 
 }  // namespace ace::services

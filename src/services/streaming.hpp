@@ -17,7 +17,7 @@
 //   distAddSink stream= dest=;
 //   distRemoveSink stream= dest=;
 //   distSinks stream=;                    -> ok sinks={...}
-//   distStats;                            -> ok packets= bytes=
+//   distStats;                            -> ok packets= bytes= fanout=
 // plus the route* family both inherit from RoutedMediaDaemon.
 #pragma once
 
@@ -89,13 +89,6 @@ class DistributionDaemon : public media::RoutedMediaDaemon {
  public:
   DistributionDaemon(daemon::Environment& env, daemon::DaemonHost& host,
                      daemon::DaemonConfig config);
-
-  struct DistStats {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t fanout = 0;  // total forwarded copies
-  };
-  DistStats dist_stats() const;
 };
 
 }  // namespace ace::services

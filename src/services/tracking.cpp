@@ -18,14 +18,15 @@ daemon::DaemonConfig tracker_defaults(daemon::DaemonConfig config) {
     config.service_class = "Service/Monitor/Tracker";
   return config;
 }
+
+// Sightings kept per user; older ones are dropped.
+constexpr std::size_t kMaxHistoryPerUser = 64;
 }  // namespace
 
 TrackerDaemon::TrackerDaemon(daemon::Environment& env,
                              daemon::DaemonHost& host,
-                             daemon::DaemonConfig config,
-                             TrackerOptions options)
-    : ServiceDaemon(env, host, tracker_defaults(std::move(config))),
-      options_(options) {
+                             daemon::DaemonConfig config)
+    : ServiceDaemon(env, host, tracker_defaults(std::move(config))) {
   register_command(
       CommandSpec("trackWatchAll",
                   "subscribe to all identification devices in the ACE"),
@@ -57,7 +58,7 @@ TrackerDaemon::TrackerDaemon(daemon::Environment& env,
         std::scoped_lock lock(mu_);
         auto& h = history_[user];
         h.push_back(std::move(s));
-        while (h.size() > options_.max_history_per_user) h.pop_front();
+        while (h.size() > kMaxHistoryPerUser) h.pop_front();
         return cmdlang::make_ok();
       });
 

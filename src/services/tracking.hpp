@@ -23,10 +23,6 @@
 
 namespace ace::services {
 
-struct TrackerOptions {
-  std::size_t max_history_per_user = 64;
-};
-
 class TrackerDaemon : public daemon::ServiceDaemon {
  public:
   struct Sighting {
@@ -37,7 +33,7 @@ class TrackerDaemon : public daemon::ServiceDaemon {
   };
 
   TrackerDaemon(daemon::Environment& env, daemon::DaemonHost& host,
-                daemon::DaemonConfig config, TrackerOptions options = {});
+                daemon::DaemonConfig config);
 
   // Subscribes to `identified` on every registered identification device.
   // Returns how many devices were subscribed.
@@ -47,7 +43,6 @@ class TrackerDaemon : public daemon::ServiceDaemon {
   std::size_t tracked_users() const;
 
  private:
-  TrackerOptions options_;
   mutable std::mutex mu_;
   std::map<std::string, std::deque<Sighting>> history_;
 };

@@ -543,15 +543,15 @@ void PersistentStoreDaemon::monitor_round(std::map<net::Address, bool>& peer_up,
     std::scoped_lock lock(mu_);
     peers = peers_;
   }
+  // A peer that does not answer its ping within this is down this round.
+  constexpr std::chrono::milliseconds kProbeTimeout{150};
   bool rejoined = false;
   std::vector<net::Address> reachable;
   for (const net::Address& peer : peers) {
     auto pong = control_client().call(
         peer, CmdLine("ping"),
-        daemon::CallOptions{.timeout = options_.probe_timeout,
-                            .require_ok = true,
-                            .retries = 0,
-                            .backoff = std::chrono::milliseconds(0)});
+        daemon::CallOptions{
+            .timeout = kProbeTimeout, .require_ok = true, .retries = 0});
     const bool up = pong.ok();
     if (up) reachable.push_back(peer);
     auto [it, fresh] = peer_up.try_emplace(peer, up);

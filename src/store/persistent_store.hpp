@@ -85,7 +85,6 @@ struct StoreOptions {
   // heal, or a peer restart) triggers an automatic anti-entropy round and
   // drains any hinted-handoff writes held for that peer.
   std::chrono::milliseconds probe_interval{250};
-  std::chrono::milliseconds probe_timeout{150};
 
   // N: replicas per key (clamped to cluster size). With the default 3 and
   // a 3-node cluster, every node owns every key (Fig 17).

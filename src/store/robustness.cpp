@@ -19,6 +19,12 @@ daemon::DaemonConfig rm_defaults(daemon::DaemonConfig config) {
     config.service_class = "Service/Monitor/RobustnessManager";
   return config;
 }
+
+// Relaunch retry backoff: kRetryBase * 2^(failures-1), capped at kRetryCap.
+constexpr std::chrono::milliseconds kRetryBase{200};
+constexpr std::chrono::milliseconds kRetryCap{2000};
+// Consecutive failures after which a failed relaunch is logged as critical.
+constexpr int kEscalateAfter = 5;
 }  // namespace
 
 RobustnessManagerDaemon::RobustnessManagerDaemon(daemon::Environment& env,
@@ -206,10 +212,10 @@ bool RobustnessManagerDaemon::try_relaunch(const std::string& name) {
     auto& p = pending_[name];
     p.failures++;
     const int exponent = std::min(p.failures - 1, 16);
-    auto delay = options_.retry_base * (std::int64_t{1} << exponent);
-    delay = std::min(delay, options_.retry_cap);
+    auto delay = kRetryBase * (std::int64_t{1} << exponent);
+    delay = std::min(delay, kRetryCap);
     p.next_attempt = std::chrono::steady_clock::now() + delay;
-    net_log(p.failures >= options_.escalate_after ? "critical" : "error",
+    net_log(p.failures >= kEscalateAfter ? "critical" : "error",
             "relaunch of '" + name + "' failed (" +
                 std::to_string(p.failures) + "x): " + why);
     return false;

@@ -43,15 +43,10 @@ namespace ace::store {
 struct RobustnessOptions {
   // Watchdog tick: subscription check, directory sweep, and retry drain.
   std::chrono::milliseconds watch_interval{250};
-  // Relaunch retry backoff: base * 2^(failures-1), capped.
-  std::chrono::milliseconds retry_base{200};
-  std::chrono::milliseconds retry_cap{2000};
   // After a successful relaunch, leave the service alone for this long so
   // the sweep does not double-launch an instance that is still booting and
   // has not yet re-registered.
   std::chrono::milliseconds relaunch_grace{1500};
-  // Consecutive failures after which the escalation is logged as critical.
-  int escalate_after = 5;
 };
 
 class RobustnessManagerDaemon : public daemon::ServiceDaemon {

@@ -26,7 +26,7 @@ using BytesView = std::span<const std::uint8_t>;
 // wrapped once and every queue hop, fan-out sink and retained recording
 // shares the same underlying buffer. Copying a SharedBytes copies two
 // pointers; the bytes themselves are copied only by an explicit
-// to_bytes()/copy_of(). Immutability is structural — there is no mutable
+// to_bytes(). Immutability is structural — there is no mutable
 // accessor — so sharing across reactor workers needs no synchronization.
 class SharedBytes {
  public:
@@ -38,10 +38,6 @@ class SharedBytes {
       : owner_(std::make_shared<const Bytes>(std::move(b))),
         offset_(0),
         size_(owner_->size()) {}
-
-  static SharedBytes copy_of(BytesView v) {
-    return SharedBytes(Bytes(v.begin(), v.end()));
-  }
 
   const std::uint8_t* data() const {
     return owner_ ? owner_->data() + offset_ : nullptr;

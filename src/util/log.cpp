@@ -32,32 +32,12 @@ LogLevel Logger::level() const {
   return level_;
 }
 
-void Logger::set_capture(bool capture) {
-  std::scoped_lock lock(mu_);
-  capture_ = capture;
-}
-
-std::vector<std::string> Logger::captured() const {
-  std::scoped_lock lock(mu_);
-  return captured_;
-}
-
-void Logger::clear_captured() {
-  std::scoped_lock lock(mu_);
-  captured_.clear();
-}
-
 void Logger::log(LogLevel level, const std::string& component,
                  const std::string& message) {
   std::scoped_lock lock(mu_);
   if (level < level_) return;
-  std::string line = std::string("[") + level_tag(level) + "] " + component +
-                     ": " + message;
-  if (capture_) {
-    captured_.push_back(std::move(line));
-  } else {
-    std::fprintf(stderr, "%s\n", line.c_str());
-  }
+  std::fprintf(stderr, "[%s] %s: %s\n", level_tag(level), component.c_str(),
+               message.c_str());
 }
 
 }  // namespace ace::util

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <sstream>
 #include <string>
-#include <vector>
 
 namespace ace::util {
 
@@ -20,12 +19,6 @@ class Logger {
   void set_level(LogLevel level);
   LogLevel level() const;
 
-  // When enabled, records are retained in memory (for tests) instead of
-  // being written to stderr.
-  void set_capture(bool capture);
-  std::vector<std::string> captured() const;
-  void clear_captured();
-
   void log(LogLevel level, const std::string& component,
            const std::string& message);
 
@@ -34,8 +27,6 @@ class Logger {
 
   mutable std::mutex mu_;
   LogLevel level_ = LogLevel::warn;
-  bool capture_ = false;
-  std::vector<std::string> captured_;
 };
 
 namespace detail {

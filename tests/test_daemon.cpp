@@ -163,6 +163,40 @@ class DaemonTest : public ::testing::Test {
     return c;
   }
 
+  // Subscribes `sink`'s `sink` command to `source`'s `echo` events.
+  void subscribe(EchoDaemon& source, const SinkDaemon& sink) {
+    CmdLine sub("addNotification");
+    sub.arg("command", Word{"echo"});
+    sub.arg("service", sink.address().to_string());
+    sub.arg("method", Word{"sink"});
+    ASSERT_TRUE(client_->call(source.address(), sub, daemon::kCallOk).ok());
+  }
+
+  // Runs `echo` on `source` and waits until the notify pump has sent its
+  // event, delivered or refused, so that each event is a frame of its own.
+  void echo_one_event(EchoDaemon& source) {
+    auto& sent = deployment_->env.metrics().counter("daemon.notify.sent");
+    const auto before = sent.value();
+    CmdLine cmd("echo");
+    cmd.arg("text", "event");
+    ASSERT_TRUE(client_->call(source.address(), cmd, daemon::kCallOk).ok());
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (sent.value() == before && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(1ms);
+    ASSERT_GT(sent.value(), before);
+  }
+
+  // Whether `source` lists `sink` among its subscribers.
+  static bool subscribed(EchoDaemon& source, const SinkDaemon& sink) {
+    const std::string entry = "echo>" + sink.address().to_string() + ">sink";
+    auto reply =
+        source.execute(CmdLine("listNotifications"), daemon::CallerInfo{});
+    if (auto entries = reply.get_vector("entries"))
+      for (const auto& e : entries->elements)
+        if (e.as_text() == entry) return true;
+    return false;
+  }
+
   std::unique_ptr<testenv::AceTestEnv> deployment_;
   std::unique_ptr<daemon::DaemonHost> host_;
   std::unique_ptr<daemon::AceClient> client_;
@@ -290,6 +324,47 @@ TEST_F(DaemonTest, FailingCommandDoesNotNotify) {
 
   (void)client_->call(echo.address(), CmdLine("echo"));  // missing arg
   EXPECT_FALSE(sink.wait_for(1, 300ms));
+}
+
+// A subscriber whose deliveries keep failing, three in a row, is dropped.
+TEST_F(DaemonTest, NotifyFailuresDropSubscriberAfterThreeInARow) {
+  auto& echo = host_->add_daemon<EchoDaemon>(config("source4"));
+  auto& sink = host_->add_daemon<SinkDaemon>(config("sink4"));
+  ASSERT_TRUE(echo.start().ok());
+  ASSERT_TRUE(sink.start().ok());
+  subscribe(echo, sink);
+  sink.stop();
+
+  for (int i = 0; i < 3; ++i) echo_one_event(echo);
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (subscribed(echo, sink) && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_FALSE(subscribed(echo, sink));
+  EXPECT_TRUE(sink.received().empty());
+}
+
+// Only failures in a row count: a delivery in between resets the count, so
+// three short outages of a subscriber, however far apart, do not drop it.
+TEST_F(DaemonTest, NotifyFailuresResetOnDelivery) {
+  auto& echo = host_->add_daemon<EchoDaemon>(config("source5"));
+  auto& sink = host_->add_daemon<SinkDaemon>(config("sink5"));
+  ASSERT_TRUE(echo.start().ok());
+  ASSERT_TRUE(sink.start().ok());
+  subscribe(echo, sink);
+
+  sink.stop();
+  echo_one_event(echo);
+  echo_one_event(echo);
+  ASSERT_TRUE(sink.start().ok());
+  echo_one_event(echo);
+  ASSERT_TRUE(sink.wait_for(1, 2s));
+  sink.stop();
+  echo_one_event(echo);
+
+  ASSERT_TRUE(sink.start().ok());
+  echo_one_event(echo);
+  EXPECT_TRUE(sink.wait_for(2, 2s));
+  EXPECT_TRUE(subscribed(echo, sink));
 }
 
 TEST_F(DaemonTest, LeaseExpiryRemovesCrashedDaemon) {

@@ -237,6 +237,36 @@ TEST_F(TrackerTest, TracksUsersAcrossRooms) {
   EXPECT_TRUE(ph->get_vector("users")->elements.empty());
 }
 
+// The tracker keeps each user's latest 64 sightings and drops older ones.
+TEST_F(TrackerTest, HistoryKeepsLatestSightings) {
+  auto& tracker = host_->add_daemon<services::TrackerDaemon>(
+      config("tracker", "machine-room"));
+  for (int i = 1; i <= 65; ++i) {
+    CmdLine identified("identified");
+    identified.arg("user", Word{"kate"});
+    identified.arg("room", Word{"hawk"});
+    identified.arg("station", "door-" + std::to_string(i));
+    identified.arg("device", Word{"ibutton"});
+    CmdLine notify("trackNotify");
+    notify.arg("source", "ibutton-hawk");
+    notify.arg("command", Word{"identified"});
+    notify.arg("detail", identified.to_string());
+    ASSERT_TRUE(cmdlang::is_ok(tracker.execute(notify, daemon::CallerInfo{})));
+  }
+
+  CmdLine history("trackHistory");
+  history.arg("user", Word{"kate"});
+  history.arg("limit", std::int64_t{1000});
+  auto h = tracker.execute(history, daemon::CallerInfo{});
+  ASSERT_TRUE(cmdlang::is_ok(h));
+  auto entries = h.get_vector("entries");
+  ASSERT_TRUE(entries.has_value());
+  ASSERT_EQ(entries->elements.size(), 64u);
+  // Newest first: door-65 down to door-2; door-1 was dropped.
+  EXPECT_EQ(entries->elements.front().as_text(), "hawk|door-65|ibutton");
+  EXPECT_EQ(entries->elements.back().as_text(), "hawk|door-2|ibutton");
+}
+
 TEST_F(TrackerTest, UnknownUserQueriesFailCleanly) {
   auto& tracker = host_->add_daemon<services::TrackerDaemon>(
       config("tracker", "machine-room"));

@@ -608,7 +608,7 @@ TEST_F(ChaosTest, RetriesAreSpacedByJitteredBackoff) {
   // Refused immediately (no listener on that port), so elapsed time is
   // dominated by the backoff sleeps, not connect timeouts.
   const net::Address dead{"ops", 9999};
-  client_->set_policy({.breaker = {.failure_threshold = 0}});  // isolate backoff
+  client_->set_breaker_policy({.failure_threshold = 0});  // isolate backoff
 
   auto& metrics = deployment_->env.metrics();
   const auto retries0 = metrics.counter("client.retries").value();

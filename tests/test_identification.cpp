@@ -220,6 +220,33 @@ TEST_F(IdentificationTest, IdMonitorRecordsFailedAttempts) {
   EXPECT_TRUE(recorded);
 }
 
+// The monitor keeps the latest 256 identification events and drops older
+// ones.
+TEST_F(IdentificationTest, IdMonitorKeepsLatestEvents) {
+  auto& monitor =
+      host_->add_daemon<services::IdMonitorDaemon>(config("id-monitor"));
+  for (int i = 1; i <= 257; ++i) {
+    CmdLine failed("identifyFailed");
+    failed.arg("room", Word{"hawk"});
+    failed.arg("station", "door-" + std::to_string(i));
+    failed.arg("device", Word{"fiu"});
+    CmdLine notify("idNotify");
+    notify.arg("source", "fiu");
+    notify.arg("command", Word{"identifyFailed"});
+    notify.arg("detail", failed.to_string());
+    ASSERT_TRUE(cmdlang::is_ok(monitor.execute(notify, daemon::CallerInfo{})));
+  }
+
+  auto reply = monitor.execute(CmdLine("idEvents"), daemon::CallerInfo{});
+  ASSERT_TRUE(cmdlang::is_ok(reply));
+  auto events = reply.get_vector("events");
+  ASSERT_TRUE(events.has_value());
+  ASSERT_EQ(events->elements.size(), 256u);
+  // Oldest first: door-2 up to door-257; door-1 was dropped.
+  EXPECT_EQ(events->elements.front().as_text(), "fail||hawk|door-2|fiu");
+  EXPECT_EQ(events->elements.back().as_text(), "fail||hawk|door-257|fiu");
+}
+
 TEST_F(IdentificationTest, PoweredOffDevicesRefuseScans) {
   auto& fiu = host_->add_daemon<services::FiuDaemon>(config("fiu"));
   auto& reader = host_->add_daemon<services::IButtonDaemon>(config("ibutton"));

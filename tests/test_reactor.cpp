@@ -533,7 +533,7 @@ TEST(ReactorSoak, ConnectCloseChurnUnderLoad) {
   SoakFixture f;
   const net::Address addr = f.svc->address();
   auto client = f.env.make_client("ap", "user/soak");
-  client->set_policy({.breaker = {.failure_threshold = 0}});  // retry, don't fast-fail
+  client->set_breaker_policy({.failure_threshold = 0});  // retry, don't fast-fail
 
   constexpr int kCallers = 4;
   constexpr int kCallsPerCaller = 400;
@@ -610,17 +610,13 @@ TEST(ReactorSoak, ConnectCloseChurnUnderLoad) {
   EXPECT_EQ(gauge_value(f.env.env.metrics(), "client.inflight"), 0);
 }
 
-// Regression: an idle destination's demux state is torn down by the
-// sweeper and transparently re-created by the next call.
-TEST(ReactorSoak, IdleDemuxTearDownAndRecreate) {
+// Regression: a destination's demux state, once torn down, is
+// transparently re-created by the next call.
+TEST(ReactorSoak, DroppedDemuxIsRecreated) {
   SoakFixture f;
   const net::Address addr = f.svc->address();
-  auto client = f.env.make_client("ap", "user/idle");
+  auto client = f.env.make_client("ap", "user/drop");
   auto& metrics = f.env.env.metrics();
-
-  daemon::ClientPolicy policy;
-  policy.idle_channel_ttl = 40ms;
-  client->set_policy(policy);
 
   CmdLine cmd("echo");
   cmd.arg("text", "hi");
@@ -628,9 +624,7 @@ TEST(ReactorSoak, IdleDemuxTearDownAndRecreate) {
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
   const auto connects_before = counter_value(metrics, "net.connects");
 
-  // The sweeper closes the channel once it has sat idle past the TTL.
-  EXPECT_TRUE(eventually(
-      [&] { return counter_value(metrics, "client.idle_closed") >= 1; }));
+  client->drop_connection(addr);
 
   // The next call must re-create the whole per-destination state — a new
   // connection, handshake and demux pump — and still route its reply.
@@ -639,21 +633,13 @@ TEST(ReactorSoak, IdleDemuxTearDownAndRecreate) {
   EXPECT_EQ(reply->get_text("text"), "hi");
   EXPECT_GT(counter_value(metrics, "net.connects"), connects_before);
   EXPECT_EQ(gauge_value(metrics, "client.inflight"), 0);
-
-  // Disarming the sweeper stops further teardown: the fresh channel stays.
-  client->set_policy(daemon::ClientPolicy{});
-  const auto closed_now = counter_value(metrics, "client.idle_closed");
-  std::this_thread::sleep_for(120ms);
-  EXPECT_EQ(counter_value(metrics, "client.idle_closed"), closed_now);
-  reply = client->call(addr, cmd, daemon::kCallOk);
-  ASSERT_TRUE(reply.ok());
 }
 
 // Every periodic duty and every replication flush rides the reactor: a
-// deployment with a replicated durable store, a Robustness Manager, a
-// sampling HRM and an idle-sweeping client runs no thread outside the
-// reactor's pools — core workers, live ops workers and the timer thread,
-// which is what the reactor.threads gauge counts.
+// deployment with a replicated durable store, a Robustness Manager and a
+// sampling HRM runs no thread outside the reactor's pools — core workers,
+// live ops workers and the timer thread, which is what the reactor.threads
+// gauge counts.
 TEST(ReactorSoak, DeploymentRunsNoThreadOutsideReactor) {
   // Threads that predate the deployment: the test's own, plus a
   // sanitizer's helper thread where one runs. An earlier test's threads
@@ -719,7 +705,6 @@ TEST(ReactorSoak, DeploymentRunsNoThreadOutsideReactor) {
   ASSERT_TRUE(hrm.start().ok());
 
   auto client = env.make_client("ap", "user/threads");
-  client->set_policy({.idle_channel_ttl = 100ms});
   ASSERT_TRUE(
       client->call(replicas[0]->address(), CmdLine("ping"), daemon::kCallOk)
           .ok());

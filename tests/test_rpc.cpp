@@ -605,7 +605,7 @@ TEST(CallAll, EnoughStopsTheWaitAndWithdrawsTheRest) {
 // breaker and a live daemon each get their own result from one call.
 TEST(CallAll, FailuresStayPerRequest) {
   RpcFixture f;
-  f.client->set_policy({.breaker = {.failure_threshold = 1, .cooldown = 60s}});
+  f.client->set_breaker_policy({.failure_threshold = 1, .cooldown = 60s});
   const net::Address refused{"svc", 40001};  // nothing listens there
   const net::Address tripped{"svc", 40002};
   ASSERT_FALSE(

@@ -605,7 +605,12 @@ TEST_F(ServicesTest, DistributionFansOutToAllSinks) {
   ASSERT_TRUE((*src)->send_to(dist.data_address(), packet.serialize()).ok());
   EXPECT_FALSE(sink1_rx.next(200ms).has_value());
 
-  auto stats = dist.dist_stats();
-  EXPECT_EQ(stats.packets, 1u);
+  auto stats = dist.route_stats();
+  EXPECT_EQ(stats.frames, 1u);
   EXPECT_EQ(stats.fanout, 2u);
+  // `distStats` reports the same totals.
+  auto reply = dist.execute(CmdLine("distStats"), daemon::CallerInfo{});
+  EXPECT_EQ(reply.get_integer("packets"), 1);
+  EXPECT_EQ(reply.get_integer("bytes"), static_cast<std::int64_t>(stats.bytes));
+  EXPECT_EQ(reply.get_integer("fanout"), 2);
 }
