@@ -3,8 +3,8 @@
 #   1. Release         — the build users get (catches optimizer-visible bugs)
 #   2. ThreadSanitizer — shakes out data races in the reactor actor
 #      structure (frame pumps, async handshakes, channel actors, client
-#      demux, periodic duties, replication flushes, inline nonblocking
-#      commands; see docs/net.md),
+#      demux, periodic duties, replication and notification lanes, inline
+#      nonblocking commands; see docs/net.md),
 #      plus a chaos seed sweep: the fault-injection tests replayed under
 #      several ACE_CHAOS_SEED values so each CI run exercises distinct
 #      crash/partition interleavings under the race detector
@@ -199,10 +199,10 @@ chaos_seed_sweep() {
 # The read path's digest reads, cluster scans and federated queries fan out
 # through AceClient::call_all, whose one completion set the demux fills
 # from core workers while the caller withdraws what it stopped waiting
-# for, and async read repairs still run on the ops pool — replay those
-# suites and call_all's own tests under TSan, plus one fixed-seed chaos
-# torture whose final R=2 verification reads drive the digest path under
-# crash/restart.
+# for, and read repairs settle by callback on the replication lanes'
+# pumps — replay those suites and call_all's own tests under TSan, plus
+# one fixed-seed chaos torture whose final R=2 verification reads drive
+# the digest path under crash/restart.
 read_path_race_sweep() {
   local build_dir="$1"
   echo "=== store read-path sweep under ThreadSanitizer ==="
@@ -232,16 +232,18 @@ authz_race_sweep() {
 }
 
 # Every periodic duty (lease renewal, gossip rounds, the store monitor, RM
-# watchdog, ASD reaper and HRM sampler) is a net::PeriodicTask, and
-# replication flushes are ops-pool tasks racing submit() and close().
-# Replay the primitive's contract tests, a client tearing down and
-# re-creating a channel's demux, and the suites that start, stop, crash
-# and restart those duties under TSan.
+# watchdog, ASD reaper and HRM sampler) is a net::PeriodicTask, and each
+# replication lane is a queue pump whose stop() in close() races submit()
+# and the batch in flight. Replay the primitive's contract tests, stop()
+# waiting out a running handler, a client tearing down and re-creating a
+# channel's demux, and the suites that start, stop, crash and restart
+# those duties and lanes under TSan.
 timer_chain_sweep() {
   local build_dir="$1"
   echo "=== periodic-duty and batcher sweep under ThreadSanitizer ==="
   run_filtered "${build_dir}/tests/test_reactor" \
-    'PeriodicTask.*:ReactorSoak.DroppedDemux*' --gtest_repeat=3
+    'PeriodicTask.*:ReactorSoak.DroppedDemux*:'\
+'Reactor.SubscriptionStopWaitsOutRunningHandler' --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_asd_scale" \
     'AsdScaleTest.HostCoordinator*:AsdScaleTest.*Promptly*' --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_federation" \
@@ -335,10 +337,13 @@ require_sha_hardware() {
 
 # Every record one replica pushes to another rides the batch lane: the
 # batcher opens and closes with each life of the store daemon, hint drains
-# wait on their records from the monitor duty, and read repairs from one
-# ops task per read. Replay the hand-off, drain, repair and batcher tests,
-# writes served before on_start, the durable hint test, the remote
-# stand-in and the scripted-peer tests in both sanitizer legs.
+# wait on their records from the monitor duty, and read repairs settle by
+# callback, on the lane's pump or in close(). Replay the hand-off, drain,
+# repair and batcher tests, writes served before on_start, the durable
+# hint test, the remote stand-in and the scripted-peer tests (among them a
+# read repair queued behind a batch in flight when the replica stops,
+# ScriptedPeerTest.ReadRepairQueuedAtStopLeavesHint) in both sanitizer
+# legs.
 replication_path_sweep() {
   local build_dir="$1"
   echo "=== replication path sweep: ${build_dir} ==="
@@ -350,13 +355,13 @@ replication_path_sweep() {
 }
 
 # Every outbound call a daemon makes rides the one AceClient built with it.
-# stop() and crash() close it last, after the gossip rounds, batch flushes
-# and read repairs that call through it have ended, and the next life
+# stop() and crash() close it last, after the gossip rounds, batch lanes
+# and notify lanes that call through it have ended, and the next life
 # reuses it; reads served before start() use it too. Replay the one-client
-# and close-order tests, the Robustness Manager and federation suites, the
-# daemon stop/crash/restart cases, the reads and writes served before
-# start(), and a connect racing its listener's destruction in both
-# sanitizer legs.
+# and close-order tests, the Robustness Manager and federation suites (and
+# the manager answering rmStatus while its Net Logger stalls), the daemon
+# stop/crash/restart cases, the reads and writes served before start(),
+# and a connect racing its listener's destruction in both sanitizer legs.
 client_lifetime_sweep() {
   local build_dir="$1"
   echo "=== client lifetime sweep: ${build_dir} ==="
@@ -366,27 +371,32 @@ client_lifetime_sweep() {
 'DaemonTest.AuthorizationRevokedThenCrashIsDeniedAtOnce:'\
 'InlineDispatchTest.LaneCountResetsWithItsQueue' --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_store" \
-'OneClientTest.*:RobustnessTest.*:StoreReadBeforeStartTest.*:'\
-'StoreWriteBeforeStartTest.*' --gtest_repeat=3
+'OneClientTest.*:RobustnessTest.*:RobustnessLogTest.*:'\
+'StoreReadBeforeStartTest.*:StoreWriteBeforeStartTest.*' --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_federation" 'FederationTest.*' \
     --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_net" \
     'Network.ConnectRacingListenerDestructionIsRefused' --gtest_repeat=3
 }
 
-# The notify pump counts a subscriber's failed deliveries, and resets the
-# count on a delivered one, on the ops pool while command handlers fire
-# events. Replay the drop and reset tests, whose subscriber stops and
-# restarts between deliveries, under TSan.
+# Each destination's notify lane counts its subscriber's failed
+# deliveries, and resets the count on a delivered one, on the ops pool
+# while command handlers fire events and make lanes. Replay the drop and
+# reset tests, whose subscriber stops and restarts between deliveries, a
+# stalled subscriber beside a live one, and the notifyBatch tests, under
+# TSan.
 notify_failure_sweep() {
   local build_dir="$1"
   echo "=== notification failure sweep under ThreadSanitizer ==="
-  run_filtered "${build_dir}/tests/test_daemon" 'DaemonTest.NotifyFailures*' \
+  run_filtered "${build_dir}/tests/test_daemon" \
+'DaemonTest.NotifyFailures*:DaemonTest.StalledSubscriberDoesNotDelayOthers' \
+    --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_federation" 'NotifyBatchTest.*' \
     --gtest_repeat=3
 }
 
 # Stopping a store coordinator while writers keep submitting races the
-# batcher's shutdown against submit() and the flushes in flight; ASan
+# batcher's shutdown against submit() and the batches in flight; ASan
 # catches a write into a freed lane.
 batcher_stop_sweep() {
   local build_dir="$1"

@@ -26,23 +26,16 @@ util::Status AdminGuiModel::refresh() {
     // Pull the service's command list, then each command's schema.
     auto info = client_.call(loc.address, CmdLine("info"), daemon::kCallOk);
     if (info.ok()) {
-      if (auto commands = info->get_vector("commands")) {
-        for (const auto& elem : commands->elements) {
-          if (!elem.is_word() && !elem.is_string()) continue;
-          CmdLine help("help");
-          help.arg("command", Word{elem.as_text()});
-          auto schema = client_.call(loc.address, help, daemon::kCallOk);
-          if (!schema.ok()) continue;
-          ParameterControl control;
-          control.command = elem.as_text();
-          control.help = schema->get_text("help");
-          if (auto args = schema->get_vector("args")) {
-            for (const auto& a : args->elements)
-              if (a.is_string() || a.is_word())
-                control.arguments.push_back(a.as_text());
-          }
-          node.controls.push_back(std::move(control));
-        }
+      for (const std::string& command : info->get_strings("commands")) {
+        CmdLine help("help");
+        help.arg("command", Word{command});
+        auto schema = client_.call(loc.address, help, daemon::kCallOk);
+        if (!schema.ok()) continue;
+        ParameterControl control;
+        control.command = command;
+        control.help = schema->get_text("help");
+        control.arguments = schema->get_strings("args");
+        node.controls.push_back(std::move(control));
       }
     }
     std::string room = loc.room.empty() ? "(unplaced)" : loc.room;

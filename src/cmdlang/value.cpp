@@ -201,6 +201,15 @@ std::optional<Vector> CmdLine::get_vector(const std::string& name) const {
   return v->as_vector();
 }
 
+std::vector<std::string> CmdLine::get_strings(const std::string& name) const {
+  std::vector<std::string> out;
+  const Value* v = find(name);
+  if (!v || !v->is_vector()) return out;
+  for (const Value& elem : v->as_vector().elements)
+    if (elem.is_string() || elem.is_word()) out.push_back(elem.as_text());
+  return out;
+}
+
 std::optional<Array> CmdLine::get_array(const std::string& name) const {
   const Value* v = find(name);
   if (!v || !v->is_array()) return std::nullopt;

@@ -134,6 +134,10 @@ class CmdLine {
                        const std::string& fallback = {}) const;
   std::optional<Vector> get_vector(const std::string& name) const;
   std::optional<Array> get_array(const std::string& name) const;
+  // The string and word elements of a vector argument, in order; empty
+  // when the argument is missing or not a vector. Reads the vector in
+  // place, where get_vector() copies it.
+  std::vector<std::string> get_strings(const std::string& name) const;
 
   // Serializes per the paper's grammar: `name arg=value arg=value;`
   std::string to_string() const;

@@ -78,7 +78,6 @@ ServiceDaemon::ServiceDaemon(Environment& env, DaemonHost& host,
       obs_conn_accepted_(&env.metrics().counter("daemon.conn.accepted")),
       obs_datagrams_(&env.metrics().counter("daemon.data.datagrams")),
       obs_control_depth_(&env.metrics().gauge("daemon.queue.control_depth")),
-      obs_notify_depth_(&env.metrics().gauge("daemon.queue.notify_depth")),
       obs_handshake_queued_(&env.metrics().gauge("daemon.handshake.queued")) {
   register_builtin_commands();
 }
@@ -311,11 +310,6 @@ util::Status ServiceDaemon::start() {
   // otherwise keep the inline path off for this whole life).
   control_queue_.reopen();
   control_load_.store(0);
-  notify_queue_.reopen();
-  {
-    std::scoped_lock lock(notify_pending_mu_);
-    notify_pending_.clear();
-  }
 
   if (config_.port == 0) config_.port = host_.net_host().ephemeral_port();
   auto listener = host_.net_host().listen(config_.port);
@@ -348,12 +342,6 @@ util::Status ServiceDaemon::start() {
         obs_control_depth_->set(
             static_cast<std::int64_t>(control_queue_.size()));
         run_work_item(*item, /*serialize=*/true, control_load_);
-      },
-      {.blocking = true});
-  notify_sub_ = net::attach_queue<net::Address>(
-      reactor, notify_queue_,
-      [this](std::optional<net::Address> dest) {
-        if (dest) run_notify_dest(*dest);
       },
       {.blocking = true});
   if (data_socket_)
@@ -403,8 +391,8 @@ void ServiceDaemon::stop() {
   }
   net_log("info", "service '" + config_.name + "' stopped");
   teardown();
-  // Last: on_stop() has ended the subclass's rounds, flushes and repairs,
-  // and teardown() the handlers and the notify pump, so nothing that calls
+  // Last: on_stop() has ended the subclass's rounds, batches and repairs,
+  // and teardown() the handlers and the notify lanes, so nothing that calls
   // through the client is left to reconnect it.
   client_.close_all();
 }
@@ -446,14 +434,15 @@ void ServiceDaemon::teardown() {
   data_sub_.stop();
   control_queue_.close();
   control_sub_.stop();
-  notify_queue_.close();
-  notify_sub_.stop();
+  std::map<net::Address, std::unique_ptr<NotifyLane>> lanes;
   {
-    // Undelivered events die with the daemon, like frames a dead process
-    // never wrote. (The pump is stopped, so nothing races this clear.)
-    std::scoped_lock lock(notify_pending_mu_);
-    notify_pending_.clear();
+    // running_ is already false, so no event makes a new lane. The pumps
+    // stop outside notify_mu_, which their handlers take; undelivered
+    // events die with the daemon, like frames a dead process never wrote.
+    std::scoped_lock lock(notify_mu_);
+    lanes.swap(notify_lanes_);
   }
+  for (auto& [dest, lane] : lanes) lane->pump.stop();
 
   listener_.reset();
   data_socket_.reset();
@@ -760,12 +749,9 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
     fetch.arg("principal", principal);
     auto reply = client_.call(env_.auth_db_address, fetch, kCallOk);
     if (reply.ok()) {
-      if (auto vec = reply->get_vector("credentials")) {
-        for (const auto& elem : vec->elements) {
-          if (!elem.is_string() && !elem.is_word()) continue;
-          auto a = keynote::Assertion::parse(elem.as_text());
-          if (a.ok()) credentials.push_back(std::move(a.value()));
-        }
+      for (const std::string& text : reply->get_strings("credentials")) {
+        auto a = keynote::Assertion::parse(text);
+        if (a.ok()) credentials.push_back(std::move(a.value()));
       }
       std::scoped_lock lock(cred_mu_);
       generation = ++credential_generation_;
@@ -805,25 +791,22 @@ void ServiceDaemon::fire_notifications(const CmdLine& cmd) {
   std::scoped_lock lock(notify_mu_);
   for (const NotificationEntry& e : notifications_) {
     if (e.command != cmd.name()) continue;
-    NotifyJob job;
-    job.method = e.method;
-    job.command = cmd.name();
-    job.detail = cmd.to_string();
-    bool first = false;
-    {
-      std::scoped_lock plock(notify_pending_mu_);
-      auto& pending = notify_pending_[e.service];
-      first = pending.empty();
-      pending.push_back(std::move(job));
+    auto it = notify_lanes_.find(e.service);
+    if (it == notify_lanes_.end()) {
+      if (!running_.load()) continue;  // before start() or after stop()/crash()
+      auto lane = std::make_unique<NotifyLane>();
+      // By raw pointer: teardown() stops the pump before the lane dies.
+      lane->pump = net::attach_queue<NotifyJob>(
+          env_.reactor(), lane->jobs,
+          [this, dest = e.service, raw = lane.get()](
+              std::optional<NotifyJob> first) {
+            if (first) run_notify_dest(dest, *raw, std::move(*first));
+          },
+          {.blocking = true});
+      it = notify_lanes_.emplace(e.service, std::move(lane)).first;
     }
-    // Token per destination, not per event: a destination already in the
-    // queue will pick up this job when its token drains. (If the pump is
-    // mid-drain and has already swapped the backlog out, `pending` is a
-    // fresh empty vector and `first` re-arms the token — no lost events.)
-    if (first) {
-      notify_queue_.push(e.service);
-      obs_notify_depth_->set(static_cast<std::int64_t>(notify_queue_.size()));
-    }
+    (void)it->second->jobs.push(
+        NotifyJob{e.method, cmd.name(), cmd.to_string()});
   }
 }
 
@@ -854,23 +837,20 @@ void ServiceDaemon::record_notify_outcome(const net::Address& dest,
   }
 }
 
-// Runs on the ops pool (send_only may block on connection establishment).
-// Its own pump — not the control pump — so notification fan-out between
-// two daemons that notify each other cannot deadlock. Drains the whole
-// backlog for one destination: a single event goes out as a plain frame;
-// a pile-up is coalesced into one notifyBatch frame.
-void ServiceDaemon::run_notify_dest(const net::Address& dest) {
+// The lane's handler, on the ops pool (send_only may block on connection
+// establishment). Lanes are not the control pump, so notification fan-out
+// between two daemons that notify each other cannot deadlock, and one per
+// destination, so a subscriber whose connect stalls holds up only its own
+// events. Sends `first` with the backlog queued behind it: a single event
+// goes out as a plain frame; a pile-up is coalesced into one notifyBatch
+// frame.
+void ServiceDaemon::run_notify_dest(const net::Address& dest, NotifyLane& lane,
+                                    NotifyJob first) {
   std::vector<NotifyJob> jobs;
-  {
-    std::scoped_lock lock(notify_pending_mu_);
-    auto it = notify_pending_.find(dest);
-    if (it != notify_pending_.end()) {
-      jobs = std::move(it->second);
-      notify_pending_.erase(it);
-    }
-  }
-  obs_notify_depth_->set(static_cast<std::int64_t>(notify_queue_.size()));
-  if (jobs.empty()) return;
+  jobs.push_back(std::move(first));
+  while (auto next =
+             lane.jobs.try_pop_when([](const NotifyJob&) { return true; }))
+    jobs.push_back(std::move(*next));
 
   if (jobs.size() == 1) {
     const NotifyJob& job = jobs.front();

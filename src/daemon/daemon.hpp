@@ -8,8 +8,9 @@
 //    connections become per-channel state machines (frame decode on the
 //    core pool, command execution on per-channel strands of the elastic
 //    ops pool), the control "thread" is a serialized queue pump, and
-//    notification fan-out gets its own pump so two daemons notifying each
-//    other cannot deadlock. A command declared nonblocking runs on the core
+//    notification fan-out gets one pump per destination, so two daemons
+//    notifying each other cannot deadlock and a stalled subscriber delays
+//    no other. A command declared nonblocking runs on the core
 //    worker that decoded it instead, when its lane (control queue or
 //    strand) is idle and its KeyNote verdict is cached as an allow: one
 //    thread hand-off fewer, every check still made. Semantics are
@@ -206,6 +207,13 @@ class ServiceDaemon {
     std::string detail;   // serialized original command
   };
 
+  // One destination's notification lane: its events, drained by a pump on
+  // the ops pool.
+  struct NotifyLane {
+    util::MessageQueue<NotifyJob> jobs;
+    net::Subscription pump;
+  };
+
   struct WorkItem {
     cmdlang::CmdLine cmd;
     CallerInfo caller;
@@ -238,7 +246,8 @@ class ServiceDaemon {
   bool run_inline(ChannelActor& actor, const WorkItem& item, bool concurrent);
   void run_work_item(const WorkItem& item, bool serialize,
                      std::atomic<int>& lane);
-  void run_notify_dest(const net::Address& dest);
+  void run_notify_dest(const net::Address& dest, NotifyLane& lane,
+                       NotifyJob first);
   void record_notify_outcome(const net::Address& dest,
                              const std::vector<NotifyJob>& jobs,
                              bool delivered);
@@ -285,14 +294,6 @@ class ServiceDaemon {
   std::shared_ptr<net::Listener> listener_;
   std::shared_ptr<net::DatagramSocket> data_socket_;
 
-  // Notify pump: the queue carries destination *tokens*, the events
-  // themselves accumulate per destination in notify_pending_. A token is
-  // pushed only on a destination's empty→non-empty transition, so however
-  // many events pile up between drains, each destination is visited once
-  // and its whole backlog rides one notifyBatch frame.
-  util::MessageQueue<net::Address> notify_queue_;
-  std::mutex notify_pending_mu_;
-  std::map<net::Address, std::vector<NotifyJob>> notify_pending_;
   util::MessageQueue<WorkItem> control_queue_;
   // Items pushed to control_queue_ and not yet executed; start() resets it
   // with the queue, whose leftovers a stop() or crash() strands.
@@ -314,8 +315,12 @@ class ServiceDaemon {
   std::map<std::uint64_t, std::shared_ptr<ChannelActor>> actors_;
   std::uint64_t next_actor_id_ = 1;
 
+  // Guards the subscriptions and the lanes. A lane is made on its
+  // destination's first event while the daemon runs, and teardown() takes
+  // them all; events before start() or after stop()/crash() are dropped.
   mutable std::mutex notify_mu_;
   std::vector<NotificationEntry> notifications_;
+  std::map<net::Address, std::unique_ptr<NotifyLane>> notify_lanes_;
 
   // Per principal: the credentials last fetched from the Authorization
   // Database, and the KeyNote verdicts reached on them, keyed by command
@@ -349,7 +354,6 @@ class ServiceDaemon {
   obs::Counter* obs_conn_accepted_;
   obs::Counter* obs_datagrams_;
   obs::Gauge* obs_control_depth_;
-  obs::Gauge* obs_notify_depth_;
   obs::Gauge* obs_handshake_queued_;
 
   std::atomic<bool> running_{false};
@@ -359,7 +363,6 @@ class ServiceDaemon {
   // data threads. Per-connection pumps live in ChannelActor.
   net::Subscription accept_sub_;
   net::Subscription control_sub_;
-  net::Subscription notify_sub_;
   net::Subscription data_sub_;
 
   // This life's periodic duties (start_duty).

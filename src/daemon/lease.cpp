@@ -91,11 +91,8 @@ void LeaseCoordinator::renew() {
   }
   obs_batches_->inc();
 
-  auto vec = reply->get_vector("statuses");
-  if (!vec) return;
-  for (const auto& elem : vec->elements) {
-    if (!elem.is_string() && !elem.is_word()) continue;
-    auto parts = util::split(elem.as_text(), '|');
+  for (const std::string& status : reply->get_strings("statuses")) {
+    auto parts = util::split(status, '|');
     if (parts.size() < 2) continue;
     if (parts[1] == "ok") {
       obs_renewed_->inc();

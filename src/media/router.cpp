@@ -141,13 +141,8 @@ RoutedMediaDaemon::RoutedMediaDaemon(daemon::Environment& env,
       [this](const CmdLine& cmd, const CallerInfo&) {
         std::string tag = cmd.get_text("stream");
         bool changed = false;
-        if (auto vec = cmd.get_vector("stages")) {
-          std::vector<std::string> names;
-          for (const auto& elem : vec->elements) {
-            if (elem.is_string() || elem.is_word())
-              names.push_back(elem.as_text());
-          }
-          auto status = router_.set_stages(tag, names);
+        if (cmd.has("stages")) {  // validated as a vector
+          auto status = router_.set_stages(tag, cmd.get_strings("stages"));
           if (!status.ok())
             return cmdlang::make_error(status.error().code,
                                        status.error().message);

@@ -1,6 +1,5 @@
 #include "net/reactor.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -408,37 +407,6 @@ void Subscription::stop() {
     // else: the drain loop we are inside releases them on its way out.
   }
   if (timer != 0 && core_->reactor) core_->reactor->cancel(timer);
-}
-
-// ----------------------------------------------------------------- TaskGuard
-
-std::function<void()> TaskGuard::wrap(std::function<void()> fn) const {
-  return [core = core_, fn = std::move(fn)] {
-    const auto self = std::this_thread::get_id();
-    {
-      std::scoped_lock lock(core->mu);
-      if (core->revoked) return;
-      core->running.push_back(self);
-    }
-    fn();
-    {
-      std::scoped_lock lock(core->mu);
-      core->running.erase(
-          std::find(core->running.begin(), core->running.end(), self));
-    }
-    core->cv.notify_all();
-  };
-}
-
-void TaskGuard::revoke() {
-  expect_may_block("TaskGuard::revoke");
-  const auto self = std::this_thread::get_id();
-  std::unique_lock lock(core_->mu);
-  core_->revoked = true;
-  core_->cv.wait(lock, [&] {
-    return std::all_of(core_->running.begin(), core_->running.end(),
-                       [&](std::thread::id id) { return id == self; });
-  });
 }
 
 // -------------------------------------------------------------- PeriodicTask

@@ -72,7 +72,9 @@ inline void expect_may_block(const char*) {}
 // does NOT stop the pump (the queue keeps it alive); call stop() to detach
 // deterministically. stop() waits for an in-flight handler invocation to
 // finish — unless called from inside that handler, which is allowed and
-// returns immediately (the pump halts once the handler returns).
+// returns immediately (the pump halts once the handler returns). That is
+// how an owner ends its deferred work: once stop() returns, a handler that
+// captured the owner by raw pointer never runs again.
 class Subscription {
  public:
   Subscription() = default;
@@ -89,27 +91,6 @@ class Subscription {
 
  private:
   std::shared_ptr<detail::SubCore> core_;
-};
-
-// Cancellation guard for free-standing one-shot reactor tasks that capture
-// a raw owner pointer. wrap() makes a task a no-op after revoke(); revoke()
-// additionally waits for every wrapped task mid-run — except one it is
-// called from inside of — so the owner may be destroyed right after.
-class TaskGuard {
- public:
-  TaskGuard() : core_(std::make_shared<Core>()) {}
-
-  std::function<void()> wrap(std::function<void()> fn) const;
-  void revoke();
-
- private:
-  struct Core {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool revoked = false;
-    std::vector<std::thread::id> running;  // one entry per task mid-run
-  };
-  std::shared_ptr<Core> core_;
 };
 
 // A repeating task on the ops pool; every periodic duty runs on one. Ticks

@@ -155,19 +155,15 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
         obs_renew_rpcs_->inc();
         obs_renew_batches_->inc();
         auto now = std::chrono::steady_clock::now();
+        const std::vector<std::string> names = cmd.get_strings("names");
         std::vector<std::string> statuses;
-        if (auto names = cmd.get_vector("names")) {
-          statuses.reserve(names->elements.size());
-          for (const auto& elem : names->elements) {
-            if (!elem.is_string() && !elem.is_word()) continue;
-            const std::string& name = elem.as_text();
-            if (auto lease = index_.renew(name, now)) {
-              obs_renewals_->inc();
-              statuses.push_back(name + "|ok|" +
-                                 std::to_string(lease->count()));
-            } else {
-              statuses.push_back(name + "|not_found");
-            }
+        statuses.reserve(names.size());
+        for (const std::string& name : names) {
+          if (auto lease = index_.renew(name, now)) {
+            obs_renewals_->inc();
+            statuses.push_back(name + "|ok|" + std::to_string(lease->count()));
+          } else {
+            statuses.push_back(name + "|not_found");
           }
         }
         CmdLine reply = cmdlang::make_ok();
@@ -286,15 +282,9 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
         if (!gossip_)
           return cmdlang::make_error(util::Errc::invalid,
                                      "federation is disabled here");
-        std::vector<std::string> entries;
-        if (auto vec = cmd.get_vector("view")) {
-          entries.reserve(vec->elements.size());
-          for (const auto& elem : vec->elements)
-            if (elem.is_string() || elem.is_word())
-              entries.push_back(elem.as_text());
-        }
         CmdLine reply = cmdlang::make_ok();
-        reply.arg("view", cmdlang::string_vector(gossip_->handle_sync(entries)));
+        reply.arg("view", cmdlang::string_vector(
+                              gossip_->handle_sync(cmd.get_strings("view"))));
         return reply;
       });
 
@@ -390,13 +380,7 @@ std::vector<std::string> AsdDaemon::forward_query(
       obs_forward_failures_->inc();
       continue;
     }
-    std::vector<std::string> encoded;
-    if (auto vec = reply->get_vector("services")) {
-      encoded.reserve(vec->elements.size());
-      for (const auto& elem : vec->elements)
-        if (elem.is_string() || elem.is_word())
-          encoded.push_back(elem.as_text());
-    }
+    std::vector<std::string> encoded = reply->get_strings("services");
     merged.insert(merged.end(), encoded.begin(), encoded.end());
     if (options_.federation.forward_cache_ttl.count() <= 0) continue;
     const RoomView& t = missing[i];
@@ -537,15 +521,12 @@ util::Result<std::vector<ServiceLocation>> AsdClient::query(
   auto reply = client_.call(asd_, cmd, daemon::kCallOk);
   if (!reply.ok()) return reply.error();
   std::vector<ServiceLocation> out;
-  if (auto vec = reply->get_vector("services")) {
-    for (const auto& elem : vec->elements) {
-      if (!elem.is_string() && !elem.is_word()) continue;
-      auto parts = util::split(elem.as_text(), '|');
-      if (parts.size() != 4) continue;
-      auto addr = net::Address::parse(parts[1]);
-      if (!addr) continue;
-      out.push_back(ServiceLocation{parts[0], *addr, parts[2], parts[3]});
-    }
+  for (const std::string& entry : reply->get_strings("services")) {
+    auto parts = util::split(entry, '|');
+    if (parts.size() != 4) continue;
+    auto addr = net::Address::parse(parts[1]);
+    if (!addr) continue;
+    out.push_back(ServiceLocation{parts[0], *addr, parts[2], parts[3]});
   }
   return out;
 }
@@ -566,14 +547,6 @@ util::Result<std::chrono::milliseconds> AsdClient::register_service(
   return std::chrono::milliseconds(reply->get_integer("lease"));
 }
 
-util::Status AsdClient::renew(const std::string& name) {
-  CmdLine cmd("renew");
-  cmd.arg("name", Word{name});
-  auto reply = client_.call(asd_, cmd, daemon::kCallOk);
-  if (!reply.ok()) return reply.error();
-  return util::Status::ok_status();
-}
-
 util::Result<std::vector<RenewOutcome>> AsdClient::renew_batch(
     const std::vector<std::string>& names) {
   CmdLine cmd("renewBatch");
@@ -582,13 +555,10 @@ util::Result<std::vector<RenewOutcome>> AsdClient::renew_batch(
   if (!reply.ok()) return reply.error();
   std::vector<RenewOutcome> out;
   out.reserve(names.size());
-  if (auto vec = reply->get_vector("statuses")) {
-    for (const auto& elem : vec->elements) {
-      if (!elem.is_string() && !elem.is_word()) continue;
-      auto parts = util::split(elem.as_text(), '|');
-      if (parts.size() < 2) continue;
-      out.push_back(RenewOutcome{parts[0], parts[1] == "ok"});
-    }
+  for (const std::string& status : reply->get_strings("statuses")) {
+    auto parts = util::split(status, '|');
+    if (parts.size() < 2) continue;
+    out.push_back(RenewOutcome{parts[0], parts[1] == "ok"});
   }
   return out;
 }

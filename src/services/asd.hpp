@@ -193,9 +193,6 @@ class AsdClient {
   util::Result<std::chrono::milliseconds> register_service(
       const ServiceRegistration& registration);
 
-  // `renew name=;`
-  util::Status renew(const std::string& name);
-
   // `renewBatch names={...};` — renews every name in one RPC. The result
   // has one outcome per requested name; `renewed == false` means the
   // directory holds no lease for it (crashed ASD or expired entry) and the

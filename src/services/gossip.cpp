@@ -294,12 +294,7 @@ void GossipAgent::round() {
       obs_sync_failures_->inc();
       continue;
     }
-    std::vector<std::string> entries;
-    if (auto vec = reply->get_vector("view")) {
-      for (const auto& elem : vec->elements)
-        if (elem.is_string() || elem.is_word())
-          entries.push_back(elem.as_text());
-    }
+    const std::vector<std::string> entries = reply->get_strings("view");
     std::vector<std::string> changed;
     {
       std::scoped_lock lock(mu_);

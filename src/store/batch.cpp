@@ -1,6 +1,7 @@
 #include "store/batch.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "cmdlang/value.hpp"
 #include "daemon/wire.hpp"
@@ -43,80 +44,80 @@ ReplicationBatcher::~ReplicationBatcher() { close(); }
 void ReplicationBatcher::open(daemon::AceClient& client) {
   std::scoped_lock lock(mu_);
   client_ = &client;
-  flushes_ = net::TaskGuard();  // the last opening's guard stays revoked
 }
 
 std::shared_ptr<ReplicationBatcher::Pending> ReplicationBatcher::submit(
-    const net::Address& peer, std::string record) {
+    const net::Address& peer, std::string record,
+    std::function<void(bool)> then) {
   auto pending = std::make_shared<Pending>();
-  daemon::AceClient* client;
-  net::TaskGuard flushes;
+  Item item{std::move(record), pending, std::move(then)};
   {
     std::scoped_lock lock(mu_);
-    if (!client_) {
-      pending->settle(false);
+    if (client_) {
+      std::unique_ptr<Lane>& lane = lanes_[peer];
+      if (!lane) {
+        lane = std::make_unique<Lane>();
+        // By raw pointer: a handler that owned its own queue would keep
+        // the lane alive. close() stops the pump before the lane dies.
+        lane->pump = net::attach_queue<Item>(
+            client_->env().reactor(), lane->queue,
+            [this, client = client_, peer, raw = lane.get()](
+                std::optional<Item> first) {
+              if (first) ship(*client, peer, *raw, std::move(*first));
+            },
+            {.blocking = true});
+      }
+      // Cannot fail: close() closes a lane's queue only once it has left
+      // lanes_, and the queue is unbounded.
+      (void)lane->queue.push(std::move(item));
       return pending;
     }
-    Lane& lane = lanes_[peer];
-    lane.queue.push_back(Item{std::move(record), pending});
-    // A flush already owns the lane: it ships this record behind its RPC.
-    if (std::exchange(lane.flushing, true)) return pending;
-    client = client_;
-    flushes = flushes_;
   }
-  // Posted outside the lock: a close() in between revokes the task, and
-  // fails the record with the rest of the queue.
-  client->env().reactor().post_blocking(
-      flushes.wrap([this, client, peer] { flush(*client, peer); }));
+  settle(item, false);
   return pending;
 }
 
 void ReplicationBatcher::close() {
-  net::TaskGuard flushes;
+  net::expect_may_block("ReplicationBatcher::close");
+  std::map<net::Address, std::unique_ptr<Lane>> lanes;
   {
     std::scoped_lock lock(mu_);
     client_ = nullptr;
-    flushes = flushes_;
-  }
-  flushes.revoke();  // queued flushes become no-ops; running ones finish
-  std::map<net::Address, Lane> lanes;
-  {
-    std::scoped_lock lock(mu_);
     lanes.swap(lanes_);
   }
-  for (auto& [peer, lane] : lanes)
-    for (auto& item : lane.queue) item.pending->settle(false);
+  for (auto& [peer, lane] : lanes) {
+    lane->pump.stop();  // waits out a batch in flight
+    lane->queue.close();
+    while (auto item = lane->queue.pop()) settle(*item, false);
+  }
 }
 
-void ReplicationBatcher::flush(daemon::AceClient& client,
-                               const net::Address& peer) {
-  for (;;) {
-    std::vector<Item> batch;
-    {
-      std::scoped_lock lock(mu_);
-      if (!client_) return;  // close() fails the leftovers
-      Lane& lane = lanes_[peer];
-      if (lane.queue.empty()) {
-        lane.flushing = false;
-        return;
-      }
-      batch.swap(lane.queue);
-    }
+void ReplicationBatcher::ship(daemon::AceClient& client,
+                              const net::Address& peer, Lane& lane,
+                              Item first) {
+  std::vector<Item> batch;
+  batch.push_back(std::move(first));
+  while (auto next = lane.queue.try_pop_when([](const Item&) { return true; }))
+    batch.push_back(std::move(*next));
 
-    std::vector<std::string> records;
-    records.reserve(batch.size());
-    for (auto& item : batch) records.push_back(std::move(item.record));
-    cmdlang::CmdLine cmd("storeReplicateBatch");
-    cmd.arg("entries", daemon::wire::pack_batch(records));
+  std::vector<std::string> records;
+  records.reserve(batch.size());
+  for (auto& item : batch) records.push_back(std::move(item.record));
+  cmdlang::CmdLine cmd("storeReplicateBatch");
+  cmd.arg("entries", daemon::wire::pack_batch(records));
 
-    auto reply = client.call(
-        peer, cmd, daemon::CallOptions{.timeout = call_timeout_, .retries = 0});
-    const bool ok = reply.ok() && cmdlang::is_ok(reply.value());
+  auto reply = client.call(
+      peer, cmd, daemon::CallOptions{.timeout = call_timeout_, .retries = 0});
+  const bool ok = reply.ok() && cmdlang::is_ok(reply.value());
 
-    obs_flushes_->inc();
-    obs_records_->inc(batch.size());
-    for (auto& item : batch) item.pending->settle(ok);
-  }
+  obs_flushes_->inc();
+  obs_records_->inc(batch.size());
+  for (auto& item : batch) settle(item, ok);
+}
+
+void ReplicationBatcher::settle(Item& item, bool acked) {
+  item.pending->settle(acked);
+  if (item.then) item.then(acked);
 }
 
 }  // namespace ace::store

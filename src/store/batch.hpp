@@ -4,31 +4,32 @@
 // replica pushes to another goes through it: ordinary fan-out, sloppy
 // stand-in hand-offs, hint drains and read repairs.
 //
-// Each destination replica gets a *lane*: a queue plus a flush-in-flight
-// flag. Writers enqueue an opaque record and receive a Pending handle to
-// await the replica's acknowledgement. A record that finds its lane idle
-// posts one flush task to the reactor ops pool, which ships the queue and
-// every record that piled up behind its RPC until the lane is empty —
-// classic group commit, the in-flight round trip being the coalescing
-// window.
+// Each destination replica gets a *lane*: a queue drained by a pump on the
+// reactor's ops pool. Writers enqueue an opaque record and receive a
+// Pending handle to await the replica's acknowledgement, or hand submit()
+// a callback to run when it settles. The pump takes the first record with
+// everything queued behind it and ships them as one RPC; records arriving
+// while it is in flight form the next batch — classic group commit, the
+// in-flight round trip being the coalescing window.
 //
 // A batch either lands whole (the peer applies every record; LWW apply
 // cannot fail per-record) or fails whole (transport error / timeout), so
-// one reply settles every Pending in the flight. Every record settles:
+// one reply settles every record in the flight. Every record settles:
 // when its batch's reply or timeout comes back, or at close().
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "daemon/client.hpp"
 #include "net/reactor.hpp"
 #include "obs/metrics.hpp"
+#include "util/queue.hpp"
 
 namespace ace::store {
 
@@ -61,41 +62,48 @@ class ReplicationBatcher {
   ReplicationBatcher(const ReplicationBatcher&) = delete;
   ReplicationBatcher& operator=(const ReplicationBatcher&) = delete;
 
-  // Accepts records until close(), shipping them through `client` with
-  // flushes on the ops pool of its reactor. The store daemon opens its
+  // Accepts records until close(), shipping them through `client` from
+  // pumps on the ops pool of its reactor. The store daemon opens its
   // batcher in each on_start, on the client it keeps for its whole life.
   void open(daemon::AceClient& client);
 
-  // Enqueues a record for `peer`; never blocks on the network. While the
-  // batcher is closed the returned handle is already settled as failed.
+  // Enqueues a record for `peer`; never blocks on the network. `then`, if
+  // given, runs once with whether the peer acknowledged the record: on the
+  // lane's pump after its batch's reply or timeout, or inside close(), and
+  // never after close() returns. While the batcher is closed the record
+  // settles as failed at once, `then` inside submit().
   std::shared_ptr<Pending> submit(const net::Address& peer,
-                                  std::string record);
+                                  std::string record,
+                                  std::function<void(bool acked)> then = {});
 
-  // Revokes the flush tasks (waiting out those in flight) and fails every
-  // queued record. Idempotent. Called from the store daemon's
-  // on_stop/on_crash, where command handlers may still be racing in.
+  // Stops every lane's pump, waiting out a batch in flight, and fails the
+  // records still queued. Idempotent. Called from the store daemon's
+  // on_stop/on_crash, where command handlers may still be racing in; never
+  // from a `then`.
   void close();
 
  private:
   struct Item {
     std::string record;
     std::shared_ptr<Pending> pending;
+    std::function<void(bool)> then;
   };
   struct Lane {
-    std::vector<Item> queue;
-    bool flushing = false;  // a flush task owns the lane
+    util::MessageQueue<Item> queue;
+    net::Subscription pump;
   };
 
-  // The lane's flush task: ships its queue, batch after batch, until it
-  // finds the queue empty (or the batcher closed).
-  void flush(daemon::AceClient& client, const net::Address& peer);
+  // The lane's handler: ships `first` and every record queued behind it as
+  // one batch.
+  void ship(daemon::AceClient& client, const net::Address& peer, Lane& lane,
+            Item first);
+  static void settle(Item& item, bool acked);
 
   std::chrono::milliseconds call_timeout_;
 
   std::mutex mu_;
   daemon::AceClient* client_ = nullptr;  // null while closed
-  net::TaskGuard flushes_;               // this opening's flush tasks
-  std::map<net::Address, Lane> lanes_;
+  std::map<net::Address, std::unique_ptr<Lane>> lanes_;
 
   obs::Counter* obs_flushes_;
   obs::Counter* obs_records_;

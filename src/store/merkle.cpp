@@ -52,10 +52,4 @@ std::uint64_t MerkleTree::node(std::size_t id) const {
   return nodes_[id];
 }
 
-void MerkleTree::clear() {
-  std::fill(nodes_.begin(), nodes_.end(), 0);
-  for (std::size_t id = leaf_count_ - 1; id >= 1; --id)
-    nodes_[id] = mix2(nodes_[2 * id], nodes_[2 * id + 1]);
-}
-
 }  // namespace ace::store

@@ -53,8 +53,6 @@ class MerkleTree {
   // Heap id of the first leaf (leaf ids are first_leaf() + bucket index).
   std::size_t first_leaf() const { return leaf_count_; }
 
-  void clear();
-
  private:
   int depth_;
   std::size_t leaf_count_;

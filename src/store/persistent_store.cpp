@@ -479,12 +479,6 @@ util::Status PersistentStoreDaemon::on_start() {
                      : ""));
   }
   batcher_.open(control_client());
-  {
-    // Fresh guard per start: the previous one stays revoked so any task
-    // still queued from the last life remains a no-op.
-    std::scoped_lock lock(mu_);
-    read_tasks_ = net::TaskGuard();
-  }
   // The monitor's first round, at once, is the boot catch-up sync.
   start_duty(
       options_.probe_interval,
@@ -497,19 +491,14 @@ util::Status PersistentStoreDaemon::on_start() {
 
 void PersistentStoreDaemon::shutdown_runtime(bool flush) {
   std::shared_ptr<DurableLog> dlog;
-  net::TaskGuard read_tasks;
   {
     std::scoped_lock lock(mu_);
     dlog = dlog_;
-    read_tasks = read_tasks_;
   }
-  // Closed first: every record settles, so a read-repair task waiting on
-  // its acks wakes now. Command handlers may still be draining; their
-  // submit() fails at once.
+  // Closed first: every record settles, and a read repair still queued
+  // leaves its hint before close() returns. Command handlers may still be
+  // draining; their submit() fails at once.
   batcher_.close();
-  // Read-repair tasks still on the ops pool become no-ops; revoke() waits
-  // out any mid-run one, so nothing touches a dead daemon.
-  read_tasks.revoke();
   // Graceful stop flushes the WAL tail; a crash must not (whatever was
   // not yet fsynced is exactly what the durability contract is about).
   if (dlog && flush) dlog->sync_all();
@@ -1081,7 +1070,7 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
     // so the reply need not wait on the fsync.
     (void)apply(key, winner);
   }
-  if (!stale.empty()) schedule_read_repair(key, winner, std::move(stale));
+  if (!stale.empty()) schedule_read_repair(key, winner, stale);
 
   if (winner.deleted)
     return cmdlang::make_error(util::Errc::not_found, "no such object");
@@ -1093,32 +1082,20 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
 
 void PersistentStoreDaemon::schedule_read_repair(
     const std::string& key, const ObjectRecord& winner,
-    std::vector<net::Address> stale) {
+    const std::vector<net::Address>& stale) {
   const std::string entry = encode_replica_entry(key, winner, "");
-  std::vector<std::shared_ptr<ReplicationBatcher::Pending>> repairs;
-  repairs.reserve(stale.size());
   for (const net::Address& peer : stale)
-    repairs.push_back(batcher_.submit(peer, entry));
-  net::TaskGuard guard;
-  {
-    std::scoped_lock lock(mu_);
-    guard = read_tasks_;
-  }
-  env().reactor().post_blocking(guard.wrap(
-      [this, key, version = winner.version, stale = std::move(stale),
-       repairs = std::move(repairs)] {
-        std::vector<WalTicket> tickets;
-        for (std::size_t i = 0; i < stale.size(); ++i) {
-          if (repairs[i]->wait()) {
-            obs_read_repairs_->inc();
-          } else {
-            // The repair missed; leave a hinted-handoff obligation so the
-            // monitor pushes it home when the peer is reachable again.
-            tickets.push_back(record_hint(stale[i], key, version));
-          }
-        }
-        for (const WalTicket& t : tickets) DurableLog::sync(t);
-      }));
+    batcher_.submit(peer, entry,
+                    [this, peer, key, version = winner.version](bool acked) {
+                      if (acked) {
+                        obs_read_repairs_->inc();
+                        return;
+                      }
+                      // The repair missed; leave a hinted-handoff
+                      // obligation so the monitor pushes it home when the
+                      // peer is reachable again.
+                      DurableLog::sync(record_hint(peer, key, version));
+                    });
 }
 
 PersistentStoreDaemon::ScanPage PersistentStoreDaemon::scan_local(
@@ -1224,10 +1201,7 @@ PersistentStoreDaemon::scan_cluster(const std::string& prefix,
     const util::Result<CmdLine>& reply = *replies[k];
     if (!reply.ok() || !cmdlang::is_ok(reply.value())) continue;
     ScanPage& page = pages[shard[k]].emplace();
-    if (auto vec = reply->get_vector("keys"))
-      for (const auto& elem : vec->elements)
-        if (elem.is_string() || elem.is_word())
-          page.keys.push_back(elem.as_text());
+    page.keys = reply->get_strings("keys");
     page.next = reply->get_text("next");
     page.done = reply->get_text("done") == "yes";
   }
@@ -1374,12 +1348,12 @@ std::int64_t PersistentStoreDaemon::sync_with_peer(const net::Address& peer) {
                               .retries = 0});
       obs_tree_rpcs_->inc();
       if (!reply.ok() || !cmdlang::is_ok(reply.value())) return fetched;
-      auto hashes = reply->get_vector("hashes");
-      if (!hashes) return fetched;
+      // No hashes at all ends the walk; an empty list only this chunk.
+      const cmdlang::Value* hashes = reply->find("hashes");
+      if (!hashes || !hashes->is_vector()) return fetched;
       std::scoped_lock lock(mu_);
-      for (const auto& elem : hashes->elements) {
-        if (!elem.is_string() && !elem.is_word()) continue;
-        auto parts = util::split(elem.as_text(), '|');
+      for (const std::string& hash : reply->get_strings("hashes")) {
+        auto parts = util::split(hash, '|');
         if (parts.size() != 2) continue;
         const std::size_t id = std::strtoull(parts[0].c_str(), nullptr, 10);
         if (asked.erase(id) == 0) continue;
@@ -1408,12 +1382,8 @@ std::int64_t PersistentStoreDaemon::sync_with_peer(const net::Address& peer) {
                             .retries = 0});
     obs_bucket_rpcs_->inc();
     if (!reply.ok() || !cmdlang::is_ok(reply.value())) continue;
-    auto entries = reply->get_vector("entries");
-    if (!entries) continue;
-    for (const auto& elem : entries->elements) {
-      if (!elem.is_string() && !elem.is_word()) continue;
-      fetched += ingest_digest_entry(peer, elem.as_text());
-    }
+    for (const std::string& entry : reply->get_strings("entries"))
+      fetched += ingest_digest_entry(peer, entry);
   }
   return fetched;
 }

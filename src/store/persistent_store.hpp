@@ -210,10 +210,10 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   // Cluster-scope read gathering up to R copies; newest version wins.
   cmdlang::CmdLine coordinate_read(const std::string& key);
   // Submits the winning record to the lane of every replica observed
-  // stale/absent during a read; one ops task awaits the acks off the reply
-  // path and leaves a hint for each miss.
+  // stale/absent during a read. Each record settles off the reply path,
+  // counting a landed repair or leaving a hint for a miss.
   void schedule_read_repair(const std::string& key, const ObjectRecord& winner,
-                            std::vector<net::Address> stale);
+                            const std::vector<net::Address>& stale);
   // One ordered page of this replica's live keys under `prefix`, resuming
   // strictly after `cursor`.
   ScanPage scan_local(const std::string& prefix, const std::string& cursor,
@@ -259,12 +259,6 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   // Hinted handoff ledger: intended owner -> key -> version it still needs.
   std::map<net::Address, std::map<std::string, std::uint64_t>> hints_;
   std::shared_ptr<DurableLog> dlog_;  // durable mode only; swapped per start
-  // Guards the read-repair tasks schedule_read_repair posts, the only
-  // tasks the read path leaves on the ops pool (its fan-outs run in the
-  // handler). shutdown_runtime closes the batcher, which wakes them, then
-  // revokes them so none can touch a dead daemon; re-armed (fresh guard)
-  // each on_start.
-  net::TaskGuard read_tasks_;
   // Cumulative per-replica durability stats (storeWalStats; the obs
   // counters aggregate across the whole deployment).
   std::uint64_t recoveries_ = 0;

@@ -166,12 +166,8 @@ bool RobustnessManagerDaemon::subscription_alive() {
   if (!reply.ok()) return true;  // can't tell; don't thrash while ASD is down
   const std::string wanted =
       "serviceExpired>" + address().to_string() + ">rmNotify";
-  if (auto vec = reply->get_vector("entries")) {
-    for (const auto& elem : vec->elements) {
-      if ((elem.is_string() || elem.is_word()) && elem.as_text() == wanted)
-        return true;
-    }
-  }
+  for (const std::string& entry : reply->get_strings("entries"))
+    if (entry == wanted) return true;
   return false;
 }
 
@@ -208,16 +204,21 @@ bool RobustnessManagerDaemon::try_relaunch(const std::string& name) {
 
   auto fail = [&](const std::string& why) {
     obs_restart_failures_->inc();
-    std::scoped_lock lock(mu_);
-    auto& p = pending_[name];
-    p.failures++;
-    const int exponent = std::min(p.failures - 1, 16);
-    auto delay = kRetryBase * (std::int64_t{1} << exponent);
-    delay = std::min(delay, kRetryCap);
-    p.next_attempt = std::chrono::steady_clock::now() + delay;
-    net_log(p.failures >= kEscalateAfter ? "critical" : "error",
-            "relaunch of '" + name + "' failed (" +
-                std::to_string(p.failures) + "x): " + why);
+    int failures;
+    {
+      std::scoped_lock lock(mu_);
+      auto& p = pending_[name];
+      failures = ++p.failures;
+      const int exponent = std::min(failures - 1, 16);
+      auto delay = kRetryBase * (std::int64_t{1} << exponent);
+      delay = std::min(delay, kRetryCap);
+      p.next_attempt = std::chrono::steady_clock::now() + delay;
+    }
+    // Logged after letting go of mu_: net_log may connect and handshake,
+    // and every command and the watchdog take mu_.
+    net_log(failures >= kEscalateAfter ? "critical" : "error",
+            "relaunch of '" + name + "' failed (" + std::to_string(failures) +
+                "x): " + why);
     return false;
   };
 

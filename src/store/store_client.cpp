@@ -141,10 +141,7 @@ util::Result<std::vector<std::string>> StoreScanner::next_page() {
       last = cmdlang::reply_error(reply.value());
       continue;
     }
-    std::vector<std::string> keys;
-    if (auto vec = reply->get_vector("keys"))
-      for (const auto& elem : vec->elements)
-        if (elem.is_string() || elem.is_word()) keys.push_back(elem.as_text());
+    std::vector<std::string> keys = reply->get_strings("keys");
     cursor_ = reply->get_text("next");
     done_ = reply->get_text("done") == "yes" || cursor_.empty();
     return keys;

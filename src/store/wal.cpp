@@ -330,7 +330,6 @@ DurableLog::RecoveryStats DurableLog::recover(
   wal_ = std::make_shared<Wal>(disk_, wal_file(gen_), counters_, live_records,
                                live_bytes);
   rs.generation = gen_;
-  recovery_ = rs;
   return rs;
 }
 

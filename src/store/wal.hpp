@@ -160,7 +160,6 @@ class DurableLog {
   int generation() const;
   std::uint64_t wal_records() const;
   std::size_t wal_bytes() const;
-  const RecoveryStats& last_recovery() const { return recovery_; }
 
  private:
   std::string wal_file(int gen) const;
@@ -174,7 +173,6 @@ class DurableLog {
   mutable std::mutex mu_;  // guards gen_/wal_ swaps, not record appends
   int gen_ = 0;
   std::shared_ptr<Wal> wal_;
-  RecoveryStats recovery_;
 };
 
 }  // namespace ace::store

@@ -64,6 +64,20 @@ TEST(CmdLine, SerializeMatchesPaperSyntax) {
   EXPECT_EQ(cmd.to_string(), "ptzMove pan=30.5 tilt=-3 mode=fast;");
 }
 
+// get_strings reads the text elements of a vector argument in order, and
+// nothing from a missing or non-vector one.
+TEST(CmdLine, GetStringsReadsTextElementsOfAVector) {
+  CmdLine cmd("lookup");
+  cmd.arg("names", Vector{ValueType::string,
+                          {Value("alpha"), Value(Word{"beta"}),
+                           Value(std::int64_t{7}), Value("gamma")}});
+  cmd.arg("count", std::int64_t{3});
+  EXPECT_EQ(cmd.get_strings("names"),
+            (std::vector<std::string>{"alpha", "beta", "gamma"}));
+  EXPECT_TRUE(cmd.get_strings("missing").empty());
+  EXPECT_TRUE(cmd.get_strings("count").empty());
+}
+
 // ------------------------------------------------------------------ parser
 
 class ParserRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};

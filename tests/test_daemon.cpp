@@ -367,6 +367,28 @@ TEST_F(DaemonTest, NotifyFailuresResetOnDelivery) {
   EXPECT_TRUE(subscribed(echo, sink));
 }
 
+// Each destination has its own notification lane: a subscriber whose
+// handshake stalls holds up only its own events, not the next subscriber's.
+TEST_F(DaemonTest, StalledSubscriberDoesNotDelayOthers) {
+  auto tarpit = deployment_->env.network().add_host("tarpit").listen(7000);
+  ASSERT_TRUE(tarpit.ok());  // connections queue here; nobody accepts
+  auto& echo = host_->add_daemon<EchoDaemon>(config("source6"));
+  auto& sink = host_->add_daemon<SinkDaemon>(config("sink6"));
+  ASSERT_TRUE(echo.start().ok());
+  ASSERT_TRUE(sink.start().ok());
+  CmdLine stalled("addNotification");
+  stalled.arg("command", Word{"echo"});
+  stalled.arg("service", "tarpit:7000");
+  stalled.arg("method", Word{"sink"});
+  ASSERT_TRUE(client_->call(echo.address(), stalled, daemon::kCallOk).ok());
+  subscribe(echo, sink);
+
+  CmdLine cmd("echo");
+  cmd.arg("text", "event");
+  ASSERT_TRUE(client_->call(echo.address(), cmd, daemon::kCallOk).ok());
+  EXPECT_TRUE(sink.wait_for(1, 500ms));
+}
+
 TEST_F(DaemonTest, LeaseExpiryRemovesCrashedDaemon) {
   daemon::DaemonConfig c = config("mortal");
   c.lease = 300ms;

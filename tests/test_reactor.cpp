@@ -1,8 +1,8 @@
 // Tests for net::Reactor — the event loop the fabric multiplexes onto —
 // and for the async surfaces built on it: queue pumps (attach_queue) and
 // their release when a stopping reactor refuses or drops a drain, the
-// PeriodicTask contract, endpoint callbacks (on_frame/on_accept), the
-// client's per-destination reply demux, and the idle-channel sweeper.
+// PeriodicTask contract, endpoint callbacks (on_frame/on_accept), and the
+// client's per-destination reply demux.
 // Includes a connect/close churn soak meant to run under ThreadSanitizer
 // (ci.sh tsan), and a census showing a whole deployment runs no thread
 // outside the reactor.
@@ -205,6 +205,34 @@ TEST(Reactor, SubscriptionStopFromInsideHandlerIsAllowed) {
   EXPECT_EQ(handled.load(), 1);  // the self-stop halted delivery
 }
 
+// stop() from outside returns only once a handler running on an ops
+// worker has finished, and nothing is delivered after it: an owner that
+// stops its pumps may die right after, though their handlers captured it
+// by raw pointer.
+TEST(Reactor, SubscriptionStopWaitsOutRunningHandler) {
+  net::Reactor reactor;
+  util::MessageQueue<int> queue;
+  std::atomic<bool> started{false}, finished{false};
+  std::atomic<int> delivered{0};
+  net::Subscription sub = net::attach_queue<int>(
+      reactor, queue,
+      [&](std::optional<int> item) {
+        if (!item) return;
+        delivered++;
+        started = true;
+        std::this_thread::sleep_for(100ms);
+        finished = true;
+      },
+      {.blocking = true});
+  ASSERT_TRUE(queue.push(1));
+  ASSERT_TRUE(eventually([&] { return started.load(); }));
+  ASSERT_TRUE(queue.push(2));  // queued behind the running handler
+  sub.stop();
+  EXPECT_TRUE(finished.load());
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(delivered.load(), 1);
+}
+
 // Holds a queue and a blocking pump whose handler captures the owner: a
 // cycle that only the pump's release breaks. `freed` is set on the way out.
 struct PumpOwner {
@@ -268,34 +296,6 @@ TEST(Reactor, DiscardedDrainReleasesPumpCaptures) {
   reactor.stop();
   EXPECT_TRUE(owner.expired());
   EXPECT_TRUE(freed.load());
-}
-
-TEST(Reactor, TaskGuardRevokeMakesPendingTasksNoOps) {
-  net::Reactor reactor;
-  net::TaskGuard guard;
-  std::atomic<int> ran{0};
-  reactor.post_after(30ms, guard.wrap([&] { ran++; }));
-  guard.revoke();
-  std::this_thread::sleep_for(60ms);
-  EXPECT_EQ(ran.load(), 0);
-}
-
-// revoke() waits for a wrapped task running on another thread even when
-// the revoking thread ran (and finished) a wrapped task of its own after
-// that one started.
-TEST(Reactor, TaskGuardRevokeWaitsForTasksOnOtherThreads) {
-  net::TaskGuard guard;
-  std::atomic<bool> started{false}, finished{false};
-  auto slow = guard.wrap([&] {
-    started = true;
-    std::this_thread::sleep_for(100ms);
-    finished = true;
-  });
-  std::jthread other(slow);
-  ASSERT_TRUE(eventually([&] { return started.load(); }));
-  guard.wrap([] {})();  // a task of this thread's own, already done
-  guard.revoke();
-  EXPECT_TRUE(finished.load());
 }
 
 // ------------------------------------------------------------ PeriodicTask

@@ -1263,6 +1263,12 @@ class ScriptedPeer : public daemon::ServiceDaemon {
 
   void answer(cmdlang::CommandSpec spec, Reply reply) {
     spec.concurrent_ok();
+    answer_serialized(std::move(spec), std::move(reply));
+  }
+
+  // As answer(), but on the control lane: a slow answer there does not
+  // hold up the concurrent commands behind it on the same connection.
+  void answer_serialized(cmdlang::CommandSpec spec, Reply reply) {
     register_command(std::move(spec),
                      [reply = std::move(reply)](const CmdLine& cmd,
                                                 const daemon::CallerInfo&) {
@@ -1390,6 +1396,39 @@ TEST_F(ScriptedPeerTest, MissedReadRepairLeavesHint) {
   }
   EXPECT_TRUE(hinted) << "the missed repair left " << replica_->hints_pending()
                       << " hints";
+}
+
+// A read repair queued behind a batch still in flight when the replica
+// stops: stop() waits that batch out, and the queued repair, never
+// shipped, settles as a miss and leaves its hint before stop() returns.
+TEST_F(ScriptedPeerTest, ReadRepairQueuedAtStopLeavesHint) {
+  peer_->answer(get_digest_spec(),
+                [](const CmdLine&) { return digest_reply(999); });
+  auto batches = std::make_shared<std::atomic<int>>(0);
+  peer_->answer_serialized(
+      cmdlang::CommandSpec("storeReplicateBatch", "scripted")
+          .arg(cmdlang::string_arg("entries")),
+      [batches](const CmdLine&) {
+        ++*batches;
+        std::this_thread::sleep_for(500ms);
+        return cmdlang::make_ok();
+      });
+  start();
+  seed("rr/a", 1000, "a");
+  seed("rr/b", 1000, "b");
+  auto& repairs = deployment_->env.metrics().counter("store.read_repairs");
+  const auto repairs_before = repairs.value();
+
+  ASSERT_TRUE(cmdlang::is_ok(get("rr/a")));
+  for (int i = 0; i < 500 && batches->load() == 0; ++i)
+    std::this_thread::sleep_for(2ms);
+  ASSERT_EQ(batches->load(), 1);            // rr/a's repair is in flight
+  ASSERT_TRUE(cmdlang::is_ok(get("rr/b")));  // its repair queues behind
+  replica_->stop();
+
+  EXPECT_EQ(batches->load(), 1);
+  EXPECT_EQ(repairs.value() - repairs_before, 1u);  // rr/a landed
+  EXPECT_EQ(replica_->hints_pending(), 1u);         // rr/b missed
 }
 
 // The peer votes a newer version but sends bytes that are not hex when the
@@ -2105,4 +2144,63 @@ TEST_F(RobustnessTest, UnmanagedServicesAreNotRelaunched) {
   svc->crash();
   std::this_thread::sleep_for(800ms);
   EXPECT_EQ(rm.total_restarts(), 0);
+}
+
+// While the Net Logger cannot be reached, a failed relaunch logs after
+// letting go of the manager's lock. The logger here accepts connections
+// but never handshakes, so each log waits out the handshake timeout; every
+// rmStatus sent meanwhile must still answer at once.
+TEST(RobustnessLogTest, StatusAnswersWhileNetLoggerStalls) {
+  daemon::Environment env(43);
+  env.asd_address = {"infra", daemon::kAsdPort};
+  env.net_logger_address = {"tarpit", 7000};
+  net::Host& tarpit = env.network().add_host("tarpit");
+  daemon::DaemonHost infra(env, "infra");
+  daemon::DaemonConfig asd_cfg;
+  asd_cfg.name = "asd";
+  asd_cfg.port = daemon::kAsdPort;
+  asd_cfg.room = "machine-room";
+  asd_cfg.log_to_net_logger = false;
+  infra.add_daemon<services::AsdDaemon>(asd_cfg);
+  ASSERT_TRUE(infra.start_all().ok());
+
+  daemon::DaemonHost ops(env, "ops");
+  daemon::DaemonConfig rm_cfg;
+  rm_cfg.name = "rm";
+  rm_cfg.room = "machine-room";
+  store::RobustnessOptions options;
+  options.watch_interval = 20ms;
+  options.relaunch_grace = 0ms;
+  auto& rm = ops.add_daemon<store::RobustnessManagerDaemon>(rm_cfg, options);
+  ASSERT_TRUE(rm.start().ok());  // its start-up log is refused at once
+  auto logger = tarpit.listen(7000);
+  ASSERT_TRUE(logger.ok());  // from here on, nobody accepts
+
+  daemon::AceClient client(env, env.network().add_host("desk"),
+                           env.issue_identity("user/ops"));
+  CmdLine manage("rmRegister");
+  manage.arg("name", Word{"ghost"});
+  manage.arg("kind", Word{"restart"});
+  ASSERT_TRUE(client.call(rm.address(), manage, daemon::kCallOk).ok());
+
+  // The watchdog finds `ghost` missing and fails to relaunch it, since no
+  // SAL is registered. Poll rmStatus until a second past the first
+  // failure, whose log stalls for the handshake timeout.
+  auto& failures = env.metrics().counter("rm.restart_failures");
+  std::chrono::steady_clock::duration slowest{};
+  std::optional<std::chrono::steady_clock::time_point> until;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  for (auto now = std::chrono::steady_clock::now();
+       now < deadline && (!until || now < *until);
+       now = std::chrono::steady_clock::now()) {
+    if (!until && failures.value() >= 1) until = now + 1s;
+    auto status =
+        client.call(rm.address(), CmdLine("rmStatus"), daemon::kCallOk);
+    EXPECT_TRUE(status.ok());
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - now);
+    std::this_thread::sleep_for(20ms);
+  }
+  ASSERT_TRUE(until.has_value()) << "no relaunch failed";
+  EXPECT_LT(slowest, 500ms);
+  rm.crash();  // no parting log to wait out
 }
