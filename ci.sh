@@ -3,8 +3,8 @@
 #   1. Release         — the build users get (catches optimizer-visible bugs)
 #   2. ThreadSanitizer — shakes out data races in the reactor actor
 #      structure (frame pumps, async handshakes, channel actors, client
-#      demux, periodic duties, replication and notification lanes, inline
-#      nonblocking commands; see docs/net.md),
+#      demux, periodic duties, the outbound lanes of replication and
+#      notification, inline nonblocking commands; see docs/net.md),
 #      plus a chaos seed sweep: the fault-injection tests replayed under
 #      several ACE_CHAOS_SEED values so each CI run exercises distinct
 #      crash/partition interleavings under the race detector
@@ -233,14 +233,14 @@ authz_race_sweep() {
 
 # Every periodic duty (lease renewal, gossip rounds, the store monitor, RM
 # watchdog, ASD reaper and HRM sampler) is a net::PeriodicTask, and each
-# replication lane is a queue pump whose stop() in close() races submit()
-# and the batch in flight. Replay the primitive's contract tests, stop()
-# waiting out a running handler, a client tearing down and re-creating a
-# channel's demux, and the suites that start, stop, crash and restart
-# those duties and lanes under TSan.
+# lane of the store's replication outbox is a queue pump whose stop() in
+# Outbox::close() races push() and the shipment in flight. Replay the
+# primitive's contract tests, stop() waiting out a running handler, a
+# client tearing down and re-creating a channel's demux, and the suites
+# that start, stop, crash and restart those duties and lanes under TSan.
 timer_chain_sweep() {
   local build_dir="$1"
-  echo "=== periodic-duty and batcher sweep under ThreadSanitizer ==="
+  echo "=== periodic-duty and replication-lane sweep under ThreadSanitizer ==="
   run_filtered "${build_dir}/tests/test_reactor" \
     'PeriodicTask.*:ReactorSoak.DroppedDemux*:'\
 'Reactor.SubscriptionStopWaitsOutRunningHandler' --gtest_repeat=3
@@ -335,18 +335,21 @@ require_sha_hardware() {
   fi
 }
 
-# Every record one replica pushes to another rides the batch lane: the
-# batcher opens and closes with each life of the store daemon, hint drains
-# wait on their records from the monitor duty, and read repairs settle by
-# callback, on the lane's pump or in close(). Replay the hand-off, drain,
-# repair and batcher tests, writes served before on_start, the durable
-# hint test, the remote stand-in and the scripted-peer tests (among them a
-# read repair queued behind a batch in flight when the replica stops,
-# ScriptedPeerTest.ReadRepairQueuedAtStopLeavesHint) in both sanitizer
-# legs.
+# Every record one replica pushes to another rides its peer's lane of the
+# replica's outbox: the outbox opens and closes with each life of the
+# store daemon, coordinated writes and hint drains wait on their records'
+# completion set, and read repairs settle by callback, on the lane's pump
+# or as the outbox closes. Replay the Outbox's own tests, the hand-off,
+# drain, repair and group-commit tests, writes served before on_start, the
+# durable hint test, the remote stand-in and the scripted-peer tests
+# (among them a read repair queued behind a shipment in flight when the
+# replica stops, ScriptedPeerTest.ReadRepairQueuedAtStopLeavesHint) in
+# both sanitizer legs.
 replication_path_sweep() {
   local build_dir="$1"
   echo "=== replication path sweep: ${build_dir} ==="
+  run_filtered "${build_dir}/tests/test_reactor" 'OutboxTest.*' \
+    --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_store" \
 'QuorumStoreTest.HintedHandoff*:QuorumStoreTest.DigestReadRepair*:'\
 'QuorumStoreTest.Batcher*:StoreWriteBeforeStartTest.*:'\
@@ -354,14 +357,17 @@ replication_path_sweep() {
     --gtest_repeat=3
 }
 
-# Every outbound call a daemon makes rides the one AceClient built with it.
-# stop() and crash() close it last, after the gossip rounds, batch lanes
-# and notify lanes that call through it have ended, and the next life
-# reuses it; reads served before start() use it too. Replay the one-client
-# and close-order tests, the Robustness Manager and federation suites (and
-# the manager answering rmStatus while its Net Logger stalls), the daemon
-# stop/crash/restart cases, the reads and writes served before start(),
-# and a connect racing its listener's destruction in both sanitizer legs.
+# Every outbound call a daemon makes rides the one AceClient built with it,
+# and a fire-and-forget send asks and feeds its breaker as a call does.
+# teardown() closes it, ending a notification handshake under way, before
+# the notification outbox; stop() and crash() close it last, after the
+# gossip rounds and outbound lanes that call through it have ended, and
+# the next life reuses it; reads served before start() use it too. Replay
+# the one-client and close-order tests, the breaker on send_only, the
+# Robustness Manager and federation suites (and the manager answering
+# rmStatus while its Net Logger stalls), the daemon stop/crash/restart
+# cases, the reads and writes served before start(), and a connect racing
+# its listener's destruction in both sanitizer legs.
 client_lifetime_sweep() {
   local build_dir="$1"
   echo "=== client lifetime sweep: ${build_dir} ==="
@@ -369,7 +375,10 @@ client_lifetime_sweep() {
 'OneClientTest.*:DaemonTest.StoppedDaemonRefusesConnections:'\
 'DaemonTest.LeaseExpiryRemovesCrashedDaemon:'\
 'DaemonTest.AuthorizationRevokedThenCrashIsDeniedAtOnce:'\
+'DaemonTest.StopAndCrashEndAStalledSubscriberHandshake:'\
 'InlineDispatchTest.LaneCountResetsWithItsQueue' --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_rpc" 'Rpc.SendOnlyFeedsTheBreaker' \
+    --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_store" \
 'OneClientTest.*:RobustnessTest.*:RobustnessLogTest.*:'\
 'StoreReadBeforeStartTest.*:StoreWriteBeforeStartTest.*' --gtest_repeat=3
@@ -379,28 +388,29 @@ client_lifetime_sweep() {
     'Network.ConnectRacingListenerDestructionIsRefused' --gtest_repeat=3
 }
 
-# Each destination's notify lane counts its subscriber's failed
-# deliveries, and resets the count on a delivered one, on the ops pool
-# while command handlers fire events and make lanes. Replay the drop and
-# reset tests, whose subscriber stops and restarts between deliveries, a
-# stalled subscriber beside a live one, and the notifyBatch tests, under
-# TSan.
+# Each destination's lane of the notification outbox counts its
+# subscriber's failed deliveries, and resets the count on a delivered one,
+# on the ops pool while command handlers fire events and make lanes.
+# Replay the drop and reset tests, whose subscriber stops and restarts
+# between deliveries, a stalled subscriber beside a live one and across
+# its source's stop and crash, and the notifyBatch tests, under TSan.
 notify_failure_sweep() {
   local build_dir="$1"
   echo "=== notification failure sweep under ThreadSanitizer ==="
   run_filtered "${build_dir}/tests/test_daemon" \
-'DaemonTest.NotifyFailures*:DaemonTest.StalledSubscriberDoesNotDelayOthers' \
+'DaemonTest.NotifyFailures*:DaemonTest.StalledSubscriberDoesNotDelayOthers:'\
+'DaemonTest.StopAndCrashEndAStalledSubscriberHandshake' \
     --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_federation" 'NotifyBatchTest.*' \
     --gtest_repeat=3
 }
 
-# Stopping a store coordinator while writers keep submitting races the
-# batcher's shutdown against submit() and the batches in flight; ASan
+# Stopping a store coordinator while writers keep replicating races the
+# close of its outbox against push() and the shipments in flight; ASan
 # catches a write into a freed lane.
 batcher_stop_sweep() {
   local build_dir="$1"
-  echo "=== batcher stop race under AddressSanitizer ==="
+  echo "=== replication outbox stop race under AddressSanitizer ==="
   run_filtered "${build_dir}/tests/test_store" \
     'QuorumStoreTest.BatcherStopRace*' --gtest_repeat=5
 }
@@ -430,7 +440,7 @@ parser_fuzz_sweep() {
 
 # Replays the durable-store suite — power cycles, torn WAL tails, lying
 # fsyncs, crash-mid-compaction — under fixed seeds with ASan watching the
-# recovery paths (daemon restart reopens the batcher and swaps the monitor
+# recovery paths (daemon restart reopens the outbox and swaps the monitor
 # duty and durable log; lifetime bugs live exactly there). Fixed seeds keep
 # failures replayable: ACE_CHAOS_SEED=<seed> reruns the same schedule.
 disk_fault_sweep() {

@@ -107,10 +107,16 @@ util::Result<std::shared_ptr<crypto::SecureChannel>> AceClient::ensure_channel(
   dead_demux.stop();
 
   auto conn = host_.connect(to);
+  if (conn.ok()) {
+    std::scoped_lock lk(entry->mu);
+    entry->handshaking = conn.value();  // shutdown_entry closes it
+    if (entry->closed) entry->handshaking.close();
+  }
   auto ch = conn.ok() ? handshake(std::move(conn.value()))
                       : util::Result<crypto::SecureChannel>(conn.error());
   std::scoped_lock lk(entry->mu);
   entry->connecting = false;
+  entry->handshaking = {};
   if (!ch.ok()) return ch.error();
   auto channel =
       std::make_shared<crypto::SecureChannel>(std::move(ch.value()));
@@ -131,7 +137,8 @@ util::Result<std::shared_ptr<crypto::SecureChannel>> AceClient::ensure_channel(
 util::Result<crypto::SecureChannel> AceClient::handshake(net::Connection conn) {
   // `done` captures only the slot: it may run on the calling thread before
   // async_connect returns, or on a core worker after we gave up.
-  auto slot = std::make_shared<Completion<crypto::SecureChannel>>(1);
+  auto slot =
+      std::make_shared<Completion<util::Result<crypto::SecureChannel>>>(1);
   net::Connection handle = conn;  // shares the connection's state
   crypto::SecureChannel::async_connect(
       env_.reactor(), std::move(conn), identity_, env_.ca_key(),
@@ -241,7 +248,8 @@ AceClient::Replies AceClient::call_all(
 
 AceClient::Replies AceClient::attempt_all(
     std::span<const Request> requests, std::chrono::milliseconds timeout,
-    const std::function<bool(const Replies&)>& enough) {
+    const std::function<bool(const Replies&)>& enough, std::uint8_t flags) {
+  const bool noreply = (flags & wire::kFlagNoReply) != 0;
   const std::size_t n = requests.size();
   auto set = std::make_shared<CallSet>(n);
   struct Sent {
@@ -270,27 +278,28 @@ AceClient::Replies AceClient::attempt_all(
       set->complete(i, channel.error());
       continue;
     }
-    {
+    if (!noreply) {
       std::scoped_lock lk(entry->mu);
       s.call_id = entry->next_call_id++;
       entry->pending.emplace(s.call_id, PendingCall{set, i});
       inflight_->add(1);
     }
     const std::string text = requests[i].cmd.to_string();
-    if (!channel.value()->send(wire::encode_frame(s.call_id, 0, text)).ok()) {
+    if (!channel.value()->send(wire::encode_frame(s.call_id, flags, text))
+             .ok()) {
       channel.value()->close();
       withdraw(s);
       set->complete(i, util::Error{util::Errc::closed,
                                    "stale channel to " + to.to_string()});
+    } else if (noreply) {
+      set->complete(i, cmdlang::make_ok());  // out, and nothing comes back
     }
   }
 
   // One waiter for the whole set: each reply the demux routes wakes it.
   const bool met = set->wait_until(
       std::chrono::steady_clock::now() + timeout, [&](const Replies& rs) {
-        return std::all_of(rs.begin(), rs.end(),
-                           [](const auto& r) { return r.has_value(); }) ||
-               (enough && enough(rs));
+        return CallSet::all_settled(rs) || (enough && enough(rs));
       });
   // Withdraw the slots still registered, outside the set's lock (the
   // demux takes entry->mu first), so the demux drops their late replies.
@@ -407,19 +416,11 @@ void AceClient::backoff_sleep(const CallOptions& options, int attempt) {
 util::Status AceClient::send_only(const net::Address& to,
                                   const cmdlang::CmdLine& cmd) {
   net::expect_may_block("AceClient::send_only");  // may connect first
-  auto channel = ensure_channel(entry_for(to), to);
-  if (!channel.ok()) {
-    errors_->inc();
-    return channel.error();
-  }
-  // The call-id is unused: no reply will ever reference it.
-  auto s = channel.value()->send(
-      wire::encode_frame(0, wire::kFlagNoReply, cmd.to_string()));
-  if (!s.ok()) {
-    channel.value()->close();
-    errors_->inc();
-  }
-  return s;
+  const Request request{to, cmd};
+  auto sent = std::move(
+      *attempt_all({&request, 1}, {}, {}, wire::kFlagNoReply).front());
+  if (sent.ok()) return util::Status::ok_status();
+  return count_failure(sent.error(), to);
 }
 
 // Closes the entry's channel, fails its in-flight calls, and stops its
@@ -432,6 +433,7 @@ void AceClient::shutdown_entry(const std::shared_ptr<ChannelEntry>& entry) {
   {
     std::scoped_lock lk(entry->mu);
     entry->closed = true;
+    entry->handshaking.close();  // ends a reconnect's handshake under way
     if (entry->channel) entry->channel->close();
     entry->channel.reset();
     fail_pending_locked(

@@ -15,14 +15,13 @@
 // of N serialized round trips, and a process full of clients costs no
 // reader threads at all.
 //
-// All request/reply traffic funnels through call() and call_all(), which
+// All traffic funnels through call(), call_all() and send_only(), which
 // share one path (register, send, wait, withdraw), so reconnects, timeouts
 // and the breaker are instrumented in exactly one place.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -37,6 +36,7 @@
 #include "cmdlang/parser.hpp"
 #include "cmdlang/value.hpp"
 #include "crypto/channel.hpp"
+#include "daemon/completion.hpp"
 #include "daemon/environment.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -121,13 +121,16 @@ class AceClient {
 
   // Fire-and-forget: sends a frame flagged kFlagNoReply and returns
   // without waiting; the daemon executes the command and replies nothing.
+  // Asks and feeds the breaker, and counts a failure, as a call() with
+  // retries = 0 does.
   util::Status send_only(const net::Address& to, const cmdlang::CmdLine& cmd);
 
   // Closes the cached channel to `to` and fails the calls in flight on
   // it; the next call reconnects. A reconnect already under way is left
   // to finish: its channel is the replacement.
   void drop_connection(const net::Address& to);
-  // Closes every channel, discarding reconnects under way.
+  // Closes every channel and ends every reconnect under way: its handshake
+  // fails at once, and so does the call that started it.
   void close_all();
 
   // Replaces the breaker policy of every destination. Thread-safe; counts
@@ -143,38 +146,8 @@ class AceClient {
   Environment& env() { return env_; }
 
  private:
-  // Results handed from the reactor to one waiting caller: a handshake's
-  // channel, or the replies of a set of calls (CallSet), which the demux
-  // routes. The first result for a slot wins; none lands once taken.
-  template <typename T>
-  struct Completion {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::optional<util::Result<T>>> results;
-    bool taken = false;
-
-    explicit Completion(std::size_t n) : results(n) {}
-    void complete(std::size_t i, util::Result<T> r) {
-      std::scoped_lock lk(mu);
-      if (taken || results[i]) return;
-      results[i].emplace(std::move(r));
-      cv.notify_all();
-    }
-    // Waits until `done(results)` holds or `deadline` passes; true if the
-    // former.
-    template <typename Done>
-    bool wait_until(std::chrono::steady_clock::time_point deadline,
-                    Done done) {
-      std::unique_lock lk(mu);
-      return cv.wait_until(lk, deadline, [&] { return done(results); });
-    }
-    std::vector<std::optional<util::Result<T>>> take() {
-      std::scoped_lock lk(mu);
-      taken = true;
-      return std::move(results);
-    }
-  };
-  using CallSet = Completion<cmdlang::CmdLine>;
+  // The replies of a set of calls, which the demux routes.
+  using CallSet = Completion<util::Result<cmdlang::CmdLine>>;
   struct PendingCall {  // where the demux delivers one reply
     std::shared_ptr<CallSet> set;
     std::size_t index = 0;
@@ -193,8 +166,10 @@ class AceClient {
     std::map<std::uint64_t, PendingCall> pending;
     bool closed = false;  // entry was shut down; never reconnect through it
     // A reconnect is under way: the entry is not droppable, and only
-    // close_all() discards the channel it makes.
+    // close_all() ends it, closing `handshaking`, the connection its
+    // handshake runs on.
     bool connecting = false;
+    net::Connection handshaking;
     // Circuit-breaker state (guarded by `mu`; see BreakerPolicy).
     int consecutive_failures = 0;
     bool breaker_open = false;
@@ -229,12 +204,15 @@ class AceClient {
   void backoff_sleep(const CallOptions& options, int attempt);
   void fail_pending_locked(ChannelEntry& entry, const util::Error& error);
   void shutdown_entry(const std::shared_ptr<ChannelEntry>& entry);
-  // The one path of call() and call_all (see there), counting no call,
-  // timeout or error: its callers do, through count_failure, which also
-  // reports a channel that stayed dead (closed, io_error) as unavailable.
+  // The one path of call(), call_all and send_only (see there), counting
+  // no call, timeout or error: its callers do, through count_failure,
+  // which also reports a channel that stayed dead (closed, io_error) as
+  // unavailable. With wire::kFlagNoReply in `flags` no reply is awaited: a
+  // request settles ok once its frame is out.
   Replies attempt_all(std::span<const Request> requests,
                       std::chrono::milliseconds timeout,
-                      const std::function<bool(const Replies&)>& enough);
+                      const std::function<bool(const Replies&)>& enough,
+                      std::uint8_t flags = 0);
   util::Error count_failure(util::Error error, const net::Address& to);
   bool breaker_is_open(const net::Address& to);
 

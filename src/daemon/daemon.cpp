@@ -329,7 +329,12 @@ util::Status ServiceDaemon::start() {
   // decode, accept/handshake and inline nonblocking commands stay on the
   // core pool.
   running_.store(true);
+  drop_notifications_.store(false);
   net::Reactor& reactor = env_.reactor();
+  notify_outbox_.open(reactor, [this](const net::Address& dest,
+                                      std::vector<NotifyJob> jobs) {
+    ship_notifications(dest, std::move(jobs));
+  });
   accept_sub_ = listener_->on_accept(
       reactor,
       [this](std::optional<net::Connection> conn) {
@@ -392,15 +397,16 @@ void ServiceDaemon::stop() {
   net_log("info", "service '" + config_.name + "' stopped");
   teardown();
   // Last: on_stop() has ended the subclass's rounds, batches and repairs,
-  // and teardown() the handlers and the notify lanes, so nothing that calls
-  // through the client is left to reconnect it.
+  // and teardown() the handlers and the notification outbox, so nothing
+  // that calls through the client is left to reconnect it.
   client_.close_all();
 }
 
 // Tears down every reactor registration and accepted connection. Order
 // matters: stop the accept pump first (no new handshakes), then abort and
-// await in-flight handshakes (no new actors), then kill the actors, and
-// only then close the daemon-wide queues nothing can push to anymore.
+// await in-flight handshakes (no new actors), then kill the actors, then
+// close the daemon-wide queues nothing can push to anymore, and only then
+// close the client and the notification outbox.
 void ServiceDaemon::teardown() {
   if (listener_) listener_->close();
   accept_sub_.stop();
@@ -434,15 +440,13 @@ void ServiceDaemon::teardown() {
   data_sub_.stop();
   control_queue_.close();
   control_sub_.stop();
-  std::map<net::Address, std::unique_ptr<NotifyLane>> lanes;
-  {
-    // running_ is already false, so no event makes a new lane. The pumps
-    // stop outside notify_mu_, which their handlers take; undelivered
-    // events die with the daemon, like frames a dead process never wrote.
-    std::scoped_lock lock(notify_mu_);
-    lanes.swap(notify_lanes_);
-  }
-  for (auto& [dest, lane] : lanes) lane->pump.stop();
+  // Ends a notification handshake under way, so closing the outbox below
+  // does not wait out a stalled subscriber; a shipment that starts after
+  // this drops its events rather than reconnect. Undelivered events die
+  // with the daemon, like frames a dead process never wrote.
+  drop_notifications_.store(true);
+  client_.close_all();
+  (void)notify_outbox_.close();
 
   listener_.reset();
   data_socket_.reset();
@@ -789,25 +793,10 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
 
 void ServiceDaemon::fire_notifications(const CmdLine& cmd) {
   std::scoped_lock lock(notify_mu_);
-  for (const NotificationEntry& e : notifications_) {
-    if (e.command != cmd.name()) continue;
-    auto it = notify_lanes_.find(e.service);
-    if (it == notify_lanes_.end()) {
-      if (!running_.load()) continue;  // before start() or after stop()/crash()
-      auto lane = std::make_unique<NotifyLane>();
-      // By raw pointer: teardown() stops the pump before the lane dies.
-      lane->pump = net::attach_queue<NotifyJob>(
-          env_.reactor(), lane->jobs,
-          [this, dest = e.service, raw = lane.get()](
-              std::optional<NotifyJob> first) {
-            if (first) run_notify_dest(dest, *raw, std::move(*first));
-          },
-          {.blocking = true});
-      it = notify_lanes_.emplace(e.service, std::move(lane)).first;
-    }
-    (void)it->second->jobs.push(
-        NotifyJob{e.method, cmd.name(), cmd.to_string()});
-  }
+  for (const NotificationEntry& e : notifications_)
+    if (e.command == cmd.name())
+      (void)notify_outbox_.push(
+          e.service, NotifyJob{e.method, cmd.name(), cmd.to_string()});
 }
 
 // Counts one frame to `dest` carrying `jobs`, once per distinct command.
@@ -837,21 +826,16 @@ void ServiceDaemon::record_notify_outcome(const net::Address& dest,
   }
 }
 
-// The lane's handler, on the ops pool (send_only may block on connection
-// establishment). Lanes are not the control pump, so notification fan-out
-// between two daemons that notify each other cannot deadlock, and one per
-// destination, so a subscriber whose connect stalls holds up only its own
-// events. Sends `first` with the backlog queued behind it: a single event
-// goes out as a plain frame; a pile-up is coalesced into one notifyBatch
-// frame.
-void ServiceDaemon::run_notify_dest(const net::Address& dest, NotifyLane& lane,
-                                    NotifyJob first) {
-  std::vector<NotifyJob> jobs;
-  jobs.push_back(std::move(first));
-  while (auto next =
-             lane.jobs.try_pop_when([](const NotifyJob&) { return true; }))
-    jobs.push_back(std::move(*next));
-
+// The outbox's shipment to one subscriber, on its lane's pump on the ops
+// pool (send_only may block on connection establishment). Lanes are not
+// the control pump, so notification fan-out between two daemons that
+// notify each other cannot deadlock, and one per destination, so a
+// subscriber whose connect stalls holds up only its own events. A single
+// event goes out as a plain frame; a pile-up is coalesced into one
+// notifyBatch frame.
+void ServiceDaemon::ship_notifications(const net::Address& dest,
+                                       std::vector<NotifyJob> jobs) {
+  if (drop_notifications_.load()) return;  // teardown() closed the client
   if (jobs.size() == 1) {
     const NotifyJob& job = jobs.front();
     CmdLine notify(job.method);

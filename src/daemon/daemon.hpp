@@ -8,15 +8,16 @@
 //    connections become per-channel state machines (frame decode on the
 //    core pool, command execution on per-channel strands of the elastic
 //    ops pool), the control "thread" is a serialized queue pump, and
-//    notification fan-out gets one pump per destination, so two daemons
-//    notifying each other cannot deadlock and a stalled subscriber delays
-//    no other. A command declared nonblocking runs on the core
-//    worker that decoded it instead, when its lane (control queue or
-//    strand) is idle and its KeyNote verdict is cached as an allow: one
-//    thread hand-off fewer, every check still made. Semantics are
-//    unchanged — per-connection command order, one serialized control
-//    stream, concurrent_ok commands running in parallel — but thread count
-//    is O(reactor pool), not O(connections). See docs/net.md.
+//    notification fan-out ships through an Outbox, one lane per
+//    destination, so two daemons notifying each other cannot deadlock and
+//    a stalled subscriber delays no other. A command declared nonblocking
+//    runs on the core worker that decoded it instead, when its lane
+//    (control queue or strand) is idle and its KeyNote verdict is cached
+//    as an allow: one thread hand-off fewer, every check still made.
+//    Semantics are unchanged — per-connection command order, one
+//    serialized control stream, concurrent_ok commands running in
+//    parallel — but thread count is O(reactor pool), not O(connections).
+//    See docs/net.md.
 //  * command language integration (§2.2): incoming strings are parsed and
 //    validated against this daemon's SemanticRegistry before execution.
 //  * service hierarchy (§2.3): subclasses inherit the base "Service"
@@ -47,6 +48,7 @@
 #include "cmdlang/value.hpp"
 #include "daemon/client.hpp"
 #include "daemon/environment.hpp"
+#include "daemon/outbox.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "util/queue.hpp"
@@ -207,13 +209,6 @@ class ServiceDaemon {
     std::string detail;   // serialized original command
   };
 
-  // One destination's notification lane: its events, drained by a pump on
-  // the ops pool.
-  struct NotifyLane {
-    util::MessageQueue<NotifyJob> jobs;
-    net::Subscription pump;
-  };
-
   struct WorkItem {
     cmdlang::CmdLine cmd;
     CallerInfo caller;
@@ -246,8 +241,8 @@ class ServiceDaemon {
   bool run_inline(ChannelActor& actor, const WorkItem& item, bool concurrent);
   void run_work_item(const WorkItem& item, bool serialize,
                      std::atomic<int>& lane);
-  void run_notify_dest(const net::Address& dest, NotifyLane& lane,
-                       NotifyJob first);
+  void ship_notifications(const net::Address& dest,
+                          std::vector<NotifyJob> jobs);
   void record_notify_outcome(const net::Address& dest,
                              const std::vector<NotifyJob>& jobs,
                              bool delivered);
@@ -315,12 +310,11 @@ class ServiceDaemon {
   std::map<std::uint64_t, std::shared_ptr<ChannelActor>> actors_;
   std::uint64_t next_actor_id_ = 1;
 
-  // Guards the subscriptions and the lanes. A lane is made on its
-  // destination's first event while the daemon runs, and teardown() takes
-  // them all; events before start() or after stop()/crash() are dropped.
-  mutable std::mutex notify_mu_;
+  mutable std::mutex notify_mu_;  // guards notifications_
   std::vector<NotificationEntry> notifications_;
-  std::map<net::Address, std::unique_ptr<NotifyLane>> notify_lanes_;
+  // Open from start() to teardown(); events before start() or after
+  // stop()/crash() are dropped.
+  Outbox<NotifyJob> notify_outbox_;
 
   // Per principal: the credentials last fetched from the Authorization
   // Database, and the KeyNote verdicts reached on them, keyed by command
@@ -358,6 +352,9 @@ class ServiceDaemon {
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
+  // From teardown()'s close of the client to the next start(): a
+  // notification shipment drops its events rather than reconnect.
+  std::atomic<bool> drop_notifications_{false};
 
   // Reactor registrations replacing the accept/handshake/control/notifier/
   // data threads. Per-connection pumps live in ChannelActor.

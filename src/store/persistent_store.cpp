@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 
+#include "daemon/completion.hpp"
 #include "daemon/wire.hpp"
 #include "util/strings.hpp"
 
@@ -44,11 +45,19 @@ std::optional<std::uint64_t> parse_version(std::string_view text) {
   return v;
 }
 
-// A peer reply's `version=`; a negative one is out of range.
-std::optional<std::uint64_t> reply_version(const CmdLine& reply) {
-  const std::int64_t v = reply.get_integer("version", -1);
-  if (v < 0) return std::nullopt;
-  return static_cast<std::uint64_t>(v);
+// A peer's `storeGet scope=local` reply as a record, or nullopt unless it
+// is ok with an in-range version= and even-length hex data=. A
+// `storeGetDigest` reply, which has no data=, reads as a record without
+// bytes.
+std::optional<PersistentStoreDaemon::ObjectRecord> reply_record(
+    const util::Result<CmdLine>& reply) {
+  if (!reply.ok() || !cmdlang::is_ok(reply.value())) return std::nullopt;
+  const std::int64_t version = reply->get_integer("version", -1);
+  auto data = decode_hex(reply->get_text("data"));
+  if (version < 0 || !data) return std::nullopt;
+  return PersistentStoreDaemon::ObjectRecord{
+      static_cast<std::uint64_t>(version), std::move(*data),
+      reply->get_text("deleted") == "yes"};
 }
 
 // One replicated record on the wire: a netstring-packed field tuple
@@ -121,11 +130,12 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
       replica_id_(replica_id),
       options_(options),
       options_status_(validate_store_options(options)),
-      batcher_(env.metrics(), options.replicate_timeout),
       tree_(kMerkleDepth),
       bucket_keys_(tree_.leaf_count()),
       obs_writes_(&env.metrics().counter("store.writes")),
       obs_replica_acks_(&env.metrics().counter("store.replica_acks")),
+      obs_batch_flushes_(&env.metrics().counter("store.batch_flushes")),
+      obs_batch_records_(&env.metrics().counter("store.batch_records")),
       obs_rejoin_syncs_(&env.metrics().counter("store.rejoin_syncs")),
       obs_hints_recorded_(&env.metrics().counter("store.hints_recorded")),
       obs_hints_drained_(&env.metrics().counter("store.hints_drained")),
@@ -155,23 +165,9 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
         if (!data)
           return cmdlang::make_error(util::Errc::invalid,
                                      "data is not even-length hex");
-        auto version = next_version();
-        if (!version)
-          return cmdlang::make_error(util::Errc::conflict,
-                                     "version clock exhausted");
-        ObjectRecord record;
-        record.data = std::move(*data);
-        record.version = *version;
-        std::string key = cmd.get_text("key");
-        WriteOutcome out = coordinate_write(key, record);
-        if (!out.quorum_met)
-          return cmdlang::make_error(
-              util::Errc::unavailable,
-              "write quorum not met (acks=" + std::to_string(out.acks) + ")");
-        CmdLine reply = cmdlang::make_ok();
-        reply.arg("version", static_cast<std::int64_t>(record.version));
-        reply.arg("acks", static_cast<std::int64_t>(out.acks));
-        return reply;
+        return write(cmd.get_text("key"), {.version = 0,
+                                           .data = std::move(*data),
+                                           .deleted = false});
       });
 
   register_command(
@@ -221,23 +217,8 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
       CommandSpec("storeDelete", "remove an object (tombstone)").concurrent_ok()
           .arg(string_arg("key")),
       [this](const CmdLine& cmd, const CallerInfo&) {
-        auto version = next_version();
-        if (!version)
-          return cmdlang::make_error(util::Errc::conflict,
-                                     "version clock exhausted");
-        ObjectRecord record;
-        record.deleted = true;
-        record.version = *version;
-        std::string key = cmd.get_text("key");
-        WriteOutcome out = coordinate_write(key, record);
-        if (!out.quorum_met)
-          return cmdlang::make_error(
-              util::Errc::unavailable,
-              "write quorum not met (acks=" + std::to_string(out.acks) + ")");
-        CmdLine reply = cmdlang::make_ok();
-        reply.arg("version", static_cast<std::int64_t>(record.version));
-        reply.arg("acks", static_cast<std::int64_t>(out.acks));
-        return reply;
+        return write(cmd.get_text("key"),
+                     {.version = 0, .data = {}, .deleted = true});
       });
 
   // Paginated ordered prefix scan. Local scope answers one page of this
@@ -478,7 +459,10 @@ util::Status PersistentStoreDaemon::on_start() {
                            " bytes)"
                      : ""));
   }
-  batcher_.open(control_client());
+  outbox_.open(env().reactor(), [this](const net::Address& peer,
+                                       std::vector<Replica> batch) {
+    ship_replicas(peer, std::move(batch));
+  });
   // The monitor's first round, at once, is the boot catch-up sync.
   start_duty(
       options_.probe_interval,
@@ -496,9 +480,9 @@ void PersistentStoreDaemon::shutdown_runtime(bool flush) {
     dlog = dlog_;
   }
   // Closed first: every record settles, and a read repair still queued
-  // leaves its hint before close() returns. Command handlers may still be
-  // draining; their submit() fails at once.
-  batcher_.close();
+  // leaves its hint here. Command handlers may still be draining; what
+  // they replicate from now on fails at once.
+  for (Replica& left : outbox_.close()) left.then(false);
   // Graceful stop flushes the WAL tail; a crash must not (whatever was
   // not yet fsynced is exactly what the durability contract is about).
   if (dlog && flush) dlog->sync_all();
@@ -722,22 +706,22 @@ void PersistentStoreDaemon::drain_hints(const net::Address& peer) {
     backlog.swap(it->second);
     hints_.erase(it);
   }
-  struct Handoff {
-    std::string key;
-    std::uint64_t version;
-    std::shared_ptr<ReplicationBatcher::Pending> pending;
-  };
-  std::vector<Handoff> handoffs;
+  std::vector<std::pair<std::string, std::uint64_t>> handoffs;
+  Shipments shipments;
   for (const auto& [key, version] : backlog) {
     auto record = object(key);
     // Superseded locally; anti-entropy covers the rest.
     if (!record || record->version < version) continue;
-    handoffs.push_back(
-        {key, version,
-         batcher_.submit(peer, encode_replica_entry(key, *record, ""))});
+    handoffs.emplace_back(key, version);
+    shipments.emplace_back(peer, encode_replica_entry(key, *record, ""));
   }
-  for (const auto& [key, version, pending] : handoffs) {
-    if (pending->wait()) {
+  // No deadline: every record settles, by its batch's reply or timeout or
+  // as the outbox closes.
+  const std::vector<bool> acked =
+      replicate_all(shipments, steady_clock::time_point::max());
+  for (std::size_t i = 0; i < handoffs.size(); ++i) {
+    const auto& [key, version] = handoffs[i];
+    if (acked[i]) {
       obs_hints_drained_->inc();
       {
         // Lazily synced: replaying an already-drained hint after a crash
@@ -772,6 +756,23 @@ std::size_t PersistentStoreDaemon::hints_pending() const {
 std::uint64_t PersistentStoreDaemon::merkle_root() const {
   std::scoped_lock lock(mu_);
   return tree_.root();
+}
+
+CmdLine PersistentStoreDaemon::write(const std::string& key,
+                                     ObjectRecord record) {
+  auto version = next_version();
+  if (!version)
+    return cmdlang::make_error(util::Errc::conflict, "version clock exhausted");
+  record.version = *version;
+  const auto [acks, quorum_met] = coordinate_write(key, record);
+  if (!quorum_met)
+    return cmdlang::make_error(
+        util::Errc::unavailable,
+        "write quorum not met (acks=" + std::to_string(acks) + ")");
+  CmdLine reply = cmdlang::make_ok();
+  reply.arg("version", static_cast<std::int64_t>(record.version));
+  reply.arg("acks", static_cast<std::int64_t>(acks));
+  return reply;
 }
 
 PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
@@ -809,22 +810,21 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
     ++acks;
   }
 
-  // A write served during start(), before on_start opened the batcher,
+  // A write served during start(), before on_start opened the outbox,
   // finds it closed: every target and remote stand-in counts as a miss and
   // the coordinator keeps the hints.
-  const auto deadline = steady_clock::now() + options_.replicate_timeout;
-  std::vector<std::shared_ptr<ReplicationBatcher::Pending>> inflight;
-  inflight.reserve(targets.size());
   const std::string entry = encode_replica_entry(key, record, "");
-  for (const net::Address& t : targets)
-    inflight.push_back(batcher_.submit(t, entry));
+  Shipments shipments;
+  for (const net::Address& t : targets) shipments.emplace_back(t, entry);
+  // Every attempt is awaited even once W acks are in: a miss must be
+  // *observed* to leave a hint behind, and that hint is what makes the
+  // downed replica converge on heal. The per-peer circuit breaker keeps
+  // waits on a dead peer cheap after the first few timeouts.
+  const std::vector<bool> acked = replicate_all(
+      shipments, steady_clock::now() + options_.replicate_timeout);
   std::vector<net::Address> failed;
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    // Every attempt is awaited even once W acks are in: a miss must be
-    // *observed* to leave a hint behind, and that hint is what makes the
-    // downed replica converge on heal. The per-peer circuit breaker
-    // keeps waits on a dead peer cheap after the first few timeouts.
-    if (inflight[i]->wait_until(deadline)) {
+    if (acked[i]) {
       ++acks;
       ++peer_acks;
     } else {
@@ -849,10 +849,10 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
         handed = true;
         break;
       }
-      auto pending = batcher_.submit(
-          fb, encode_replica_entry(key, record, dead.to_string()));
-      if (pending->wait_until(steady_clock::now() +
-                              options_.replicate_timeout)) {
+      const Shipments handoff{
+          {fb, encode_replica_entry(key, record, dead.to_string())}};
+      if (replicate_all(handoff,
+                        steady_clock::now() + options_.replicate_timeout)[0]) {
         ++acks;
         ++peer_acks;
         handed = true;
@@ -957,16 +957,12 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
     voter.push_back(i);
   }
   // The full-value attempt is request 0 when remote. Countable: ok or an
-  // authoritative not_found; an ok whose version is out of range, or a
-  // full value whose data is not even-length hex, is no reply at all.
-  auto countable = [self_owner](std::size_t k,
-                                const util::Result<CmdLine>& reply) {
-    if (!reply.ok()) return false;
-    if (!cmdlang::is_ok(reply.value()))
+  // authoritative not_found; an ok whose version is out of range, or whose
+  // data is not even-length hex, is no reply at all.
+  auto countable = [](const util::Result<CmdLine>& reply) {
+    if (reply.ok() && !cmdlang::is_ok(reply.value()))
       return cmdlang::reply_error(reply.value()).code == util::Errc::not_found;
-    if (!reply_version(reply.value())) return false;
-    return self_owner || k != 0 ||
-           decode_hex(reply->get_text("data")).has_value();
+    return reply_record(reply).has_value();
   };
   // Quorum: R countable replies with the full-value attempt settled.
   const auto results = control_client().call_all(
@@ -974,24 +970,20 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
       [&](const daemon::AceClient::Replies& rs) {
         if (!self_owner && !rs[0]) return false;
         int replied = self_owner ? 1 : 0;
-        for (std::size_t k = 0; k < rs.size(); ++k)
-          if (rs[k] && countable(k, *rs[k])) ++replied;
+        for (const auto& r : rs)
+          if (r && countable(*r)) ++replied;
         return replied >= r_eff;
       });
   for (std::size_t k = 0; k < results.size(); ++k) {
     // Not awaited, or not countable.
-    if (!results[k] || !countable(k, *results[k])) continue;
-    const CmdLine& reply = results[k]->value();
+    if (!results[k] || !countable(*results[k])) continue;
     Vote& v = votes[voter[k]];
     v.replied = true;
-    if (!cmdlang::is_ok(reply)) continue;  // authoritative absence
+    auto record = reply_record(*results[k]);
+    if (!record) continue;  // authoritative absence
     v.has = true;
-    v.record.version = *reply_version(reply);  // range checked above
-    v.record.deleted = reply.get_text("deleted") == "yes";
-    if (!self_owner && k == 0) {  // the full value, hex checked above
-      v.full = true;
-      v.record.data = *decode_hex(reply.get_text("data"));
-    }
+    v.full = !self_owner && k == 0;
+    v.record = std::move(*record);
   }
 
   int replies = 0;
@@ -1026,20 +1018,12 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
       for (std::size_t i = 0; i < votes.size() && !materialized; ++i) {
         if (!votes[i].has || votes[i].record.version != winner.version)
           continue;
-        auto reply = control_client().call(
+        auto fetched = reply_record(control_client().call(
             prefs[i], sub,
             daemon::CallOptions{.timeout = options_.replicate_timeout,
-                                .retries = 0});
-        if (!reply.ok() || !cmdlang::is_ok(reply.value())) continue;
-        auto data = decode_hex(reply->get_text("data"));
-        auto version = reply_version(reply.value());
-        if (!data || !version) continue;  // no reply from this holder
-        ObjectRecord fetched;
-        fetched.version = *version;
-        fetched.deleted = reply->get_text("deleted") == "yes";
-        fetched.data = std::move(*data);
-        if (fetched.version >= winner.version) {
-          winner = std::move(fetched);
+                                .retries = 0}));
+        if (fetched && fetched->version >= winner.version) {
+          winner = std::move(*fetched);
           materialized = true;
         }
       }
@@ -1085,17 +1069,60 @@ void PersistentStoreDaemon::schedule_read_repair(
     const std::vector<net::Address>& stale) {
   const std::string entry = encode_replica_entry(key, winner, "");
   for (const net::Address& peer : stale)
-    batcher_.submit(peer, entry,
-                    [this, peer, key, version = winner.version](bool acked) {
-                      if (acked) {
-                        obs_read_repairs_->inc();
-                        return;
-                      }
-                      // The repair missed; leave a hinted-handoff
-                      // obligation so the monitor pushes it home when the
-                      // peer is reachable again.
-                      DurableLog::sync(record_hint(peer, key, version));
-                    });
+    replicate(peer, entry,
+              [this, peer, key, version = winner.version](bool acked) {
+                if (acked) {
+                  obs_read_repairs_->inc();
+                  return;
+                }
+                // The repair missed; leave a hinted-handoff obligation so
+                // the monitor pushes it home when the peer is reachable
+                // again.
+                DurableLog::sync(record_hint(peer, key, version));
+              });
+}
+
+void PersistentStoreDaemon::replicate(const net::Address& peer,
+                                      std::string entry,
+                                      std::function<void(bool)> then) {
+  Replica replica{std::move(entry), std::move(then)};
+  // A closed outbox leaves the record with us: it settles as a miss.
+  if (!outbox_.push(peer, std::move(replica))) replica.then(false);
+}
+
+std::vector<bool> PersistentStoreDaemon::replicate_all(
+    const Shipments& shipments, steady_clock::time_point deadline) {
+  net::expect_may_block("PersistentStoreDaemon::replicate_all");
+  using Acks = daemon::Completion<bool>;
+  auto acks = std::make_shared<Acks>(shipments.size());
+  for (std::size_t i = 0; i < shipments.size(); ++i)
+    replicate(shipments[i].first, shipments[i].second,
+              [acks, i](bool acked) { acks->complete(i, acked); });
+  acks->wait_until(deadline, Acks::all_settled);
+  std::vector<bool> acked;
+  for (const std::optional<bool>& settled : acks->take())
+    acked.push_back(settled.value_or(false));
+  return acked;
+}
+
+// A batch lands whole (the peer applies every record; LWW apply cannot
+// fail per record) or fails whole (transport error or timeout), so one
+// reply settles every record in it.
+void PersistentStoreDaemon::ship_replicas(const net::Address& peer,
+                                          std::vector<Replica> batch) {
+  std::vector<std::string> entries;
+  entries.reserve(batch.size());
+  for (Replica& r : batch) entries.push_back(std::move(r.entry));
+  CmdLine cmd("storeReplicateBatch");
+  cmd.arg("entries", daemon::wire::pack_batch(entries));
+  auto reply = control_client().call(
+      peer, cmd,
+      daemon::CallOptions{.timeout = options_.replicate_timeout,
+                          .retries = 0});
+  const bool acked = reply.ok() && cmdlang::is_ok(reply.value());
+  obs_batch_flushes_->inc();
+  obs_batch_records_->inc(batch.size());
+  for (Replica& r : batch) r.then(acked);
 }
 
 PersistentStoreDaemon::ScanPage PersistentStoreDaemon::scan_local(
@@ -1305,18 +1332,11 @@ std::int64_t PersistentStoreDaemon::ingest_digest_entry(
   CmdLine get("storeGet");
   get.arg("key", key);
   get.arg("scope", Word{"local"});
-  auto obj = control_client().call(
+  auto record = reply_record(control_client().call(
       peer, get, daemon::CallOptions{.timeout = std::chrono::milliseconds(500),
-                                     .retries = 0});
-  if (!obj.ok() || !cmdlang::is_ok(obj.value())) return 0;
-  auto data = decode_hex(obj->get_text("data"));
-  auto fetched = reply_version(obj.value());
-  if (!data || !fetched) return 0;  // no reply from this peer
-  ObjectRecord record;
-  record.version = *fetched;
-  record.data = std::move(*data);
-  record.deleted = obj->get_text("deleted") == "yes";
-  apply(key, record);
+                                     .retries = 0}));
+  if (!record) return 0;  // no reply from this peer
+  apply(key, *record);
   obs_sync_fetched_->inc();
   return 1;
 }

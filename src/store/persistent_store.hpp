@@ -26,9 +26,10 @@
 //     This is how the Fig 17 "1 or 2 of 3 may fail" availability claim
 //     survives sharding.
 //   * Group commit — every record one replica pushes to another (fan-out,
-//     stand-in hand-off, hint drain, read repair) rides a per-peer batcher
-//     (store/batch.hpp) that coalesces concurrent writes into one framed
-//     `storeReplicateBatch` per peer per flush, on the pipelined channel.
+//     stand-in hand-off, hint drain, read repair) rides the peer's lane of
+//     the replica's outbox (daemon/outbox.hpp), which coalesces concurrent
+//     writes into one framed `storeReplicateBatch` per peer per shipment,
+//     on the pipelined channel.
 //   * Merkle anti-entropy — a rejoining replica compares O(log n) digest
 //     tree hashes (`storeDigestTree`) against each peer and fetches only
 //     divergent buckets.
@@ -56,15 +57,17 @@
 //   storeReplicateBatch entries=;      -> ok applied=              (internal)
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string_view>
+#include <utility>
 
 #include "daemon/daemon.hpp"
+#include "daemon/outbox.hpp"
 #include "io/sim_disk.hpp"
 #include "net/reactor.hpp"
-#include "store/batch.hpp"
 #include "store/merkle.hpp"
 #include "store/ring.hpp"
 #include "store/wal.hpp"
@@ -163,6 +166,12 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
     int acks = 0;
     bool quorum_met = false;
   };
+  // One replicated record (encode_replica_entry) on its way to a peer.
+  struct Replica {
+    std::string entry;
+    std::function<void(bool acked)> then;  // runs once, as it settles
+  };
+  using Shipments = std::vector<std::pair<net::Address, std::string>>;
 
   // The next write's version; nullopt once the clock is at the top of the
   // version range (a peer pushed it there), so the write fails instead of
@@ -203,6 +212,22 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
     bool done = false;
   };
 
+  // Pushes `entry` onto the lane of `peer`; `then(acked)` runs once as it
+  // settles: on the lane's pump after its batch's reply or timeout, or as
+  // the outbox closes. While the outbox is closed it settles as failed at
+  // once, inside replicate().
+  void replicate(const net::Address& peer, std::string entry,
+                 std::function<void(bool acked)> then);
+  // Replicates every (peer, entry) and waits until each has settled or
+  // `deadline` passes; true at i iff entry i was acknowledged in time.
+  std::vector<bool> replicate_all(
+      const Shipments& shipments,
+      std::chrono::steady_clock::time_point deadline);
+  // The outbox's shipment: one storeReplicateBatch RPC carries the batch.
+  void ship_replicas(const net::Address& peer, std::vector<Replica> batch);
+  // The body storePut and storeDelete share: `record`, a value or a
+  // tombstone, written at the next version by coordinate_write.
+  cmdlang::CmdLine write(const std::string& key, ObjectRecord record);
   // Coordinates one write: local apply (when owner) + preference-list
   // fan-out + sloppy-quorum fallback with hinted handoff.
   WriteOutcome coordinate_write(const std::string& key,
@@ -245,9 +270,9 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   int replica_id_;
   StoreOptions options_;
   util::Status options_status_;  // construction-time validation verdict
-  // Open from on_start to shutdown_runtime, on the daemon's one client; a
-  // record submitted while it is closed fails at once.
-  ReplicationBatcher batcher_;
+  // Every record this replica pushes to another ships through here. Open
+  // from on_start to shutdown_runtime, on the daemon's one client.
+  daemon::Outbox<Replica> outbox_;
   mutable std::mutex mu_;
   std::map<std::string, ObjectRecord> objects_;
   std::uint64_t lamport_ = 0;
@@ -270,6 +295,8 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   // Cached obs cells (deployment registry, `store.*` names).
   obs::Counter* obs_writes_;
   obs::Counter* obs_replica_acks_;
+  obs::Counter* obs_batch_flushes_;
+  obs::Counter* obs_batch_records_;
   obs::Counter* obs_rejoin_syncs_;
   obs::Counter* obs_hints_recorded_;
   obs::Counter* obs_hints_drained_;

@@ -36,6 +36,16 @@ util::Status StoreClient::put(const std::string& key,
   CmdLine cmd("storePut");
   cmd.arg("key", key);
   cmd.arg("data", util::hex_encode(data));
+  return write(key, cmd);
+}
+
+util::Status StoreClient::remove(const std::string& key) {
+  CmdLine cmd("storeDelete");
+  cmd.arg("key", key);
+  return write(key, cmd);
+}
+
+util::Status StoreClient::write(const std::string& key, const CmdLine& cmd) {
   for (const net::Address& replica : route(key)) {
     auto reply = client_.call(
         replica, cmd,
@@ -79,19 +89,6 @@ util::Result<util::Bytes> StoreClient::get(const std::string& key) {
     return std::move(*data);
   }
   return last;
-}
-
-util::Status StoreClient::remove(const std::string& key) {
-  CmdLine cmd("storeDelete");
-  cmd.arg("key", key);
-  for (const net::Address& replica : route(key)) {
-    auto reply = client_.call(
-        replica, cmd,
-        daemon::CallOptions{.timeout = std::chrono::milliseconds(800)});
-    if (reply.ok() && cmdlang::is_ok(reply.value()))
-      return util::Status::ok_status();
-  }
-  return {util::Errc::unavailable, "no persistent-store replica reachable"};
 }
 
 util::Result<std::vector<std::string>> StoreClient::list(

@@ -84,6 +84,8 @@ class StoreClient {
   // The key's owners (rotated by `preferred_`) followed by every other
   // replica — the failover order for one request.
   std::vector<net::Address> route(const std::string& key) const;
+  // put() and remove(): `cmd` to each replica in route(key) until one acks.
+  util::Status write(const std::string& key, const cmdlang::CmdLine& cmd);
 
   daemon::AceClient& client_;
   std::vector<net::Address> replicas_;

@@ -28,7 +28,8 @@
 // Group commit: append() under the log's own mutex assigns an LSN;
 // sync(lsn) elects the first waiter as leader, which issues one fsync
 // covering every record appended so far — concurrent writers ride the
-// same flush, mirroring the replication batcher's flush window.
+// same flush, mirroring the coalescing window of a replication lane
+// (daemon/outbox.hpp).
 #pragma once
 
 #include <condition_variable>

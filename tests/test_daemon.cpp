@@ -389,6 +389,36 @@ TEST_F(DaemonTest, StalledSubscriberDoesNotDelayOthers) {
   EXPECT_TRUE(sink.wait_for(1, 500ms));
 }
 
+// stop() and crash() end a notification handshake under way: a source
+// whose subscriber accepts connections but never answers a handshake
+// returns from either at once, not after the 2 s handshake timeout.
+TEST_F(DaemonTest, StopAndCrashEndAStalledSubscriberHandshake) {
+  auto tarpit = deployment_->env.network().add_host("tarpit").listen(7000);
+  ASSERT_TRUE(tarpit.ok());
+  testenv::AcceptInbox accepts(deployment_->env.reactor(), **tarpit);
+  auto& echo = host_->add_daemon<EchoDaemon>(config("source7"));
+  for (const bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash" : "stop");
+    ASSERT_TRUE(echo.start().ok());
+    CmdLine stalled("addNotification");
+    stalled.arg("command", Word{"echo"});
+    stalled.arg("service", "tarpit:7000");
+    stalled.arg("method", Word{"sink"});
+    ASSERT_TRUE(client_->call(echo.address(), stalled, daemon::kCallOk).ok());
+    CmdLine cmd("echo");
+    cmd.arg("text", "event");
+    ASSERT_TRUE(client_->call(echo.address(), cmd, daemon::kCallOk).ok());
+    ASSERT_TRUE(accepts.next(2s).has_value());  // the lane is mid-handshake
+
+    const auto started = std::chrono::steady_clock::now();
+    if (crash)
+      echo.crash();
+    else
+      echo.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - started, 500ms);
+  }
+}
+
 TEST_F(DaemonTest, LeaseExpiryRemovesCrashedDaemon) {
   daemon::DaemonConfig c = config("mortal");
   c.lease = 300ms;

@@ -1,8 +1,9 @@
 // Tests for net::Reactor — the event loop the fabric multiplexes onto —
 // and for the async surfaces built on it: queue pumps (attach_queue) and
 // their release when a stopping reactor refuses or drops a drain, the
-// PeriodicTask contract, endpoint callbacks (on_frame/on_accept), and the
-// client's per-destination reply demux.
+// PeriodicTask contract, the Outbox's per-destination lanes, endpoint
+// callbacks (on_frame/on_accept), and the client's per-destination reply
+// demux.
 // Includes a connect/close churn soak meant to run under ThreadSanitizer
 // (ci.sh tsan), and a census showing a whole deployment runs no thread
 // outside the reactor.
@@ -10,12 +11,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ace_test_env.hpp"
+#include "daemon/outbox.hpp"
 #include "daemon/wire.hpp"
 #include "endpoint_waiter.hpp"
 #include "io/sim_disk.hpp"
@@ -436,6 +442,144 @@ TEST(PeriodicTask, StaysDisarmedOnStoppingReactor) {
   std::this_thread::sleep_for(40ms);
   EXPECT_EQ(ticks.load(), 0);
   task.stop();  // still returns
+}
+
+// ------------------------------------------------------------------- outbox
+
+// What an Outbox<int> shipped, per destination and in shipping order. The
+// first shipment to `held` waits inside ship() until release().
+class ShipLog {
+ public:
+  explicit ShipLog(net::Address held = {}) : held_(std::move(held)) {}
+
+  daemon::Outbox<int>::Ship ship() {
+    return [this](const net::Address& to, std::vector<int> batch) {
+      std::unique_lock lock(mu_);
+      if (to == held_ && !released_) {
+        holding_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+      shipped_[to].push_back(std::move(batch));
+      cv_.notify_all();
+    };
+  }
+
+  // True once a shipment to `held` is waiting inside ship().
+  bool holding() {
+    std::unique_lock lock(mu_);
+    return cv_.wait_for(lock, 2s, [&] { return holding_; });
+  }
+
+  void release() {
+    {
+      std::scoped_lock lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  // The batches shipped to `to` once they hold `items` items, or after 2 s.
+  std::vector<std::vector<int>> shipped(const net::Address& to,
+                                        std::size_t items) {
+    std::unique_lock lock(mu_);
+    cv_.wait_for(lock, 2s, [&] {
+      std::size_t n = 0;
+      for (const auto& batch : shipped_[to]) n += batch.size();
+      return n >= items;
+    });
+    return shipped_[to];
+  }
+
+ private:
+  net::Address held_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  bool released_ = false;
+  std::map<net::Address, std::vector<std::vector<int>>> shipped_;
+};
+
+const net::Address kLaneA{"a", 1};
+const net::Address kLaneB{"b", 1};
+
+// Per destination, items ship in push order, and what queued behind a
+// shipment in flight leaves as one later shipment.
+TEST(OutboxTest, ItemsShipInPushOrderAndABacklogAsOneBatch) {
+  net::Reactor reactor;
+  ShipLog log(kLaneA);
+  daemon::Outbox<int> outbox;
+  outbox.open(reactor, log.ship());
+  ASSERT_TRUE(outbox.push(kLaneA, 0));
+  ASSERT_TRUE(log.holding());
+  for (int i = 1; i <= 5; ++i) ASSERT_TRUE(outbox.push(kLaneA, int{i}));
+  for (int i = 10; i <= 12; ++i) ASSERT_TRUE(outbox.push(kLaneB, int{i}));
+  log.release();
+
+  using Batches = std::vector<std::vector<int>>;
+  EXPECT_EQ(log.shipped(kLaneA, 6), (Batches{{0}, {1, 2, 3, 4, 5}}));
+  std::vector<int> to_b;
+  for (const auto& batch : log.shipped(kLaneB, 3))
+    to_b.insert(to_b.end(), batch.begin(), batch.end());
+  EXPECT_EQ(to_b, (std::vector<int>{10, 11, 12}));
+  EXPECT_TRUE(outbox.close().empty());
+}
+
+// An outbox never opened, or closed since, takes nothing: push() returns
+// false and the item stays with the caller.
+TEST(OutboxTest, PushOnClosedOutboxLeavesTheItem) {
+  net::Reactor reactor;
+  daemon::Outbox<std::string> outbox;
+  std::string item = "kept";
+  EXPECT_FALSE(outbox.push(kLaneA, std::move(item)));
+  EXPECT_EQ(item, "kept");
+
+  outbox.open(reactor, [](const net::Address&, std::vector<std::string>) {});
+  EXPECT_TRUE(outbox.close().empty());
+  EXPECT_FALSE(outbox.push(kLaneA, std::move(item)));
+  EXPECT_EQ(item, "kept");
+}
+
+// close() waits out the shipment in flight and hands back exactly the
+// items queued behind it, which never ship.
+TEST(OutboxTest, CloseWaitsOutAShipmentAndReturnsWhatIsQueued) {
+  net::Reactor reactor;
+  ShipLog log(kLaneA);
+  daemon::Outbox<int> outbox;
+  outbox.open(reactor, log.ship());
+  ASSERT_TRUE(outbox.push(kLaneA, 1));
+  ASSERT_TRUE(log.holding());
+  ASSERT_TRUE(outbox.push(kLaneA, 2));
+  ASSERT_TRUE(outbox.push(kLaneA, 3));
+
+  std::atomic<bool> closed{false};
+  std::vector<int> left;
+  std::jthread closer([&] {
+    left = outbox.close();
+    closed = true;
+  });
+  std::this_thread::sleep_for(100ms);
+  EXPECT_FALSE(closed.load());  // the shipment of 1 is still in flight
+  log.release();
+  closer.join();
+  EXPECT_EQ(left, (std::vector<int>{2, 3}));
+  EXPECT_EQ(log.shipped(kLaneA, 1), (std::vector<std::vector<int>>{{1}}));
+  EXPECT_FALSE(outbox.push(kLaneA, 4));
+}
+
+// A destination whose shipment blocks holds up only its own lane.
+TEST(OutboxTest, BlockedDestinationDoesNotDelayAnother) {
+  net::Reactor reactor;
+  ShipLog log(kLaneA);
+  daemon::Outbox<int> outbox;
+  outbox.open(reactor, log.ship());
+  ASSERT_TRUE(outbox.push(kLaneA, 1));
+  ASSERT_TRUE(log.holding());
+  ASSERT_TRUE(outbox.push(kLaneB, 2));
+  EXPECT_EQ(log.shipped(kLaneB, 1), (std::vector<std::vector<int>>{{2}}));
+  log.release();
+  EXPECT_EQ(log.shipped(kLaneA, 1), (std::vector<std::vector<int>>{{1}}));
+  EXPECT_TRUE(outbox.close().empty());
 }
 
 // ------------------------------------------------- async endpoint surfaces

@@ -2,10 +2,11 @@
 // calls per destination, out-of-order reply routing, retry across channel
 // death, malformed frames, the daemon-side handshake pool keeping slow
 // connectors off the accept path, a client reconnect holding no lock a
-// drop or close_all needs, per-connection order on the inline path of
-// nonblocking commands, and AceClient::call_all's fan-out: requests in
-// flight together, an early stop that withdraws the rest, and failures,
-// timeouts and breaker rejections kept per request.
+// drop or close_all needs, send_only asking and feeding the breaker,
+// per-connection order on the inline path of nonblocking commands, and
+// AceClient::call_all's fan-out: requests in flight together, an early
+// stop that withdraws the rest, and failures, timeouts and breaker
+// rejections kept per request.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -376,9 +377,10 @@ TEST(Rpc, DropConnectionDoesNotWaitForAStalledHandshake) {
 }
 
 // A reconnect in flight when the client lets go of its destination: a drop
-// leaves it to finish and carry the call, close_all discards the channel
-// it makes. Neither waits for the handshake, which the server, played by
-// hand here, completes only afterwards.
+// leaves it to finish and carry the call; close_all ends it by closing the
+// connection its handshake runs on, so the server's accept fails and the
+// call fails well inside the 2 s handshake timeout. Neither waits for the
+// handshake, whose server side is played by hand here.
 TEST(Rpc, HandshakeInFlightOutlivesDropButNotCloseAll) {
   for (const bool close_all : {false, true}) {
     SCOPED_TRACE(close_all ? "close_all" : "drop_connection");
@@ -389,9 +391,12 @@ TEST(Rpc, HandshakeInFlightOutlivesDropButNotCloseAll) {
     testenv::AcceptInbox accepts(reactor, **listener);
     const net::Address addr{"by-hand", 7001};
     std::optional<util::Result<CmdLine>> reply;
+    std::chrono::steady_clock::duration call_took{};
     std::jthread caller([&] {
+      const auto t0 = std::chrono::steady_clock::now();
       reply.emplace(f.client->call(addr, CmdLine("ping"),
                                    daemon::CallOptions{.retries = 0}));
+      call_took = std::chrono::steady_clock::now() - t0;
     });
     auto conn = accepts.next(2s);
     ASSERT_TRUE(conn.has_value());  // the caller is now mid-handshake
@@ -408,23 +413,26 @@ TEST(Rpc, HandshakeInFlightOutlivesDropButNotCloseAll) {
                       f.env.env.issue_identity("svc/by-hand"),
                       f.env.env.ca_key(), 2s, f.env.env.channel_options())
                       .result();
+    if (close_all) {
+      EXPECT_FALSE(server.ok());  // the client closed the connection
+      caller.join();
+      ASSERT_TRUE(reply.has_value());
+      EXPECT_FALSE(reply->ok());
+      EXPECT_LT(call_took, 1s);
+      continue;
+    }
     ASSERT_TRUE(server.ok()) << server.error().to_string();
     testenv::FrameInbox requests(reactor, server.value());
     auto request = requests.next(2s);
-    if (close_all) {
-      EXPECT_FALSE(request.has_value());
-      EXPECT_TRUE(requests.ended());  // the client closed the new channel
-    } else {
-      ASSERT_TRUE(request.has_value());
-      auto decoded = daemon::wire::decode_frame(*request);
-      ASSERT_TRUE(decoded.has_value());
-      ASSERT_TRUE(server->send(daemon::wire::encode_frame(decoded->call_id, 0,
-                                                          "ok;"))
-                      .ok());
-    }
+    ASSERT_TRUE(request.has_value());
+    auto decoded = daemon::wire::decode_frame(*request);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_TRUE(
+        server->send(daemon::wire::encode_frame(decoded->call_id, 0, "ok;"))
+            .ok());
     caller.join();
     ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->ok(), !close_all);
+    EXPECT_TRUE(reply->ok());
   }
 }
 
@@ -451,6 +459,31 @@ TEST(Rpc, SendOnlyUsesNoReplyFlag) {
   auto reply = f.client->call(addr, cmd, daemon::kCallOk);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->get_text("text"), "still here");
+}
+
+// send_only asks and feeds the circuit breaker as a call does: two sends
+// to a port nobody listens on are refused and open it, and the third fails
+// at once with `unavailable`, without connecting.
+TEST(Rpc, SendOnlyFeedsTheBreaker) {
+  RpcFixture f;
+  f.client->set_breaker_policy({.failure_threshold = 2, .cooldown = 10s});
+  const net::Address nobody{f.svc->address().host, 7099};
+  const auto errors = f.counter_value("client.errors");
+  for (int i = 0; i < 2; ++i) {
+    auto sent = f.client->send_only(nobody, CmdLine("ping"));
+    ASSERT_FALSE(sent.ok());
+    EXPECT_EQ(sent.error().code, util::Errc::refused);
+  }
+  EXPECT_EQ(f.counter_value("client.errors"), errors + 2);
+
+  const auto rejected = f.counter_value("client.breaker_rejected");
+  const auto connects = f.counter_value("net.connects");
+  auto sent = f.client->send_only(nobody, CmdLine("ping"));
+  ASSERT_FALSE(sent.ok());
+  EXPECT_EQ(sent.error().code, util::Errc::unavailable);
+  EXPECT_EQ(f.counter_value("client.breaker_rejected"), rejected + 1);
+  EXPECT_EQ(f.counter_value("net.connects"), connects);
+  EXPECT_EQ(f.counter_value("client.errors"), errors + 3);
 }
 
 // Frames the daemon cannot even dispatch — a demux header cut short, or a
