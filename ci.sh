@@ -3,8 +3,9 @@
 #   1. Release         — the build users get (catches optimizer-visible bugs)
 #   2. ThreadSanitizer — shakes out data races in the reactor actor
 #      structure (frame pumps, async handshakes, channel actors, client
-#      demux, periodic duties, the outbound lanes of replication and
-#      notification, inline nonblocking commands; see docs/net.md),
+#      demux and the continuations it settles, periodic duties, the
+#      outbound lanes of replication and notification, inline nonblocking
+#      commands and deferred replies; see docs/net.md),
 #      plus a chaos seed sweep: the fault-injection tests replayed under
 #      several ACE_CHAOS_SEED values so each CI run exercises distinct
 #      crash/partition interleavings under the race detector
@@ -196,13 +197,14 @@ chaos_seed_sweep() {
   done
 }
 
-# The read path's digest reads, cluster scans and federated queries fan out
-# through AceClient::call_all, whose one completion set the demux fills
-# from core workers while the caller withdraws what it stopped waiting
-# for, and read repairs settle by callback on the replication lanes'
-# pumps — replay those suites and call_all's own tests under TSan, plus
-# one fixed-seed chaos torture whose final R=2 verification reads drive
-# the digest path under crash/restart.
+# The read path's digest reads fan out through AceClient::call_all's
+# callback form, whose set the demux settles from core workers, tallying
+# the votes and replying there; cluster scans and federated queries wait
+# on the blocking form while the demux fills its set; and read repairs
+# settle by callback on whichever thread settles their batch. Replay
+# those suites and call_all's own tests under TSan, plus one fixed-seed
+# chaos torture whose final R=2 verification reads drive the digest path
+# under crash/restart.
 read_path_race_sweep() {
   local build_dir="$1"
   echo "=== store read-path sweep under ThreadSanitizer ==="
@@ -233,11 +235,12 @@ authz_race_sweep() {
 
 # Every periodic duty (lease renewal, gossip rounds, the store monitor, RM
 # watchdog, ASD reaper and HRM sampler) is a net::PeriodicTask, and each
-# lane of the store's replication outbox is a queue pump whose stop() in
-# Outbox::close() races push() and the shipment in flight. Replay the
-# primitive's contract tests, stop() waiting out a running handler, a
-# client tearing down and re-creating a channel's demux, and the suites
-# that start, stop, crash and restart those duties and lanes under TSan.
+# lane of the store's replication outbox ships on the pushing thread and
+# the settling one, while Outbox::close() races push() and waits for the
+# shipment in flight to settle. Replay the primitive's contract tests,
+# stop() waiting out a running handler, a client tearing down and
+# re-creating a channel's demux, and the suites that start, stop, crash
+# and restart those duties and lanes under TSan.
 timer_chain_sweep() {
   local build_dir="$1"
   echo "=== periodic-duty and replication-lane sweep under ThreadSanitizer ==="
@@ -258,17 +261,19 @@ timer_chain_sweep() {
 
 # Nonblocking commands run on the core worker that decoded them when their
 # lane is idle, racing the control pump and the strands for exec_mu_ and
-# the lane counts, and the verdict cache against refetches. Replay the RPC
-# and daemon suites, the inline-path tests, the replica digest reads and
-# the ASD's lease renewals (both inline on the hot path) under TSan with
-# the never-block check compiled in.
+# the lane counts, and the verdict cache against refetches; a deferred
+# command frees its strand as its handler returns and answers later, from
+# a timer or another thread. Replay the RPC and daemon suites, the
+# inline-path and deferred-reply tests, the replica digest reads and the
+# ASD's lease renewals (both inline on the hot path) under TSan with the
+# never-block check compiled in.
 inline_dispatch_sweep() {
   local build_dir="$1"
   echo "=== inline dispatch sweep under ThreadSanitizer ==="
   run_filtered "${build_dir}/tests/test_rpc" 'Rpc.*:RpcDeathTest.*' \
     --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_daemon" \
-    'DaemonTest.*:InlineDispatchTest.*' --gtest_repeat=3
+    'DaemonTest.*:InlineDispatchTest.*:DeferredReplyTest.*' --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_store" 'StoreDigestReadTest.*' \
     --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_asd_scale" \
@@ -337,14 +342,17 @@ require_sha_hardware() {
 
 # Every record one replica pushes to another rides its peer's lane of the
 # replica's outbox: the outbox opens and closes with each life of the
-# store daemon, coordinated writes and hint drains wait on their records'
-# completion set, and read repairs settle by callback, on the lane's pump
-# or as the outbox closes. Replay the Outbox's own tests, the hand-off,
-# drain, repair and group-commit tests, writes served before on_start, the
-# durable hint test, the remote stand-in and the scripted-peer tests
-# (among them a read repair queued behind a shipment in flight when the
-# replica stops, ScriptedPeerTest.ReadRepairQueuedAtStopLeavesHint) in
-# both sanitizer legs.
+# store daemon, a lane ships on the pushing thread and on the one that
+# settles its previous shipment, coordinated writes reply from their
+# records' settlement (a miss from its fallback on the ops pool), hint
+# drains wait on their records' completion set, and read repairs settle
+# by callback, wherever their batch settles or as the outbox closes.
+# Replay the Outbox's own tests, the hand-off, drain, repair and
+# group-commit tests, writes served before on_start, the durable hint
+# test, the remote stand-in and the scripted-peer tests (among them a
+# read repair queued behind a shipment in flight when the replica stops,
+# ScriptedPeerTest.ReadRepairQueuedAtStopLeavesHint, and puts whose peer
+# acks late or never) in both sanitizer legs.
 replication_path_sweep() {
   local build_dir="$1"
   echo "=== replication path sweep: ${build_dir} ==="
@@ -359,15 +367,18 @@ replication_path_sweep() {
 
 # Every outbound call a daemon makes rides the one AceClient built with it,
 # and a fire-and-forget send asks and feeds its breaker as a call does.
-# teardown() closes it, ending a notification handshake under way, before
-# the notification outbox; stop() and crash() close it last, after the
-# gossip rounds and outbound lanes that call through it have ended, and
-# the next life reuses it; reads served before start() use it too. Replay
-# the one-client and close-order tests, the breaker on send_only, the
-# Robustness Manager and federation suites (and the manager answering
-# rmStatus while its Net Logger stalls), the daemon stop/crash/restart
-# cases, the reads and writes served before start(), and a connect racing
-# its listener's destruction in both sanitizer legs.
+# teardown() closes it, ending a notification handshake under way and
+# failing the connects its callback form posted, before the notification
+# outbox; stop() and crash() wait for every deferred reply, then close it
+# last, after the gossip rounds and outbound lanes that call through it
+# have ended, and the next life reuses it; reads served before start()
+# use it too. Replay the one-client and close-order tests, the breaker on
+# send_only, the callback form settling once however its set ends (so
+# LeakSanitizer sees every callback set), the Robustness Manager and
+# federation suites (and the manager answering rmStatus and stopping
+# while its Net Logger stalls), the daemon stop/crash/restart cases, the
+# reads and writes served before start(), and a connect racing its
+# listener's destruction in both sanitizer legs.
 client_lifetime_sweep() {
   local build_dir="$1"
   echo "=== client lifetime sweep: ${build_dir} ==="
@@ -377,8 +388,8 @@ client_lifetime_sweep() {
 'DaemonTest.AuthorizationRevokedThenCrashIsDeniedAtOnce:'\
 'DaemonTest.StopAndCrashEndAStalledSubscriberHandshake:'\
 'InlineDispatchTest.LaneCountResetsWithItsQueue' --gtest_repeat=3
-  run_filtered "${build_dir}/tests/test_rpc" 'Rpc.SendOnlyFeedsTheBreaker' \
-    --gtest_repeat=3
+  run_filtered "${build_dir}/tests/test_rpc" \
+    'Rpc.SendOnlyFeedsTheBreaker:CallAll.Callback*' --gtest_repeat=3
   run_filtered "${build_dir}/tests/test_store" \
 'OneClientTest.*:RobustnessTest.*:RobustnessLogTest.*:'\
 'StoreReadBeforeStartTest.*:StoreWriteBeforeStartTest.*' --gtest_repeat=3
@@ -390,7 +401,8 @@ client_lifetime_sweep() {
 
 # Each destination's lane of the notification outbox counts its
 # subscriber's failed deliveries, and resets the count on a delivered one,
-# on the ops pool while command handlers fire events and make lanes.
+# on whichever thread settles its shipment, while command handlers fire
+# events and make lanes.
 # Replay the drop and reset tests, whose subscriber stops and restarts
 # between deliveries, a stalled subscriber beside a live one and across
 # its source's stop and crash, and the notifyBatch tests, under TSan.

@@ -15,13 +15,17 @@
 // of N serialized round trips, and a process full of clients costs no
 // reader threads at all.
 //
-// All traffic funnels through call(), call_all() and send_only(), which
-// share one path (register, send, wait, withdraw), so reconnects, timeouts
-// and the breaker are instrumented in exactly one place.
+// All traffic funnels through one send half and one settle half (register
+// and send; then withdraw, time out and feed the breaker), so reconnects,
+// timeouts and the breaker are instrumented in exactly one place. call(),
+// call_all() and send_only() wait for the settle half; the callback forms
+// of call_all() and send_only() are handed its results instead, and never
+// block.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -119,18 +123,42 @@ class AceClient {
                    std::chrono::milliseconds timeout,
                    const std::function<bool(const Replies&)>& enough = {});
 
+  // The callback form of call_all: the same sends, results and counting,
+  // but it never blocks, so a core worker may call it. A destination with
+  // no live channel connects on the ops pool, and the deadline starts once
+  // the last request is out. `on_settled(replies)` runs exactly once, on
+  // the thread that settles the set: the reply demux's core worker, the
+  // deadline timer's, a thread that fails the last request (close_all(),
+  // a channel's death, the breaker), or the caller's when every request
+  // settles before this returns. It must not block, and must not call
+  // close_all(). Once it has run, the set keeps nothing alive: `enough`
+  // and `on_settled` are released as it settles.
+  using OnSettled = std::function<void(Replies)>;
+  void call_all(std::span<const Request> requests,
+                std::chrono::milliseconds timeout,
+                std::function<bool(const Replies&)> enough,
+                OnSettled on_settled);
+
   // Fire-and-forget: sends a frame flagged kFlagNoReply and returns
-  // without waiting; the daemon executes the command and replies nothing.
+  // once it is out; the daemon executes the command and replies nothing.
   // Asks and feeds the breaker, and counts a failure, as a call() with
   // retries = 0 does.
   util::Status send_only(const net::Address& to, const cmdlang::CmdLine& cmd);
+  // Its callback form: never blocks (with no live channel it connects on
+  // the ops pool), and hands the outcome to `on_settled`, which runs once
+  // as call_all's callback form's does.
+  void send_only(const net::Address& to, const cmdlang::CmdLine& cmd,
+                 std::function<void(util::Status)> on_settled);
 
   // Closes the cached channel to `to` and fails the calls in flight on
   // it; the next call reconnects. A reconnect already under way is left
   // to finish: its channel is the replacement.
   void drop_connection(const net::Address& to);
   // Closes every channel and ends every reconnect under way: its handshake
-  // fails at once, and so does the call that started it.
+  // fails at once, and so does the call that started it. A connect the
+  // callback form posted to the ops pool fails too, queued or running;
+  // close_all() waits for it, and for every callback-form set it failed to
+  // finish settling. Never call it from an `on_settled`.
   void close_all();
 
   // Replaces the breaker policy of every destination. Thread-safe; counts
@@ -146,8 +174,10 @@ class AceClient {
   Environment& env() { return env_; }
 
  private:
-  // The replies of a set of calls, which the demux routes.
-  using CallSet = Completion<util::Result<cmdlang::CmdLine>>;
+  // One set of calls, defined in client.cpp: its results (a Completion),
+  // what its settle half needs of each request, and, in the callback
+  // form, its hook.
+  struct CallSet;
   struct PendingCall {  // where the demux delivers one reply
     std::shared_ptr<CallSet> set;
     std::size_t index = 0;
@@ -157,7 +187,8 @@ class AceClient {
   // and is only ever held for brief bookkeeping, never across a connect, a
   // handshake or a round trip. `connect_mu` serializes reconnects to the
   // destination; only callers take it, never a reactor worker.
-  // Lock order: connect_mu -> mu -> CallSet::mu.
+  // Lock order: connect_mu -> mu. A call is failed (and its set perhaps
+  // settled) only once `mu` is released: a callback may call back in.
   struct ChannelEntry {
     std::mutex connect_mu;
     std::mutex mu;
@@ -182,6 +213,10 @@ class AceClient {
   };
 
   std::shared_ptr<ChannelEntry> entry_for(const net::Address& to);
+  // The entry's live channel, nullptr when a reconnect is due, or an
+  // error for a shut-down entry. Never blocks.
+  util::Result<std::shared_ptr<crypto::SecureChannel>> live_channel(
+      const std::shared_ptr<ChannelEntry>& entry, const net::Address& to);
   // The entry's live channel, connecting and handshaking first when there
   // is none (see ChannelEntry for the locks).
   util::Result<std::shared_ptr<crypto::SecureChannel>> ensure_channel(
@@ -202,17 +237,43 @@ class AceClient {
   void breaker_record_success(ChannelEntry& entry, bool probe);
   // Jittered exponential delay before retry attempt `attempt` (>= 1).
   void backoff_sleep(const CallOptions& options, int attempt);
-  void fail_pending_locked(ChannelEntry& entry, const util::Error& error);
+  // Takes the entry's in-flight calls under its `mu`; fail_calls() fails
+  // them once the caller has released it.
+  static std::vector<PendingCall> take_pending_locked(ChannelEntry& entry);
+  void fail_calls(std::vector<PendingCall> calls, const util::Error& error);
   void shutdown_entry(const std::shared_ptr<ChannelEntry>& entry);
-  // The one path of call(), call_all and send_only (see there), counting
-  // no call, timeout or error: its callers do, through count_failure,
-  // which also reports a channel that stayed dead (closed, io_error) as
-  // unavailable. With wire::kFlagNoReply in `flags` no reply is awaited: a
-  // request settles ok once its frame is out.
-  Replies attempt_all(std::span<const Request> requests,
-                      std::chrono::milliseconds timeout,
-                      const std::function<bool(const Replies&)>& enough,
-                      std::uint8_t flags = 0);
+
+  // The send half, one request at a time: breaker admission, a channel
+  // (connecting in the caller for a blocking set, on the ops pool for a
+  // callback set), slot registration and the frame, the command
+  // serialized straight into it. A request that cannot go out settles at
+  // once. With wire::kFlagNoReply in the set's flags no reply is awaited:
+  // a request settles ok once its frame is out.
+  void send(const std::shared_ptr<CallSet>& set, std::size_t i,
+            const net::Address& to, const cmdlang::CmdLine& cmd);
+  void transmit(const std::shared_ptr<CallSet>& set, std::size_t i,
+                const std::shared_ptr<crypto::SecureChannel>& channel,
+                const std::string& text);
+  void post_connect(const std::shared_ptr<CallSet>& set, std::size_t i,
+                    std::string text);
+  // Settles request i; in the callback form, settles the set too once
+  // that makes it ready.
+  void deliver(const std::shared_ptr<CallSet>& set, std::size_t i,
+               util::Result<cmdlang::CmdLine> result);
+  // Settles a callback-form set if it is ready; true if this call did.
+  bool try_settle(const std::shared_ptr<CallSet>& set);
+  // Request i has left the send half; the last one arms the callback
+  // form's deadline, unless the set is ready already.
+  void sent(const std::shared_ptr<CallSet>& set);
+  // The settle half, run once by the set's one settler: withdraws the
+  // slots still registered, times out the rest unless `met`, feeds the
+  // breaker and counts. The callback form then runs its hook.
+  Replies finish(CallSet& set, bool met);
+  void settle(const std::shared_ptr<CallSet>& set, bool met);
+  // Waits out a blocking set: the caller is its settler.
+  Replies wait(const std::shared_ptr<CallSet>& set,
+               std::chrono::milliseconds timeout,
+               const std::function<bool(const Replies&)>& enough);
   util::Error count_failure(util::Error error, const net::Address& to);
   bool breaker_is_open(const net::Address& to);
 
@@ -225,6 +286,15 @@ class AceClient {
   std::map<net::Address, std::shared_ptr<ChannelEntry>> channels_;
   std::mutex jitter_mu_;
   util::Rng jitter_rng_;
+
+  // Work of the callback form that close_all() waits for: connects posted
+  // to the ops pool, and sets not yet settled. `life_` moves on with every
+  // close_all(), so a connect posted before it fails when it runs.
+  std::mutex live_mu_;
+  std::condition_variable live_cv_;
+  std::uint64_t life_ = 0;
+  int posted_connects_ = 0;
+  int live_sets_ = 0;
 
   // Cached obs cells (deployment registry, `client.*` names).
   obs::Counter* calls_;

@@ -1,6 +1,8 @@
 #include "daemon/daemon.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "daemon/host.hpp"
 #include "daemon/lease.hpp"
@@ -59,6 +61,52 @@ cmdlang::CmdLine encode_metrics_reply(const obs::MetricsSnapshot& snapshot) {
   return reply;
 }
 
+// ------------------------------------------------------------------ replies
+
+// A deferred command in flight: where its answer goes (the wire, or
+// execute()'s waiter) and what ends with it (span, histogram, event).
+struct Reply::State {
+  State(ServiceDaemon& d, obs::MetricsRegistry& metrics)
+      : daemon(d), span(metrics, "daemon", "cmd") {}
+
+  ServiceDaemon& daemon;
+  obs::Span span;
+  std::chrono::steady_clock::time_point started =
+      std::chrono::steady_clock::now();
+  obs::Histogram* latency = nullptr;
+  std::optional<CmdLine> event;  // kept only when someone listens for it
+  std::shared_ptr<crypto::SecureChannel> channel;
+  std::uint64_t call_id = 0;
+  bool noreply = false;
+  std::shared_ptr<Completion<CmdLine>> local;  // execute()'s
+};
+
+Reply::Reply() = default;
+
+Reply::Reply(std::unique_ptr<State> state) : state_(std::move(state)) {}
+
+Reply::Reply(Reply&& other) noexcept = default;
+
+Reply& Reply::operator=(Reply&& other) noexcept {
+  if (this != &other) {
+    Reply old(std::move(*this));
+    state_ = std::move(other.state_);
+  }
+  return *this;
+}
+
+Reply::~Reply() {
+  if (state_)
+    send(cmdlang::make_error(util::Errc::unavailable,
+                             "the command ended without a reply"));
+}
+
+void Reply::send(CmdLine reply) {
+  if (!state_) return;
+  ServiceDaemon& daemon = state_->daemon;
+  daemon.answer(std::move(state_), std::move(reply));
+}
+
 ServiceDaemon::ServiceDaemon(Environment& env, DaemonHost& host,
                              DaemonConfig config)
     : env_(env),
@@ -96,7 +144,23 @@ void ServiceDaemon::register_command(CommandSpec spec, Handler handler) {
   // The per-verb latency histogram is resolved once here so dispatch
   // touches only atomics.
   handlers_[spec.name] = HandlerEntry{
-      std::move(handler),
+      std::move(handler), {},
+      &env_.metrics().histogram("daemon.cmd." + spec.name + ".latency_us")};
+  semantics_.add(std::move(spec));
+}
+
+void ServiceDaemon::register_command(CommandSpec spec,
+                                     DeferredHandler handler) {
+  // The control lane runs one command at a time to its end; a deferred
+  // reply would let the next one start before it.
+  if (!spec.concurrent) {
+    std::fprintf(stderr,
+                 "ace: deferred handler on serialized command '%s'\n",
+                 spec.name.c_str());
+    std::abort();
+  }
+  handlers_[spec.name] = HandlerEntry{
+      {}, std::move(handler),
       &env_.metrics().histogram("daemon.cmd." + spec.name + ".latency_us")};
   semantics_.add(std::move(spec));
 }
@@ -282,9 +346,13 @@ util::Status ServiceDaemon::run_startup_sequence() {
 
   // Step 4 happens inside the ASD (registration fires its notifications).
 
-  // Step 5: record the start with the Network Logger.
-  net_log("info", "service '" + config_.name + "' started on host '" +
-                      host_.name() + "'");
+  // Step 5: record the start with the Network Logger. Like the steps
+  // above, start() sends it before it returns, so the logger's channel is
+  // up, or known to be down, once the daemon is started.
+  if (auto log = log_command("info", "service '" + config_.name +
+                                         "' started on host '" +
+                                         host_.name() + "'"))
+    (void)client_.send_only(env_.net_logger_address, *log);
   return util::Status::ok_status();
 }
 
@@ -331,9 +399,10 @@ util::Status ServiceDaemon::start() {
   running_.store(true);
   drop_notifications_.store(false);
   net::Reactor& reactor = env_.reactor();
-  notify_outbox_.open(reactor, [this](const net::Address& dest,
-                                      std::vector<NotifyJob> jobs) {
-    ship_notifications(dest, std::move(jobs));
+  notify_outbox_.open([this](const net::Address& dest,
+                              std::vector<NotifyJob> jobs,
+                              Outbox<NotifyJob>::Settled settled) {
+    ship_notifications(dest, std::move(jobs), settled);
   });
   accept_sub_ = listener_->on_accept(
       reactor,
@@ -354,8 +423,10 @@ util::Status ServiceDaemon::start() {
         reactor,
         [this](std::optional<net::Datagram> dg) {
           if (!dg) return;
-          obs_datagrams_->inc();
           on_datagram(*dg);
+          // Counted once handled, so a reader of the counter finds what
+          // on_datagram stored.
+          obs_datagrams_->inc();
         },
         {.blocking = true});
 
@@ -396,9 +467,11 @@ void ServiceDaemon::stop() {
   }
   net_log("info", "service '" + config_.name + "' stopped");
   teardown();
+  await_replies();
   // Last: on_stop() has ended the subclass's rounds, batches and repairs,
-  // and teardown() the handlers and the notification outbox, so nothing
-  // that calls through the client is left to reconnect it.
+  // teardown() the handlers and the notification outbox, and every
+  // deferred command has answered, so nothing that calls through the
+  // client is left to reconnect it.
   client_.close_all();
 }
 
@@ -461,6 +534,9 @@ void ServiceDaemon::crash() {
   host_.leases_withdraw(config_.name);
   end_duties();
   teardown();
+  // Every handler has ended; so must their deferred replies, before the
+  // state they work on dies below.
+  await_replies();
   // A real crash loses the process's volatile state. Anything re-derivable
   // (subscriptions, cached credentials, subclass soft state) must be
   // re-established by peers after a restart — which is exactly what the
@@ -475,6 +551,12 @@ void ServiceDaemon::crash() {
   }
   on_crash();
   client_.close_all();  // last, as in stop()
+}
+
+void ServiceDaemon::await_replies() {
+  net::expect_may_block("ServiceDaemon::await_replies");
+  std::unique_lock lock(replies_mu_);
+  replies_cv_.wait(lock, [this] { return replies_owed_ == 0; });
 }
 
 void ServiceDaemon::start_duty(std::chrono::milliseconds period,
@@ -639,22 +721,23 @@ bool ServiceDaemon::run_inline(ChannelActor& actor, const WorkItem& item,
     if (!exec.owns_lock()) return false;
   }
   // exec_mu_, when needed, is held here, so dispatch must not take it.
-  CmdLine reply = dispatch(item.cmd, item.caller, /*serialize=*/false,
-                           /*cached_allow=*/enforced);
+  auto reply = dispatch(item.cmd, item.caller, /*serialize=*/false,
+                        /*cached_allow=*/enforced, &item);
   if (exec) exec.unlock();
-  if (!item.noreply) send_reply(*item.channel, item.call_id, reply);
+  if (reply && !item.noreply) send_reply(*item.channel, item.call_id, *reply);
   return true;
 }
 
 // Runs on the ops pool (command handlers may block on nested RPCs). The
 // item leaves its lane's count once executed, before the reply goes out,
 // so the command a caller sends on reading the reply finds the lane idle.
+// A deferred command leaves it as its handler returns.
 void ServiceDaemon::run_work_item(const WorkItem& item, bool serialize,
                                   std::atomic<int>& lane) {
-  CmdLine reply = dispatch(item.cmd, item.caller, serialize);
+  auto reply = dispatch(item.cmd, item.caller, serialize, false, &item);
   lane.fetch_sub(1);
-  if (item.channel && !item.noreply)
-    send_reply(*item.channel, item.call_id, reply);
+  if (reply && item.channel && !item.noreply)
+    send_reply(*item.channel, item.call_id, *reply);
 }
 
 CmdLine ServiceDaemon::execute(const CmdLine& cmd, const CallerInfo& caller) {
@@ -662,13 +745,13 @@ CmdLine ServiceDaemon::execute(const CmdLine& cmd, const CallerInfo& caller) {
   // the exec_mu_ serialization, so in-process callers (tests, benches,
   // composition) see the same concurrency the wire sees.
   const cmdlang::CommandSpec* spec = semantics_.find(cmd.name());
-  return dispatch(cmd, caller, /*serialize=*/!(spec && spec->concurrent));
+  return *dispatch(cmd, caller, /*serialize=*/!(spec && spec->concurrent));
 }
 
-CmdLine ServiceDaemon::dispatch(const CmdLine& cmd, const CallerInfo& caller,
-                                bool serialize, bool cached_allow) {
-  obs::Span span(env_.metrics(), "daemon", "cmd");
-  const auto started = std::chrono::steady_clock::now();
+std::optional<CmdLine> ServiceDaemon::admit(const CmdLine& cmd,
+                                            const CallerInfo& caller,
+                                            bool cached_allow,
+                                            obs::Span& span) {
   if (auto s = semantics_.validate(cmd); !s.ok()) {
     span.fail();
     obs_cmd_rejected_->inc();
@@ -686,7 +769,21 @@ CmdLine ServiceDaemon::dispatch(const CmdLine& cmd, const CallerInfo& caller,
                             cmd.name() + "'");
     return cmdlang::make_error(s.error().code, s.error().message);
   }
-  HandlerEntry& handler = handlers_.at(cmd.name());
+  return std::nullopt;
+}
+
+std::optional<CmdLine> ServiceDaemon::dispatch(const CmdLine& cmd,
+                                               const CallerInfo& caller,
+                                               bool serialize,
+                                               bool cached_allow,
+                                               const WorkItem* item) {
+  const auto found = handlers_.find(cmd.name());
+  if (found != handlers_.end() && found->second.deferred)
+    return dispatch_deferred(found->second, cmd, caller, cached_allow, item);
+  obs::Span span(env_.metrics(), "daemon", "cmd");
+  const auto started = std::chrono::steady_clock::now();
+  if (auto refused = admit(cmd, caller, cached_allow, span)) return refused;
+  HandlerEntry& handler = found->second;  // validated: it exists
   CmdLine reply;
   if (serialize) {
     std::scoped_lock lock(exec_mu_);
@@ -699,6 +796,62 @@ CmdLine ServiceDaemon::dispatch(const CmdLine& cmd, const CallerInfo& caller,
   span.set_ok(cmdlang::is_ok(reply));
   if (cmdlang::is_ok(reply)) fire_notifications(cmd);
   return reply;
+}
+
+std::optional<CmdLine> ServiceDaemon::dispatch_deferred(
+    HandlerEntry& handler, const CmdLine& cmd, const CallerInfo& caller,
+    bool cached_allow, const WorkItem* item) {
+  auto state = std::make_unique<Reply::State>(*this, env_.metrics());
+  if (auto refused = admit(cmd, caller, cached_allow, state->span))
+    return refused;
+  state->latency = handler.latency;
+  {
+    std::scoped_lock lock(notify_mu_);
+    for (const NotificationEntry& e : notifications_)
+      if (e.command == cmd.name()) {
+        state->event = cmd;
+        break;
+      }
+  }
+  std::shared_ptr<Completion<CmdLine>> local;
+  if (item) {
+    state->channel = item->channel;
+    state->call_id = item->call_id;
+    state->noreply = item->noreply;
+  } else {
+    local = std::make_shared<Completion<CmdLine>>(1);
+    state->local = local;
+  }
+  {
+    std::scoped_lock lock(replies_mu_);
+    ++replies_owed_;
+  }
+  handler.deferred(cmd, caller, Reply(std::move(state)));
+  if (!local) return std::nullopt;
+  net::expect_may_block("ServiceDaemon::execute");  // waits for the Reply
+  local->wait_until(std::chrono::steady_clock::time_point::max(),
+                    Completion<CmdLine>::all_settled);
+  return std::move(*local->take()[0]);
+}
+
+void ServiceDaemon::answer(std::unique_ptr<Reply::State> state,
+                           CmdLine reply) {
+  const bool ok = cmdlang::is_ok(reply);
+  state->latency->observe(std::chrono::steady_clock::now() - state->started);
+  obs_cmd_executed_->inc();
+  state->span.set_ok(ok);
+  if (ok && state->event) fire_notifications(*state->event);
+  if (state->channel && !state->noreply)
+    send_reply(*state->channel, state->call_id, reply);
+  const std::shared_ptr<Completion<CmdLine>> local = std::move(state->local);
+  state.reset();  // ends the span
+  {
+    // await_replies() may return, and the daemon die, once this is out.
+    std::scoped_lock lock(replies_mu_);
+    if (--replies_owed_ == 0) replies_cv_.notify_all();
+  }
+  // And execute() once this is: last.
+  if (local) local->complete(0, std::move(reply));
 }
 
 std::optional<bool> ServiceDaemon::cached_verdict(
@@ -791,12 +944,19 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
   return util::Status::ok_status();
 }
 
+// Collects under notify_mu_ and pushes after releasing it: a push may ship
+// at once, and a shipment's settlement takes notify_mu_.
 void ServiceDaemon::fire_notifications(const CmdLine& cmd) {
-  std::scoped_lock lock(notify_mu_);
-  for (const NotificationEntry& e : notifications_)
-    if (e.command == cmd.name())
-      (void)notify_outbox_.push(
-          e.service, NotifyJob{e.method, cmd.name(), cmd.to_string()});
+  std::vector<std::pair<net::Address, NotifyJob>> jobs;
+  {
+    std::scoped_lock lock(notify_mu_);
+    for (const NotificationEntry& e : notifications_)
+      if (e.command == cmd.name())
+        jobs.emplace_back(e.service,
+                          NotifyJob{e.method, cmd.name(), cmd.to_string()});
+  }
+  for (auto& [service, job] : jobs)
+    (void)notify_outbox_.push(service, std::move(job));
 }
 
 // Counts one frame to `dest` carrying `jobs`, once per distinct command.
@@ -826,45 +986,53 @@ void ServiceDaemon::record_notify_outcome(const net::Address& dest,
   }
 }
 
-// The outbox's shipment to one subscriber, on its lane's pump on the ops
-// pool (send_only may block on connection establishment). Lanes are not
-// the control pump, so notification fan-out between two daemons that
-// notify each other cannot deadlock, and one per destination, so a
+// The outbox's shipment to one subscriber, started on the pushing thread
+// or on the one that settled the lane's previous shipment. send_only's
+// callback form never blocks (with no live channel it connects on the ops
+// pool), and lanes are one per destination, so notification fan-out
+// between two daemons that notify each other cannot deadlock, and a
 // subscriber whose connect stalls holds up only its own events. A single
 // event goes out as a plain frame; a pile-up is coalesced into one
 // notifyBatch frame.
 void ServiceDaemon::ship_notifications(const net::Address& dest,
-                                       std::vector<NotifyJob> jobs) {
-  if (drop_notifications_.load()) return;  // teardown() closed the client
-  if (jobs.size() == 1) {
-    const NotifyJob& job = jobs.front();
-    CmdLine notify(job.method);
-    notify.arg("source", config_.name);
-    notify.arg("command", Word{job.command});
-    notify.arg("detail", job.detail);
-    auto s = client_.send_only(dest, notify);
-    obs_notify_sent_->inc();
-    record_notify_outcome(dest, jobs, s.ok());
+                                       std::vector<NotifyJob> jobs,
+                                       Outbox<NotifyJob>::Settled settled) {
+  if (drop_notifications_.load()) {  // teardown() closed the client
+    settled();
     return;
   }
-
-  std::vector<std::string> events;
-  events.reserve(jobs.size());
-  for (const NotifyJob& job : jobs) {
-    CmdLine notify(job.method);
-    notify.arg("source", config_.name);
-    notify.arg("command", Word{job.command});
-    notify.arg("detail", job.detail);
-    events.push_back(notify.to_string());
+  CmdLine frame;
+  if (jobs.size() == 1) {
+    const NotifyJob& job = jobs.front();
+    frame = CmdLine(job.method);
+    frame.arg("source", config_.name);
+    frame.arg("command", Word{job.command});
+    frame.arg("detail", job.detail);
+  } else {
+    std::vector<std::string> events;
+    events.reserve(jobs.size());
+    for (const NotifyJob& job : jobs) {
+      CmdLine notify(job.method);
+      notify.arg("source", config_.name);
+      notify.arg("command", Word{job.command});
+      notify.arg("detail", job.detail);
+      events.push_back(notify.to_string());
+    }
+    frame = CmdLine("notifyBatch");
+    frame.arg("source", config_.name);
+    frame.arg("events", cmdlang::string_vector(std::move(events)));
   }
-  CmdLine batch("notifyBatch");
-  batch.arg("source", config_.name);
-  batch.arg("events", cmdlang::string_vector(std::move(events)));
-  auto s = client_.send_only(dest, batch);
-  obs_notify_batches_->inc();
-  obs_notify_batched_events_->inc(jobs.size());
-  obs_notify_sent_->inc(jobs.size());
-  record_notify_outcome(dest, jobs, s.ok());
+  client_.send_only(
+      dest, frame,
+      [this, dest, jobs = std::move(jobs), settled](util::Status s) {
+        if (jobs.size() > 1) {
+          obs_notify_batches_->inc();
+          obs_notify_batched_events_->inc(jobs.size());
+        }
+        obs_notify_sent_->inc(jobs.size());
+        record_notify_outcome(dest, jobs, s.ok());
+        settled();
+      });
 }
 
 void ServiceDaemon::handle_lease_lost() {
@@ -896,14 +1064,20 @@ util::Status ServiceDaemon::send_datagrams(std::span<const net::Address> to,
 
 void ServiceDaemon::net_log(const std::string& level,
                             const std::string& message) {
-  if (!config_.log_to_net_logger || env_.net_logger_address.host.empty())
-    return;
-  if (env_.net_logger_address == address()) return;
+  if (auto log = log_command(level, message))
+    client_.send_only(env_.net_logger_address, *log, [](util::Status) {});
+}
+
+std::optional<CmdLine> ServiceDaemon::log_command(
+    const std::string& level, const std::string& message) const {
+  if (!config_.log_to_net_logger || env_.net_logger_address.host.empty() ||
+      env_.net_logger_address == address())
+    return std::nullopt;
   CmdLine log("log");
   log.arg("source", config_.name);
   log.arg("level", Word{level});
   log.arg("message", message);
-  (void)client_.send_only(env_.net_logger_address, log);
+  return log;
 }
 
 }  // namespace ace::daemon

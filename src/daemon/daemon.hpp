@@ -13,10 +13,12 @@
 //    a stalled subscriber delays no other. A command declared nonblocking
 //    runs on the core worker that decoded it instead, when its lane
 //    (control queue or strand) is idle and its KeyNote verdict is cached
-//    as an allow: one thread hand-off fewer, every check still made.
-//    Semantics are unchanged — per-connection command order, one
-//    serialized control stream, concurrent_ok commands running in
-//    parallel — but thread count is O(reactor pool), not O(connections).
+//    as an allow: one thread hand-off fewer, every check still made. A
+//    concurrent_ok command may answer later through a Reply (the deferred
+//    form of register_command), so a handler that waits on other daemons
+//    parks no thread. Semantics are unchanged — per-connection command
+//    order, one serialized control stream, concurrent_ok commands running
+//    in parallel — but thread count is O(reactor pool), not O(connections).
 //    See docs/net.md.
 //  * command language integration (§2.2): incoming strings are parsed and
 //    validated against this daemon's SemanticRegistry before execution.
@@ -94,10 +96,33 @@ struct CallerInfo {
   net::Address address;
 };
 
+// The answer a deferred handler owes its caller (the deferred form of
+// ServiceDaemon::register_command). Move-only. send() answers once, from
+// any thread, and never blocks; a Reply destroyed unsent answers
+// `error code=unavailable`. Its daemon's stop() and crash() return only
+// once every Reply is answered, so whatever holds one must let it go.
+class Reply {
+ public:
+  Reply();
+  Reply(Reply&& other) noexcept;
+  Reply& operator=(Reply&& other) noexcept;  // answers the Reply it replaces
+  ~Reply();
+
+  void send(cmdlang::CmdLine reply);
+
+ private:
+  friend class ServiceDaemon;
+  struct State;
+  explicit Reply(std::unique_ptr<State> state);
+  std::unique_ptr<State> state_;
+};
+
 class ServiceDaemon {
  public:
   using Handler = std::function<cmdlang::CmdLine(const cmdlang::CmdLine&,
                                                  const CallerInfo&)>;
+  using DeferredHandler = std::function<void(const cmdlang::CmdLine&,
+                                             const CallerInfo&, Reply)>;
 
   ServiceDaemon(Environment& env, DaemonHost& host, DaemonConfig config);
   virtual ~ServiceDaemon();
@@ -126,13 +151,23 @@ class ServiceDaemon {
   const cmdlang::SemanticRegistry& semantics() const { return semantics_; }
 
   // Executes a command locally (same validation/authorization path as a
-  // network command). Used by tests and in-process composition.
+  // network command), waiting for a deferred handler's Reply. Used by
+  // tests and in-process composition.
   cmdlang::CmdLine execute(const cmdlang::CmdLine& cmd,
                            const CallerInfo& caller);
 
  protected:
   // Subclass API -----------------------------------------------------------
   void register_command(cmdlang::CommandSpec spec, Handler handler);
+  // The deferred form, for concurrent_ok commands only (a check aborts
+  // otherwise; the control lane stays synchronous): the handler answers
+  // through its Reply, at once or later from any thread, so it may start
+  // nested calls with the client's callback forms and return. Its strand
+  // is free again once it returns, so the next command on the connection
+  // runs meanwhile; a nonblocking one may run inline like any other. The
+  // command's `daemon cmd` span and latency histogram run until the reply,
+  // and its notifications fire as it answers ok.
+  void register_command(cmdlang::CommandSpec spec, DeferredHandler handler);
 
   Environment& env() { return env_; }
   DaemonHost& host() { return host_; }
@@ -185,7 +220,8 @@ class ServiceDaemon {
     fire_notifications(event);
   }
 
-  // Appends to the ACE Network Logger (fire-and-forget).
+  // Appends to the ACE Network Logger (fire-and-forget; never blocks: with
+  // no live channel to the logger it connects on the ops pool).
   void net_log(const std::string& level, const std::string& message);
 
   const crypto::Identity& identity() const { return identity_; }
@@ -195,6 +231,7 @@ class ServiceDaemon {
   // lost one (directory restarted empty) via handle_lease_lost().
   friend class LeaseCoordinator;
   void handle_lease_lost();
+  friend class Reply;
 
   struct NotificationEntry {
     std::string command;  // command being listened for
@@ -242,19 +279,38 @@ class ServiceDaemon {
   void run_work_item(const WorkItem& item, bool serialize,
                      std::atomic<int>& lane);
   void ship_notifications(const net::Address& dest,
-                          std::vector<NotifyJob> jobs);
+                          std::vector<NotifyJob> jobs,
+                          Outbox<NotifyJob>::Settled settled);
   void record_notify_outcome(const net::Address& dest,
                              const std::vector<NotifyJob>& jobs,
                              bool delivered);
   void teardown();
 
+  struct HandlerEntry;
   // The one dispatch body of every path: validation, authorization, the
   // handler (under exec_mu_ when `serialize`), its histogram and span,
   // notifications. `cached_allow` means run_inline already read an allow
   // verdict for this command from the cache; it stands in for authorize().
-  cmdlang::CmdLine dispatch(const cmdlang::CmdLine& cmd,
-                            const CallerInfo& caller, bool serialize,
-                            bool cached_allow = false);
+  // A deferred handler answers through a Reply to `item`'s channel and
+  // nullopt comes back; with no `item` (execute()) dispatch waits for it.
+  std::optional<cmdlang::CmdLine> dispatch(const cmdlang::CmdLine& cmd,
+                                           const CallerInfo& caller,
+                                           bool serialize,
+                                           bool cached_allow = false,
+                                           const WorkItem* item = nullptr);
+  std::optional<cmdlang::CmdLine> dispatch_deferred(
+      HandlerEntry& handler, const cmdlang::CmdLine& cmd,
+      const CallerInfo& caller, bool cached_allow, const WorkItem* item);
+  // Validation and authorization: the error reply, or nullopt to run the
+  // handler.
+  std::optional<cmdlang::CmdLine> admit(const cmdlang::CmdLine& cmd,
+                                        const CallerInfo& caller,
+                                        bool cached_allow, obs::Span& span);
+  // A deferred command's end: its histogram, span and notifications, the
+  // frame, its release from replies_owed_, and last execute()'s waiter.
+  void answer(std::unique_ptr<Reply::State> state, cmdlang::CmdLine reply);
+  // Waits until every Reply this daemon handed out is answered.
+  void await_replies();
   util::Status authorize(const cmdlang::CmdLine& cmd,
                          const CallerInfo& caller);
   // The verdict cache alone, never a fetch or a KeyNote run: the verdict
@@ -268,6 +324,10 @@ class ServiceDaemon {
       std::vector<keynote::Assertion>* credentials = nullptr,
       std::uint64_t* generation = nullptr) const;
   void fire_notifications(const cmdlang::CmdLine& cmd);
+  // The `log` command net_log sends, or nullopt when this daemon does not
+  // log to a Network Logger.
+  std::optional<cmdlang::CmdLine> log_command(const std::string& level,
+                                              const std::string& message) const;
   void register_builtin_commands();
   void end_duties();
   util::Status run_startup_sequence();
@@ -281,7 +341,8 @@ class ServiceDaemon {
 
   cmdlang::SemanticRegistry semantics_;
   struct HandlerEntry {
-    Handler fn;
+    Handler fn;                // one of fn and deferred is set
+    DeferredHandler deferred;
     obs::Histogram* latency = nullptr;  // daemon.cmd.<verb>.latency_us
   };
   std::map<std::string, HandlerEntry> handlers_;
@@ -296,6 +357,11 @@ class ServiceDaemon {
   // Serializes dispatch (control pump, inline serialized commands, local
   // execute).
   std::mutex exec_mu_;
+
+  // Replies handed to deferred handlers and not yet answered.
+  std::mutex replies_mu_;
+  std::condition_variable replies_cv_;
+  int replies_owed_ = 0;
 
   // Raw accepted connections whose async handshake is in flight, keyed by
   // a ticket id. stop() closes them all and waits for the registry to

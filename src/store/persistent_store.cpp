@@ -60,6 +60,15 @@ std::optional<PersistentStoreDaemon::ObjectRecord> reply_record(
       reply->get_text("deleted") == "yes"};
 }
 
+// A vote a quorum read can count: ok or an authoritative not_found; an ok
+// whose version is out of range, or whose data is not even-length hex, is
+// no reply at all.
+bool countable(const util::Result<CmdLine>& reply) {
+  if (reply.ok() && !cmdlang::is_ok(reply.value()))
+    return cmdlang::reply_error(reply.value()).code == util::Errc::not_found;
+  return reply_record(reply).has_value();
+}
+
 // One replicated record on the wire: a netstring-packed field tuple
 // [key, version, d|l, hex data, hint owner or ""], nested inside the
 // storeReplicateBatch `entries` payload (daemon/wire.hpp pack_batch).
@@ -156,40 +165,51 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
       obs_recoveries_(&env.metrics().counter("store.recoveries")),
       obs_compactions_(&env.metrics().counter("store.snapshot_compactions")),
       obs_snap_fallbacks_(&env.metrics().counter("store.snapshot_fallbacks")) {
+  // The coordinating commands answer through a daemon::Reply: a write
+  // from its peers' acks, a read from its votes, so no coordinator parks
+  // a thread on a peer. storePut and storeDelete WAL-sync the local apply
+  // while the peers' round trip is out, so they run on the strand;
+  // storeGet never waits at all, so it runs inline.
   register_command(
       CommandSpec("storePut", "store an object (quorum write)").concurrent_ok()
           .arg(string_arg("key"))
           .arg(string_arg("data")),
-      [this](const CmdLine& cmd, const CallerInfo&) {
+      [this](const CmdLine& cmd, const CallerInfo&, daemon::Reply reply) {
         auto data = decode_hex(cmd.get_text("data"));
-        if (!data)
-          return cmdlang::make_error(util::Errc::invalid,
-                                     "data is not even-length hex");
-        return write(cmd.get_text("key"), {.version = 0,
-                                           .data = std::move(*data),
-                                           .deleted = false});
+        if (!data) {
+          reply.send(cmdlang::make_error(util::Errc::invalid,
+                                         "data is not even-length hex"));
+          return;
+        }
+        write(cmd.get_text("key"),
+              {.version = 0, .data = std::move(*data), .deleted = false},
+              std::move(reply));
       });
 
   register_command(
       CommandSpec("storeGet", "fetch an object (quorum read)").concurrent_ok()
           .arg(string_arg("key"))
-          .arg(word_arg("scope").optional_arg().choices({"cluster", "local"})),
-      [this](const CmdLine& cmd, const CallerInfo&) {
+          .arg(word_arg("scope").optional_arg().choices({"cluster", "local"}))
+          .nonblocking(),
+      [this](const CmdLine& cmd, const CallerInfo&, daemon::Reply reply) {
         const std::string key = cmd.get_text("key");
-        if (cmd.get_text("scope") == "local") {
-          std::scoped_lock lock(mu_);
-          auto it = objects_.find(key);
-          if (it == objects_.end())
-            return cmdlang::make_error(util::Errc::not_found,
-                                       "no such object");
-          CmdLine reply = cmdlang::make_ok();
-          reply.arg("data", util::hex_encode(it->second.data));
-          reply.arg("version",
-                    static_cast<std::int64_t>(it->second.version));
-          reply.arg("deleted", Word{it->second.deleted ? "yes" : "no"});
-          return reply;
+        if (cmd.get_text("scope") != "local") {
+          coordinate_read(key, std::move(reply));
+          return;
         }
-        return coordinate_read(key);
+        CmdLine local =
+            cmdlang::make_error(util::Errc::not_found, "no such object");
+        {
+          std::scoped_lock lock(mu_);
+          if (auto it = objects_.find(key); it != objects_.end()) {
+            local = cmdlang::make_ok();
+            local.arg("data", util::hex_encode(it->second.data));
+            local.arg("version",
+                      static_cast<std::int64_t>(it->second.version));
+            local.arg("deleted", Word{it->second.deleted ? "yes" : "no"});
+          }
+        }
+        reply.send(std::move(local));  // its notifications run unlocked
       });
 
   // Read-path internal: version/tombstone digest only — no value bytes.
@@ -216,9 +236,9 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
   register_command(
       CommandSpec("storeDelete", "remove an object (tombstone)").concurrent_ok()
           .arg(string_arg("key")),
-      [this](const CmdLine& cmd, const CallerInfo&) {
-        return write(cmd.get_text("key"),
-                     {.version = 0, .data = {}, .deleted = true});
+      [this](const CmdLine& cmd, const CallerInfo&, daemon::Reply reply) {
+        write(cmd.get_text("key"), {.version = 0, .data = {}, .deleted = true},
+              std::move(reply));
       });
 
   // Paginated ordered prefix scan. Local scope answers one page of this
@@ -459,9 +479,9 @@ util::Status PersistentStoreDaemon::on_start() {
                            " bytes)"
                      : ""));
   }
-  outbox_.open(env().reactor(), [this](const net::Address& peer,
-                                       std::vector<Replica> batch) {
-    ship_replicas(peer, std::move(batch));
+  outbox_.open([this](const net::Address& peer, std::vector<Replica> batch,
+                      daemon::Outbox<Replica>::Settled settled) {
+    ship_replicas(peer, std::move(batch), settled);
   });
   // The monitor's first round, at once, is the boot catch-up sync.
   start_duty(
@@ -481,7 +501,9 @@ void PersistentStoreDaemon::shutdown_runtime(bool flush) {
   }
   // Closed first: every record settles, and a read repair still queued
   // leaves its hint here. Command handlers may still be draining; what
-  // they replicate from now on fails at once.
+  // they replicate from now on fails at once, and a write that misses
+  // answers from its fallback on the ops pool, which stop() and crash()
+  // wait for with every other reply.
   for (Replica& left : outbox_.close()) left.then(false);
   // Graceful stop flushes the WAL tail; a crash must not (whatever was
   // not yet fsynced is exactly what the durability contract is about).
@@ -758,140 +780,208 @@ std::uint64_t PersistentStoreDaemon::merkle_root() const {
   return tree_.root();
 }
 
-CmdLine PersistentStoreDaemon::write(const std::string& key,
-                                     ObjectRecord record) {
+// A coordinated write between its sends and its reply. The local sync and
+// every target settle it once, each on its own thread; the last one
+// replies, or hands the misses to write_fallback.
+struct PersistentStoreDaemon::Write {
+  std::string key;
+  ObjectRecord record;
+  std::vector<net::Address> order;  // the key's ring walk
+  std::size_t n = 0;                // preference-list length
+  int w_eff = 0;
+  bool self_owner = false;
+  std::vector<net::Address> targets;
+  daemon::Reply reply;
+  std::optional<obs::Span> span;  // store.replicate, ended before the reply
+
+  std::mutex mu;  // guards the three below until `outstanding` is 0
+  std::vector<char> acked;  // per target
+  std::size_t outstanding = 0;
+  bool missed = false;
+
+  int acks = 0;  // self, peers and stand-ins, once settled
+  int peer_acks = 0;
+};
+
+void PersistentStoreDaemon::write(const std::string& key, ObjectRecord record,
+                                  daemon::Reply reply) {
   auto version = next_version();
-  if (!version)
-    return cmdlang::make_error(util::Errc::conflict, "version clock exhausted");
+  if (!version) {
+    reply.send(
+        cmdlang::make_error(util::Errc::conflict, "version clock exhausted"));
+    return;
+  }
   record.version = *version;
-  const auto [acks, quorum_met] = coordinate_write(key, record);
-  if (!quorum_met)
-    return cmdlang::make_error(
-        util::Errc::unavailable,
-        "write quorum not met (acks=" + std::to_string(acks) + ")");
-  CmdLine reply = cmdlang::make_ok();
-  reply.arg("version", static_cast<std::int64_t>(record.version));
-  reply.arg("acks", static_cast<std::int64_t>(acks));
-  return reply;
+  coordinate_write(key, std::move(record), std::move(reply));
 }
 
-PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
-    const std::string& key, const ObjectRecord& record) {
-  obs::Span span(env().metrics(), "store", "replicate");
-  std::vector<net::Address> order;
+void PersistentStoreDaemon::coordinate_write(const std::string& key,
+                                             ObjectRecord record,
+                                             daemon::Reply reply) {
+  auto w = std::make_shared<Write>();
+  w->span.emplace(env().metrics(), "store", "replicate");
+  w->key = key;
+  w->record = std::move(record);
+  w->reply = std::move(reply);
   {
     std::scoped_lock lock(mu_);
-    order = ring_.walk(key);
+    w->order = ring_.walk(key);
   }
   const net::Address self = address();
-  if (order.empty()) order.push_back(self);
-  const auto n = std::min<std::size_t>(
+  if (w->order.empty()) w->order.push_back(self);
+  w->n = std::min<std::size_t>(
       static_cast<std::size_t>(std::max(1, options_.replication)),
-      order.size());
-  const int w_eff =
-      options_.write_quorum <= 0
-          ? 0
-          : std::min(options_.write_quorum, static_cast<int>(n));
-
-  std::vector<net::Address> targets;
-  bool self_owner = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (order[i] == self)
-      self_owner = true;
+      w->order.size());
+  w->w_eff = options_.write_quorum <= 0
+                 ? 0
+                 : std::min(options_.write_quorum, static_cast<int>(w->n));
+  for (std::size_t i = 0; i < w->n; ++i) {
+    if (w->order[i] == self)
+      w->self_owner = true;
     else
-      targets.push_back(order[i]);
+      w->targets.push_back(w->order[i]);
   }
 
-  int acks = 0;
-  int peer_acks = 0;
-  std::vector<WalTicket> tickets;
-  if (self_owner) {
-    tickets.push_back(apply(key, record));
-    ++acks;
-  }
-
+  WalTicket local;
+  if (w->self_owner) local = apply(key, w->record);
+  w->acked.assign(w->targets.size(), 0);
+  w->outstanding = w->targets.size() + 1;  // + the local sync
   // A write served during start(), before on_start opened the outbox,
   // finds it closed: every target and remote stand-in counts as a miss and
-  // the coordinator keeps the hints.
-  const std::string entry = encode_replica_entry(key, record, "");
-  Shipments shipments;
-  for (const net::Address& t : targets) shipments.emplace_back(t, entry);
-  // Every attempt is awaited even once W acks are in: a miss must be
-  // *observed* to leave a hint behind, and that hint is what makes the
-  // downed replica converge on heal. The per-peer circuit breaker keeps
-  // waits on a dead peer cheap after the first few timeouts.
-  const std::vector<bool> acked = replicate_all(
-      shipments, steady_clock::now() + options_.replicate_timeout);
-  std::vector<net::Address> failed;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (acked[i]) {
-      ++acks;
-      ++peer_acks;
-    } else {
-      failed.push_back(targets[i]);
-    }
-  }
+  // the coordinator keeps the hints. Every attempt is awaited even once W
+  // acks are in: a miss must be *observed* to leave a hint behind, and
+  // that hint is what makes the downed replica converge on heal. The
+  // per-peer circuit breaker keeps misses on a dead peer cheap after the
+  // first few timeouts.
+  const std::string entry = encode_replica_entry(key, w->record, "");
+  for (std::size_t i = 0; i < w->targets.size(); ++i)
+    replicate(w->targets[i], entry, [this, w, i](bool acked) {
+      {
+        std::scoped_lock lock(w->mu);
+        w->acked[i] = acked;
+      }
+      write_settled(w);
+    });
+  // Durability point for the local apply, while the peers' round trip is
+  // out: it must be on the platter before the coordinator replies ok.
+  // Concurrent coordinators ride one leader fsync (group commit).
+  DurableLog::sync(local);
+  write_settled(w);
+}
 
-  // Sloppy quorum: each unreachable owner's copy is handed to the next
-  // ring successor, tagged with the intended owner so the stand-in can
-  // push it home on heal. When the ring is exhausted (e.g. the 3-node
-  // cluster, where there is no one left), an owning coordinator keeps a
-  // local hint instead — targeted anti-entropy for the downed peer.
-  std::size_t fallback_index = n;
-  for (const net::Address& dead : failed) {
+void PersistentStoreDaemon::write_settled(const std::shared_ptr<Write>& w) {
+  {
+    std::scoped_lock lock(w->mu);
+    if (--w->outstanding > 0) return;
+  }
+  for (char acked : w->acked) {
+    w->peer_acks += acked ? 1 : 0;
+    w->missed = w->missed || !acked;
+  }
+  w->acks = (w->self_owner ? 1 : 0) + w->peer_acks;
+  if (!w->missed) {
+    finish_write(*w);
+    return;
+  }
+  // The stand-in hand-off waits on a peer and the hints on the WAL: off
+  // this thread, which may be a core worker. A task the reactor drops
+  // drops `w`, whose Reply then answers unavailable.
+  env().reactor().post_blocking([this, w] { write_fallback(*w); });
+}
+
+// Sloppy quorum: each unreachable owner's copy is handed to the next ring
+// successor, tagged with the intended owner so the stand-in can push it
+// home on heal. When the ring is exhausted (e.g. the 3-node cluster, where
+// there is no one left), an owning coordinator keeps a local hint instead
+// — targeted anti-entropy for the downed peer.
+void PersistentStoreDaemon::write_fallback(Write& w) {
+  const net::Address self = address();
+  std::vector<WalTicket> tickets;
+  std::size_t fallback_index = w.n;
+  for (std::size_t i = 0; i < w.targets.size(); ++i) {
+    if (w.acked[i]) continue;
+    const net::Address& dead = w.targets[i];
     bool handed = false;
-    while (fallback_index < order.size() && !handed) {
-      const net::Address fb = order[fallback_index++];
+    while (fallback_index < w.order.size() && !handed) {
+      const net::Address fb = w.order[fallback_index++];
       if (fb == self) {
-        tickets.push_back(apply(key, record));
-        tickets.push_back(record_hint(dead, key, record.version));
-        ++acks;
+        tickets.push_back(apply(w.key, w.record));
+        tickets.push_back(record_hint(dead, w.key, w.record.version));
+        ++w.acks;
         handed = true;
         break;
       }
       const Shipments handoff{
-          {fb, encode_replica_entry(key, record, dead.to_string())}};
+          {fb, encode_replica_entry(w.key, w.record, dead.to_string())}};
       if (replicate_all(handoff,
                         steady_clock::now() + options_.replicate_timeout)[0]) {
-        ++acks;
-        ++peer_acks;
+        ++w.acks;
+        ++w.peer_acks;
         handed = true;
       }
     }
-    if (!handed && self_owner)
-      tickets.push_back(record_hint(dead, key, record.version));
+    if (!handed && w.self_owner)
+      tickets.push_back(record_hint(dead, w.key, w.record.version));
   }
-
-  // Durability point: the local apply and any hints this ack rests on must
-  // be on the platter before the coordinator replies ok. Concurrent
-  // coordinators ride one leader fsync (group commit), so this costs one
-  // flush per batch, not per write.
+  // The hints this ack rests on must be on the platter before the reply.
   for (const WalTicket& t : tickets) DurableLog::sync(t);
-
-  obs_replica_acks_->inc(static_cast<std::uint64_t>(peer_acks));
-
-  WriteOutcome out;
-  out.acks = acks;
-  out.quorum_met = w_eff == 0 || acks >= w_eff;
-  if (!out.quorum_met) obs_quorum_failures_->inc();
-  span.set_ok(out.quorum_met && failed.empty());
-  return out;
+  finish_write(w);
 }
+
+void PersistentStoreDaemon::finish_write(Write& w) {
+  obs_replica_acks_->inc(static_cast<std::uint64_t>(w.peer_acks));
+  const bool quorum_met = w.w_eff == 0 || w.acks >= w.w_eff;
+  if (!quorum_met) obs_quorum_failures_->inc();
+  w.span->set_ok(quorum_met && !w.missed);
+  w.span.reset();
+  if (!quorum_met) {
+    w.reply.send(cmdlang::make_error(
+        util::Errc::unavailable,
+        "write quorum not met (acks=" + std::to_string(w.acks) + ")"));
+    return;
+  }
+  CmdLine reply = cmdlang::make_ok();
+  reply.arg("version", static_cast<std::int64_t>(w.record.version));
+  reply.arg("acks", static_cast<std::int64_t>(w.acks));
+  w.reply.send(std::move(reply));  // last: stop() may return once it is out
+}
+
+// A quorum read between its sends and its reply.
+struct PersistentStoreDaemon::Read {
+  struct Vote {
+    bool replied = false;  // countable: ok or authoritative not_found
+    bool has = false;      // holds a record (maybe a tombstone)
+    bool full = false;     // record.data is populated
+    ObjectRecord record;
+  };
+  std::string key;
+  std::vector<net::Address> prefs;
+  bool self_owner = false;
+  std::vector<Vote> votes;          // one per preference-list replica
+  std::vector<std::size_t> voter;   // voter[k]: request k's vote
+  ObjectRecord winner;
+  daemon::Reply reply;
+};
 
 // Parallel digest read: one full value (from this replica when it owns
 // the key, else from the first listed owner) plus version digests from
 // every other preference-list replica, all requests sent at once on the
-// pipelined channels by one call_all. The reply waits for R countable
-// answers, not for the whole fan-out; if a digest outvotes the full copy,
-// the newest value is fetched from one of its holders before replying, and
-// any replica observed stale or absent is repaired off the reply path.
-CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
-  std::vector<net::Address> prefs;
+// pipelined channels by one call_all, in its callback form. The votes are
+// tallied once R countable answers are in, not the whole fan-out; if a
+// digest outvotes the full copy, the newest value is fetched from one of
+// its holders before replying, and any replica observed stale or absent
+// is repaired off the reply path. Nothing here waits: the reply goes out
+// from the thread that settles the votes.
+void PersistentStoreDaemon::coordinate_read(const std::string& key,
+                                            daemon::Reply reply) {
+  auto read = std::make_shared<Read>();
+  read->key = key;
   {
     std::scoped_lock lock(mu_);
-    prefs = ring_.preference_list(
+    read->prefs = ring_.preference_list(
         key, static_cast<std::size_t>(std::max(1, options_.replication)));
   }
+  std::vector<net::Address>& prefs = read->prefs;
   const net::Address self = address();
   if (prefs.empty()) prefs.push_back(self);
   const int r_eff = std::max(
@@ -899,42 +989,41 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
 
   // The full-value target; everyone else ships a digest.
   std::size_t full_index = 0;
-  bool self_owner = false;
   for (std::size_t i = 0; i < prefs.size(); ++i) {
     if (prefs[i] == self) {
       full_index = i;
-      self_owner = true;
+      read->self_owner = true;
       break;
     }
   }
+  const bool self_owner = read->self_owner;
 
   // Fast path: an owning coordinator's own copy satisfies R=1 without any
   // fan-out.
   if (r_eff == 1 && self_owner) {
-    std::scoped_lock lock(mu_);
-    auto it = objects_.find(key);
-    if (it == objects_.end() || it->second.deleted)
-      return cmdlang::make_error(util::Errc::not_found, "no such object");
-    CmdLine reply = cmdlang::make_ok();
-    reply.arg("data", util::hex_encode(it->second.data));
-    reply.arg("version", static_cast<std::int64_t>(it->second.version));
-    return reply;
+    CmdLine found =
+        cmdlang::make_error(util::Errc::not_found, "no such object");
+    {
+      std::scoped_lock lock(mu_);
+      auto it = objects_.find(key);
+      if (it != objects_.end() && !it->second.deleted) {
+        found = cmdlang::make_ok();
+        found.arg("data", util::hex_encode(it->second.data));
+        found.arg("version", static_cast<std::int64_t>(it->second.version));
+      }
+    }
+    reply.send(std::move(found));
+    return;
   }
 
   obs_digest_reads_->inc();
-
-  struct Vote {
-    bool replied = false;  // countable: ok or authoritative not_found
-    bool has = false;      // holds a record (maybe a tombstone)
-    bool full = false;     // record.data is populated
-    ObjectRecord record;
-  };
-  std::vector<Vote> votes(prefs.size());
+  read->reply = std::move(reply);
+  read->votes.resize(prefs.size());
 
   // The local vote is answered inline under one lock scope — an owner
   // that lacks the key is a countable "authoritative absent".
   if (self_owner) {
-    Vote& v = votes[full_index];
+    Read::Vote& v = read->votes[full_index];
     std::scoped_lock lock(mu_);
     v.replied = true;
     auto it = objects_.find(key);
@@ -946,7 +1035,6 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
 
   // One request per remote replica; voter[k] is request k's vote.
   std::vector<daemon::AceClient::Request> requests;
-  std::vector<std::size_t> voter;
   for (std::size_t i = 0; i < prefs.size(); ++i) {
     if (self_owner && i == full_index) continue;
     const bool want_full = !self_owner && i == full_index;
@@ -954,114 +1042,140 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
     sub.arg("key", key);
     if (want_full) sub.arg("scope", Word{"local"});
     requests.push_back({prefs[i], std::move(sub)});
-    voter.push_back(i);
+    read->voter.push_back(i);
   }
-  // The full-value attempt is request 0 when remote. Countable: ok or an
-  // authoritative not_found; an ok whose version is out of range, or whose
-  // data is not even-length hex, is no reply at all.
-  auto countable = [](const util::Result<CmdLine>& reply) {
-    if (reply.ok() && !cmdlang::is_ok(reply.value()))
-      return cmdlang::reply_error(reply.value()).code == util::Errc::not_found;
-    return reply_record(reply).has_value();
-  };
   // Quorum: R countable replies with the full-value attempt settled.
-  const auto results = control_client().call_all(
+  control_client().call_all(
       requests, options_.replicate_timeout,
-      [&](const daemon::AceClient::Replies& rs) {
+      [self_owner, r_eff](const daemon::AceClient::Replies& rs) {
         if (!self_owner && !rs[0]) return false;
         int replied = self_owner ? 1 : 0;
         for (const auto& r : rs)
           if (r && countable(*r)) ++replied;
         return replied >= r_eff;
+      },
+      [this, read](daemon::AceClient::Replies results) {
+        read_voted(read, std::move(results));
       });
+}
+
+void PersistentStoreDaemon::read_voted(const std::shared_ptr<Read>& read,
+                                       daemon::AceClient::Replies results) {
+  const int r_eff = std::max(1, std::min(options_.read_quorum,
+                                         static_cast<int>(read->prefs.size())));
   for (std::size_t k = 0; k < results.size(); ++k) {
     // Not awaited, or not countable.
     if (!results[k] || !countable(*results[k])) continue;
-    Vote& v = votes[voter[k]];
+    Read::Vote& v = read->votes[read->voter[k]];
     v.replied = true;
     auto record = reply_record(*results[k]);
     if (!record) continue;  // authoritative absence
     v.has = true;
-    v.full = !self_owner && k == 0;
+    v.full = !read->self_owner && k == 0;
     v.record = std::move(*record);
   }
 
   int replies = 0;
   std::optional<std::size_t> best;  // newest record among the votes
-  for (std::size_t i = 0; i < votes.size(); ++i) {
-    if (votes[i].replied) ++replies;
-    if (votes[i].has &&
-        (!best || votes[i].record.version > votes[*best].record.version))
+  for (std::size_t i = 0; i < read->votes.size(); ++i) {
+    const Read::Vote& v = read->votes[i];
+    if (v.replied) ++replies;
+    if (v.has && (!best || v.record.version > read->votes[*best].record.version))
       best = i;
   }
   if (replies < r_eff) {
     obs_read_unavailable_->inc();
-    return cmdlang::make_error(
+    read->reply.send(cmdlang::make_error(
         util::Errc::unavailable,
         "read quorum not met (replies=" + std::to_string(replies) +
-            " R=" + std::to_string(r_eff) + ")");
+            " R=" + std::to_string(r_eff) + ")"));
+    return;
   }
-  if (!best)
-    return cmdlang::make_error(util::Errc::not_found, "no such object");
+  if (!best) {
+    read->reply.send(
+        cmdlang::make_error(util::Errc::not_found, "no such object"));
+    return;
+  }
 
-  ObjectRecord winner = votes[*best].record;
-  if (!votes[*best].full) {
+  read->winner = read->votes[*best].record;
+  if (!read->votes[*best].full) {
     // The full-value copy was not the newest (or did not answer): the
     // digests disagreed. A live winner needs its bytes fetched from one
     // of the replicas that voted the newest version.
     obs_digest_mismatches_->inc();
-    if (!winner.deleted) {
-      bool materialized = false;
-      CmdLine sub("storeGet");
-      sub.arg("key", key);
-      sub.arg("scope", Word{"local"});
-      for (std::size_t i = 0; i < votes.size() && !materialized; ++i) {
-        if (!votes[i].has || votes[i].record.version != winner.version)
-          continue;
-        auto fetched = reply_record(control_client().call(
-            prefs[i], sub,
-            daemon::CallOptions{.timeout = options_.replicate_timeout,
-                                .retries = 0}));
-        if (fetched && fetched->version >= winner.version) {
-          winner = std::move(*fetched);
-          materialized = true;
-        }
-      }
-      // Never reply with a value older than the newest version observed:
-      // the client's failover can try another coordinator instead.
-      if (!materialized) {
-        obs_read_unavailable_->inc();
-        return cmdlang::make_error(util::Errc::unavailable,
-                                   "newest version unreachable");
-      }
+    if (!read->winner.deleted) {
+      materialize(read, 0);
+      return;
     }
   }
+  finish_read(*read);
+}
 
-  // Read repair: every replica observed stale or absent converges on the
-  // winner without waiting for Merkle anti-entropy.
+// Fetches the winner's bytes from the first holder at or after `from`
+// that voted its version, trying the next one if that fails.
+void PersistentStoreDaemon::materialize(const std::shared_ptr<Read>& read,
+                                        std::size_t from) {
+  std::size_t i = from;
+  while (i < read->votes.size() &&
+         (!read->votes[i].has ||
+          read->votes[i].record.version != read->winner.version))
+    ++i;
+  if (i == read->votes.size()) {
+    // Never reply with a value older than the newest version observed:
+    // the client's failover can try another coordinator instead.
+    obs_read_unavailable_->inc();
+    read->reply.send(cmdlang::make_error(util::Errc::unavailable,
+                                         "newest version unreachable"));
+    return;
+  }
+  CmdLine sub("storeGet");
+  sub.arg("key", read->key);
+  sub.arg("scope", Word{"local"});
+  const daemon::AceClient::Request request{read->prefs[i], std::move(sub)};
+  control_client().call_all(
+      {&request, 1}, options_.replicate_timeout, {},
+      [this, read, i](daemon::AceClient::Replies results) {
+        auto fetched = reply_record(*results.front());
+        if (!fetched || fetched->version < read->winner.version) {
+          materialize(read, i + 1);
+          return;
+        }
+        read->winner = std::move(*fetched);
+        finish_read(*read);
+      });
+}
+
+// Read repair, then the reply: every replica observed stale or absent
+// converges on the winner without waiting for Merkle anti-entropy.
+void PersistentStoreDaemon::finish_read(Read& read) {
+  const net::Address self = address();
   std::vector<net::Address> stale;
   bool self_stale = false;
-  for (std::size_t i = 0; i < votes.size(); ++i) {
-    if (!votes[i].replied) continue;  // unreachable: hints/anti-entropy
-    if (votes[i].has && votes[i].record.version >= winner.version) continue;
-    if (prefs[i] == self)
+  for (std::size_t i = 0; i < read.votes.size(); ++i) {
+    const Read::Vote& v = read.votes[i];
+    if (!v.replied) continue;  // unreachable: hints/anti-entropy
+    if (v.has && v.record.version >= read.winner.version) continue;
+    if (read.prefs[i] == self)
       self_stale = true;
     else
-      stale.push_back(prefs[i]);
+      stale.push_back(read.prefs[i]);
   }
   if (self_stale) {
     // Inline and lazily synced: LWW makes a crash-replayed repair a no-op,
     // so the reply need not wait on the fsync.
-    (void)apply(key, winner);
+    (void)apply(read.key, read.winner);
   }
-  if (!stale.empty()) schedule_read_repair(key, winner, stale);
+  if (!stale.empty()) schedule_read_repair(read.key, read.winner, stale);
 
-  if (winner.deleted)
-    return cmdlang::make_error(util::Errc::not_found, "no such object");
+  if (read.winner.deleted) {
+    read.reply.send(
+        cmdlang::make_error(util::Errc::not_found, "no such object"));
+    return;
+  }
   CmdLine reply = cmdlang::make_ok();
-  reply.arg("data", util::hex_encode(winner.data));
-  reply.arg("version", static_cast<std::int64_t>(winner.version));
-  return reply;
+  reply.arg("data", util::hex_encode(read.winner.data));
+  reply.arg("version", static_cast<std::int64_t>(read.winner.version));
+  read.reply.send(std::move(reply));
 }
 
 void PersistentStoreDaemon::schedule_read_repair(
@@ -1077,8 +1191,10 @@ void PersistentStoreDaemon::schedule_read_repair(
                 }
                 // The repair missed; leave a hinted-handoff obligation so
                 // the monitor pushes it home when the peer is reachable
-                // again.
-                DurableLog::sync(record_hint(peer, key, version));
+                // again. Logged but lazily synced, since this may run on a
+                // core worker: a hint lost to a crash leaves the peer to
+                // anti-entropy.
+                (void)record_hint(peer, key, version);
               });
 }
 
@@ -1107,22 +1223,27 @@ std::vector<bool> PersistentStoreDaemon::replicate_all(
 
 // A batch lands whole (the peer applies every record; LWW apply cannot
 // fail per record) or fails whole (transport error or timeout), so one
-// reply settles every record in it.
-void PersistentStoreDaemon::ship_replicas(const net::Address& peer,
-                                          std::vector<Replica> batch) {
+// reply settles every record in it, on the thread that settles the call.
+void PersistentStoreDaemon::ship_replicas(
+    const net::Address& peer, std::vector<Replica> batch,
+    daemon::Outbox<Replica>::Settled settled) {
   std::vector<std::string> entries;
   entries.reserve(batch.size());
   for (Replica& r : batch) entries.push_back(std::move(r.entry));
   CmdLine cmd("storeReplicateBatch");
   cmd.arg("entries", daemon::wire::pack_batch(entries));
-  auto reply = control_client().call(
-      peer, cmd,
-      daemon::CallOptions{.timeout = options_.replicate_timeout,
-                          .retries = 0});
-  const bool acked = reply.ok() && cmdlang::is_ok(reply.value());
-  obs_batch_flushes_->inc();
-  obs_batch_records_->inc(batch.size());
-  for (Replica& r : batch) r.then(acked);
+  const daemon::AceClient::Request request{peer, std::move(cmd)};
+  control_client().call_all(
+      {&request, 1}, options_.replicate_timeout, {},
+      [this, batch = std::move(batch),
+       settled](daemon::AceClient::Replies replies) {
+        const util::Result<CmdLine>& reply = *replies.front();
+        const bool acked = reply.ok() && cmdlang::is_ok(reply.value());
+        obs_batch_flushes_->inc();
+        obs_batch_records_->inc(batch.size());
+        for (const Replica& r : batch) r.then(acked);
+        settled();
+      });
 }
 
 PersistentStoreDaemon::ScanPage PersistentStoreDaemon::scan_local(

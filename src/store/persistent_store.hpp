@@ -30,6 +30,9 @@
 //     the replica's outbox (daemon/outbox.hpp), which coalesces concurrent
 //     writes into one framed `storeReplicateBatch` per peer per shipment,
 //     on the pipelined channel.
+//   * Deferred replies — storePut, storeDelete and storeGet answer through
+//     a daemon::Reply from the callbacks their peers' answers settle, so
+//     no coordinator parks a thread on a peer (docs/store.md §2-3).
 //   * Merkle anti-entropy — a rejoining replica compares O(log n) digest
 //     tree hashes (`storeDigestTree`) against each peer and fetches only
 //     divergent buckets.
@@ -162,16 +165,16 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   void on_crash() override;
 
  private:
-  struct WriteOutcome {
-    int acks = 0;
-    bool quorum_met = false;
-  };
   // One replicated record (encode_replica_entry) on its way to a peer.
   struct Replica {
     std::string entry;
     std::function<void(bool acked)> then;  // runs once, as it settles
   };
   using Shipments = std::vector<std::pair<net::Address, std::string>>;
+  // A coordinated write, and a quorum read, between their sends and their
+  // reply (persistent_store.cpp).
+  struct Write;
+  struct Read;
 
   // The next write's version; nullopt once the clock is at the top of the
   // version range (a peer pushed it there), so the write fails instead of
@@ -213,9 +216,10 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   };
 
   // Pushes `entry` onto the lane of `peer`; `then(acked)` runs once as it
-  // settles: on the lane's pump after its batch's reply or timeout, or as
-  // the outbox closes. While the outbox is closed it settles as failed at
-  // once, inside replicate().
+  // settles: on the thread that settles its batch's shipment (a core
+  // worker's reply demux or deadline, or the pusher's), or as the outbox
+  // closes. While the outbox is closed it settles as failed at once,
+  // inside replicate(). So `then` must not block.
   void replicate(const net::Address& peer, std::string entry,
                  std::function<void(bool acked)> then);
   // Replicates every (peer, entry) and waits until each has settled or
@@ -223,17 +227,31 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   std::vector<bool> replicate_all(
       const Shipments& shipments,
       std::chrono::steady_clock::time_point deadline);
-  // The outbox's shipment: one storeReplicateBatch RPC carries the batch.
-  void ship_replicas(const net::Address& peer, std::vector<Replica> batch);
+  // The outbox's shipment: one storeReplicateBatch RPC, on the client's
+  // callback form, carries the batch; its reply or deadline settles it.
+  void ship_replicas(const net::Address& peer, std::vector<Replica> batch,
+                     daemon::Outbox<Replica>::Settled settled);
   // The body storePut and storeDelete share: `record`, a value or a
   // tombstone, written at the next version by coordinate_write.
-  cmdlang::CmdLine write(const std::string& key, ObjectRecord record);
-  // Coordinates one write: local apply (when owner) + preference-list
-  // fan-out + sloppy-quorum fallback with hinted handoff.
-  WriteOutcome coordinate_write(const std::string& key,
-                                const ObjectRecord& record);
-  // Cluster-scope read gathering up to R copies; newest version wins.
-  cmdlang::CmdLine coordinate_read(const std::string& key);
+  void write(const std::string& key, ObjectRecord record, daemon::Reply reply);
+  // Coordinates one write: local apply (when owner), the record handed to
+  // the preference list's lanes, the local WAL sync while they are out,
+  // and the reply once the last of them settles. A miss takes the
+  // sloppy-quorum fallback with hinted handoff, on the ops pool.
+  void coordinate_write(const std::string& key, ObjectRecord record,
+                        daemon::Reply reply);
+  void write_settled(const std::shared_ptr<Write>& w);
+  void write_fallback(Write& w);
+  void finish_write(Write& w);
+  // Cluster-scope read gathering up to R copies; newest version wins. The
+  // votes' callback tallies them (read_voted), fetches a newer value than
+  // the full copy from one of its holders (materialize, a chained call),
+  // repairs what was stale and replies.
+  void coordinate_read(const std::string& key, daemon::Reply reply);
+  void read_voted(const std::shared_ptr<Read>& read,
+                  daemon::AceClient::Replies results);
+  void materialize(const std::shared_ptr<Read>& read, std::size_t from);
+  void finish_read(Read& read);
   // Submits the winning record to the lane of every replica observed
   // stale/absent during a read. Each record settles off the reply path,
   // counting a landed repair or leaving a hint for a miss.

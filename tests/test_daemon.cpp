@@ -1,10 +1,11 @@
 // Tests for the ACE service daemon core: builtin commands, notifications
 // (§2.5), startup sequence (§2.6), leases (§2.4), authorization (§3.2),
-// device hierarchy (§2.3 Fig 6), failure behaviour, and the inline path of
-// nonblocking commands.
+// device hierarchy (§2.3 Fig 6), failure behaviour, the inline path of
+// nonblocking commands, and deferred replies.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "ace_test_env.hpp"
@@ -136,6 +137,72 @@ class CallerDaemon : public daemon::ServiceDaemon {
 
   net::Address peer_;
   std::atomic<bool> pinged_at_end_{false};
+};
+
+// Deferred commands: `later` answers `text` from a reactor timer `ms` ms
+// after its handler returned, `forget` drops its Reply unsent, `hold`
+// keeps its Reply until a `release` answers it.
+class DeferredDaemon : public daemon::ServiceDaemon {
+ public:
+  DeferredDaemon(daemon::Environment& env, daemon::DaemonHost& host,
+                 daemon::DaemonConfig config)
+      : ServiceDaemon(env, host, std::move(config)) {
+    register_command(
+        cmdlang::CommandSpec("later", "answer from a timer")
+            .arg(cmdlang::string_arg("text"))
+            .arg(cmdlang::integer_arg("ms"))
+            .concurrent_ok(),
+        [this](const CmdLine& cmd, const daemon::CallerInfo&,
+               daemon::Reply reply) {
+          CmdLine answer = cmdlang::make_ok();
+          answer.arg("text", cmd.get_text("text"));
+          auto owed = std::make_shared<daemon::Reply>(std::move(reply));
+          this->env().reactor().post_after(
+              std::chrono::milliseconds(cmd.get_integer("ms")),
+              [owed, answer] { owed->send(answer); });
+        });
+    register_command(
+        cmdlang::CommandSpec("forget", "drop the reply").concurrent_ok(),
+        [](const CmdLine&, const daemon::CallerInfo&, daemon::Reply) {});
+    register_command(
+        cmdlang::CommandSpec("hold", "answer at the next release")
+            .concurrent_ok(),
+        [this](const CmdLine&, const daemon::CallerInfo&,
+               daemon::Reply reply) {
+          std::scoped_lock lock(mu_);
+          held_ = std::move(reply);
+        });
+    register_command(
+        cmdlang::CommandSpec("release", "answer the held reply")
+            .concurrent_ok(),
+        [this](const CmdLine&, const daemon::CallerInfo&) {
+          daemon::Reply held;
+          {
+            std::scoped_lock lock(mu_);
+            held = std::move(held_);
+          }
+          held.send(cmdlang::make_ok());
+          return cmdlang::make_ok();
+        });
+  }
+
+ private:
+  std::mutex mu_;
+  daemon::Reply held_;
+};
+
+// Registers a deferred handler on a serialized command.
+class SerializedDeferredDaemon : public daemon::ServiceDaemon {
+ public:
+  SerializedDeferredDaemon(daemon::Environment& env, daemon::DaemonHost& host,
+                           daemon::DaemonConfig config)
+      : ServiceDaemon(env, host, std::move(config)) {
+    register_command(
+        cmdlang::CommandSpec("serialized", "on the control lane"),
+        [](const CmdLine&, const daemon::CallerInfo&, daemon::Reply reply) {
+          reply.send(cmdlang::make_ok());
+        });
+  }
 };
 
 // reactor.blocking_tasks once the ops tasks behind earlier replies have
@@ -977,4 +1044,111 @@ TEST(OneClientTest, ClientClosesAfterOnStopAndOnCrash) {
         caller.execute(CmdLine("callPeer"), daemon::CallerInfo{})));
     EXPECT_EQ(connects.value(), at_end + 1);
   }
+}
+
+// ---------------------------------------------------------- deferred replies
+
+class DeferredReplyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    daemon::DaemonConfig cfg;
+    cfg.name = "deferred";
+    cfg.room = "hawk";
+    svc_ = &host_.add_daemon<DeferredDaemon>(cfg);
+    ASSERT_TRUE(svc_->start().ok());
+  }
+
+  CmdLine later(const std::string& text, int ms) {
+    CmdLine cmd("later");
+    cmd.arg("text", text);
+    cmd.arg("ms", ms);
+    return cmd;
+  }
+
+  daemon::Environment env_{27};
+  daemon::DaemonHost host_{env_, "solo"};
+  DeferredDaemon* svc_ = nullptr;
+  daemon::AceClient client_{env_, env_.network().add_host("solo-laptop"),
+                            env_.issue_identity("user/tester")};
+};
+
+// Two callers pipelined on one client's channel: each reply, sent from a
+// timer after its handler returned, reaches the caller that asked, the
+// later-asked first; the command's histogram covers it until its reply.
+TEST_F(DeferredReplyTest, TimerReplyReachesItsCaller) {
+  ASSERT_TRUE(client_.call(svc_->address(), CmdLine("ping")).ok());
+  std::optional<util::Result<CmdLine>> slow_reply;
+  std::chrono::steady_clock::time_point slow_done, fast_done;
+  std::jthread slow([&] {
+    slow_reply = client_.call(svc_->address(), later("slow", 80));
+    slow_done = std::chrono::steady_clock::now();
+  });
+  std::this_thread::sleep_for(10ms);
+  auto fast = client_.call(svc_->address(), later("fast", 20));
+  fast_done = std::chrono::steady_clock::now();
+  slow.join();
+  ASSERT_TRUE(fast.ok() && cmdlang::is_ok(fast.value()));
+  EXPECT_EQ(fast->get_text("text"), "fast");
+  ASSERT_TRUE(slow_reply && slow_reply->ok() && cmdlang::is_ok(**slow_reply));
+  EXPECT_EQ((*slow_reply)->get_text("text"), "slow");
+  EXPECT_LT(fast_done, slow_done);
+  const auto hist =
+      env_.metrics().histogram("daemon.cmd.later.latency_us").snapshot();
+  EXPECT_EQ(hist.count, 2u);
+  EXPECT_GE(hist.sum_us, 100'000u);
+}
+
+// A Reply its handler drops unsent answers `error code=unavailable`.
+TEST_F(DeferredReplyTest, DroppedReplyAnswersUnavailable) {
+  auto reply = client_.call(svc_->address(), CmdLine("forget"));
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  ASSERT_TRUE(cmdlang::is_error(reply.value()));
+  EXPECT_EQ(cmdlang::reply_error(reply.value()).code,
+            util::Errc::unavailable);
+}
+
+// execute() waits for a deferred command's Reply.
+TEST_F(DeferredReplyTest, ExecuteWaitsForTheReply) {
+  const auto started = std::chrono::steady_clock::now();
+  const CmdLine reply =
+      svc_->execute(later("local", 20), daemon::CallerInfo{});
+  EXPECT_GE(std::chrono::steady_clock::now() - started, 20ms);
+  ASSERT_TRUE(cmdlang::is_ok(reply)) << reply.to_string();
+  EXPECT_EQ(reply.get_text("text"), "local");
+}
+
+// A deferred command frees its connection's strand when its handler
+// returns: a `hold` still owing its reply does not keep the `release`
+// behind it on the same channel from running and answering it.
+TEST_F(DeferredReplyTest, TwoOnOneConnectionOverlap) {
+  ASSERT_TRUE(client_.call(svc_->address(), CmdLine("ping")).ok());
+  std::optional<util::Result<CmdLine>> held;
+  std::jthread holder([&] {
+    held = client_.call(svc_->address(), CmdLine("hold"),
+                        daemon::CallOptions{.timeout = 2s, .retries = 0});
+  });
+  std::this_thread::sleep_for(50ms);
+  auto released = client_.call(svc_->address(), CmdLine("release"),
+                               daemon::CallOptions{.timeout = 2s});
+  holder.join();
+  ASSERT_TRUE(released.ok() && cmdlang::is_ok(released.value()));
+  ASSERT_TRUE(held && held->ok()) << held->error().to_string();
+  EXPECT_TRUE(cmdlang::is_ok(held->value()));
+}
+
+// The control lane stays synchronous: registering a deferred handler on a
+// serialized command fails a check.
+TEST_F(DeferredReplyTest, SerializedCommandFailsACheck) {
+  // The deployment's threads make fork-only death tests unsafe.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        daemon::Environment env(29);
+        daemon::DaemonHost host(env, "solo");
+        daemon::DaemonConfig cfg;
+        cfg.name = "bad";
+        cfg.room = "hawk";
+        host.add_daemon<SerializedDeferredDaemon>(cfg);
+      },
+      "deferred handler on serialized command 'serialized'");
 }

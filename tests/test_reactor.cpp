@@ -446,109 +446,110 @@ TEST(PeriodicTask, StaysDisarmedOnStoppingReactor) {
 
 // ------------------------------------------------------------------- outbox
 
-// What an Outbox<int> shipped, per destination and in shipping order. The
-// first shipment to `held` waits inside ship() until release().
+// What an Outbox<int> shipped, per destination and in shipping order, and
+// on which threads. A shipment settles at once, on the shipping thread,
+// except one to `held`, which stays in flight until release().
 class ShipLog {
  public:
+  using Settled = daemon::Outbox<int>::Settled;
+
   explicit ShipLog(net::Address held = {}) : held_(std::move(held)) {}
 
   daemon::Outbox<int>::Ship ship() {
-    return [this](const net::Address& to, std::vector<int> batch) {
-      std::unique_lock lock(mu_);
-      if (to == held_ && !released_) {
-        holding_ = true;
-        cv_.notify_all();
-        cv_.wait(lock, [&] { return released_; });
+    return [this](const net::Address& to, std::vector<int> batch,
+                  Settled settled) {
+      bool hold;
+      {
+        std::scoped_lock lock(mu_);
+        shipped_[to].push_back(std::move(batch));
+        threads_.push_back(std::this_thread::get_id());
+        hold = to == held_ && !released_;
+        if (hold) held_shipments_.push_back(settled);
       }
-      shipped_[to].push_back(std::move(batch));
-      cv_.notify_all();
+      if (!hold) settled();
     };
   }
 
-  // True once a shipment to `held` is waiting inside ship().
-  bool holding() {
-    std::unique_lock lock(mu_);
-    return cv_.wait_for(lock, 2s, [&] { return holding_; });
-  }
-
+  // Settles the shipments held so far, on the calling thread; later ones
+  // settle at once.
   void release() {
+    std::vector<Settled> held;
     {
       std::scoped_lock lock(mu_);
       released_ = true;
+      held.swap(held_shipments_);
     }
-    cv_.notify_all();
+    for (const Settled& settled : held) settled();
   }
 
-  // The batches shipped to `to` once they hold `items` items, or after 2 s.
-  std::vector<std::vector<int>> shipped(const net::Address& to,
-                                        std::size_t items) {
-    std::unique_lock lock(mu_);
-    cv_.wait_for(lock, 2s, [&] {
-      std::size_t n = 0;
-      for (const auto& batch : shipped_[to]) n += batch.size();
-      return n >= items;
-    });
+  std::vector<std::vector<int>> shipped(const net::Address& to) {
+    std::scoped_lock lock(mu_);
     return shipped_[to];
+  }
+
+  std::vector<std::thread::id> threads() {
+    std::scoped_lock lock(mu_);
+    return threads_;
   }
 
  private:
   net::Address held_;
   std::mutex mu_;
-  std::condition_variable cv_;
-  bool holding_ = false;
   bool released_ = false;
+  std::vector<Settled> held_shipments_;
   std::map<net::Address, std::vector<std::vector<int>>> shipped_;
+  std::vector<std::thread::id> threads_;
 };
 
 const net::Address kLaneA{"a", 1};
 const net::Address kLaneB{"b", 1};
+using Batches = std::vector<std::vector<int>>;
 
-// Per destination, items ship in push order, and what queued behind a
-// shipment in flight leaves as one later shipment.
+// An idle lane ships on the pushing thread, and per destination items
+// ship in push order: what queued behind a shipment in flight leaves as
+// one batch when it settles, on the settling thread.
 TEST(OutboxTest, ItemsShipInPushOrderAndABacklogAsOneBatch) {
-  net::Reactor reactor;
   ShipLog log(kLaneA);
   daemon::Outbox<int> outbox;
-  outbox.open(reactor, log.ship());
+  outbox.open(log.ship());
   ASSERT_TRUE(outbox.push(kLaneA, 0));
-  ASSERT_TRUE(log.holding());
   for (int i = 1; i <= 5; ++i) ASSERT_TRUE(outbox.push(kLaneA, int{i}));
   for (int i = 10; i <= 12; ++i) ASSERT_TRUE(outbox.push(kLaneB, int{i}));
-  log.release();
+  EXPECT_EQ(log.shipped(kLaneA), (Batches{{0}}));  // 1..5 wait for it
+  EXPECT_EQ(log.shipped(kLaneB), (Batches{{10}, {11}, {12}}));
+  for (std::thread::id id : log.threads())
+    EXPECT_EQ(id, std::this_thread::get_id());
 
-  using Batches = std::vector<std::vector<int>>;
-  EXPECT_EQ(log.shipped(kLaneA, 6), (Batches{{0}, {1, 2, 3, 4, 5}}));
-  std::vector<int> to_b;
-  for (const auto& batch : log.shipped(kLaneB, 3))
-    to_b.insert(to_b.end(), batch.begin(), batch.end());
-  EXPECT_EQ(to_b, (std::vector<int>{10, 11, 12}));
+  std::jthread settler([&] { log.release(); });
+  settler.join();
+  EXPECT_EQ(log.shipped(kLaneA), (Batches{{0}, {1, 2, 3, 4, 5}}));
+  ASSERT_EQ(log.threads().size(), 5u);
+  EXPECT_NE(log.threads().back(), std::this_thread::get_id());
   EXPECT_TRUE(outbox.close().empty());
 }
 
 // An outbox never opened, or closed since, takes nothing: push() returns
 // false and the item stays with the caller.
 TEST(OutboxTest, PushOnClosedOutboxLeavesTheItem) {
-  net::Reactor reactor;
   daemon::Outbox<std::string> outbox;
   std::string item = "kept";
   EXPECT_FALSE(outbox.push(kLaneA, std::move(item)));
   EXPECT_EQ(item, "kept");
 
-  outbox.open(reactor, [](const net::Address&, std::vector<std::string>) {});
+  outbox.open([](const net::Address&, std::vector<std::string>,
+                 daemon::Outbox<std::string>::Settled settled) { settled(); });
   EXPECT_TRUE(outbox.close().empty());
   EXPECT_FALSE(outbox.push(kLaneA, std::move(item)));
   EXPECT_EQ(item, "kept");
 }
 
-// close() waits out the shipment in flight and hands back exactly the
-// items queued behind it, which never ship.
+// close() waits until the shipment in flight has settled and hands back
+// exactly the items queued behind it, which never ship.
 TEST(OutboxTest, CloseWaitsOutAShipmentAndReturnsWhatIsQueued) {
-  net::Reactor reactor;
   ShipLog log(kLaneA);
   daemon::Outbox<int> outbox;
-  outbox.open(reactor, log.ship());
+  outbox.open(log.ship());
   ASSERT_TRUE(outbox.push(kLaneA, 1));
-  ASSERT_TRUE(log.holding());
   ASSERT_TRUE(outbox.push(kLaneA, 2));
   ASSERT_TRUE(outbox.push(kLaneA, 3));
 
@@ -559,26 +560,27 @@ TEST(OutboxTest, CloseWaitsOutAShipmentAndReturnsWhatIsQueued) {
     closed = true;
   });
   std::this_thread::sleep_for(100ms);
-  EXPECT_FALSE(closed.load());  // the shipment of 1 is still in flight
+  EXPECT_FALSE(closed.load());  // the shipment of 1 has not settled
   log.release();
   closer.join();
   EXPECT_EQ(left, (std::vector<int>{2, 3}));
-  EXPECT_EQ(log.shipped(kLaneA, 1), (std::vector<std::vector<int>>{{1}}));
+  EXPECT_EQ(log.shipped(kLaneA), (Batches{{1}}));
   EXPECT_FALSE(outbox.push(kLaneA, 4));
 }
 
-// A destination whose shipment blocks holds up only its own lane.
+// A destination whose shipment never settles holds up only its own lane.
 TEST(OutboxTest, BlockedDestinationDoesNotDelayAnother) {
-  net::Reactor reactor;
   ShipLog log(kLaneA);
   daemon::Outbox<int> outbox;
-  outbox.open(reactor, log.ship());
+  outbox.open(log.ship());
   ASSERT_TRUE(outbox.push(kLaneA, 1));
-  ASSERT_TRUE(log.holding());
-  ASSERT_TRUE(outbox.push(kLaneB, 2));
-  EXPECT_EQ(log.shipped(kLaneB, 1), (std::vector<std::vector<int>>{{2}}));
+  ASSERT_TRUE(outbox.push(kLaneA, 2));
+  ASSERT_TRUE(outbox.push(kLaneB, 3));
+  ASSERT_TRUE(outbox.push(kLaneB, 4));
+  EXPECT_EQ(log.shipped(kLaneB), (Batches{{3}, {4}}));
+  EXPECT_EQ(log.shipped(kLaneA), (Batches{{1}}));
   log.release();
-  EXPECT_EQ(log.shipped(kLaneA, 1), (std::vector<std::vector<int>>{{1}}));
+  EXPECT_EQ(log.shipped(kLaneA), (Batches{{1}, {2}}));
   EXPECT_TRUE(outbox.close().empty());
 }
 

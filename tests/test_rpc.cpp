@@ -6,7 +6,9 @@
 // per-connection order on the inline path of nonblocking commands, and
 // AceClient::call_all's fan-out: requests in flight together, an early
 // stop that withdraws the rest, and failures, timeouts and breaker
-// rejections kept per request.
+// rejections kept per request; and its callback form, which settles
+// exactly once however the set ends, never blocks its caller, and keeps
+// nothing alive once settled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -673,6 +676,211 @@ TEST(CallAll, TimeoutCountsLikeCall) {
   ASSERT_TRUE(replies[0].has_value() && !replies[0]->ok());
   EXPECT_EQ(replies[0]->error().code, util::Errc::timeout);
   EXPECT_EQ(f.counter_value("client.timeouts"), timeouts + 1);
+}
+
+// ------------------------------------------------ call_all's callback form
+
+// What one callback-form set handed its hook, and how many times.
+struct Settlement {
+  std::mutex mu;
+  std::condition_variable cv;
+  int runs = 0;
+  daemon::AceClient::Replies replies;
+  std::thread::id thread;
+
+  daemon::AceClient::OnSettled hook() {
+    return [this](daemon::AceClient::Replies rs) {
+      std::scoped_lock lock(mu);
+      ++runs;
+      replies = std::move(rs);
+      thread = std::this_thread::get_id();
+      cv.notify_all();
+    };
+  }
+
+  // True once the hook has run, within `timeout`; then, 50 ms later, that
+  // it ran exactly once.
+  bool settled_once(std::chrono::milliseconds timeout = 3s) {
+    std::unique_lock lock(mu);
+    if (!cv.wait_for(lock, timeout, [&] { return runs > 0; })) return false;
+    lock.unlock();
+    std::this_thread::sleep_for(50ms);
+    lock.lock();
+    return runs == 1;
+  }
+};
+
+// Every reply in: the set settles once, on the demux, with each reply.
+TEST(CallAll, CallbackSettlesOnceOnAllReplies) {
+  RpcFixture f;
+  RpcTestDaemon* other = f.add_service("svc2");
+  Settlement s;
+  const std::vector<Request> requests{{f.svc->address(), CmdLine("ping")},
+                                      {other->address(), CmdLine("fast")}};
+  f.client->call_all(requests, 2s, {}, s.hook());
+  ASSERT_TRUE(s.settled_once());
+  ASSERT_EQ(s.replies.size(), 2u);
+  for (const auto& reply : s.replies) {
+    ASSERT_TRUE(reply.has_value() && reply->ok());
+    EXPECT_TRUE(cmdlang::is_ok(reply->value()));
+  }
+}
+
+// `enough` settles the set before the slow request answers, which comes
+// back nullopt and is withdrawn.
+TEST(CallAll, CallbackSettlesOnceOnEnough) {
+  RpcFixture f;
+  RpcTestDaemon* slow = f.add_service("svc2");
+  ASSERT_TRUE(f.client->call(slow->address(), CmdLine("ping")).ok());
+  CmdLine nap("nap");
+  nap.arg("ms", 500);
+  const std::vector<Request> requests{{f.svc->address(), CmdLine("fast")},
+                                      {slow->address(), nap}};
+  Settlement s;
+  const auto started = std::chrono::steady_clock::now();
+  f.client->call_all(
+      requests, 5s,
+      [](const daemon::AceClient::Replies& rs) { return rs[0].has_value(); },
+      s.hook());
+  ASSERT_TRUE(s.settled_once());
+  EXPECT_LT(std::chrono::steady_clock::now() - started, 450ms);
+  ASSERT_TRUE(s.replies[0].has_value() && s.replies[0]->ok());
+  EXPECT_FALSE(s.replies[1].has_value());
+  EXPECT_EQ(f.gauge_value("client.inflight"), 0);
+}
+
+// A request unanswered at the deadline: the timer settles the set, with a
+// timeout counted as call()'s is.
+TEST(CallAll, CallbackSettlesOnceAtTheDeadline) {
+  RpcFixture f;
+  ASSERT_TRUE(f.client->call(f.svc->address(), CmdLine("ping")).ok());
+  const auto timeouts = f.counter_value("client.timeouts");
+  CmdLine nap("nap");
+  nap.arg("ms", 500);
+  const std::vector<Request> requests{{f.svc->address(), nap}};
+  Settlement s;
+  f.client->call_all(requests, 100ms, {}, s.hook());
+  ASSERT_TRUE(s.settled_once());
+  ASSERT_TRUE(s.replies[0].has_value() && !s.replies[0]->ok());
+  EXPECT_EQ(s.replies[0]->error().code, util::Errc::timeout);
+  EXPECT_EQ(f.counter_value("client.timeouts"), timeouts + 1);
+}
+
+// The channel dies mid-call (its daemon crashes): the set settles once,
+// with the request failed `unavailable`.
+TEST(CallAll, CallbackSettlesOnceOnChannelDeath) {
+  RpcFixture f;
+  ASSERT_TRUE(f.client->call(f.svc->address(), CmdLine("ping")).ok());
+  CmdLine nap("nap");
+  nap.arg("ms", 300);
+  const std::vector<Request> requests{{f.svc->address(), nap}};
+  Settlement s;
+  f.client->call_all(requests, 5s, {}, s.hook());
+  std::this_thread::sleep_for(50ms);
+  f.svc->crash();
+  ASSERT_TRUE(s.settled_once());
+  ASSERT_TRUE(s.replies[0].has_value() && !s.replies[0]->ok());
+  EXPECT_EQ(s.replies[0]->error().code, util::Errc::unavailable);
+}
+
+// An open breaker fails the request in the send half, so the set settles
+// once, on the caller's thread, before call_all returns.
+TEST(CallAll, CallbackSettlesOnceOnAnOpenBreaker) {
+  RpcFixture f;
+  f.client->set_breaker_policy({.failure_threshold = 1, .cooldown = 60s});
+  const net::Address tripped{"svc", 40002};  // nothing listens there
+  ASSERT_FALSE(f.client->call(tripped, CmdLine("ping"), {.retries = 0}).ok());
+  const std::vector<Request> requests{{tripped, CmdLine("ping")}};
+  Settlement s;
+  f.client->call_all(requests, 2s, {}, s.hook());
+  {
+    std::scoped_lock lock(s.mu);
+    EXPECT_EQ(s.runs, 1);
+    EXPECT_EQ(s.thread, std::this_thread::get_id());
+  }
+  ASSERT_TRUE(s.settled_once());
+  ASSERT_TRUE(s.replies[0].has_value() && !s.replies[0]->ok());
+  EXPECT_EQ(s.replies[0]->error().code, util::Errc::unavailable);
+}
+
+// close_all() fails a request in flight and one whose connect waits on
+// the ops pool, and returns only once both sets have settled.
+TEST(CallAll, CallbackSettlesOnceOnCloseAll) {
+  RpcFixture f;
+  RpcTestDaemon* other = f.add_service("svc2");
+  ASSERT_TRUE(f.client->call(f.svc->address(), CmdLine("ping")).ok());
+  CmdLine nap("nap");
+  nap.arg("ms", 1000);
+  const std::vector<Request> in_flight{{f.svc->address(), nap}};
+  const std::vector<Request> connecting{{other->address(), nap}};
+  Settlement a, b;
+  f.client->call_all(in_flight, 5s, {}, a.hook());
+  f.client->call_all(connecting, 5s, {}, b.hook());
+  const auto started = std::chrono::steady_clock::now();
+  f.client->close_all();
+  EXPECT_LT(std::chrono::steady_clock::now() - started, 900ms);
+  {
+    std::scoped_lock lock(a.mu);
+    EXPECT_EQ(a.runs, 1);
+  }
+  {
+    std::scoped_lock lock(b.mu);
+    EXPECT_EQ(b.runs, 1);
+  }
+  ASSERT_TRUE(a.settled_once() && b.settled_once());
+  for (Settlement* s : {&a, &b}) {
+    ASSERT_TRUE(s->replies[0].has_value() && !s->replies[0]->ok());
+    EXPECT_EQ(s->replies[0]->error().code, util::Errc::unavailable);
+  }
+}
+
+// From a core worker, to a destination with no live channel: call_all
+// returns at once and the set settles later, once the connect on the ops
+// pool has carried the request.
+TEST(CallAll, CallbackFromCoreWorkerReturnsAtOnce) {
+  RpcFixture f;
+  Settlement s;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<std::chrono::steady_clock::duration> took;
+  f.env.env.reactor().post([&] {
+    const std::vector<Request> requests{{f.svc->address(), CmdLine("ping")}};
+    const auto started = std::chrono::steady_clock::now();
+    f.client->call_all(requests, 2s, {}, s.hook());
+    std::scoped_lock lock(mu);
+    took = std::chrono::steady_clock::now() - started;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, 2s, [&] { return took.has_value(); }));
+    EXPECT_LT(*took, 20ms);
+  }
+  ASSERT_TRUE(s.settled_once());
+  ASSERT_TRUE(s.replies[0].has_value() && s.replies[0]->ok());
+  EXPECT_TRUE(cmdlang::is_ok(s.replies[0]->value()));
+}
+
+// Once its hook has run, a set keeps nothing alive: the hook and the
+// predicate, and what they hold, are released as it settles.
+TEST(CallAll, CallbackReleasesItsHookAndPredicate) {
+  RpcFixture f;
+  auto hook_state = std::make_shared<int>(0);
+  auto enough_state = std::make_shared<int>(0);
+  const std::weak_ptr<int> hook_alive = hook_state;
+  const std::weak_ptr<int> enough_alive = enough_state;
+  Settlement s;
+  const std::vector<Request> requests{{f.svc->address(), CmdLine("ping")}};
+  f.client->call_all(
+      requests, 2s,
+      [held = std::move(enough_state)](const daemon::AceClient::Replies&) {
+        return false;
+      },
+      [held = std::move(hook_state), inner = s.hook()](
+          daemon::AceClient::Replies rs) { inner(std::move(rs)); });
+  ASSERT_TRUE(s.settled_once());
+  EXPECT_TRUE(hook_alive.expired());
+  EXPECT_TRUE(enough_alive.expired());
 }
 
 // call_all waits like call(), so a nonblocking command that fans out

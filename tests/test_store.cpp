@@ -1275,6 +1275,32 @@ class ScriptedPeer : public daemon::ServiceDaemon {
                        return reply(cmd);
                      });
   }
+
+  // Serves `spec` without ever answering: each command's Reply is kept
+  // until the peer stops or crashes.
+  void answer_never(cmdlang::CommandSpec spec) {
+    spec.concurrent_ok();
+    register_command(std::move(spec),
+                     [this](const CmdLine&, const daemon::CallerInfo&,
+                            daemon::Reply reply) {
+                       std::scoped_lock lock(mu_);
+                       unanswered_.push_back(std::move(reply));
+                     });
+  }
+
+ protected:
+  void on_stop() override { drop_unanswered(); }
+  void on_crash() override { drop_unanswered(); }
+
+ private:
+  void drop_unanswered() {
+    std::vector<daemon::Reply> dropped;
+    std::scoped_lock lock(mu_);
+    dropped.swap(unanswered_);
+  }
+
+  std::mutex mu_;
+  std::vector<daemon::Reply> unanswered_;
 };
 
 cmdlang::CommandSpec get_digest_spec() {
@@ -1376,6 +1402,55 @@ class ScriptedPeerTest : public ::testing::Test {
   ScriptedPeer* peer_ = nullptr;
   store::PersistentStoreDaemon* replica_ = nullptr;
 };
+
+cmdlang::CommandSpec replicate_batch_spec() {
+  return cmdlang::CommandSpec("storeReplicateBatch", "scripted")
+      .arg(cmdlang::string_arg("entries"));
+}
+
+CmdLine put_cmd(const std::string& key, const std::string& value) {
+  CmdLine cmd("storePut");
+  cmd.arg("key", key);
+  cmd.arg("data", util::hex_encode(util::to_bytes(value)));
+  return cmd;
+}
+
+// A put replies only once its peer's ack is in, however late: the
+// coordinator's reply comes from the ack's settlement.
+TEST_F(ScriptedPeerTest, PutRepliesAfterALateAck) {
+  peer_->answer(replicate_batch_spec(), [](const CmdLine&) {
+    std::this_thread::sleep_for(100ms);
+    return cmdlang::make_ok();
+  });
+  start();
+  const auto started = std::chrono::steady_clock::now();
+  auto reply = client_->call(replica_->address(), put_cmd("late/k", "v"));
+  const auto took = std::chrono::steady_clock::now() - started;
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  ASSERT_TRUE(cmdlang::is_ok(reply.value())) << reply->to_string();
+  EXPECT_EQ(reply->get_integer("acks"), 2);
+  EXPECT_GE(took, 100ms);
+  EXPECT_EQ(replica_->hints_pending(), 0u);
+}
+
+// A put whose peer never answers replies at replicate_timeout, its miss
+// kept as a hint for the peer.
+TEST_F(ScriptedPeerTest, PutToASilentPeerRepliesAtTheTimeout) {
+  peer_->answer_never(replicate_batch_spec());
+  store::StoreOptions opts = read_both();
+  opts.replicate_timeout = 300ms;
+  start(opts);
+  const auto started = std::chrono::steady_clock::now();
+  auto reply = client_->call(replica_->address(), put_cmd("silent/k", "v"),
+                             daemon::CallOptions{.timeout = 5s});
+  const auto took = std::chrono::steady_clock::now() - started;
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  ASSERT_TRUE(cmdlang::is_ok(reply.value())) << reply->to_string();
+  EXPECT_EQ(reply->get_integer("acks"), 1);
+  EXPECT_GE(took, 300ms);
+  EXPECT_LT(took, 2s);
+  EXPECT_EQ(replica_->hints_pending(), 1u);
+}
 
 // The peer's digest is older, so the read repairs it, and the peer cannot
 // take the record: the read still answers the replica's own value, and the
@@ -2148,8 +2223,8 @@ TEST_F(RobustnessTest, UnmanagedServicesAreNotRelaunched) {
 
 // While the Net Logger cannot be reached, a failed relaunch logs after
 // letting go of the manager's lock. The logger here accepts connections
-// but never handshakes, so each log waits out the handshake timeout; every
-// rmStatus sent meanwhile must still answer at once.
+// but never handshakes, and a log never waits on it: every rmStatus sent
+// meanwhile must answer at once, and stop() return at once.
 TEST(RobustnessLogTest, StatusAnswersWhileNetLoggerStalls) {
   daemon::Environment env(43);
   env.asd_address = {"infra", daemon::kAsdPort};
@@ -2202,5 +2277,8 @@ TEST(RobustnessLogTest, StatusAnswersWhileNetLoggerStalls) {
   }
   ASSERT_TRUE(until.has_value()) << "no relaunch failed";
   EXPECT_LT(slowest, 500ms);
-  rm.crash();  // no parting log to wait out
+  // Neither a watchdog tick nor the parting log waits on the logger.
+  const auto stopping = std::chrono::steady_clock::now();
+  rm.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stopping, 500ms);
 }
